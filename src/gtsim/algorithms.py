@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import noise
 from .noise import prepare_sampler, sample_gradient_block
 
 __all__ = [
@@ -195,11 +196,26 @@ def _auto_stride(n, d, stride):
     return 1 if n * d <= 10_000 else 10
 
 
+# iterations whose metrics are reduced together, in one pass over a block
+_BLOCK = 64
+
+
+def _raise_nonfinite(t, stages):
+    """Raise RunAbort for the first stage holding a non-finite entry, if any."""
+    for what, arr in stages:
+        if arr is not None:
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise RunAbort(t, int(np.argwhere(bad)[0][0]), what)
+
+
 def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> TrajectoryRecord:
     """Execute T iterations, recording metrics each iteration.
 
     Deterministic in (config, seed, run_id); distinct runs are independent
-    and may execute on any worker with identical results.
+    and may execute on any worker with identical results. The loop carries
+    only the dynamics and copies each iteration's models (and trackers) into
+    a block buffer; the metrics of a block are reduced in one pass.
     """
     if algorithm not in ("gt_dsgd", "dsgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -209,78 +225,104 @@ def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> Trajectory
     T = int(config.T)
     opt = e.optimum()
     x_star = opt[0] if opt is not None else None
-    stride = _auto_stride(n, d, config.record_stride)
+    trace = config.record_trace
+    stride = 0 if trace else _auto_stride(n, d, config.record_stride)
+    sched = config.schedule
+    alphas = [sched.value(t) for t in range(1, T + 1)]
 
-    alpha_rec = np.empty(T)
     f_avg = np.empty(T)
     mse = np.full(T, np.nan)
     cons = np.empty(T)
     track = np.zeros(T)
     statio = np.empty(T)
     snapshots = {}
-    if config.record_trace:
-        x_hist = np.empty((T + 1, n, d))
-        y_hist = np.empty((T, n, d))
+    # with traces on, the trace arrays are the block buffers
+    if trace:
+        xs = np.empty((T + 1, n, d))
+        ys = np.zeros((T, n, d))
         g_hist = np.empty((T, n, d))
         z_hist = np.empty((T, n, d))
+    else:
+        xs = np.empty((min(T, _BLOCK), n, d))
+        ys = np.empty_like(xs) if tracked else None
+    # the global gradients feed a metric only, so costs that evaluate stacks
+    # get them once per block, unless the oracle reads them inside the step
+    step_gg = noise.needs_global_grads(config.oracle) or not e.evaluates_stacks
+    ggs = np.empty((min(T, _BLOCK), n, d)) if step_gg else None
 
     sampler = prepare_sampler(config.oracle, e, n, d)
     wm = config.w.w if hasattr(config.w, "w") else np.asarray(config.w)
-    sched = config.schedule
     inv_n = 1.0 / n
-    trace = config.record_trace
 
-    x = config.x0.astype(float).copy()
+    x = np.array(config.x0, dtype=float)
     y = np.zeros((n, d))
     g_prev = np.zeros((n, d))
     # overflow is handled by the explicit non-finite abort, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            xbar = x.sum(axis=0) * inv_n
-            gg = e.grad_global_all(x)
-            alpha = sched.value(t)
-            alpha_rec[t - 1] = alpha
-            f_avg[t - 1] = e.value_global(xbar)
-            if x_star is not None:
-                diff = x - x_star
-                mse[t - 1] = (diff * diff).sum() * inv_n
-            dev = x - xbar
-            cons[t - 1] = (dev * dev).sum() * inv_n
-            statio[t - 1] = (gg * gg).sum()
-            if trace:
-                x_hist[t - 1] = x
-            elif stride and (t - 1) % stride == 0:
-                snapshots[t] = x.copy()
+        for t0 in range(1, T + 1, _BLOCK):
+            t1 = min(t0 + _BLOCK, T + 1)
+            lo = t0 - 1 if trace else 0
+            xb = xs[lo:lo + t1 - t0]
+            for k, t in enumerate(range(t0, t1)):
+                alpha = alphas[t - 1]
+                xb[k] = x
+                gg = None
+                if step_gg:
+                    gg = e.grad_global_all(x)
+                    ggs[k] = gg
+                g, exact = sampler(x, seed, run_id, t, alpha, gg)
+                if tracked:
+                    y = wm @ (y + g - g_prev)
+                    x = wm @ (x - alpha * y)
+                    ys[lo + k] = y
+                else:
+                    x = wm @ (x - alpha * g)
+                # Every column of a doubly stochastic W has a positive entry,
+                # so a non-finite oracle output or tracker reaches the model:
+                # one check covers all three stages, named on failure. A sum
+                # that overflows over finite entries is not a failure.
+                if not math.isfinite(x.sum()):
+                    _raise_nonfinite(t, (("oracle output", g),
+                                         ("tracker update", y if tracked else None),
+                                         ("model update", x)))
+                g_prev = g
+                if trace:
+                    g_hist[t - 1] = g
+                    if exact is None:
+                        exact = e.grad_all(xb[k])
+                    z_hist[t - 1] = g - exact
 
-            g, exact = sampler(x, seed, run_id, t, alpha, gg)
-            _abort_if_nonfinite(g, t, "oracle output")
-            if tracked:
-                y = wm @ (y + g - g_prev)
-                _abort_if_nonfinite(y, t, "tracker update")
-                x = wm @ (x - alpha * y)
-                ydev = y - y.sum(axis=0) * inv_n
-                track[t - 1] = (ydev * ydev).sum() * inv_n
+            m = t1 - t0
+            span = slice(t0 - 1, t1 - 1)
+            xbar = xb.sum(axis=1) * inv_n
+            if e.evaluates_stacks:
+                f_avg[span] = e.value_global(xbar)
             else:
-                x = wm @ (x - alpha * g)
-            _abort_if_nonfinite(x, t, "model update")
-            g_prev = g
-
-            if trace:
-                y_hist[t - 1] = y
-                g_hist[t - 1] = g
-                if exact is None:
-                    exact = e.grad_all(x_hist[t - 1])
-                z_hist[t - 1] = g - exact
+                f_avg[span] = [e.value_global(v) for v in xbar]
+            if x_star is not None:
+                diff = xb - x_star
+                mse[span] = (diff * diff).reshape(m, -1).sum(axis=1) * inv_n
+            dev = xb - xbar[:, None, :]
+            cons[span] = (dev * dev).reshape(m, -1).sum(axis=1) * inv_n
+            if tracked:
+                yb = ys[lo:lo + m]
+                ydev = yb - (yb.sum(axis=1) * inv_n)[:, None, :]
+                track[span] = (ydev * ydev).reshape(m, -1).sum(axis=1) * inv_n
+            gg = ggs[:m] if step_gg else e.grad_global_all(xb)
+            statio[span] = (gg * gg).reshape(m, -1).sum(axis=1)
+            if stride:
+                first = -(t0 - 1) % stride
+                snapshots.update(zip(range(t0 + first, t1, stride), xb[first::stride].copy()))
 
     if trace:
-        x_hist[T] = x
+        xs[T] = x
 
     return TrajectoryRecord(
         algorithm=algorithm,
         seed=seed,
         run_id=run_id,
         T=T,
-        alpha=alpha_rec,
+        alpha=np.array(alphas, dtype=float),
         f_avg=f_avg,
         mse_to_opt=mse,
         consensus_gap=cons,
@@ -288,8 +330,8 @@ def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> Trajectory
         stationarity_sum=statio,
         final_x=x.copy(),
         snapshots=snapshots,
-        x_hist=x_hist if trace else None,
-        y_hist=y_hist if trace else None,
+        x_hist=xs if trace else None,
+        y_hist=ys if trace else None,
         g_hist=g_hist if trace else None,
         z_hist=z_hist if trace else None,
     )

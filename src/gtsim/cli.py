@@ -36,7 +36,6 @@ def _build_parser():
 
     p_check = sub.add_parser("check", help="run theory checks from a config")
     p_check.add_argument("config")
-    p_check.add_argument("--workers", type=int, default=1)
     p_check.add_argument("--seed-override", type=int, default=None)
 
     p_topo = sub.add_parser("topo", help="inspect a mixing matrix")

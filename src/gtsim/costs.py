@@ -46,6 +46,9 @@ class CostEnsemble:
     kind = "abstract"
     n: int
     d: int
+    # True when grad_global_all and value_global also take a stack of inputs
+    # (leading axes), computing each slice exactly as a call on it alone
+    evaluates_stacks = False
 
     def grad_local(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -95,6 +98,7 @@ class QuadraticEnsemble(CostEnsemble):
     """
 
     kind = "quadratic"
+    evaluates_stacks = True
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         b = np.array(b, dtype=float)
@@ -150,7 +154,12 @@ class QuadraticEnsemble(CostEnsemble):
         return x_rows @ self._a_bar + self._b_bar
 
     def value_global(self, x):
-        return float(0.5 * x @ (self._a_bar @ x) + self._b_bar @ x)
+        if x.ndim == 1:
+            return float(0.5 * x @ (self._a_bar @ x) + self._b_bar @ x)
+        # stacked matmuls run the same BLAS call per point as the 1-D form
+        rows = x[..., None, :]
+        quad = np.matmul(0.5 * rows, np.matmul(self._a_bar, x[..., None]))
+        return (quad + np.matmul(rows, self._b_bar[:, None]))[..., 0, 0]
 
     def smoothness(self):
         if self._smoothness is None:

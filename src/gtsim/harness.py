@@ -293,7 +293,7 @@ def _normalize_init(data):
 def _normalize_checks(data):
     _expect("checks", data,
             {"runs", "descent", "descent_pl", "consensus", "tracker",
-             "noise", "noise_samples", "noise_dims"},
+             "noise", "noise_samples"},
             set())
     return {
         "runs": _num("checks", data, "runs", default=20, minimum=1, integer=True),
@@ -477,12 +477,26 @@ class ResultEnvelope:
     wall_clock: float = 0.0
 
 
-def _run_job(args):
-    run_cfg, algorithm, seed, run_id = args
+def _run_job(run_cfg, job):
+    algorithm, seed, run_id = job
     try:
         return algorithms.run(algorithm, run_cfg, seed, run_id)
     except algorithms.RunAbort as exc:
         return ("abort", algorithm, run_id, str(exc))
+
+
+# A pool worker receives the shared RunConfig once, through the pool's
+# initializer, so that jobs carry only (algorithm, seed, run_id).
+_worker_run_cfg = None
+
+
+def _init_worker(run_cfg):
+    global _worker_run_cfg
+    _worker_run_cfg = run_cfg
+
+
+def _run_worker_job(job):
+    return _run_job(_worker_run_cfg, job)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
@@ -498,15 +512,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     if run_cfg is None:
         run_cfg = build_run_config(cfg)
     jobs = [
-        (run_cfg, alg, derive_run_seed(exp["master_seed"], alg, r), r)
+        (alg, derive_run_seed(exp["master_seed"], alg, r), r)
         for alg in exp["algorithms"]
         for r in range(exp["R"])
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(run_cfg,)) as pool:
+            results = list(pool.map(_run_worker_job, jobs,
+                                    chunksize=max(1, len(jobs) // (4 * workers))))
     else:
-        results = [_run_job(j) for j in jobs]
+        results = [_run_job(run_cfg, j) for j in jobs]
 
     aborted = []
     per_alg = {alg: [] for alg in exp["algorithms"]}

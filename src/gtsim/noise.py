@@ -12,6 +12,7 @@ key and independent of scheduling.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -25,6 +26,7 @@ __all__ = [
     "OracleSpec",
     "noise_block",
     "sample_gradient",
+    "needs_global_grads",
     "prepare_sampler",
     "sample_gradient_block",
     "calibrate_sigma",
@@ -106,19 +108,48 @@ _MASK64 = 2**64 - 1
 _RUN_BITS, _T_BITS = 24, 36
 
 
+class _CachedPhilox(threading.local):
+    """One Philox bit generator and its Generator per thread, re-keyed per cell.
+
+    Building a new pair per cell would also draw OS entropy for a seed
+    sequence that the explicit key then discards.
+    """
+
+    def __init__(self):
+        self.bit_generator = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self.bit_generator)
+
+
+_cached = _CachedPhilox()
+
+
 def _generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, run, iteration) cell.
 
     The cell is packed into the 128-bit Philox key (distinct keys yield
-    independent streams by construction); the block counter stays at zero and
-    only advances within the cell's own draws.
+    independent streams by construction); the block counter starts at zero and
+    only advances within the cell's own draws. The returned generator is
+    shared and re-keyed by the next call: draw from it before calling again.
     """
     if not (0 <= run < 2**_RUN_BITS):
         raise OracleError(f"run index must fit in {_RUN_BITS} bits")
     if not (0 <= t < 2**_T_BITS):
         raise OracleError(f"iteration index must fit in {_T_BITS} bits")
     key = [int(seed) & _MASK64, (stream << (_RUN_BITS + _T_BITS)) | (run << _T_BITS) | t]
-    return np.random.Generator(np.random.Philox(key=key))
+    if key[0] >= 2**63:
+        # numpy reads such a key list as float64, losing the low bits of both words
+        key = np.asarray(key).astype(np.uint64).tolist()
+    cell = _cached
+    # the state of a fresh Philox(key=key): zero counter, empty buffer
+    cell.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return cell.generator
 
 
 def noise_block(seed: int, run: int, t: int, n: int, d: int) -> np.ndarray:
@@ -173,6 +204,11 @@ def sample_gradient(o: OracleSpec, e, i: int, x: np.ndarray, key, alpha: Optiona
         scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
         return grad + o.s * scale * z
     raise OracleError(f"unknown oracle kind {o.kind!r}")
+
+
+def needs_global_grads(o: OracleSpec) -> bool:
+    """Whether the oracle's draws depend on the global gradient at each model."""
+    return o.kind == "relaxed_subgaussian" and o.rho != 0.0
 
 
 def prepare_sampler(o: OracleSpec, e, n: int, d: int):
@@ -283,16 +319,16 @@ def noise_samples(
 ) -> np.ndarray:
     """Monte-Carlo noise draws z = g - grad f_i(x) for diagnostics, (count, d)."""
     x = np.asarray(x, dtype=float)
-    gen = _generator(seed, 2, i, 0)
     if o.kind == "gaussian":
-        return o.s_vector(e.n)[i] * gen.standard_normal((count, e.d))
+        return o.s_vector(e.n)[i] * _generator(seed, 2, i, 0).standard_normal((count, e.d))
     if o.kind == "relaxed_subgaussian":
         scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
-        return o.s * scale * gen.standard_normal((count, e.d))
+        return o.s * scale * _generator(seed, 2, i, 0).standard_normal((count, e.d))
     if o.kind == "minibatch":
         _require_dataset(e)
         grad = e.grad_local(i, x)
         out = np.empty((count, e.d))
+        gen = _generator(seed, 2, i, 0)
         for k in range(count):
             out[k] = e.grad_batch(i, x, _batch_of(o, e, i, gen)) - grad
         return out

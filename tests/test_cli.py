@@ -119,6 +119,13 @@ descent = true
     assert "descent: pass" in out
 
 
+def test_check_takes_no_workers_flag(tmp_path, capsys):
+    cfg = tmp_path / "chk.toml"
+    cfg.write_text(CONFIG)
+    assert cli(["check", str(cfg), "--workers", "2"]) == 1
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_check_cap_violation_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "chk.toml"
     cfg.write_text(CONFIG.replace("alpha = 0.01", "alpha = 0.9") + """

@@ -50,6 +50,12 @@ def test_unknown_key_is_fatal(tmp_path):
         harness.load_config(write(tmp_path, bad))
 
 
+def test_checks_noise_dims_is_an_unknown_key(tmp_path):
+    text = MINIMAL_TOML + "\n[checks]\nnoise = true\nnoise_dims = [1, 2]\n"
+    with pytest.raises(harness.ConfigError, match="checks.noise_dims"):
+        harness.load_config(write(tmp_path, text))
+
+
 def test_unknown_section_is_fatal(tmp_path):
     with pytest.raises(harness.ConfigError, match="unknown section"):
         harness.load_config(write(tmp_path, MINIMAL_TOML + "\n[extra]\nx = 1\n"))

@@ -192,6 +192,24 @@ def test_averaged_noise_mgf_invariant():
         assert est <= 2.0 * d * math.e + 3.0 * stderr
 
 
+def test_noise_block_matches_a_fresh_philox_per_cell():
+    for seed, run, t in ((0, 0, 1), (11, 3, 7), (2**40 + 9, 2**24 - 1, 2**36 - 1)):
+        key = [seed, (run << 36) | t]
+        fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((3, 4))
+        assert np.array_equal(noise.noise_block(seed, run, t, 3, 4), fresh)
+
+
+def test_interleaved_draws_do_not_disturb_noise_blocks():
+    e = small_quadratic(n=2, d=3)
+    first = noise.noise_block(5, 1, 2, 2, 3)
+    second = noise.noise_block(5, 1, 3, 2, 3)
+    assert np.array_equal(noise.noise_block(5, 1, 2, 2, 3), first)
+    noise.noise_samples(noise.GaussianOracle(1.0), e, 0, np.zeros(3), 50, seed=9)
+    assert np.array_equal(noise.noise_block(5, 1, 3, 2, 3), second)
+    noise.noise_samples(noise.GaussianOracle(1.0), e, 1, np.zeros(3), 50, seed=9)
+    assert np.array_equal(noise.noise_block(5, 1, 2, 2, 3), first)
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(noise.OracleError):
         noise.GaussianOracle(-1.0)
