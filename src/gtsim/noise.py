@@ -126,19 +126,17 @@ _cached = _CachedPhilox()
 def _generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, run, iteration) cell.
 
-    The cell is packed into the 128-bit Philox key (distinct keys yield
-    independent streams by construction); the block counter starts at zero and
-    only advances within the cell's own draws. The returned generator is
-    shared and re-keyed by the next call: draw from it before calling again.
+    The cell is packed into the 128-bit Philox key, two exact uint64 words:
+    the seed, then stream | run | t (distinct keys yield independent streams
+    by construction); the block counter starts at zero and only advances
+    within the cell's own draws. The returned generator is shared and
+    re-keyed by the next call: draw from it before calling again.
     """
     if not (0 <= run < 2**_RUN_BITS):
         raise OracleError(f"run index must fit in {_RUN_BITS} bits")
     if not (0 <= t < 2**_T_BITS):
         raise OracleError(f"iteration index must fit in {_T_BITS} bits")
     key = [int(seed) & _MASK64, (stream << (_RUN_BITS + _T_BITS)) | (run << _T_BITS) | t]
-    if key[0] >= 2**63:
-        # numpy reads such a key list as float64, losing the low bits of both words
-        key = np.asarray(key).astype(np.uint64).tolist()
     cell = _cached
     # the state of a fresh Philox(key=key): zero counter, empty buffer
     cell.bit_generator.state = {

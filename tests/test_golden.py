@@ -34,8 +34,8 @@ MINIBATCH = {
 }
 
 PINS = {
-    "gaussian": "5db604053491f5a51a929d65f441e9937167e05448e15433d25b2b22498f4969",
-    "minibatch": "2f4812440df18184377413e25fcd2f5a2054dbb8f34a1e2c74a009b997381d62",
+    "gaussian": "0909ccb2eb1b48c360acff27ee39625d4b12316f41a9e3c23553776f75a99acc",
+    "minibatch": "98f4f26417c508e295da17e3427f819e3be6af0554b899bffd5c4f8f2abc2dd2",
 }
 
 

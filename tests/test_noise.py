@@ -193,10 +193,34 @@ def test_averaged_noise_mgf_invariant():
 
 
 def test_noise_block_matches_a_fresh_philox_per_cell():
-    for seed, run, t in ((0, 0, 1), (11, 3, 7), (2**40 + 9, 2**24 - 1, 2**36 - 1)):
-        key = [seed, (run << 36) | t]
+    for seed, run, t in ((0, 0, 1), (11, 3, 7), (2**40 + 9, 2**24 - 1, 2**36 - 1),
+                         (2**63 + 12345, 5, 9), (2**64 - 1, 0, 1)):
+        key = np.array([seed, (run << 36) | t], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((3, 4))
         assert np.array_equal(noise.noise_block(seed, run, t, 3, 4), fresh)
+
+
+def test_adjacent_large_seeds_give_distinct_streams():
+    for seed in (2**63, 2**63 + 12345, 2**64 - 2):
+        assert not np.array_equal(noise.noise_block(seed, 0, 1, 2, 3),
+                                  noise.noise_block(seed + 1, 0, 1, 2, 3))
+
+
+def test_minibatch_indices_of_a_large_seed_change_every_iteration():
+    draws = {tuple(noise._batch_generator(2**63 + 12345, 0, t).choice(1000, size=4, replace=False))
+             for t in range(1, 9)}
+    assert len(draws) == 8
+
+
+def test_small_seed_draws_are_pinned():
+    # values drawn before the key became two exact uint64 words; seeds
+    # below 2**63 must keep them
+    assert noise.noise_block(7, 3, 11, 2, 2).tolist() == [
+        [0.5452422520957791, 0.508535795086205], [0.427567094841119, 0.9204125645704675]]
+    assert noise._batch_generator(12345, 2, 9).choice(1000, size=4, replace=False).tolist() == [
+        290, 484, 261, 244]
+    assert noise._generator(99, 2, 1, 0).standard_normal(3).tolist() == [
+        -0.2856021542266684, -0.7739198400193883, 0.748342616845727]
 
 
 def test_interleaved_draws_do_not_disturb_noise_blocks():

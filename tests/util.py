@@ -32,7 +32,7 @@ def ring_matrix(n):
 # ---------------------------------------------------------------------------
 
 def reference_generator(seed, stream, run, t):
-    key = [int(seed) & (2**64 - 1), (stream << 60) | (run << 36) | t]
+    key = np.array([int(seed) & (2**64 - 1), (stream << 60) | (run << 36) | t], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
