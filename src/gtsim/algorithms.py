@@ -106,8 +106,16 @@ class AlgorithmState:
 def _abort_if_nonfinite(arr, t, what):
     # a non-finite entry always makes the full sum non-finite
     if not math.isfinite(float(arr.sum())):
-        bad = int(np.argwhere(~np.isfinite(arr))[0][0])
-        raise RunAbort(t, bad, what)
+        _raise_nonfinite(t, ((what, arr),))
+
+
+def _raise_nonfinite(t, stages):
+    """Raise RunAbort for the first stage holding a non-finite entry, if any."""
+    for what, arr in stages:
+        if arr is not None:
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise RunAbort(t, int(np.argwhere(bad)[0][0]), what)
 
 
 def _step(state, w, oracle, ensemble, sched, key, tracked, global_grads=None):
@@ -198,15 +206,6 @@ def _auto_stride(n, d, stride):
 
 # iterations whose metrics are reduced together, in one pass over a block
 _BLOCK = 64
-
-
-def _raise_nonfinite(t, stages):
-    """Raise RunAbort for the first stage holding a non-finite entry, if any."""
-    for what, arr in stages:
-        if arr is not None:
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise RunAbort(t, int(np.argwhere(bad)[0][0]), what)
 
 
 def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> TrajectoryRecord:

@@ -131,3 +131,7 @@ def test_finite_models_whose_sum_overflows_do_not_abort():
                         schedule=alg.ConstantStep(0.1), T=3, x0=np.full((3, 2), 1e308))
     rec = alg.run("gt_dsgd", cfg, 0, 0)
     assert np.all(np.isfinite(rec.final_x))
+    with np.errstate(over="ignore"):
+        state = alg.gt_dsgd_step(alg.AlgorithmState.initial(cfg.x0), cfg.w, cfg.oracle, e,
+                                 cfg.schedule, (0, 0))
+    assert np.all(np.isfinite(state.x))
