@@ -5,6 +5,9 @@ and the connectivity parameter lam = ||W - J||, then tunes an Erdos-Renyi
 edge probability until the average gap hits a target.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from gtsim import topology as tp
@@ -30,6 +33,8 @@ res = tp.tune_er_probability(30, target_lambda=0.9, tol=0.05, seed=0)
 print(f"p = {res.p:.4f}, achieved lam = {res.lam:.4f}, converged = {res.converged}")
 print(f"probe means covered [{res.lambda_range[0]:.3f}, {res.lambda_range[1]:.3f}]")
 
-tp.save_matrix_csv(res.matrix, "tuned_matrix.csv")
-again = tp.load_matrix_csv("tuned_matrix.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "tuned_matrix.csv")
+    tp.save_matrix_csv(res.matrix, path)
+    again = tp.load_matrix_csv(path)
 print(f"saved and reloaded bit-identically: {np.array_equal(again.w, res.matrix.w)}")

@@ -12,8 +12,7 @@ from .topology import (
     spectral_gap, tune_er_probability, save_matrix_csv, load_matrix_csv,
 )
 from .costs import (
-    CostEnsemble, QuadraticEnsemble, LogisticEnsemble, grad_local,
-    grad_global_avg, smoothness_constant, quadratic_optimum,
+    CostEnsemble, QuadraticEnsemble, LogisticEnsemble, quadratic_optimum,
     make_synthetic_quadratics, save_ensemble_json, load_ensemble_json,
 )
 from .noise import (
@@ -22,8 +21,8 @@ from .noise import (
 )
 from .datasets import LabeledDataset, parse_libsvm, load_libsvm, split_uniform
 from .algorithms import (
-    AlgorithmState, ConstantStep, InverseTimeStep, RunConfig, TrajectoryRecord,
-    gt_dsgd_step, dsgd_step, run, nonconvex_step_cap, pl_t0_floor,
+    ConstantStep, InverseTimeStep, RunConfig, TrajectoryRecord, run,
+    nonconvex_step_cap, pl_t0_floor,
 )
 from .metrics import (
     RunSet, MetricSeries, empirical_tail_probability, empirical_mse,

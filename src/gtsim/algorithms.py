@@ -17,23 +17,20 @@ non-convex regime and the schedule offset floor for the PL regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import noise
-from .noise import prepare_sampler, sample_gradient_block
+from .noise import prepare_sampler
 
 __all__ = [
     "RunAbort",
     "ConstantStep",
     "InverseTimeStep",
-    "AlgorithmState",
     "TrajectoryRecord",
     "RunConfig",
-    "gt_dsgd_step",
-    "dsgd_step",
     "run",
     "trajectory_csv_lines",
     "StepCapResult",
@@ -84,79 +81,27 @@ class InverseTimeStep:
         return self.a / (self.mu * (t + self.t0))
 
 
-@dataclass
-class AlgorithmState:
-    """Per-agent models, trackers, and previous oracle outputs at time t."""
-
-    x: np.ndarray       # (n, d)
-    y: np.ndarray       # (n, d), zeros before the first tracker update
-    g_prev: np.ndarray  # (n, d), zeros before the first oracle call
-    t: int = 1
-
-    @classmethod
-    def initial(cls, x0: np.ndarray) -> "AlgorithmState":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x=x0.copy(), y=np.zeros_like(x0), g_prev=np.zeros_like(x0), t=1)
-
-    def tracker_residual(self) -> float:
-        """|| mean_i y_i - mean_i g_i ||, zero (to roundoff) for the tracked method."""
-        return float(np.linalg.norm(self.y.mean(axis=0) - self.g_prev.mean(axis=0)))
-
-
-def _abort_if_nonfinite(arr, t, what):
-    # a non-finite entry always makes the full sum non-finite
-    if not math.isfinite(float(arr.sum())):
-        _raise_nonfinite(t, ((what, arr),))
-
-
 def _raise_nonfinite(t, stages):
-    """Raise RunAbort for the first stage holding a non-finite entry, if any."""
-    for what, arr in stages:
-        if arr is not None:
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise RunAbort(t, int(np.argwhere(bad)[0][0]), what)
-
-
-def _step(state, w, oracle, ensemble, sched, key, tracked, global_grads=None):
-    seed, run_id = key
-    t = state.t
-    alpha = sched.value(t)
-    g, exact = sample_gradient_block(
-        oracle, ensemble, state.x, seed, run_id, t, alpha=alpha, global_grads=global_grads
-    )
-    _abort_if_nonfinite(g, t, "oracle output")
-    wm = w.w if hasattr(w, "w") else w
-    if tracked:
-        y = wm @ (state.y + g - state.g_prev)
-        _abort_if_nonfinite(y, t, "tracker update")
-        x_next = wm @ (state.x - alpha * y)
-    else:
-        y = state.y
-        x_next = wm @ (state.x - alpha * g)
-    _abort_if_nonfinite(x_next, t, "model update")
-    return AlgorithmState(x=x_next, y=y, g_prev=g, t=t + 1), exact
-
-
-def gt_dsgd_step(state, w, oracle, ensemble, sched, key) -> AlgorithmState:
-    """One tracked-descent transition from iteration t to t+1."""
-    new, _ = _step(state, w, oracle, ensemble, sched, key, tracked=True)
-    return new
-
-
-def dsgd_step(state, w, oracle, ensemble, sched, key) -> AlgorithmState:
-    """One vanilla decentralized SGD transition (tracker fields unused)."""
-    new, _ = _step(state, w, oracle, ensemble, sched, key, tracked=False)
-    return new
+    """Raise RunAbort for the first run, then the first stage of that run,
+    holding a non-finite entry, if any. Stages are (name, (B, n, d) array)."""
+    bad = [(what, ~np.isfinite(arr)) for what, arr in stages if arr is not None]
+    for b in range(len(bad[0][1])):
+        for what, mask in bad:
+            if mask[b].any():
+                raise RunAbort(t, int(np.argwhere(mask[b])[0][0]), what)
 
 
 @dataclass
 class TrajectoryRecord:
-    """Per-iteration metrics of one run; optional raw traces for checks.
+    """Per-iteration metrics of one run, or of a block of runs; optional raw
+    traces for checks.
 
     Metric arrays are indexed by iteration 1..T (position t-1). When traces
     are recorded, ``x_hist`` has T+1 entries (models at t = 1..T+1) while
     ``y_hist``/``g_hist``/``z_hist`` have T (values produced at t = 1..T).
+    A block record holds tuples in ``seed`` and ``run_id`` and a leading run
+    axis on every per-run array, and its snapshots map t to (B, n, d);
+    ``split`` gives its runs. ``alpha`` is shared by all runs.
     """
 
     algorithm: str
@@ -183,6 +128,23 @@ class TrajectoryRecord:
         res = np.linalg.norm(self.y_hist.mean(axis=1) - self.g_hist.mean(axis=1), axis=1)
         return float(res.max()) if len(res) else 0.0
 
+    def split(self) -> list:
+        """The per-run records of a block record, as views into its arrays;
+        a one-run record is returned alone."""
+        if not isinstance(self.run_id, tuple):
+            return [self]
+        return [
+            replace(self, seed=seed, run_id=run_id,
+                    snapshots={t: v[b] for t, v in self.snapshots.items()},
+                    **{k: None if getattr(self, k) is None else getattr(self, k)[b]
+                       for k in _PER_RUN})
+            for b, (seed, run_id) in enumerate(zip(self.seed, self.run_id))
+        ]
+
+
+_PER_RUN = ("f_avg", "mse_to_opt", "consensus_gap", "tracker_gap", "stationarity_sum",
+            "final_x", "x_hist", "y_hist", "g_hist", "z_hist")
+
 
 @dataclass
 class RunConfig:
@@ -204,23 +166,33 @@ def _auto_stride(n, d, stride):
     return 1 if n * d <= 10_000 else 10
 
 
-# iterations whose metrics are reduced together, in one pass over a block
-_BLOCK = 64
+# iterations whose metrics are reduced together, in one pass over a block;
+# it equals the noise chunk, so a metric block never straddles two draws
+_BLOCK = noise.CHUNK
 
 
-def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> TrajectoryRecord:
+def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
     """Execute T iterations, recording metrics each iteration.
 
-    Deterministic in (config, seed, run_id); distinct runs are independent
-    and may execute on any worker with identical results. The loop carries
-    only the dynamics and copies each iteration's models (and trackers) into
-    a block buffer; the metrics of a block are reduced in one pass.
+    ``seed`` and ``run_id`` are ints for one run, or equal-length sequences
+    for a block of B runs stepped together as one (B, n, d) state; a block
+    returns one record with a leading run axis (see TrajectoryRecord). Each
+    run is deterministic in (config, seed, run_id) and bitwise the same
+    alone or in any block, on any worker. The loop carries only the dynamics
+    and copies each iteration's models (and trackers) into a block buffer;
+    the metrics of a block are reduced in one pass.
     """
     if algorithm not in ("gt_dsgd", "dsgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    single = isinstance(run_id, (int, np.integer))
+    seeds = (int(seed),) if single else tuple(int(s) for s in seed)
+    run_ids = (int(run_id),) if single else tuple(int(r) for r in run_id)
+    if len(seeds) != len(run_ids) or not seeds:
+        raise ValueError("seed and run_id must name the same, non-empty set of runs")
     tracked = algorithm == "gt_dsgd"
     e = config.ensemble
     n, d = config.x0.shape
+    B = len(seeds)
     T = int(config.T)
     opt = e.optimum()
     x_star = opt[0] if opt is not None else None
@@ -228,52 +200,58 @@ def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> Trajectory
     stride = 0 if trace else _auto_stride(n, d, config.record_stride)
     sched = config.schedule
     alphas = [sched.value(t) for t in range(1, T + 1)]
+    stacks = e.evaluates_stacks
 
-    f_avg = np.empty(T)
-    mse = np.full(T, np.nan)
-    cons = np.empty(T)
-    track = np.zeros(T)
-    statio = np.empty(T)
+    f_avg = np.empty((B, T))
+    mse = np.full((B, T), np.nan)
+    cons = np.empty((B, T))
+    track = np.zeros((B, T))
+    statio = np.empty((B, T))
     snapshots = {}
     # with traces on, the trace arrays are the block buffers
     if trace:
-        xs = np.empty((T + 1, n, d))
-        ys = np.zeros((T, n, d))
-        g_hist = np.empty((T, n, d))
-        z_hist = np.empty((T, n, d))
+        xs = np.empty((B, T + 1, n, d))
+        ys = np.zeros((B, T, n, d))
+        g_hist = np.empty((B, T, n, d))
+        z_hist = np.empty((B, T, n, d))
     else:
-        xs = np.empty((min(T, _BLOCK), n, d))
+        xs = np.empty((B, min(T, _BLOCK), n, d))
         ys = np.empty_like(xs) if tracked else None
     # the global gradients feed a metric only, so costs that evaluate stacks
     # get them once per block, unless the oracle reads them inside the step
-    step_gg = noise.needs_global_grads(config.oracle) or not e.evaluates_stacks
-    ggs = np.empty((min(T, _BLOCK), n, d)) if step_gg else None
+    step_gg = noise.needs_global_grads(config.oracle) or not stacks
+    ggs = np.empty((B, min(T, _BLOCK), n, d)) if step_gg else None
 
-    sampler = prepare_sampler(config.oracle, e, n, d)
+    sampler = prepare_sampler(config.oracle, e, seeds, run_ids, T)
     wm = config.w.w if hasattr(config.w, "w") else np.asarray(config.w)
     inv_n = 1.0 / n
 
-    x = np.array(config.x0, dtype=float)
-    y = np.zeros((n, d))
-    g_prev = np.zeros((n, d))
+    x = np.repeat(np.asarray(config.x0, dtype=float)[None], B, axis=0)
+    y = np.zeros((B, n, d))
+    g_prev = np.zeros((B, n, d))
     # overflow is handled by the explicit non-finite abort, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(1, T + 1, _BLOCK):
             t1 = min(t0 + _BLOCK, T + 1)
+            m = t1 - t0
             lo = t0 - 1 if trace else 0
-            xb = xs[lo:lo + t1 - t0]
+            xb = xs[:, lo:lo + m]
             for k, t in enumerate(range(t0, t1)):
                 alpha = alphas[t - 1]
-                xb[k] = x
+                xb[:, k] = x
                 gg = None
                 if step_gg:
-                    gg = e.grad_global_all(x)
-                    ggs[k] = gg
-                g, exact = sampler(x, seed, run_id, t, alpha, gg)
+                    gg = ggs[:, k]
+                    if stacks:
+                        gg[...] = e.grad_global_all(x)
+                    else:
+                        for b in range(B):
+                            gg[b] = e.grad_global_all(x[b])
+                g, exact = sampler(x, t, alpha, gg)
                 if tracked:
                     y = wm @ (y + g - g_prev)
                     x = wm @ (x - alpha * y)
-                    ys[lo + k] = y
+                    ys[:, lo + k] = y
                 else:
                     x = wm @ (x - alpha * g)
                 # Every column of a doubly stochastic W has a positive entry,
@@ -286,40 +264,40 @@ def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> Trajectory
                                          ("model update", x)))
                 g_prev = g
                 if trace:
-                    g_hist[t - 1] = g
+                    g_hist[:, t - 1] = g
                     if exact is None:
-                        exact = e.grad_all(xb[k])
-                    z_hist[t - 1] = g - exact
+                        exact = np.stack([e.grad_all(xr) for xr in xb[:, k]])
+                    z_hist[:, t - 1] = g - exact
 
-            m = t1 - t0
             span = slice(t0 - 1, t1 - 1)
-            xbar = xb.sum(axis=1) * inv_n
-            if e.evaluates_stacks:
-                f_avg[span] = e.value_global(xbar)
+            xbar = xb.sum(axis=2) * inv_n
+            if stacks:
+                f_avg[:, span] = e.value_global(xbar)
             else:
-                f_avg[span] = [e.value_global(v) for v in xbar]
+                f_avg[:, span] = [[e.value_global(v) for v in row] for row in xbar]
             if x_star is not None:
                 diff = xb - x_star
-                mse[span] = (diff * diff).reshape(m, -1).sum(axis=1) * inv_n
-            dev = xb - xbar[:, None, :]
-            cons[span] = (dev * dev).reshape(m, -1).sum(axis=1) * inv_n
+                mse[:, span] = (diff * diff).reshape(B, m, -1).sum(axis=2) * inv_n
+            dev = xb - xbar[:, :, None, :]
+            cons[:, span] = (dev * dev).reshape(B, m, -1).sum(axis=2) * inv_n
             if tracked:
-                yb = ys[lo:lo + m]
-                ydev = yb - (yb.sum(axis=1) * inv_n)[:, None, :]
-                track[span] = (ydev * ydev).reshape(m, -1).sum(axis=1) * inv_n
-            gg = ggs[:m] if step_gg else e.grad_global_all(xb)
-            statio[span] = (gg * gg).reshape(m, -1).sum(axis=1)
+                yb = ys[:, lo:lo + m]
+                ydev = yb - (yb.sum(axis=2) * inv_n)[:, :, None, :]
+                track[:, span] = (ydev * ydev).reshape(B, m, -1).sum(axis=2) * inv_n
+            gg = ggs[:, :m] if step_gg else e.grad_global_all(xb)
+            statio[:, span] = (gg * gg).reshape(B, m, -1).sum(axis=2)
             if stride:
                 first = -(t0 - 1) % stride
-                snapshots.update(zip(range(t0 + first, t1, stride), xb[first::stride].copy()))
+                snaps = xb[:, first::stride].swapaxes(0, 1).copy()
+                snapshots.update(zip(range(t0 + first, t1, stride), snaps))
 
     if trace:
-        xs[T] = x
+        xs[:, T] = x
 
-    return TrajectoryRecord(
+    rec = TrajectoryRecord(
         algorithm=algorithm,
-        seed=seed,
-        run_id=run_id,
+        seed=seeds,
+        run_id=run_ids,
         T=T,
         alpha=np.array(alphas, dtype=float),
         f_avg=f_avg,
@@ -334,6 +312,7 @@ def run(algorithm: str, config: RunConfig, seed: int, run_id: int) -> Trajectory
         g_hist=g_hist if trace else None,
         z_hist=z_hist if trace else None,
     )
+    return rec.split()[0] if single else rec
 
 
 def trajectory_csv_lines(rec: TrajectoryRecord):

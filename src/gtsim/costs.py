@@ -19,9 +19,6 @@ __all__ = [
     "CostEnsemble",
     "QuadraticEnsemble",
     "LogisticEnsemble",
-    "grad_local",
-    "grad_global_avg",
-    "smoothness_constant",
     "quadratic_optimum",
     "make_synthetic_quadratics",
     "save_ensemble_json",
@@ -46,8 +43,9 @@ class CostEnsemble:
     kind = "abstract"
     n: int
     d: int
-    # True when grad_global_all and value_global also take a stack of inputs
-    # (leading axes), computing each slice exactly as a call on it alone
+    # True when grad_all, grad_global_all and value_global also take a stack
+    # of inputs (leading axes), computing each slice exactly as a call on it
+    # alone
     evaluates_stacks = False
 
     def grad_local(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -145,7 +143,7 @@ class QuadraticEnsemble(CostEnsemble):
     def grad_all(self, x_rows):
         if self.shared_a:
             return x_rows @ self.a + self.b
-        return np.einsum("nij,nj->ni", self.a, x_rows) + self.b
+        return np.matmul(self.a, x_rows[..., None])[..., 0] + self.b
 
     def grad_global(self, x):
         return self._a_bar @ x + self._b_bar
@@ -276,21 +274,6 @@ class LogisticEnsemble(CostEnsemble):
                 worst = max(worst, float(s * s) / (4.0 * h.shape[0]))
             self._smoothness = worst + 2.0 * self.eta
         return self._smoothness
-
-
-def grad_local(e: CostEnsemble, i: int, x) -> np.ndarray:
-    """Exact gradient of agent i's cost at x."""
-    return e.grad_local(i, np.asarray(x, dtype=float))
-
-
-def grad_global_avg(e: CostEnsemble, x) -> np.ndarray:
-    """Gradient of the network-average cost f at x."""
-    return e.grad_global(np.asarray(x, dtype=float))
-
-
-def smoothness_constant(e: CostEnsemble) -> float:
-    """A global Lipschitz constant for every agent gradient."""
-    return e.smoothness()
 
 
 def quadratic_optimum(e: QuadraticEnsemble):

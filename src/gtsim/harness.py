@@ -477,16 +477,41 @@ class ResultEnvelope:
     wall_clock: float = 0.0
 
 
-def _run_job(run_cfg, job):
-    algorithm, seed, run_id = job
+# bytes of block buffers (models, trackers and noise, each (K, n, d) float64
+# per run) that one block of runs may hold
+_BLOCK_BUDGET = 4 << 20
+
+
+def _block_size(run_cfg, jobs: int, workers: int) -> int:
+    """Runs stepped together: as many as the buffer budget allows, and with
+    several workers no more than the old per-message chunk of jobs."""
+    n, d = run_cfg.x0.shape
+    size = max(1, _BLOCK_BUDGET // (3 * algorithms._BLOCK * n * d * 8))
+    return size if workers == 1 else min(size, max(1, jobs // (4 * workers)))
+
+
+def _run_block(run_cfg, block):
+    """A block record, or the block run again one run at a time if it aborts.
+
+    Outputs do not depend on the block size, so the runs that finish keep
+    their records and each abort names its own iteration, agent and stage.
+    """
+    algorithm, seeds, run_ids = block
     try:
-        return algorithms.run(algorithm, run_cfg, seed, run_id)
-    except algorithms.RunAbort as exc:
-        return ("abort", algorithm, run_id, str(exc))
+        return [algorithms.run(algorithm, run_cfg, seeds, run_ids)]
+    except algorithms.RunAbort:
+        pass
+    out = []
+    for seed, run_id in zip(seeds, run_ids):
+        try:
+            out.append(algorithms.run(algorithm, run_cfg, seed, run_id))
+        except algorithms.RunAbort as exc:
+            out.append(("abort", algorithm, run_id, str(exc)))
+    return out
 
 
 # A pool worker receives the shared RunConfig once, through the pool's
-# initializer, so that jobs carry only (algorithm, seed, run_id).
+# initializer, so that blocks carry only (algorithm, seeds, run_ids).
 _worker_run_cfg = None
 
 
@@ -495,34 +520,36 @@ def _init_worker(run_cfg):
     _worker_run_cfg = run_cfg
 
 
-def _run_worker_job(job):
-    return _run_job(_worker_run_cfg, job)
+def _run_worker_block(block):
+    return _run_block(_worker_run_cfg, block)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    run_cfg: algorithms.RunConfig | None = None) -> ResultEnvelope:
     """Execute R seeded runs per algorithm and aggregate the metric series.
 
-    Run seeds derive from hash(master_seed, algorithm, run_id); aggregation
-    happens in job order after all workers join, so any worker count yields
-    an identical envelope.
+    Run seeds derive from hash(master_seed, algorithm, run_id). Each
+    algorithm's runs are stepped in contiguous blocks, in run order, and
+    aggregated in run order after all workers join, so any worker count and
+    block size yields an identical envelope.
     """
     start = time.perf_counter()
     exp = cfg["experiment"]
     if run_cfg is None:
         run_cfg = build_run_config(cfg)
-    jobs = [
-        (alg, derive_run_seed(exp["master_seed"], alg, r), r)
-        for alg in exp["algorithms"]
-        for r in range(exp["R"])
-    ]
+    R = exp["R"]
+    size = _block_size(run_cfg, len(exp["algorithms"]) * R, workers)
+    blocks = [(alg, [derive_run_seed(exp["master_seed"], alg, r) for r in ids], ids)
+              for alg in exp["algorithms"]
+              for ids in (list(range(lo, min(lo + size, R))) for lo in range(0, R, size))]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(run_cfg,)) as pool:
-            results = list(pool.map(_run_worker_job, jobs,
-                                    chunksize=max(1, len(jobs) // (4 * workers))))
+            results = list(pool.map(_run_worker_block, blocks,
+                                    chunksize=max(1, len(blocks) // (4 * workers))))
     else:
-        results = [_run_job(run_cfg, j) for j in jobs]
+        results = [_run_block(run_cfg, b) for b in blocks]
+    results = [res for block in results for res in block]
 
     aborted = []
     per_alg = {alg: [] for alg in exp["algorithms"]}
@@ -530,7 +557,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
         if isinstance(res, tuple) and res and res[0] == "abort":
             aborted.append({"algorithm": res[1], "run_id": res[2], "error": res[3]})
         else:
-            per_alg[res.algorithm].append(res)
+            per_alg[res.algorithm].extend(res.split())
 
     series = {}
     run_summaries = {}

@@ -5,13 +5,17 @@ mini-batch sampling over finite local datasets, and a synthetic noise model
 whose amplitude grows with the global gradient norm (the "relaxed" regime
 where the squared-norm MGF bound carries a gradient-dependent term).
 
-All randomness is counter-based: one Philox stream per (seed, run, iteration),
-with agent i owning row i of the block, so draws are a pure function of the
-key and independent of scheduling.
+All randomness is counter-based. Gaussian noise is drawn once per run per
+chunk of CHUNK iterations, from one Philox stream keyed by (seed, run, t0) at
+the chunk's first iteration t0; row t - t0 of the draw is iteration t's noise,
+with agent i owning row i of it. Mini-batch indices have one stream per
+(seed, run, iteration). Draws are a pure function of (seed, run, t),
+independent of scheduling and of how many runs are stepped together.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -25,17 +29,21 @@ __all__ = [
     "RelaxedSubgaussianOracle",
     "OracleSpec",
     "noise_block",
+    "CHUNK",
     "sample_gradient",
     "needs_global_grads",
     "prepare_sampler",
-    "sample_gradient_block",
     "calibrate_sigma",
+    "capped_exp_mean",
     "MgfEstimate",
     "estimate_mgf",
     "noise_samples",
 ]
 
 _EXP_CAP = 700.0  # exp(700) is near the float64 overflow edge
+
+# iterations whose Gaussian noise one chunk draw covers
+CHUNK = 64
 
 
 class OracleError(ValueError):
@@ -151,8 +159,19 @@ def _generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
 
 
 def noise_block(seed: int, run: int, t: int, n: int, d: int) -> np.ndarray:
-    """Standard-normal block for iteration t; rows are the per-agent draws."""
+    """The first n x d standard normals of the noise cell (seed, run, t).
+
+    A chunk starting at t0 takes its (k, n_agents, d) draw as
+    ``noise_block(seed, run, t0, k * n_agents, d)``; draws fill in order, so
+    any prefix of a cell's draws is the same.
+    """
     return _generator(seed, 0, run, t).standard_normal((n, d))
+
+
+def _iteration_noise(seed, run, t, n, d):
+    """Iteration t's (n, d) rows of its chunk draw."""
+    t0 = t - (t - 1) % CHUNK
+    return noise_block(seed, run, t0, (t - t0 + 1) * n, d)[-n:]
 
 
 def _batch_generator(seed: int, run: int, t: int) -> np.random.Generator:
@@ -194,7 +213,7 @@ def sample_gradient(o: OracleSpec, e, i: int, x: np.ndarray, key, alpha: Optiona
         for j in range(i + 1):  # replay preceding agents' draws to reach agent i
             idx = _batch_of(o, e, j, gen)
         return e.grad_batch(i, x, idx)
-    z = noise_block(seed, run, t, e.n, e.d)[i]
+    z = _iteration_noise(seed, run, t, e.n, e.d)[i]
     grad = e.grad_local(i, x)
     if o.kind == "gaussian":
         return grad + o.s_vector(e.n)[i] * z
@@ -209,87 +228,82 @@ def needs_global_grads(o: OracleSpec) -> bool:
     return o.kind == "relaxed_subgaussian" and o.rho != 0.0
 
 
-def prepare_sampler(o: OracleSpec, e, n: int, d: int):
-    """Bind an oracle to an ensemble for the hot loop.
+def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int], T: int):
+    """Bind an oracle to an ensemble and a block of runs for the hot loop.
 
-    Returns ``f(x_rows, seed, run, t, alpha, global_grads) -> (g, exact)``
-    where ``exact`` holds the noiseless local gradients when they come for
-    free (additive-noise flavors), else None.
+    Returns ``f(x, t, alpha, global_grads) -> (g, exact)`` over models x of
+    shape (B, n, d), one run per (seeds[b], runs[b]), for iterations t <= T.
+    ``exact`` holds the noiseless local gradients when they come for free
+    (additive-noise flavors), else None; the relaxed flavor at rho > 0 needs
+    alpha and the global gradients at x. Gaussian noise is drawn at the first
+    call within each chunk, for every run of the block.
     """
+    n, d = e.n, e.d
     if o.kind == "minibatch":
         _require_dataset(e)
 
-        def sample_minibatch(x_rows, seed, run, t, alpha=None, global_grads=None):
-            gen = _batch_generator(seed, run, t)
-            g = np.empty((n, d))
-            for i in range(n):
-                g[i] = e.grad_batch(i, x_rows[i], _batch_of(o, e, i, gen))
+        def sample_minibatch(x, t, alpha=None, global_grads=None):
+            g = np.empty_like(x)
+            for b, (seed, run) in enumerate(zip(seeds, runs)):
+                gen = _batch_generator(seed, run, t)
+                for i in range(n):
+                    g[b, i] = e.grad_batch(i, x[b, i], _batch_of(o, e, i, gen))
             return g, None
 
         return sample_minibatch
 
+    grad_all = e.grad_all if e.evaluates_stacks else (
+        lambda x: np.stack([e.grad_all(xb) for xb in x]))
+    if o.kind == "gaussian" and not o.s_vector(n).any():
+
+        def sample_exact(x, t, alpha=None, global_grads=None):
+            exact = grad_all(x)
+            return exact, exact
+
+        return sample_exact
+
+    z = np.empty((min(T, CHUNK), len(seeds), n, d))  # time-major chunk draw
+    drawn = 0  # first iteration of the chunk in z
+
+    def noise_rows(t):
+        nonlocal drawn
+        t0 = t - (t - 1) % CHUNK
+        if drawn != t0:
+            k = min(CHUNK, T + 1 - t0)
+            for b, (seed, run) in enumerate(zip(seeds, runs)):
+                z[:k, b] = noise_block(seed, run, t0, k * n, d).reshape(k, n, d)
+            drawn = t0
+        return z[t - t0]
+
     if o.kind == "gaussian":
         s_col = o.s_vector(n)[:, None]
-        if not s_col.any():
 
-            def sample_exact(x_rows, seed, run, t, alpha=None, global_grads=None):
-                exact = e.grad_all(x_rows)
-                return exact, exact
-
-            return sample_exact
-
-        def sample_gaussian(x_rows, seed, run, t, alpha=None, global_grads=None):
-            exact = e.grad_all(x_rows)
-            return exact + s_col * noise_block(seed, run, t, n, d), exact
+        def sample_gaussian(x, t, alpha=None, global_grads=None):
+            exact = grad_all(x)
+            return exact + s_col * noise_rows(t), exact
 
         return sample_gaussian
 
     if o.kind == "relaxed_subgaussian":
         if o.rho == 0.0:
 
-            def sample_plain(x_rows, seed, run, t, alpha=None, global_grads=None):
-                exact = e.grad_all(x_rows)
-                return exact + o.s * noise_block(seed, run, t, n, d), exact
+            def sample_plain(x, t, alpha=None, global_grads=None):
+                exact = grad_all(x)
+                return exact + o.s * noise_rows(t), exact
 
             return sample_plain
 
-        def sample_relaxed(x_rows, seed, run, t, alpha=None, global_grads=None):
-            exact = e.grad_all(x_rows)
-            if global_grads is None:
-                global_grads = e.grad_global_all(x_rows)
-            if alpha is None:
-                raise OracleError("relaxed oracle needs the current step-size alpha")
-            norms = np.linalg.norm(global_grads, axis=1)
+        def sample_relaxed(x, t, alpha=None, global_grads=None):
+            if alpha is None or global_grads is None:
+                raise OracleError("relaxed oracle needs the step-size alpha and global gradients")
+            exact = grad_all(x)
+            norms = np.linalg.norm(global_grads, axis=-1)
             scale = np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * norms)
-            return exact + o.s * scale[:, None] * noise_block(seed, run, t, n, d), exact
+            return exact + o.s * scale[..., None] * noise_rows(t), exact
 
         return sample_relaxed
 
     raise OracleError(f"unknown oracle kind {o.kind!r}")
-
-
-def sample_gradient_block(
-    o: OracleSpec,
-    e,
-    x_rows: np.ndarray,
-    seed: int,
-    run: int,
-    t: int,
-    alpha: Optional[float] = None,
-    need_exact: bool = False,
-    global_grads: Optional[np.ndarray] = None,
-):
-    """Stochastic gradients for all agents at once; returns (g, exact).
-
-    For additive-noise flavors the exact gradients come for free; for the
-    mini-batch flavor they are computed only when ``need_exact`` is set,
-    doubling the oracle cost.
-    """
-    n, d = x_rows.shape
-    g, exact = prepare_sampler(o, e, n, d)(x_rows, seed, run, t, alpha, global_grads)
-    if exact is None and need_exact:
-        exact = e.grad_all(x_rows)
-    return g, exact
 
 
 def calibrate_sigma(s: float, d: int) -> float:
@@ -333,6 +347,13 @@ def noise_samples(
     raise OracleError(f"unknown oracle kind {o.kind!r}")
 
 
+def capped_exp_mean(w: np.ndarray):
+    """(mean, standard error, count capped) of exp(w), exponents capped at 700."""
+    capped = int(np.sum(w > _EXP_CAP))
+    vals = np.exp(np.minimum(w, _EXP_CAP))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), capped
+
+
 @dataclass(frozen=True)
 class MgfEstimate:
     value: float
@@ -361,12 +382,5 @@ def estimate_mgf(
     if sigma_sq <= 0:
         raise OracleError("sigma_sq must be > 0")
     z = noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha)
-    w = np.sum(z * z, axis=1) / sigma_sq
-    capped = int(np.sum(w > _EXP_CAP))
-    vals = np.exp(np.minimum(w, _EXP_CAP))
-    return MgfEstimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / np.sqrt(samples)),
-        capped=capped,
-        samples=samples,
-    )
+    value, stderr, capped = capped_exp_mean(np.sum(z * z, axis=1) / sigma_sq)
+    return MgfEstimate(value=value, stderr=stderr, capped=capped, samples=samples)

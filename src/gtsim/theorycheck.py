@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import calibrate_sigma, noise_samples
+from .noise import calibrate_sigma, capped_exp_mean, noise_samples
 
 __all__ = [
     "SLACK_TOL",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 SLACK_TOL = -1e-9
-_EXP_CAP = 700.0
 
 
 @dataclass
@@ -289,12 +288,6 @@ def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckRep
     return CheckReport("tracker_recursion", max(T - 1, 0), worst, violations)
 
 
-def _capped_exp_mean(w):
-    capped = int(np.sum(w > _EXP_CAP))
-    vals = np.exp(np.minimum(w, _EXP_CAP))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), capped
-
-
 def check_noise_properties(
     o,
     e,
@@ -368,7 +361,7 @@ def check_noise_properties(
             )
             zbar = draws.mean(axis=0)
             wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
-            est, stderr, capped = _capped_exp_mean(wexp)
+            est, stderr, capped = capped_exp_mean(wexp)
             bound = 2.0 * d * math.e
             record(f"avg_mgf_x{k}_n{m}", est, bound, stderr)
             if capped:

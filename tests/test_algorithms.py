@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtsim import algorithms as alg, costs, noise, topology as tp
-from util import path3_matrix, ring_matrix
+from util import assert_records_identical, path3_matrix, reference_run, ring_matrix
 
 
 ZERO = noise.GaussianOracle(0.0)
@@ -17,24 +17,30 @@ def heterogeneous_pair():
     return w, e
 
 
+def one_traced_step(w, e, x0, alpha):
+    """The engine's first tracked step, checked against the reference loop."""
+    cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(alpha), T=1,
+                        x0=x0, record_trace=True)
+    rec = alg.run("gt_dsgd", cfg, 0, 0)
+    assert_records_identical(rec, reference_run("gt_dsgd", cfg, 0, 0))
+    return rec.y_hist[0], rec.x_hist[1]
+
+
 def test_one_step_hand_simulation():
     w, e = heterogeneous_pair()
-    state = alg.AlgorithmState.initial(np.zeros((2, 1)))
-    nxt = alg.gt_dsgd_step(state, w, ZERO, e, alg.ConstantStep(0.1), (0, 0))
+    y, x = one_traced_step(w, e, np.zeros((2, 1)), 0.1)
     # heterogeneous gradients cancel through uniform averaging
-    assert np.allclose(nxt.y, 0.0, atol=1e-15)
-    assert np.allclose(nxt.x, 0.0, atol=1e-15)
-    assert nxt.t == 2
+    assert np.allclose(y, 0.0, atol=1e-15)
+    assert np.allclose(x, 0.0, atol=1e-15)
 
 
 def test_single_agent_is_centralized_sgd():
     w = tp.MixingMatrix(1, np.ones((1, 1)), 0.0)
     e = costs.QuadraticEnsemble(np.array([[[2.0]]]), np.array([[4.0]]))
-    state = alg.AlgorithmState.initial(np.array([[1.0]]))
-    nxt = alg.gt_dsgd_step(state, w, ZERO, e, alg.ConstantStep(0.05), (0, 0))
+    y, x = one_traced_step(w, e, np.array([[1.0]]), 0.05)
     g = 2.0 * 1.0 + 4.0
-    assert np.allclose(nxt.y, [[g]])
-    assert np.allclose(nxt.x, [[1.0 - 0.05 * g]])
+    assert np.allclose(y, [[g]])
+    assert np.allclose(x, [[1.0 - 0.05 * g]])
 
 
 def test_homogeneous_reduction_to_centralized_gd():
@@ -111,16 +117,9 @@ def test_run_matches_step_composition():
     o = noise.GaussianOracle(0.7)
     sched = alg.InverseTimeStep(1.0, 1.0, 1.0)
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=o, schedule=sched, T=40, x0=np.zeros((5, 3)))
-    rec = alg.run("gt_dsgd", cfg, 9, 3)
-    state = alg.AlgorithmState.initial(np.zeros((5, 3)))
-    for _ in range(40):
-        state = alg.gt_dsgd_step(state, w, o, e, sched, (9, 3))
-    assert np.array_equal(state.x, rec.final_x)
-    rec_d = alg.run("dsgd", cfg, 9, 3)
-    state = alg.AlgorithmState.initial(np.zeros((5, 3)))
-    for _ in range(40):
-        state = alg.dsgd_step(state, w, o, e, sched, (9, 3))
-    assert np.array_equal(state.x, rec_d.final_x)
+    for algo in ("gt_dsgd", "dsgd"):
+        ref = reference_run(algo, cfg, 9, 3)
+        assert np.array_equal(alg.run(algo, cfg, 9, 3).final_x, ref.final_x)
 
 
 def test_run_deterministic_in_seed_and_run_id():

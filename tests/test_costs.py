@@ -13,13 +13,13 @@ def quad2():
 
 def test_quadratic_grad_example():
     e = quad2()
-    assert np.allclose(costs.grad_local(e, 0, [1.0, 1.0]), [3.0, 3.0])
+    assert np.allclose(e.grad_local(0, np.array([1.0, 1.0])), [3.0, 3.0])
 
 
 def test_logistic_grad_single_sample():
     # one sample h=(1,0), y=+1, eta=0, x=0: finite-difference oracle
     e = costs.LogisticEnsemble([np.array([[1.0, 0.0]])], [np.array([1.0])], eta=0.0)
-    g = costs.grad_local(e, 0, np.zeros(2))
+    g = e.grad_local(0, np.zeros(2))
     fd = central_diff_grad(lambda x: e.value_local(0, x), np.zeros(2))
     assert np.allclose(g, [-0.5, 0.0], atol=1e-12)
     assert np.allclose(g, fd, atol=1e-8)
@@ -28,7 +28,7 @@ def test_logistic_grad_single_sample():
 def test_regularizer_only_gradient():
     # pure penalty: d/dx of 0.1 * x^2/(1+x^2) at x=1 is 0.1 * 2/(1+1)^2 = 0.05
     e = costs.LogisticEnsemble([np.zeros((1, 1))], [np.array([1.0])], eta=0.1)
-    g = costs.grad_local(e, 0, np.array([1.0]))
+    g = e.grad_local(0, np.array([1.0]))
     # the zero-feature sample contributes no data gradient
     assert abs(g[0] - 0.05) <= 1e-12
 
@@ -42,13 +42,13 @@ def test_grad_global_symmetry_cancellation():
     a = np.array([[[1.0]], [[1.0]]])
     b = np.array([[1.0], [-1.0]])
     e = costs.QuadraticEnsemble(a, b)
-    assert np.allclose(costs.grad_global_avg(e, [0.0]), [0.0])
+    assert np.allclose(e.grad_global(np.array([0.0])), [0.0])
 
 
 def test_grad_global_single_agent():
     e = quad2()
     x = np.array([0.3, -0.7])
-    assert np.allclose(costs.grad_global_avg(e, x), costs.grad_local(e, 0, x))
+    assert np.allclose(e.grad_global(x), e.grad_local(0, x))
 
 
 def test_grad_global_matches_average_assembly():
@@ -62,20 +62,20 @@ def test_grad_global_matches_average_assembly():
     e = costs.QuadraticEnsemble(a, b)
     x = rng.standard_normal(3)
     oracle = a.mean(axis=0) @ x + b.mean(axis=0)
-    assert np.allclose(costs.grad_global_avg(e, x), oracle, atol=1e-12)
+    assert np.allclose(e.grad_global(x), oracle, atol=1e-12)
 
 
 def test_smoothness_quadratic_max_eig():
     a = np.array([[[2.0]], [[4.0]]])
     b = np.zeros((2, 1))
-    assert costs.smoothness_constant(costs.QuadraticEnsemble(a, b)) == pytest.approx(4.0)
+    assert costs.QuadraticEnsemble(a, b).smoothness() == pytest.approx(4.0)
 
 
 def test_smoothness_logistic_single_sample():
     # (1/4) ||h||^2 with h=(2,0): L = 1; cross-check against the worst
     # finite-difference Lipschitz ratio on a grid
     e = costs.LogisticEnsemble([np.array([[2.0, 0.0]])], [np.array([1.0])], eta=0.0)
-    L = costs.smoothness_constant(e)
+    L = e.smoothness()
     assert L == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     worst = 0.0
@@ -90,7 +90,7 @@ def test_smoothness_logistic_single_sample():
 def test_smoothness_penalty_only():
     e = costs.LogisticEnsemble([np.zeros((1, 1))], [np.array([1.0])], eta=0.1)
     # zero data rows contribute nothing; the penalty bound is 2 eta
-    assert costs.smoothness_constant(e) == pytest.approx(0.2)
+    assert e.smoothness() == pytest.approx(0.2)
 
 
 def test_quadratic_optimum_closed_form_1d():

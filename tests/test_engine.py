@@ -1,8 +1,8 @@
 """The trajectory engine against the independent reference loop in util.py.
 
-Records must match bit for bit: the engine reduces metrics per block and
-re-keys one cached generator, but performs the same floating-point
-operations as a plain per-iteration loop.
+Records must match bit for bit: the engine steps blocks of runs together,
+reduces metrics per block of iterations and draws noise per chunk, but
+performs the same floating-point operations as a plain per-iteration loop.
 """
 
 import os
@@ -57,8 +57,28 @@ def test_engine_matches_reference_bitwise(cfg, algorithm, seed, run_id):
                              reference_run(algorithm, cfg, seed, run_id))
 
 
+@settings(max_examples=60, deadline=None)
+@given(cfg=run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]),
+       keys=st.lists(st.tuples(SEEDS, st.integers(0, 1000)), min_size=1, max_size=5))
+def test_block_record_splits_into_the_per_run_records(cfg, algorithm, keys):
+    seeds, run_ids = zip(*keys)
+    block = alg.run(algorithm, cfg, seeds, run_ids)
+    n, d = cfg.x0.shape
+    assert block.f_avg.shape == (len(keys), cfg.T)
+    assert block.final_x.shape == (len(keys), n, d)
+    assert all(v.shape == (len(keys), n, d) for v in block.snapshots.values())
+    runs = block.split()
+    assert len(runs) == len(keys)
+    for rec, (seed, run_id) in zip(runs, keys):
+        assert_records_identical(rec, alg.run(algorithm, cfg, seed, run_id))
+        assert_records_identical(rec, reference_run(algorithm, cfg, seed, run_id))
+
+
 class InfAtCall(costs.QuadraticEnsemble):
-    """A quadratic ensemble whose grad_all gives inf for one agent at one call."""
+    """A quadratic ensemble whose grad_all gives inf for one agent at one call.
+
+    grad_all takes one (n, d) stack or a block of them, as the engine passes.
+    """
 
     def __init__(self, a, b, agent, call):
         super().__init__(a, b)
@@ -68,7 +88,7 @@ class InfAtCall(costs.QuadraticEnsemble):
         self.calls += 1
         g = super().grad_all(x_rows)
         if self.calls == self.call:
-            g[self.agent] = np.inf
+            g[..., self.agent, :] = np.inf
         return g
 
 
@@ -82,7 +102,7 @@ class SwingingAgent(costs.QuadraticEnsemble):
     def grad_all(self, x_rows):
         self.sign = -getattr(self, "sign", 1.0)
         g = np.zeros_like(x_rows)
-        g[0] = self.sign * 1.5e308
+        g[..., 0, :] = self.sign * 1.5e308
         return g
 
 
@@ -131,7 +151,4 @@ def test_finite_models_whose_sum_overflows_do_not_abort():
                         schedule=alg.ConstantStep(0.1), T=3, x0=np.full((3, 2), 1e308))
     rec = alg.run("gt_dsgd", cfg, 0, 0)
     assert np.all(np.isfinite(rec.final_x))
-    with np.errstate(over="ignore"):
-        state = alg.gt_dsgd_step(alg.AlgorithmState.initial(cfg.x0), cfg.w, cfg.oracle, e,
-                                 cfg.schedule, (0, 0))
-    assert np.all(np.isfinite(state.x))
+    assert_records_identical(rec, reference_run("gt_dsgd", cfg, 0, 0))

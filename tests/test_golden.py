@@ -34,7 +34,7 @@ MINIBATCH = {
 }
 
 PINS = {
-    "gaussian": "0909ccb2eb1b48c360acff27ee39625d4b12316f41a9e3c23553776f75a99acc",
+    "gaussian": "e7b87577d93d07019aae948d32f8228e2674d6d902f8602aa8519623988753d6",
     "minibatch": "98f4f26417c508e295da17e3427f819e3be6af0554b899bffd5c4f8f2abc2dd2",
 }
 

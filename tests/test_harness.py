@@ -1,10 +1,14 @@
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gtsim import harness
+from gtsim import algorithms as alg, costs, harness, noise
+from util import assert_records_identical, ring_matrix
 
 MINIMAL_TOML = """\
 [experiment]
@@ -196,3 +200,77 @@ def test_committed_experiment_configs_validate():
     for name in sorted(os.listdir(root)):
         cfg = harness.load_config(os.path.join(root, name))
         assert cfg.fingerprint
+
+
+@st.composite
+def quadratic_experiments(draw):
+    """Configs over random connected graphs and quadratic ensembles."""
+    n = draw(st.integers(2, 6))
+    return {
+        "experiment": {"T": draw(st.sampled_from([1, 63, 65, 130])), "R": draw(st.integers(1, 6)),
+                       "master_seed": draw(st.integers(0, 2**32)),
+                       "algorithms": ["gt_dsgd", "dsgd"], "thresholds": [0.5, 0.05]},
+        "topology": {"kind": "erdos_renyi", "n": n, "seed": draw(st.integers(0, 99)),
+                     "p": draw(st.sampled_from([0.4, 0.7, 1.0]))},
+        "cost": {"kind": "quadratic_synthetic", "d": draw(st.integers(1, 4)),
+                 "seed": draw(st.integers(0, 99))},
+        "oracle": {"flavor": "gaussian", "s": draw(st.sampled_from([0.3, 1.0]))},
+        "schedule": {"kind": "inverse_time", "a": 1.0, "mu": 1.0, "t0": 1.0},
+    }
+
+
+def envelope_bytes(env):
+    with tempfile.TemporaryDirectory() as out:
+        harness.emit_outputs(env, formats=("json",), outdir=out)
+        with open(os.path.join(out, "envelope.json"), "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=8, deadline=None)
+@given(raw=quadratic_experiments(), block=st.integers(1, 5))
+def test_envelope_is_byte_identical_across_workers_and_block_sizes(raw, block):
+    cfg = harness.normalize_config(raw)
+    n, d = raw["topology"]["n"], raw["cost"]["d"]
+    budget = block * 3 * alg._BLOCK * n * d * 8  # blocks of `block` runs at one worker
+    with mock.patch.object(harness, "_BLOCK_BUDGET", budget):
+        assert harness._block_size(harness.build_run_config(cfg), 2, 1) == block
+        reference = envelope_bytes(harness.run_experiment(cfg, workers=1))
+    assert envelope_bytes(harness.run_experiment(cfg, workers=1)) == reference
+    assert envelope_bytes(harness.run_experiment(cfg, workers=2)) == reference
+
+
+class InfPastBound(costs.QuadraticEnsemble):
+    """grad_all is inf wherever a model coordinate lies past the bound, so the
+    runs whose noise carries a model there abort and the others do not."""
+
+    def __init__(self, a, b, bound):
+        super().__init__(a, b)
+        self.bound = bound
+
+    def grad_all(self, x_rows):
+        g = super().grad_all(x_rows)
+        g[np.abs(x_rows) > self.bound] = np.inf
+        return g
+
+
+@settings(max_examples=30, deadline=None)
+@example(bound=0.25, algorithm="gt_dsgd", run_ids=[0, 1, 2, 3, 4], T=70)
+@given(bound=st.floats(0.15, 0.35), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]),
+       run_ids=st.lists(st.integers(0, 50), min_size=1, max_size=5, unique=True),
+       T=st.sampled_from([10, 70]))
+def test_abort_in_a_block_leaves_the_other_runs_unchanged(bound, algorithm, run_ids, T):
+    e = InfPastBound(np.stack([np.eye(2)] * 4), np.zeros((4, 2)), bound)
+    cfg = alg.RunConfig(w=ring_matrix(4), ensemble=e, oracle=noise.GaussianOracle(1.0),
+                        schedule=alg.ConstantStep(0.1), T=T, x0=np.zeros((4, 2)))
+    seeds = [harness.derive_run_seed(3, algorithm, r) for r in run_ids]
+    results = harness._run_block(cfg, (algorithm, seeds, run_ids))
+    if len(results) == 1 and not isinstance(results[0], tuple):
+        results = results[0].split()
+    assert len(results) == len(run_ids)
+    for res, seed, run_id in zip(results, seeds, run_ids):
+        try:
+            alone = alg.run(algorithm, cfg, seed, run_id)
+        except alg.RunAbort as exc:
+            assert res == ("abort", algorithm, run_id, str(exc))
+        else:
+            assert_records_identical(res, alone)

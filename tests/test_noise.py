@@ -32,13 +32,18 @@ def test_fixed_key_is_deterministic():
 
 
 def test_block_matches_per_agent_calls():
+    # a sampler over a block of two runs, across a chunk boundary
     e = small_quadratic()
     o = noise.GaussianOracle(0.8)
-    x_rows = np.random.default_rng(0).standard_normal((3, 2))
-    block, exact = noise.sample_gradient_block(o, e, x_rows, 5, 2, 9)
-    assert np.array_equal(exact, e.grad_all(x_rows))
-    for i in range(3):
-        assert np.array_equal(block[i], noise.sample_gradient(o, e, i, x_rows[i], (5, 2, 9)))
+    x = np.random.default_rng(0).standard_normal((2, 3, 2))
+    keys = [(5, 2), (2**63 + 7, 4)]
+    sampler = noise.prepare_sampler(o, e, [k[0] for k in keys], [k[1] for k in keys], 70)
+    for t in (9, noise.CHUNK, noise.CHUNK + 1, 70, 1):
+        block, exact = sampler(x, t)
+        assert np.array_equal(exact, e.grad_all(x))
+        for b, (seed, run) in enumerate(keys):
+            for i in range(3):
+                assert np.array_equal(block[b, i], noise.sample_gradient(o, e, i, x[b, i], (seed, run, t)))
 
 
 def test_minibatch_full_average_in_test_mode():

@@ -28,12 +28,21 @@ def ring_matrix(n):
 # Reference trajectory loop: a plain per-iteration engine, independent of
 # gtsim.algorithms.run and gtsim.noise. It evaluates every metric each
 # iteration, guards g, y and x separately, and builds a fresh Philox
-# generator for every (seed, stream, run, iteration) cell.
+# generator for every cell it draws from.
 # ---------------------------------------------------------------------------
+
+NOISE_CHUNK = 64  # iterations whose Gaussian noise one cell draw covers
+
 
 def reference_generator(seed, stream, run, t):
     key = np.array([int(seed) & (2**64 - 1), (stream << 60) | (run << 36) | t], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_noise(seed, run, t, n, d):
+    """Iteration t's (n, d) rows of its chunk's draw, keyed at the chunk start t0."""
+    t0 = t - (t - 1) % NOISE_CHUNK
+    return reference_generator(seed, 0, run, t0).standard_normal((t - t0 + 1, n, d))[-1]
 
 
 def _reference_oracle(o, e, x, seed, run_id, t, alpha, gg):
@@ -51,17 +60,18 @@ def _reference_oracle(o, e, x, seed, run_id, t, alpha, gg):
         s_col = o.s_vector(n)[:, None]
         if not s_col.any():
             return exact, exact
-        return exact + s_col * reference_generator(seed, 0, run_id, t).standard_normal((n, d)), exact
+        return exact + s_col * reference_noise(seed, run_id, t, n, d), exact
     if o.rho == 0.0:
-        return exact + o.s * reference_generator(seed, 0, run_id, t).standard_normal((n, d)), exact
+        return exact + o.s * reference_noise(seed, run_id, t, n, d), exact
     scale = np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * np.linalg.norm(gg, axis=1))
-    z = reference_generator(seed, 0, run_id, t).standard_normal((n, d))
+    z = reference_noise(seed, run_id, t, n, d)
     return exact + o.s * scale[:, None] * z, exact
 
 
 def _reference_guard(arr, t, what):
-    if not np.isfinite(arr.sum()):
-        raise alg.RunAbort(t, int(np.argwhere(~np.isfinite(arr))[0][0]), what)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise alg.RunAbort(t, int(np.argwhere(bad)[0][0]), what)
 
 
 def reference_run(algorithm, config, seed, run_id):
