@@ -17,7 +17,7 @@ from .costs import (
 )
 from .noise import (
     GaussianOracle, MinibatchOracle, RelaxedSubgaussianOracle,
-    sample_gradient, calibrate_sigma, estimate_mgf,
+    calibrate_sigma, estimate_mgf,
 )
 from .datasets import LabeledDataset, parse_libsvm, load_libsvm, split_uniform
 from .algorithms import (

@@ -32,7 +32,6 @@ __all__ = [
     "TrajectoryRecord",
     "RunConfig",
     "run",
-    "trajectory_csv_lines",
     "StepCapResult",
     "nonconvex_step_cap",
     "T0Result",
@@ -41,7 +40,12 @@ __all__ = [
 
 
 class RunAbort(RuntimeError):
-    """A trajectory produced a non-finite update; carries (iteration, agent)."""
+    """A trajectory produced a non-finite update; carries (iteration, agent).
+
+    ``run_id`` is None unless a caller that steps one run at a time sets it.
+    """
+
+    run_id = None
 
     def __init__(self, iteration: int, agent: int, what: str):
         super().__init__(f"non-finite {what} at iteration {iteration}, agent {agent}")
@@ -313,19 +317,6 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
         z_hist=z_hist if trace else None,
     )
     return rec.split()[0] if single else rec
-
-
-def trajectory_csv_lines(rec: TrajectoryRecord):
-    """Stream a record as CSV lines (one row per iteration)."""
-    yield "t,alpha_t,f_avg,mse_to_opt,consensus_gap,tracker_gap,stationarity_sum"
-    for t in range(1, rec.T + 1):
-        i = t - 1
-        mse = "" if math.isnan(rec.mse_to_opt[i]) else repr(float(rec.mse_to_opt[i]))
-        yield (
-            f"{t},{float(rec.alpha[i])!r},{float(rec.f_avg[i])!r},{mse},"
-            f"{float(rec.consensus_gap[i])!r},{float(rec.tracker_gap[i])!r},"
-            f"{float(rec.stationarity_sum[i])!r}"
-        )
 
 
 # ---------------------------------------------------------------------------

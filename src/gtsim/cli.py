@@ -8,7 +8,8 @@ Subcommands:
 - ``calc transient|stepsize``: network-dependent calculators
 - ``parse <libsvm-file>``: dataset statistics
 
-Exit codes: 0 success, 1 config error, 2 failed deterministic check, 3 I/O.
+Exit codes: 0 success, 1 config error, 2 failed deterministic check or
+aborted check run, 3 I/O.
 """
 
 from __future__ import annotations
@@ -99,7 +100,11 @@ def _cmd_check(args) -> int:
         data = dict(cfg.data)
         data["experiment"] = dict(data["experiment"], master_seed=args.seed_override)
         cfg = harness.ExperimentConfig(data=data)
-    reports = harness.run_checks(cfg)
+    try:
+        reports = harness.run_checks(cfg)
+    except algorithms.RunAbort as exc:
+        print(f"ABORTED gt_dsgd run {exc.run_id}: {exc}", file=sys.stderr)
+        return 2
     if not reports:
         print("no checks enabled in [checks]")
         return 0

@@ -1,11 +1,10 @@
 """Experiment configuration, multi-seed orchestration, and persistence.
 
-A config file (JSON, or a flat TOML subset: ``[section]`` tables, scalar and
-array values) describes topology, costs, oracle, schedule, and run counts.
-``run_experiment`` executes R seeded runs per algorithm — in order, on any
-number of worker processes, with byte-identical results — and aggregates the
-tail/MSE series. Outputs are CSV series, a self-describing JSON envelope, and
-deterministic SVG charts.
+A config file (TOML or JSON) describes topology, costs, oracle, schedule,
+and run counts. ``run_experiment`` executes R seeded runs per algorithm — in
+order, on any number of worker processes, with byte-identical results — and
+aggregates the tail/MSE series. Outputs are CSV series, a self-describing
+JSON envelope, and deterministic SVG charts.
 
 Unknown config keys are fatal: experiment definitions are meant to be
 auditable, so typos must not pass silently.
@@ -15,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
+import tomllib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,88 +42,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Schema violation; the message names the offending key path."""
-
-
-# ---------------------------------------------------------------------------
-# Minimal TOML subset reader (tables, scalars, homogeneous arrays). The
-# package targets Python 3.10 where the stdlib has no TOML parser; JSON
-# configs are supported in full as the alternative.
-# ---------------------------------------------------------------------------
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _toml_scalar(s: str, ln: int):
-    s = s.strip()
-    if s.startswith('"') and s.endswith('"') and len(s) >= 2:
-        return s[1:-1]
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"line {ln}: cannot parse value {s!r}") from None
-
-
-def _toml_value(s: str, ln: int):
-    s = s.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ConfigError(f"line {ln}: unterminated array")
-        body = s[1:-1].strip()
-        if not body:
-            return []
-        parts, buf, in_str = [], [], False
-        for ch in body:
-            if ch == '"':
-                in_str = not in_str
-            if ch == "," and not in_str:
-                parts.append("".join(buf))
-                buf = []
-            else:
-                buf.append(ch)
-        parts.append("".join(buf))
-        return [_toml_scalar(p, ln) for p in parts]
-    return _toml_scalar(s, ln)
-
-
-def _parse_toml_subset(text: str) -> dict:
-    data: dict = {}
-    current = data
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {ln}: malformed table header")
-            node = data
-            for part in line[1:-1].strip().split("."):
-                if not part:
-                    raise ConfigError(f"line {ln}: empty table name")
-                node = node.setdefault(part, {})
-            current = node
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected key = value")
-        key, _, val = line.partition("=")
-        current[key.strip()] = _toml_value(val, ln)
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +273,10 @@ def load_config(path) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     else:
-        raw = _parse_toml_subset(text)
+        try:
+            raw = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigError(f"invalid TOML in {path}: {exc}") from exc
     return normalize_config(raw)
 
 
@@ -589,7 +509,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     )
 
 
-def run_checks(cfg: ExperimentConfig, progress=None) -> list:
+def run_checks(cfg: ExperimentConfig) -> list:
     """Run the enabled trajectory/noise checks from the [checks] section."""
     chk = cfg["checks"]
     exp = cfg["experiment"]
@@ -611,11 +531,13 @@ def run_checks(cfg: ExperimentConfig, progress=None) -> list:
         per_name = {name: [] for name, _ in trajectory_checks}
         for r in range(chk["runs"]):
             seed = derive_run_seed(exp["master_seed"], "check", r)
-            rec = algorithms.run("gt_dsgd", run_cfg, seed, r)
+            try:
+                rec = algorithms.run("gt_dsgd", run_cfg, seed, r)
+            except algorithms.RunAbort as exc:
+                exc.run_id = r
+                raise
             for name, fn in trajectory_checks:
                 per_name[name].append(fn(rec, r))
-            if progress:
-                progress(f"run {r + 1}/{chk['runs']} checked")
         for name, _ in trajectory_checks:
             reports.append(theorycheck.merge_reports(name, per_name[name]))
 

@@ -30,7 +30,6 @@ __all__ = [
     "OracleSpec",
     "noise_block",
     "CHUNK",
-    "sample_gradient",
     "needs_global_grads",
     "prepare_sampler",
     "calibrate_sigma",
@@ -168,12 +167,6 @@ def noise_block(seed: int, run: int, t: int, n: int, d: int) -> np.ndarray:
     return _generator(seed, 0, run, t).standard_normal((n, d))
 
 
-def _iteration_noise(seed, run, t, n, d):
-    """Iteration t's (n, d) rows of its chunk draw."""
-    t0 = t - (t - 1) % CHUNK
-    return noise_block(seed, run, t0, (t - t0 + 1) * n, d)[-n:]
-
-
 def _batch_generator(seed: int, run: int, t: int) -> np.random.Generator:
     # separate stream tag so index draws never alias the normal draws
     return _generator(seed, 1, run, t)
@@ -197,30 +190,6 @@ def _relaxed_scale(o, alpha, global_grad_norm):
     if alpha is None:
         raise OracleError("relaxed oracle needs the current step-size alpha")
     return np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * global_grad_norm)
-
-
-def sample_gradient(o: OracleSpec, e, i: int, x: np.ndarray, key, alpha: Optional[float] = None) -> np.ndarray:
-    """Draw the stochastic gradient for one agent; ``key`` is (seed, run, t).
-
-    Deterministic in (key, agent): repeated calls return identical output.
-    """
-    seed, run, t = key
-    x = np.asarray(x, dtype=float)
-    if o.kind == "minibatch":
-        _require_dataset(e)
-        gen = _batch_generator(seed, run, t)
-        idx = None
-        for j in range(i + 1):  # replay preceding agents' draws to reach agent i
-            idx = _batch_of(o, e, j, gen)
-        return e.grad_batch(i, x, idx)
-    z = _iteration_noise(seed, run, t, e.n, e.d)[i]
-    grad = e.grad_local(i, x)
-    if o.kind == "gaussian":
-        return grad + o.s_vector(e.n)[i] * z
-    if o.kind == "relaxed_subgaussian":
-        scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
-        return grad + o.s * scale * z
-    raise OracleError(f"unknown oracle kind {o.kind!r}")
 
 
 def needs_global_grads(o: OracleSpec) -> bool:

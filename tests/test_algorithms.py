@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtsim import algorithms as alg, costs, noise, topology as tp
 from util import assert_records_identical, path3_matrix, reference_run, ring_matrix
@@ -84,31 +85,41 @@ def test_bias_floor_separation():
     assert err_g <= 1e-8
 
 
-def test_tracking_identity_under_noise():
-    w = ring_matrix(10)
-    e = costs.make_synthetic_quadratics(10, 5, "a", seed=3)
-    cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(1.0),
-                        schedule=alg.InverseTimeStep(1.0, 1.0, 1.0), T=300,
-                        x0=np.zeros((10, 5)), record_trace=True)
-    rec = alg.run("gt_dsgd", cfg, 7, 0)
+@st.composite
+def traced_quadratic_runs(draw):
+    """Traced runs over random connected Erdos-Renyi graphs and noisy quadratics."""
+    n = draw(st.integers(2, 8))
+    e = costs.make_synthetic_quadratics(n, draw(st.integers(1, 5)), "a",
+                                        sparsity=draw(st.sampled_from([0.3, 1.0])),
+                                        seed=draw(st.integers(0, 99)))
+    g = tp.generate_graph("erdos_renyi", n, seed=draw(st.integers(0, 99)),
+                          p=draw(st.sampled_from([0.3, 0.6, 1.0])))
+    schedule = draw(st.sampled_from([alg.ConstantStep(0.05), alg.InverseTimeStep(1.0, 1.0, 1.0)]))
+    x0 = draw(st.sampled_from([0.0, 1.0])) * np.random.default_rng(n).standard_normal((n, e.d))
+    return alg.RunConfig(w=tp.metropolis_hastings(g), ensemble=e,
+                         oracle=noise.GaussianOracle(draw(st.sampled_from([0.5, 1.0]))),
+                         schedule=schedule, T=draw(st.sampled_from([1, 70, 300])), x0=x0,
+                         record_trace=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cfg=traced_quadratic_runs(), seed=st.integers(0, 2**64 - 1))
+def test_tracking_identity_under_noise(cfg, seed):
+    # the tracker mean equals the gradient mean at every iteration
+    rec = alg.run("gt_dsgd", cfg, seed, 0)
     assert rec.max_tracker_mean_residual() <= 1e-10
 
 
-def test_average_dynamics_identity():
-    # xbar^{t+1} = xbar^t - alpha_t gbar^t, exactly, for both methods
-    w = path3_matrix()
-    e = costs.make_synthetic_quadratics(3, 4, "a", seed=1)
-    cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.5),
-                        schedule=alg.InverseTimeStep(1.0, 1.0, 1.0), T=200,
-                        x0=np.zeros((3, 4)), record_trace=True)
+@settings(max_examples=15, deadline=None)
+@given(cfg=traced_quadratic_runs(), seed=st.integers(0, 2**64 - 1))
+def test_average_dynamics_identity(cfg, seed):
+    # mixing preserves the average: xbar^{t+1} = xbar^t - alpha_t gbar^t for both methods
     for algo in ("gt_dsgd", "dsgd"):
-        rec = alg.run(algo, cfg, 11, 0)
-        for t in range(1, rec.T + 1):
-            xbar = rec.x_hist[t - 1].mean(axis=0)
-            xbar_next = rec.x_hist[t].mean(axis=0)
-            gbar = rec.g_hist[t - 1].mean(axis=0)
-            drift = np.linalg.norm(xbar_next - (xbar - rec.alpha[t - 1] * gbar))
-            assert drift <= 1e-10
+        rec = alg.run(algo, cfg, seed, 0)
+        xbar = rec.x_hist.mean(axis=1)
+        gbar = rec.g_hist.mean(axis=1)
+        drift = np.linalg.norm(xbar[1:] - (xbar[:-1] - rec.alpha[:, None] * gbar), axis=1)
+        assert drift.max() <= 1e-10
 
 
 def test_run_matches_step_composition():
@@ -155,18 +166,6 @@ def test_nan_aborts_with_diagnostics():
     with pytest.raises(alg.RunAbort) as info:
         alg.run("gt_dsgd", cfg, 0, 0)
     assert info.value.iteration >= 1
-
-
-def test_trajectory_csv_lines():
-    w = ring_matrix(3)
-    e = costs.make_synthetic_quadratics(3, 2, "a", seed=4)
-    cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(0.05), T=3,
-                        x0=np.zeros((3, 2)))
-    rec = alg.run("gt_dsgd", cfg, 0, 0)
-    lines = list(alg.trajectory_csv_lines(rec))
-    assert lines[0] == "t,alpha_t,f_avg,mse_to_opt,consensus_gap,tracker_gap,stationarity_sum"
-    assert len(lines) == 4
-    assert lines[1].startswith("1,0.05,")
 
 
 def test_schedule_values():

@@ -136,6 +136,18 @@ descent = true
     assert cli(["check", str(cfg)]) == 1
 
 
+def test_check_diverging_run_names_the_run(tmp_path, capsys):
+    cfg = tmp_path / "chk.toml"
+    cfg.write_text(CONFIG.replace("alpha = 0.01", "alpha = 1e300") + """
+[checks]
+runs = 1
+descent = true
+""")
+    assert cli(["check", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ABORTED gt_dsgd run 0: non-finite model update at iteration ")
+
+
 def test_parse_subcommand(tmp_path, capsys):
     f = tmp_path / "toy.libsvm"
     f.write_text("+1 1:1.0 3:2.0\n0 2:1.0\n-1 1:0.5\n+1 2:2.0\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtsim import algorithms as alg, costs, harness, noise
+from gtsim.cli import cli
 from util import assert_records_identical, ring_matrix
 
 MINIMAL_TOML = """\
@@ -86,7 +87,7 @@ def test_json_config_supported(tmp_path):
     assert harness.load_config(path).data == cfg.data
 
 
-def test_toml_subset_values(tmp_path):
+def test_toml_config_values(tmp_path):
     text = MINIMAL_TOML + """
 [init]
 kind = "gaussian"   # inline comment
@@ -95,6 +96,40 @@ seed = 3
 """
     cfg = harness.load_config(write(tmp_path, text))
     assert cfg["init"] == {"kind": "gaussian", "scale": 1.5, "seed": 3}
+
+
+def test_duplicate_key_is_fatal(tmp_path):
+    path = write(tmp_path, MINIMAL_TOML.replace("T = 5\n", "T = 5\nT = 7\n"))
+    with pytest.raises(harness.ConfigError, match=r"cfg\.toml.*line 3"):
+        harness.load_config(path)
+
+
+def test_malformed_toml_is_a_config_error(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL_TOML.replace("alpha = 0.01", "alpha = = 0.01"))
+    with pytest.raises(harness.ConfigError, match=r"invalid TOML in .*cfg\.toml.*line 18"):
+        harness.load_config(path)
+    assert cli(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "invalid TOML" in capsys.readouterr().err
+
+
+# sha256 of each committed config's normalized data
+CONFIG_FINGERPRINTS = {
+    "check_pathwise.toml": "2e8a80b36033ffbbdaa00233529f88fd82273c2f3f2ad2dfc24c8848ea4a8282",
+    "fig1_synthetic_tails.toml": "4988b93f4f62ba952825b762c11ce69c81fee8b0cbc6422285c78f2725f748bc",
+    "fig2_synthetic_speedup_n10.toml": "782c66cde57edf1139dff7b9f74e1bcea32a8eba3fa2d7265ab0edc6349e5847",
+    "fig2_synthetic_speedup_n25.toml": "c89dd3e462356de3f7ea2e2cea81981dd30300c6a9504fb610296c0ab0c6613f",
+    "fig2_synthetic_speedup_n50.toml": "b44f5c193cc18ccdb1d9f31f6842ad1399213b23b79348f00d14bc0f4c21a74f",
+    "fig3_real_tails.toml": "a466b8d08420910661fa82e30e49d2dac4c7864254e03bd8a1ec29dbb34ab078",
+    "fig4_real_speedup_n10.toml": "86ab11a3f197d16ad54ba254770176a3979e58b37bd03acaa986925934949e36",
+    "fig4_real_speedup_n30.toml": "a109efd541b08b84010ba89f0a964f666fccdac57432ff172ee03028385224ca",
+    "fig4_real_speedup_n50.toml": "6e9c0f6af604f8970638642b19a38e31c91c4858676abd3cd855b911a84feb81",
+}
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS) if n.endswith(".toml")))
+def test_committed_config_fingerprint_is_pinned(name):
+    assert harness.load_config(os.path.join(CONFIGS, name)).fingerprint == CONFIG_FINGERPRINTS[name]
 
 
 def test_erdos_renyi_needs_exactly_one_of_p_or_target(tmp_path):

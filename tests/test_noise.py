@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gtsim import costs, noise
+from util import reference_noise
 
 
 def small_quadratic(n=3, d=2):
@@ -12,22 +13,28 @@ def small_quadratic(n=3, d=2):
     return costs.QuadraticEnsemble(a, b)
 
 
+def draw(o, e, x, seed, run, t, *extra):
+    """One run's (n, d) oracle output at iteration t, from a fresh sampler."""
+    g, _ = noise.prepare_sampler(o, e, [seed], [run], t)(x[None], t, *extra)
+    return g[0]
+
+
 def test_zero_noise_returns_exact_gradient():
     e = small_quadratic()
-    o = noise.GaussianOracle(0.0)
-    x = np.array([1.0, -2.0])
-    g = noise.sample_gradient(o, e, 1, x, (0, 0, 1))
-    assert np.array_equal(g, e.grad_local(1, x))
+    x = np.array([[1.0, -2.0], [0.5, 0.0], [-3.0, 2.5]])
+    g = draw(noise.GaussianOracle(0.0), e, x, 0, 0, 1)
+    for i in range(3):
+        assert np.array_equal(g[i], e.grad_local(i, x[i]))
 
 
 def test_fixed_key_is_deterministic():
     e = small_quadratic()
     o = noise.GaussianOracle(1.5)
-    x = np.array([0.5, 0.5])
-    g1 = noise.sample_gradient(o, e, 2, x, (11, 3, 7))
-    g2 = noise.sample_gradient(o, e, 2, x, (11, 3, 7))
+    x = np.full((3, 2), 0.5)
+    g1 = draw(o, e, x, 11, 3, 7)
+    g2 = draw(o, e, x, 11, 3, 7)
     assert np.array_equal(g1, g2)
-    g3 = noise.sample_gradient(o, e, 2, x, (11, 3, 8))
+    g3 = draw(o, e, x, 11, 3, 8)
     assert not np.array_equal(g1, g3)
 
 
@@ -42,8 +49,9 @@ def test_block_matches_per_agent_calls():
         block, exact = sampler(x, t)
         assert np.array_equal(exact, e.grad_all(x))
         for b, (seed, run) in enumerate(keys):
+            z = reference_noise(seed, run, t, 3, 2)
             for i in range(3):
-                assert np.array_equal(block[b, i], noise.sample_gradient(o, e, i, x[b, i], (seed, run, t)))
+                assert np.array_equal(block[b, i], e.grad_local(i, x[b, i]) + 0.8 * z[i])
 
 
 def test_minibatch_full_average_in_test_mode():
@@ -52,15 +60,15 @@ def test_minibatch_full_average_in_test_mode():
         [rng.standard_normal((6, 3))], [rng.choice([-1.0, 1.0], size=6)], eta=0.0
     )
     o = noise.MinibatchOracle(batch_size=6, allow_full=True)
-    x = rng.standard_normal(3)
-    g = noise.sample_gradient(o, e, 0, x, (1, 0, 1))
-    assert np.allclose(g, e.grad_local(0, x), atol=1e-12)
+    x = rng.standard_normal((1, 3))
+    g = draw(o, e, x, 1, 0, 1)
+    assert np.allclose(g[0], e.grad_local(0, x[0]), atol=1e-12)
 
 
 def test_minibatch_requires_dataset():
     o = noise.MinibatchOracle(batch_size=1)
     with pytest.raises(noise.OracleError, match="no dataset"):
-        noise.sample_gradient(o, small_quadratic(), 0, np.zeros(2), (0, 0, 1))
+        noise.prepare_sampler(o, small_quadratic(), [0], [0], 1)
 
 
 def test_minibatch_full_batch_disallowed_by_default():
@@ -69,7 +77,7 @@ def test_minibatch_full_batch_disallowed_by_default():
         [rng.standard_normal((4, 2))], [rng.choice([-1.0, 1.0], size=4)], eta=0.0
     )
     with pytest.raises(noise.OracleError, match="batch_size"):
-        noise.sample_gradient(noise.MinibatchOracle(batch_size=4), e, 0, np.zeros(2), (0, 0, 1))
+        draw(noise.MinibatchOracle(batch_size=4), e, np.zeros((1, 2)), 0, 0, 1)
 
 
 def test_relaxed_reduces_to_gaussian_at_zero_gradient():
@@ -77,9 +85,9 @@ def test_relaxed_reduces_to_gaussian_at_zero_gradient():
     e = small_quadratic()
     o_rel = noise.RelaxedSubgaussianOracle(s=1.0, rho=2.0, eps_exponent=0.5)
     o_gau = noise.GaussianOracle(1.0)
-    x = np.zeros(2)  # grad f(0) = 0 for this ensemble
-    g_rel = noise.sample_gradient(o_rel, e, 0, x, (3, 0, 4), alpha=0.3)
-    g_gau = noise.sample_gradient(o_gau, e, 0, x, (3, 0, 4))
+    x = np.zeros((3, 2))  # grad f(0) = 0 for this ensemble
+    g_rel = draw(o_rel, e, x, 3, 0, 4, 0.3, e.grad_global_all(x)[None])
+    g_gau = draw(o_gau, e, x, 3, 0, 4)
     assert np.allclose(g_rel, g_gau, atol=1e-12)
 
 
