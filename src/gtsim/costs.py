@@ -43,9 +43,9 @@ class CostEnsemble:
     kind = "abstract"
     n: int
     d: int
-    # True when grad_all, grad_global_all and value_global also take a stack
-    # of inputs (leading axes), computing each slice exactly as a call on it
-    # alone
+    # True when grad_all, grad_global, grad_global_all and value_global also
+    # take a stack of inputs (leading axes), computing each slice exactly as
+    # a call on it alone
     evaluates_stacks = False
 
     def grad_local(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -146,7 +146,9 @@ class QuadraticEnsemble(CostEnsemble):
         return np.matmul(self.a, x_rows[..., None])[..., 0] + self.b
 
     def grad_global(self, x):
-        return self._a_bar @ x + self._b_bar
+        # one matrix-vector BLAS call per point, so a stack gives bitwise what
+        # its points give alone; grad_global_all's matrix product does not
+        return np.matmul(self._a_bar, x[..., None])[..., 0] + self._b_bar
 
     def grad_global_all(self, x_rows):
         return x_rows @ self._a_bar + self._b_bar

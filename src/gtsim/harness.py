@@ -207,6 +207,9 @@ def _normalize_init(data):
     raise ConfigError("'init.kind' must be zeros or gaussian")
 
 
+_TRAJECTORY_CHECKS = ("descent", "descent_pl", "consensus", "tracker")
+
+
 def _normalize_checks(data):
     _expect("checks", data,
             {"runs", "descent", "descent_pl", "consensus", "tracker",
@@ -257,6 +260,8 @@ def normalize_config(raw: dict) -> ExperimentConfig:
         "init": _normalize_init(raw.get("init", {})),
         "checks": _normalize_checks(raw.get("checks", {})),
     }
+    if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
+        raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     return ExperimentConfig(data=data)
 
 
@@ -398,7 +403,8 @@ class ResultEnvelope:
 
 
 # bytes of block buffers (models, trackers and noise, each (K, n, d) float64
-# per run) that one block of runs may hold
+# per run, and with traces on the four (T, n, d) traces) that one block of
+# runs may hold
 _BLOCK_BUDGET = 4 << 20
 
 
@@ -406,7 +412,10 @@ def _block_size(run_cfg, jobs: int, workers: int) -> int:
     """Runs stepped together: as many as the buffer budget allows, and with
     several workers no more than the old per-message chunk of jobs."""
     n, d = run_cfg.x0.shape
-    size = max(1, _BLOCK_BUDGET // (3 * algorithms._BLOCK * n * d * 8))
+    per_run = 3 * algorithms._BLOCK * n * d * 8
+    if run_cfg.record_trace:
+        per_run += 4 * run_cfg.T * n * d * 8
+    size = max(1, _BLOCK_BUDGET // per_run)
     return size if workers == 1 else min(size, max(1, jobs // (4 * workers)))
 
 
@@ -509,8 +518,28 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     )
 
 
+def _check_block(run_cfg, seeds, run_ids):
+    """The traced block record of the check runs; if the block aborts, its
+    runs are stepped again one at a time and the first that aborts raises,
+    with ``run_id`` set."""
+    try:
+        return algorithms.run("gt_dsgd", run_cfg, seeds, run_ids)
+    except algorithms.RunAbort:
+        for seed, run_id in zip(seeds, run_ids):
+            try:
+                algorithms.run("gt_dsgd", run_cfg, seed, run_id)
+            except algorithms.RunAbort as exc:
+                exc.run_id = run_id
+                raise
+        raise
+
+
 def run_checks(cfg: ExperimentConfig) -> list:
-    """Run the enabled trajectory/noise checks from the [checks] section."""
+    """Run the enabled trajectory/noise checks from the [checks] section.
+
+    The check runs are stepped in blocks, in run order, and each trajectory
+    check takes a whole block record; the reports merge over the blocks.
+    """
     chk = cfg["checks"]
     exp = cfg["experiment"]
     run_cfg = build_run_config(cfg, record_trace=True)
@@ -519,25 +548,24 @@ def run_checks(cfg: ExperimentConfig) -> list:
 
     trajectory_checks = []
     if chk["descent"]:
-        trajectory_checks.append(("descent", lambda rec, label: theorycheck.check_descent(rec, e, label)))
+        trajectory_checks.append(("descent", lambda rec: theorycheck.check_descent(rec, e)))
     if chk["descent_pl"]:
-        trajectory_checks.append(("descent_pl", lambda rec, label: theorycheck.check_descent_pl(rec, e, label)))
+        trajectory_checks.append(("descent_pl", lambda rec: theorycheck.check_descent_pl(rec, e)))
     if chk["consensus"]:
-        trajectory_checks.append(("consensus_bound", lambda rec, label: theorycheck.check_consensus_bound(rec, w, e, label)))
+        trajectory_checks.append(("consensus_bound", lambda rec: theorycheck.check_consensus_bound(rec, w, e)))
     if chk["tracker"]:
-        trajectory_checks.append(("tracker_recursion", lambda rec, label: theorycheck.check_tracker_recursion(rec, w, e, label)))
+        trajectory_checks.append(("tracker_recursion", lambda rec: theorycheck.check_tracker_recursion(rec, w, e)))
 
     if trajectory_checks:
+        R = chk["runs"]
+        size = _block_size(run_cfg, R, 1)
         per_name = {name: [] for name, _ in trajectory_checks}
-        for r in range(chk["runs"]):
-            seed = derive_run_seed(exp["master_seed"], "check", r)
-            try:
-                rec = algorithms.run("gt_dsgd", run_cfg, seed, r)
-            except algorithms.RunAbort as exc:
-                exc.run_id = r
-                raise
+        for lo in range(0, R, size):
+            run_ids = list(range(lo, min(lo + size, R)))
+            seeds = [derive_run_seed(exp["master_seed"], "check", r) for r in run_ids]
+            rec = _check_block(run_cfg, seeds, run_ids)
             for name, fn in trajectory_checks:
-                per_name[name].append(fn(rec, r))
+                per_name[name].append(fn(rec))
         for name, _ in trajectory_checks:
             reports.append(theorycheck.merge_reports(name, per_name[name]))
 

@@ -6,7 +6,10 @@ slack below -1e-9 is a build bug, not statistical variation. The noise
 property checks are Monte-Carlo and pass at three standard errors.
 
 All checks are pure functions of recorded traces: re-running on the same
-trajectories yields identical reports.
+trajectories yields identical reports. A trajectory check takes one run's
+record or a block record of several runs (see ``algorithms.run``) and
+computes the slack of every (run, t) at once, with the same floating-point
+operations per run either way.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ SLACK_TOL = -1e-9
 
 @dataclass
 class CheckReport:
-    """Outcome of one check: worst signed slack, negative means violation."""
+    """Outcome of one check: worst signed slack, negative means violation.
+
+    ``worst_at`` is the (run, t) of the worst slack, or None where there is
+    no trajectory; ``runs`` counts the trajectories the report covers.
+    """
 
     name: str
     instances: int
@@ -46,6 +53,8 @@ class CheckReport:
     violations: list = field(default_factory=list)
     deterministic: bool = True
     details: dict = field(default_factory=dict)
+    worst_at: tuple | None = None
+    runs: int = 1
 
     @property
     def passed(self) -> bool:
@@ -53,30 +62,46 @@ class CheckReport:
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
+        where = "" if self.worst_at is None else " at run {}, t {}".format(*self.worst_at)
         return (
             f"{self.name}: {status} ({self.instances} instances, "
-            f"worst slack {self.worst_slack:.3e})"
+            f"worst slack {self.worst_slack:.3e}{where})"
         )
 
 
 def merge_reports(name: str, reports) -> CheckReport:
-    """Combine per-run reports of the same check into one."""
+    """Combine reports of the same check on disjoint runs into one."""
     reports = list(reports)
     if not reports:
         raise ValueError("nothing to merge")
+    worst = min(reports, key=lambda r: r.worst_slack)
+    runs = sum(r.runs for r in reports)
     return CheckReport(
         name=name,
         instances=sum(r.instances for r in reports),
-        worst_slack=min(r.worst_slack for r in reports),
+        worst_slack=worst.worst_slack,
         violations=[v for r in reports for v in r.violations],
         deterministic=all(r.deterministic for r in reports),
-        details={"runs": len(reports)},
+        details={"runs": runs},
+        worst_at=worst.worst_at,
+        runs=runs,
     )
 
 
-def _require_trace(rec):
+def _traces(rec, run_label):
+    """The (x, y, g, z) traces with a leading run axis, and one label per run.
+
+    A block record's runs are labelled by their run ids; a one-run record is
+    the one-run block labelled ``run_label``.
+    """
     if rec.x_hist is None or rec.z_hist is None:
         raise ValueError("this check needs a trajectory recorded with traces enabled")
+    if rec.T < 1:
+        raise ValueError("this check needs a trajectory of at least one iteration")
+    hists = (rec.x_hist, rec.y_hist, rec.g_hist, rec.z_hist)
+    if isinstance(rec.run_id, tuple):
+        return hists, rec.run_id
+    return tuple(h[None] for h in hists), (run_label,)
 
 
 def _constant_alpha(rec) -> float:
@@ -106,9 +131,51 @@ def tracker_step_cap(lam: float, L: float) -> float:
     return (1.0 - lam * lam) ** 1.5 / (4.0 * lam * lam * L * math.sqrt(6.0))
 
 
-def _sq(v) -> float:
-    v = np.asarray(v)
-    return float(np.sum(v * v))
+# The helpers below reduce whole stacks with the same floating-point
+# operations as one call per point would do, so each run's slacks are
+# bitwise the same in any block.
+
+def _sqnorm(v, axes: int) -> np.ndarray:
+    """Squared norm over the trailing ``axes`` axes."""
+    sq = v * v
+    return sq.reshape(sq.shape[:-axes] + (math.prod(sq.shape[-axes:]),)).sum(axis=-1)
+
+
+def _dev(v) -> np.ndarray:
+    """Each agent's row minus the agent mean, for stacks of (n, d) arrays."""
+    return v - v.mean(axis=-2, keepdims=True)
+
+
+def _dot(a, b) -> np.ndarray:
+    """Inner products of the trailing vectors, one BLAS dot per pair."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _at_points(e, method: str, pts) -> np.ndarray:
+    """A global cost method at every point of a (..., d) stack: one call on
+    the stack when the ensemble evaluates stacks, else one call per point."""
+    fn = getattr(e, method)
+    if e.evaluates_stacks:
+        return fn(pts)
+    out = np.array([fn(p) for p in pts.reshape(-1, pts.shape[-1])])
+    return out.reshape(pts.shape[:-1] + out.shape[1:])
+
+
+def _report(name, slack, labels, t_first, details=None) -> CheckReport:
+    """Report on a (runs, K) slack array whose column k is iteration t_first + k."""
+    runs = len(labels)
+    if slack.size == 0:
+        return CheckReport(name, 0, 0.0, runs=runs)
+    b, k = np.unravel_index(np.argmin(slack), slack.shape)
+    return CheckReport(
+        name,
+        instances=slack.size,
+        worst_slack=float(slack[b, k]),
+        violations=[(labels[r], t_first + int(j)) for r, j in np.argwhere(slack < SLACK_TOL)],
+        details=details or {},
+        worst_at=(labels[b], t_first + int(k)),
+        runs=runs,
+    )
 
 
 def check_descent(rec, e, run_label: int | None = None) -> CheckReport:
@@ -120,37 +187,30 @@ def check_descent(rec, e, run_label: int | None = None) -> CheckReport:
                          - alpha <grad f(xbar^t), zbar^t> + alpha^2 L ||zbar^t||^2
                          + (alpha L^2 / 2n) sum_i ||x_i^t - xbar^t||^2
                          - (alpha/4) ||gbar_exact^t||^2
+
+    ``rec`` is one run or a block of runs (see ``_traces``).
     """
-    _require_trace(rec)
+    (xs, _, gs, zs), labels = _traces(rec, run_label)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     if alpha > descent_step_cap(L) * (1 + 1e-12):
         raise ValueError(f"alpha {alpha} exceeds the cap 1/(4L) = {descent_step_cap(L)}")
-    T, n = rec.T, rec.x_hist.shape[1]
-    worst = math.inf
-    violations = []
-    for t in range(1, T + 1):
-        x = rec.x_hist[t - 1]
-        xbar = x.mean(axis=0)
-        zbar = rec.z_hist[t - 1].mean(axis=0)
-        exact_bar = (rec.g_hist[t - 1] - rec.z_hist[t - 1]).mean(axis=0)
-        grad_bar = e.grad_global(xbar)
-        gap = _sq(x - xbar)
-        rhs = (
-            e.value_global(xbar)
-            - 0.5 * alpha * _sq(grad_bar)
-            - alpha * float(grad_bar @ zbar)
-            + alpha * alpha * L * _sq(zbar)
-            + alpha * L * L / (2.0 * n) * gap
-            - 0.25 * alpha * _sq(exact_bar)
-        )
-        lhs = e.value_global(rec.x_hist[t].mean(axis=0))
-        slack = rhs - lhs
-        if slack < worst:
-            worst = slack
-        if slack < SLACK_TOL:
-            violations.append((run_label, t))
-    return CheckReport("descent", T, worst, violations)
+    n = xs.shape[-2]
+    xbar = xs.mean(axis=-2)
+    f = _at_points(e, "value_global", xbar)
+    grad_bar = _at_points(e, "grad_global", xbar[:, :-1])
+    zbar = zs.mean(axis=-2)
+    exact_bar = (gs - zs).mean(axis=-2)
+    gap = _sqnorm(_dev(xs[:, :-1]), 2)
+    rhs = (
+        f[:, :-1]
+        - 0.5 * alpha * _sqnorm(grad_bar, 1)
+        - alpha * _dot(grad_bar, zbar)
+        + alpha * alpha * L * _sqnorm(zbar, 1)
+        + alpha * L * L / (2.0 * n) * gap
+        - 0.25 * alpha * _sqnorm(exact_bar, 1)
+    )
+    return _report("descent", rhs - f[:, 1:], labels, 1)
 
 
 def check_descent_pl(rec, e, run_label: int | None = None) -> CheckReport:
@@ -158,7 +218,7 @@ def check_descent_pl(rec, e, run_label: int | None = None) -> CheckReport:
 
     Needs alpha_t <= 1/(2L) for all recorded t and a known PL constant mu.
     """
-    _require_trace(rec)
+    (xs, _, _, zs), labels = _traces(rec, run_label)
     L = e.smoothness()
     mu = e.pl_constant()
     if mu is None:
@@ -166,29 +226,20 @@ def check_descent_pl(rec, e, run_label: int | None = None) -> CheckReport:
     if np.max(rec.alpha) > descent_pl_step_cap(L) * (1 + 1e-12):
         raise ValueError("some alpha_t exceeds the cap 1/(2L)")
     _, f_star = e.optimum()
-    T, n = rec.T, rec.x_hist.shape[1]
-    worst = math.inf
-    violations = []
-    for t in range(1, T + 1):
-        alpha = float(rec.alpha[t - 1])
-        x = rec.x_hist[t - 1]
-        xbar = x.mean(axis=0)
-        zbar = rec.z_hist[t - 1].mean(axis=0)
-        grad_bar = e.grad_global(xbar)
-        gap = _sq(x - xbar)
-        rhs = (
-            (1.0 - alpha * mu) * (e.value_global(xbar) - f_star)
-            - alpha * float(grad_bar @ zbar)
-            + alpha * alpha * L * _sq(zbar)
-            + alpha * L * L / (2.0 * n) * gap
-        )
-        lhs = e.value_global(rec.x_hist[t].mean(axis=0)) - f_star
-        slack = rhs - lhs
-        if slack < worst:
-            worst = slack
-        if slack < SLACK_TOL:
-            violations.append((run_label, t))
-    return CheckReport("descent_pl", T, worst, violations)
+    alpha = rec.alpha
+    n = xs.shape[-2]
+    xbar = xs.mean(axis=-2)
+    f = _at_points(e, "value_global", xbar)
+    grad_bar = _at_points(e, "grad_global", xbar[:, :-1])
+    zbar = zs.mean(axis=-2)
+    gap = _sqnorm(_dev(xs[:, :-1]), 2)
+    rhs = (
+        (1.0 - alpha * mu) * (f[:, :-1] - f_star)
+        - alpha * _dot(grad_bar, zbar)
+        + alpha * alpha * L * _sqnorm(zbar, 1)
+        + alpha * L * L / (2.0 * n) * gap
+    )
+    return _report("descent_pl", rhs - (f[:, 1:] - f_star), labels, 1)
 
 
 def check_consensus_bound(rec, w, e, run_label: int | None = None) -> CheckReport:
@@ -203,9 +254,11 @@ def check_consensus_bound(rec, w, e, run_label: int | None = None) -> CheckRepor
            + 768 alpha^4 lam^4 L^2 / (1-lam^2)^4 * sum_t (||gbar_exact^t||^2 + ||zbar^t||^2)
 
     where Dx is the initial consensus gap. All right-hand quantities come from
-    the same recorded trajectory.
+    the same recorded trajectory. One instance per run, at t = T; the sums
+    over t add one term at a time. ``details`` holds both sides: floats for
+    a one-run record, per-run lists for a block.
     """
-    _require_trace(rec)
+    (xs, ys, gs, zs), labels = _traces(rec, run_label)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     lam = float(w.lam)
@@ -213,47 +266,42 @@ def check_consensus_bound(rec, w, e, run_label: int | None = None) -> CheckRepor
     if alpha > cap * (1 + 1e-12):
         raise ValueError(f"alpha {alpha} exceeds the consensus cap {cap}")
     one = 1.0 - lam * lam
-    T, n = rec.T, rec.x_hist.shape[1]
+    n = xs.shape[-2]
 
-    lhs = 0.0
-    sum_z_sq = 0.0
-    sum_avg_sq = 0.0
-    for t in range(1, T + 1):
-        x = rec.x_hist[t - 1]
-        lhs += _sq(x - x.mean(axis=0)) / n
-        z = rec.z_hist[t - 1]
-        sum_z_sq += _sq(z)
-        exact_bar = (rec.g_hist[t - 1] - z).mean(axis=0)
-        sum_avg_sq += _sq(exact_bar) + _sq(z.mean(axis=0))
-    x1 = rec.x_hist[0]
-    delta_x = _sq(x1 - x1.mean(axis=0)) / n
-    y1 = rec.y_hist[0]
-    y1_gap = _sq(y1 - y1.mean(axis=0))
+    gaps = _sqnorm(_dev(xs[:, :-1]), 2) / n
+    lhs = np.cumsum(gaps, axis=-1)[:, -1]
+    sum_z_sq = np.cumsum(_sqnorm(zs, 2), axis=-1)[:, -1]
+    exact_bar = (gs - zs).mean(axis=-2)
+    sum_avg_sq = np.cumsum(_sqnorm(exact_bar, 1) + _sqnorm(zs.mean(axis=-2), 1), axis=-1)[:, -1]
+    delta_x = gaps[:, 0]
+    y1_gap = _sqnorm(_dev(ys[:, 0]), 2)
     rhs = (
         4.0 * delta_x / one
         + 32.0 * alpha * alpha * lam * lam / (n * one ** 3) * y1_gap
         + 512.0 * alpha ** 2 * lam ** 4 / (n * one ** 4) * sum_z_sq
         + 768.0 * alpha ** 4 * lam ** 4 * L * L / one ** 4 * sum_avg_sq
     )
-    slack = rhs - lhs
-    violations = [] if slack >= SLACK_TOL else [(run_label, T)]
-    return CheckReport("consensus_bound", 1, slack, violations,
-                       details={"lhs": lhs, "rhs": rhs})
+    if isinstance(rec.run_id, tuple):
+        details = {"lhs": lhs.tolist(), "rhs": rhs.tolist()}
+    else:
+        details = {"lhs": float(lhs[0]), "rhs": float(rhs[0])}
+    return _report("consensus_bound", (rhs - lhs)[:, None], labels, rec.T, details)
 
 
 def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckReport:
     """One-step tracker-gap recursion, fixed step.
 
-    With alpha <= (1-lam^2)^(3/2) / (4 lam^2 L sqrt(6)), for every t:
+    With alpha <= (1-lam^2)^(3/2) / (4 lam^2 L sqrt(6)), for every t < T:
 
         ||y^{t+1} - ybar^{t+1}||^2 <= (3+lam^2)/4 ||y^t - ybar^t||^2
           + 24 lam^2 L^2/(1-lam^2) ||x^t - xbar^t||^2
           + 4 lam^2/(1-lam^2) ||z^{t+1} - z^t||^2
           + 12 alpha^2 lam^2 L^2/(1-lam^2) * n ||gbar^t||^2
 
-    (stacked norms over agents; gbar is the mean oracle output).
+    (stacked norms over agents; gbar is the mean oracle output). With T = 1
+    there is no instance and the worst slack is 0.
     """
-    _require_trace(rec)
+    (xs, ys, gs, zs), labels = _traces(rec, run_label)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     lam = float(w.lam)
@@ -261,31 +309,15 @@ def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckRep
     if alpha > cap * (1 + 1e-12):
         raise ValueError(f"alpha {alpha} exceeds the tracker cap {cap}")
     one = 1.0 - lam * lam
-    T, n = rec.T, rec.x_hist.shape[1]
-    worst = math.inf
-    violations = []
-    for t in range(1, T):
-        y_now = rec.y_hist[t - 1]
-        y_next = rec.y_hist[t]
-        x = rec.x_hist[t - 1]
-        z_now = rec.z_hist[t - 1]
-        z_next = rec.z_hist[t]
-        gbar = rec.g_hist[t - 1].mean(axis=0)
-        lhs = _sq(y_next - y_next.mean(axis=0))
-        rhs = (
-            (3.0 + lam * lam) / 4.0 * _sq(y_now - y_now.mean(axis=0))
-            + 24.0 * lam * lam * L * L / one * _sq(x - x.mean(axis=0))
-            + 4.0 * lam * lam / one * _sq(z_next - z_now)
-            + 12.0 * alpha * alpha * lam * lam * L * L / one * n * _sq(gbar)
-        )
-        slack = rhs - lhs
-        if slack < worst:
-            worst = slack
-        if slack < SLACK_TOL:
-            violations.append((run_label, t))
-    if T < 2:
-        worst = 0.0
-    return CheckReport("tracker_recursion", max(T - 1, 0), worst, violations)
+    n = xs.shape[-2]
+    y_gap = _sqnorm(_dev(ys), 2)
+    rhs = (
+        (3.0 + lam * lam) / 4.0 * y_gap[:, :-1]
+        + 24.0 * lam * lam * L * L / one * _sqnorm(_dev(xs[:, :rec.T - 1]), 2)
+        + 4.0 * lam * lam / one * _sqnorm(zs[:, 1:] - zs[:, :-1], 2)
+        + 12.0 * alpha * alpha * lam * lam * L * L / one * n * _sqnorm(gs[:, :-1].mean(axis=-2), 1)
+    )
+    return _report("tracker_recursion", rhs - y_gap[:, 1:], labels, 1)
 
 
 def check_noise_properties(

@@ -112,28 +112,23 @@ def test_c05_pathwise_lemma_suite():
         L = e.smoothness()
         x0 = np.random.default_rng(0).standard_normal((3, 4))
 
-        def traced(alpha, T, seed):
+        def traced(alpha, T, seeds):
+            # one block record; every run has run id 0, so each is the run
+            # that run(cfg, seed, 0) gives
             cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.5),
                                 schedule=alg.ConstantStep(alpha), T=T, x0=x0,
                                 record_trace=True)
-            return alg.run("gt_dsgd", cfg, seed, 0)
+            return alg.run("gt_dsgd", cfg, seeds, [0] * len(seeds))
 
-        descent = tc.merge_reports("descent", [
-            tc.check_descent(traced(0.9 / (4.0 * L), 300, 1000 + s), e, s) for s in range(50)
-        ])
-        descent_pl = tc.merge_reports("descent_pl", [
-            tc.check_descent_pl(traced(0.9 / (2.0 * L), 300, 2000 + s), e, s) for s in range(50)
-        ])
+        descent = tc.check_descent(traced(0.9 / (4.0 * L), 300, [1000 + s for s in range(50)]), e)
+        descent_pl = tc.check_descent_pl(
+            traced(0.9 / (2.0 * L), 300, [2000 + s for s in range(50)]), e)
         cap_c = tc.consensus_step_cap(w.lam, L)
-        consensus = tc.merge_reports("consensus_bound", [
-            tc.check_consensus_bound(traced(0.9 * cap_c, 200, 3000 + s), w, e, s)
-            for s in range(20)
-        ])
+        consensus = tc.check_consensus_bound(
+            traced(0.9 * cap_c, 200, [3000 + s for s in range(20)]), w, e)
         cap_t = tc.tracker_step_cap(w.lam, L)
-        tracker = tc.merge_reports("tracker_recursion", [
-            tc.check_tracker_recursion(traced(0.9 * cap_t, 200, 4000 + s), w, e, s)
-            for s in range(20)
-        ])
+        tracker = tc.check_tracker_recursion(
+            traced(0.9 * cap_t, 200, [4000 + s for s in range(20)]), w, e)
         for rep in (descent, descent_pl, consensus, tracker):
             assert rep.worst_slack >= -1e-9, rep.summary()
 

@@ -164,3 +164,14 @@ def test_parse_malformed_exits_1(tmp_path, capsys):
     f.write_text("+1 2:1 2:3\n")
     assert cli(["parse", str(f)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_check_with_no_iterations_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "chk.toml"
+    cfg.write_text(CONFIG.replace("T = 30", "T = 0") + """
+[checks]
+runs = 1
+descent = true
+""")
+    assert cli(["check", str(cfg)]) == 1
+    assert "'experiment.T' must be >= 1" in capsys.readouterr().err

@@ -309,3 +309,35 @@ def test_abort_in_a_block_leaves_the_other_runs_unchanged(bound, algorithm, run_
             assert res == ("abort", algorithm, run_id, str(exc))
         else:
             assert_records_identical(res, alone)
+
+
+def test_check_block_abort_names_the_first_aborting_run():
+    # runs 1 and 2 of the block go non-finite, run 2 at an earlier iteration:
+    # the block aborts on run 2, but the runs alone name run 1 first
+    e = InfPastBound(np.stack([np.eye(2)] * 4), np.zeros((4, 2)), 0.3)
+    run_cfg = alg.RunConfig(w=ring_matrix(4), ensemble=e, oracle=noise.GaussianOracle(1.0),
+                            schedule=alg.ConstantStep(0.1), T=70, x0=np.zeros((4, 2)),
+                            record_trace=True)
+    raw = harness.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                           "check_pathwise.toml")).data
+    cfg = harness.ExperimentConfig(data=dict(
+        raw, experiment=dict(raw["experiment"], master_seed=6, T=70),
+        checks=dict(raw["checks"], runs=4, descent_pl=False, consensus=False,
+                    tracker=False, noise=False)))
+    seeds = [harness.derive_run_seed(6, "check", r) for r in range(4)]
+    alone = []
+    for r, seed in enumerate(seeds):
+        try:
+            alg.run("gt_dsgd", run_cfg, seed, r)
+        except alg.RunAbort as exc:
+            alone.append((r, str(exc), exc.iteration))
+    assert [r for r, _, _ in alone] == [1, 2] and alone[1][2] < alone[0][2]
+    assert harness._block_size(run_cfg, 4, 1) >= 4
+    with pytest.raises(alg.RunAbort) as block:
+        alg.run("gt_dsgd", run_cfg, seeds, [0, 1, 2, 3])
+    assert block.value.iteration == alone[1][2]
+
+    with mock.patch.object(harness, "build_run_config", lambda cfg, record_trace: run_cfg):
+        with pytest.raises(alg.RunAbort) as info:
+            harness.run_checks(cfg)
+    assert (info.value.run_id, str(info.value)) == alone[0][:2]

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtsim import algorithms as alg, costs, noise, theorycheck as tc, topology as tp
-from util import path3_matrix, ring_matrix
+from util import (
+    path3_matrix, reference_check_consensus_bound, reference_check_descent,
+    reference_check_descent_pl, reference_check_tracker_recursion, ring_matrix,
+)
 
 
 def quad_ensemble(n=3, d=4, seed=1):
@@ -35,8 +41,9 @@ def test_descent_single_agent_collapse():
     report = tc.check_descent(rec, e)
     assert report.passed
     # with one agent and no noise the inequality is plain descent along GD
-    for t in range(1, rec.T):
-        assert rec.f_avg[t] <= rec.f_avg[t - 1] + 1e-12
+    f = e.value_global(rec.x_hist.mean(axis=1))
+    for t in range(1, rec.T + 1):
+        assert f[t] <= f[t - 1] + 1e-12
 
 
 def test_descent_noisy_multi_seed():
@@ -196,3 +203,97 @@ def test_noise_properties_rejects_few_samples():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(2)], samples=1000)
+
+
+# ---------------------------------------------------------------------------
+# Properties over random problems: blocks of traced runs on connected
+# Erdos-Renyi graphs and synthetic quadratic ensembles, each check at its
+# own step size under its cap.
+# ---------------------------------------------------------------------------
+
+CHECKS = (
+    (tc.check_descent, reference_check_descent, False),
+    (tc.check_descent_pl, reference_check_descent_pl, False),
+    (tc.check_consensus_bound, reference_check_consensus_bound, True),
+    (tc.check_tracker_recursion, reference_check_tracker_recursion, True),
+)
+
+
+@st.composite
+def check_cases(draw):
+    """(check, reference check, block record, args) for each of the four."""
+    n = draw(st.integers(2, 9))
+    w = tp.metropolis_hastings(tp.generate_graph(
+        "erdos_renyi", n, seed=draw(st.integers(0, 99)), p=draw(st.sampled_from([0.4, 0.7, 1.0]))))
+    e = costs.make_synthetic_quadratics(n, draw(st.sampled_from([1, 2, 3, 4, 17])), "a",
+                                        seed=draw(st.integers(0, 99)))
+    L = e.smoothness()
+    B = draw(st.integers(1, 5))
+    T = draw(st.sampled_from([1, 2, 64, 65]))
+    oracle = noise.GaussianOracle(draw(st.sampled_from([0.0, 0.5, 1.0])))
+    x0 = draw(st.sampled_from([0.0, 1.0, 3.0])) * np.random.default_rng(
+        draw(st.integers(0, 99))).standard_normal((n, e.d))
+    caps = (tc.descent_step_cap(L), tc.descent_pl_step_cap(L),
+            min(tc.consensus_step_cap(w.lam, L), tc.descent_step_cap(L)),
+            min(tc.tracker_step_cap(w.lam, L), tc.descent_step_cap(L)))
+    cases = []
+    for (check, reference, mixing), cap in zip(CHECKS, caps):
+        alpha = draw(st.floats(0.05, 1.0)) * cap
+        cfg = alg.RunConfig(w=w, ensemble=e, oracle=oracle, schedule=alg.ConstantStep(alpha),
+                            T=T, x0=x0, record_trace=True)
+        seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=B, max_size=B))
+        rec = alg.run("gt_dsgd", cfg, seeds, list(range(B)))
+        cases.append((check, reference, rec, (w, e) if mixing else (e,)))
+    return cases
+
+
+def report_key(r):
+    """Everything a report says about its runs, the worst slack to the bit."""
+    return (r.name, r.instances, r.worst_slack.hex(), r.violations, r.worst_at, r.runs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases=check_cases(), tol=st.sampled_from([tc.SLACK_TOL, 1e-2, 1e9]))
+def test_array_checks_match_the_reference_loops_bitwise(cases, tol):
+    # a tolerance above zero turns some or all instances into violations
+    with mock.patch.object(tc, "SLACK_TOL", tol):
+        for check, reference, rec, args in cases:
+            refs = []
+            for run in rec.split():
+                ref = reference(run, *args, run_label=run.run_id)
+                assert report_key(check(run, *args, run_label=run.run_id)) == report_key(ref)
+                refs.append(ref)
+            assert report_key(check(rec, *args)) == report_key(tc.merge_reports(ref.name, refs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases=check_cases())
+def test_pathwise_inequalities_hold_under_each_cap(cases):
+    for check, _, rec, args in cases:
+        rep = check(rec, *args)
+        assert rep.worst_slack >= -1e-9, rep.summary()
+        assert rep.passed and not rep.violations
+
+
+def test_worst_slack_location_is_reported():
+    w = path3_matrix()
+    e = quad_ensemble(seed=23)
+    alpha = 1.0 / (8.0 * e.smoothness())
+    cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.5),
+                        schedule=alg.ConstantStep(alpha), T=40, x0=np.zeros((3, 4)),
+                        record_trace=True)
+    rec = alg.run("gt_dsgd", cfg, [7, 8, 9], [4, 5, 6])
+    rep = tc.check_descent(rec, e)
+    run, t = rep.worst_at
+    alone = tc.check_descent(rec.split()[run - 4], e)
+    assert alone.worst_slack == rep.worst_slack and alone.worst_at == (None, t)
+    assert rep.summary().endswith(f"at run {run}, t {t})")
+    assert (rep.instances, rep.runs) == (3 * 40, 3)
+
+
+def test_checks_reject_a_trace_without_iterations():
+    cfg = alg.RunConfig(w=path3_matrix(), ensemble=quad_ensemble(), oracle=noise.GaussianOracle(0.0),
+                        schedule=alg.ConstantStep(0.01), T=0, x0=np.zeros((3, 4)),
+                        record_trace=True)
+    with pytest.raises(ValueError, match="at least one iteration"):
+        tc.check_descent(alg.run("gt_dsgd", cfg, 0, 0), quad_ensemble())

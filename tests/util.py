@@ -1,8 +1,11 @@
-"""Shared test oracles: finite differences and small builders."""
+"""Shared test oracles: finite differences, small builders, and reference
+trajectory and pathwise-check loops."""
+
+import math
 
 import numpy as np
 
-from gtsim import algorithms as alg, topology as tp
+from gtsim import algorithms as alg, theorycheck as tc, topology as tp
 
 
 def central_diff_grad(f, x, h=1e-6):
@@ -150,3 +153,131 @@ def assert_records_identical(a, b):
             assert va.tobytes() == vb.tobytes(), name
         else:
             assert va == vb, name
+
+
+# ---------------------------------------------------------------------------
+# Reference pathwise checks: the inequalities evaluated one run and one
+# iteration at a time, on per-point cost calls. They skip the step-size cap
+# validation and return the report of one run.
+# ---------------------------------------------------------------------------
+
+def _sq(v):
+    v = np.asarray(v)
+    return float(np.sum(v * v))
+
+
+def _reference_report(name, slacks, run_label, t_first):
+    """Report on one run's slacks, in t order from t_first; worst first-seen."""
+    worst, worst_at, violations = math.inf, None, []
+    for k, slack in enumerate(slacks):
+        t = t_first + k
+        if slack < worst:
+            worst, worst_at = slack, (run_label, t)
+        if slack < tc.SLACK_TOL:
+            violations.append((run_label, t))
+    if not slacks:
+        worst = 0.0
+    return tc.CheckReport(name, len(slacks), worst, violations, worst_at=worst_at)
+
+
+def reference_check_descent(rec, e, run_label=None):
+    alpha = float(rec.alpha[0])
+    L = e.smoothness()
+    T, n = rec.T, rec.x_hist.shape[1]
+    slacks = []
+    for t in range(1, T + 1):
+        x = rec.x_hist[t - 1]
+        xbar = x.mean(axis=0)
+        zbar = rec.z_hist[t - 1].mean(axis=0)
+        exact_bar = (rec.g_hist[t - 1] - rec.z_hist[t - 1]).mean(axis=0)
+        grad_bar = e.grad_global(xbar)
+        gap = _sq(x - xbar)
+        rhs = (
+            e.value_global(xbar)
+            - 0.5 * alpha * _sq(grad_bar)
+            - alpha * float(grad_bar @ zbar)
+            + alpha * alpha * L * _sq(zbar)
+            + alpha * L * L / (2.0 * n) * gap
+            - 0.25 * alpha * _sq(exact_bar)
+        )
+        lhs = e.value_global(rec.x_hist[t].mean(axis=0))
+        slacks.append(rhs - lhs)
+    return _reference_report("descent", slacks, run_label, 1)
+
+
+def reference_check_descent_pl(rec, e, run_label=None):
+    L = e.smoothness()
+    mu = e.pl_constant()
+    _, f_star = e.optimum()
+    T, n = rec.T, rec.x_hist.shape[1]
+    slacks = []
+    for t in range(1, T + 1):
+        alpha = float(rec.alpha[t - 1])
+        x = rec.x_hist[t - 1]
+        xbar = x.mean(axis=0)
+        zbar = rec.z_hist[t - 1].mean(axis=0)
+        grad_bar = e.grad_global(xbar)
+        gap = _sq(x - xbar)
+        rhs = (
+            (1.0 - alpha * mu) * (e.value_global(xbar) - f_star)
+            - alpha * float(grad_bar @ zbar)
+            + alpha * alpha * L * _sq(zbar)
+            + alpha * L * L / (2.0 * n) * gap
+        )
+        lhs = e.value_global(rec.x_hist[t].mean(axis=0)) - f_star
+        slacks.append(rhs - lhs)
+    return _reference_report("descent_pl", slacks, run_label, 1)
+
+
+def reference_check_consensus_bound(rec, w, e, run_label=None):
+    alpha = float(rec.alpha[0])
+    L = e.smoothness()
+    lam = float(w.lam)
+    one = 1.0 - lam * lam
+    T, n = rec.T, rec.x_hist.shape[1]
+    lhs = 0.0
+    sum_z_sq = 0.0
+    sum_avg_sq = 0.0
+    for t in range(1, T + 1):
+        x = rec.x_hist[t - 1]
+        lhs += _sq(x - x.mean(axis=0)) / n
+        z = rec.z_hist[t - 1]
+        sum_z_sq += _sq(z)
+        exact_bar = (rec.g_hist[t - 1] - z).mean(axis=0)
+        sum_avg_sq += _sq(exact_bar) + _sq(z.mean(axis=0))
+    x1 = rec.x_hist[0]
+    delta_x = _sq(x1 - x1.mean(axis=0)) / n
+    y1 = rec.y_hist[0]
+    y1_gap = _sq(y1 - y1.mean(axis=0))
+    rhs = (
+        4.0 * delta_x / one
+        + 32.0 * alpha * alpha * lam * lam / (n * one ** 3) * y1_gap
+        + 512.0 * alpha ** 2 * lam ** 4 / (n * one ** 4) * sum_z_sq
+        + 768.0 * alpha ** 4 * lam ** 4 * L * L / one ** 4 * sum_avg_sq
+    )
+    return _reference_report("consensus_bound", [rhs - lhs], run_label, T)
+
+
+def reference_check_tracker_recursion(rec, w, e, run_label=None):
+    alpha = float(rec.alpha[0])
+    L = e.smoothness()
+    lam = float(w.lam)
+    one = 1.0 - lam * lam
+    T, n = rec.T, rec.x_hist.shape[1]
+    slacks = []
+    for t in range(1, T):
+        y_now = rec.y_hist[t - 1]
+        y_next = rec.y_hist[t]
+        x = rec.x_hist[t - 1]
+        z_now = rec.z_hist[t - 1]
+        z_next = rec.z_hist[t]
+        gbar = rec.g_hist[t - 1].mean(axis=0)
+        lhs = _sq(y_next - y_next.mean(axis=0))
+        rhs = (
+            (3.0 + lam * lam) / 4.0 * _sq(y_now - y_now.mean(axis=0))
+            + 24.0 * lam * lam * L * L / one * _sq(x - x.mean(axis=0))
+            + 4.0 * lam * lam / one * _sq(z_next - z_now)
+            + 12.0 * alpha * alpha * lam * lam * L * L / one * n * _sq(gbar)
+        )
+        slacks.append(rhs - lhs)
+    return _reference_report("tracker_recursion", slacks, run_label, 1)
