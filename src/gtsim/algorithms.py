@@ -204,7 +204,6 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
     stride = 0 if trace else _auto_stride(n, d, config.record_stride)
     sched = config.schedule
     alphas = [sched.value(t) for t in range(1, T + 1)]
-    stacks = e.evaluates_stacks
 
     f_avg = np.empty((B, T))
     mse = np.full((B, T), np.nan)
@@ -221,13 +220,9 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
     else:
         xs = np.empty((B, min(T, _BLOCK), n, d))
         ys = np.empty_like(xs) if tracked else None
-    # the global gradients feed a metric only, so costs that evaluate stacks
-    # get them once per block, unless the oracle reads them inside the step
-    step_gg = noise.needs_global_grads(config.oracle) or not stacks
-    ggs = np.empty((B, min(T, _BLOCK), n, d)) if step_gg else None
 
     sampler = prepare_sampler(config.oracle, e, seeds, run_ids, T)
-    wm = config.w.w if hasattr(config.w, "w") else np.asarray(config.w)
+    wm = config.w.w
     inv_n = 1.0 / n
 
     x = np.repeat(np.asarray(config.x0, dtype=float)[None], B, axis=0)
@@ -243,15 +238,7 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
             for k, t in enumerate(range(t0, t1)):
                 alpha = alphas[t - 1]
                 xb[:, k] = x
-                gg = None
-                if step_gg:
-                    gg = ggs[:, k]
-                    if stacks:
-                        gg[...] = e.grad_global_all(x)
-                    else:
-                        for b in range(B):
-                            gg[b] = e.grad_global_all(x[b])
-                g, exact = sampler(x, t, alpha, gg)
+                g, exact = sampler(x, t, alpha)
                 if tracked:
                     y = wm @ (y + g - g_prev)
                     x = wm @ (x - alpha * y)
@@ -269,16 +256,11 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
                 g_prev = g
                 if trace:
                     g_hist[:, t - 1] = g
-                    if exact is None:
-                        exact = np.stack([e.grad_all(xr) for xr in xb[:, k]])
-                    z_hist[:, t - 1] = g - exact
+                    z_hist[:, t - 1] = g - (e.grad_all(xb[:, k]) if exact is None else exact)
 
             span = slice(t0 - 1, t1 - 1)
             xbar = xb.sum(axis=2) * inv_n
-            if stacks:
-                f_avg[:, span] = e.value_global(xbar)
-            else:
-                f_avg[:, span] = [[e.value_global(v) for v in row] for row in xbar]
+            f_avg[:, span] = e.value_global(xbar)
             if x_star is not None:
                 diff = xb - x_star
                 mse[:, span] = (diff * diff).reshape(B, m, -1).sum(axis=2) * inv_n
@@ -288,7 +270,7 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
                 yb = ys[:, lo:lo + m]
                 ydev = yb - (yb.sum(axis=2) * inv_n)[:, :, None, :]
                 track[:, span] = (ydev * ydev).reshape(B, m, -1).sum(axis=2) * inv_n
-            gg = ggs[:, :m] if step_gg else e.grad_global_all(xb)
+            gg = e.grad_global_all(xb)
             statio[:, span] = (gg * gg).reshape(B, m, -1).sum(axis=2)
             if stride:
                 first = -(t0 - 1) % stride

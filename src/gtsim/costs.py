@@ -8,6 +8,7 @@ a global smoothness constant, and (for quadratics) the closed-form optimum.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -37,16 +38,37 @@ def _check_finite(x):
         raise CostError("non-finite input to gradient evaluation")
 
 
+def _per_slice(core_ndim):
+    """Let a method written for one input of ``core_ndim`` axes, (n, d) or
+    (d,), take a stack of them: it runs once per slice, so each slice is
+    computed as a call on it alone and the memory of one call is unchanged."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def method(self, x):
+            if x.ndim == core_ndim:
+                return fn(self, x)
+            core = x.shape[x.ndim - core_ndim:]
+            out = np.array([fn(self, p) for p in x.reshape((-1,) + core)])
+            return out.reshape(x.shape[:x.ndim - core_ndim] + out.shape[1:])
+
+        return method
+
+    return wrap
+
+
 class CostEnsemble:
-    """Common surface of an ensemble of n agent costs on R^d."""
+    """Common surface of an ensemble of n agent costs on R^d.
+
+    ``grad_all`` and ``grad_global_all`` take one (n, d) array of models or
+    a stack of them (leading axes); ``grad_global`` and ``value_global`` take
+    one point (d,) or a stack of points. Each slice of a stack is computed
+    exactly as a call on it alone.
+    """
 
     kind = "abstract"
     n: int
     d: int
-    # True when grad_all, grad_global, grad_global_all and value_global also
-    # take a stack of inputs (leading axes), computing each slice exactly as
-    # a call on it alone
-    evaluates_stacks = False
 
     def grad_local(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -54,23 +76,10 @@ class CostEnsemble:
     def value_local(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
+    @_per_slice(2)
     def grad_all(self, x_rows: np.ndarray) -> np.ndarray:
         """Local gradient of each agent at its own row of ``x_rows`` (n, d)."""
         return np.stack([self.grad_local(i, x_rows[i]) for i in range(self.n)])
-
-    def grad_global(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of f = (1/n) sum_i f_i at a single point."""
-        g = np.zeros(self.d)
-        for i in range(self.n):
-            g += self.grad_local(i, x)
-        return g / self.n
-
-    def grad_global_all(self, x_rows: np.ndarray) -> np.ndarray:
-        """Global gradient evaluated at every row of ``x_rows``."""
-        return np.stack([self.grad_global(x_rows[i]) for i in range(len(x_rows))])
-
-    def value_global(self, x: np.ndarray) -> float:
-        return float(np.mean([self.value_local(i, x) for i in range(self.n)]))
 
     def smoothness(self) -> float:
         raise NotImplementedError
@@ -96,7 +105,6 @@ class QuadraticEnsemble(CostEnsemble):
     """
 
     kind = "quadratic"
-    evaluates_stacks = True
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         b = np.array(b, dtype=float)
@@ -247,19 +255,22 @@ class LogisticEnsemble(CostEnsemble):
         data = -(h.T @ (y * sig)) / len(idx)
         return data + self._penalty_grad(x)
 
+    @_per_slice(1)
     def grad_global(self, x):
         margins = self._y_all * (self._h_all @ x)
         sig = expit(-margins)
         data = -(self._h_all.T @ (self._y_all * self._w_all * sig))
         return data + self._penalty_grad(x)
 
+    @_per_slice(2)
     def grad_global_all(self, x_rows):
-        # margins (m_total, k): one pass over the pooled data for all rows
+        # margins (m_total, n): one pass over the pooled data for all rows
         margins = (self._h_all @ x_rows.T) * self._y_all[:, None]
         sig = expit(-margins)
         data = -(self._h_all.T @ (sig * (self._y_all * self._w_all)[:, None])).T
         return data + self.eta * 2.0 * x_rows / (1.0 + x_rows * x_rows) ** 2
 
+    @_per_slice(1)
     def value_global(self, x):
         margins = self._y_all * (self._h_all @ x)
         return float(np.sum(self._w_all * np.logaddexp(0.0, -margins))) + self._penalty_value(x)

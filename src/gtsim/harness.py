@@ -323,9 +323,10 @@ def build_topology(cfg: ExperimentConfig):
     return topology.metropolis_hastings(g)
 
 
-def build_ensemble(cfg: ExperimentConfig):
+def build_ensemble(cfg: ExperimentConfig, n: int):
+    """The cost ensemble of ``cfg`` for ``n`` agents (a JSON ensemble brings
+    its own count)."""
     c = cfg["cost"]
-    n = cfg["topology"].get("n")
     if c["kind"] == "quadratic_synthetic":
         return costs.make_synthetic_quadratics(
             n=n, d=c["d"], profile=c["profile"], sparsity=c["sparsity"],
@@ -367,7 +368,9 @@ def build_x0(cfg: ExperimentConfig, n: int, d: int) -> np.ndarray:
 
 def build_run_config(cfg: ExperimentConfig, record_trace: bool = False) -> algorithms.RunConfig:
     w = build_topology(cfg)
-    e = build_ensemble(cfg)
+    e = build_ensemble(cfg, w.n)
+    if e.n != w.n:
+        raise ConfigError(f"the cost ensemble has {e.n} agents but the mixing matrix has {w.n}")
     return algorithms.RunConfig(
         w=w,
         ensemble=e,

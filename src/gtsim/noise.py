@@ -30,7 +30,6 @@ __all__ = [
     "OracleSpec",
     "noise_block",
     "CHUNK",
-    "needs_global_grads",
     "prepare_sampler",
     "calibrate_sigma",
     "capped_exp_mean",
@@ -192,26 +191,21 @@ def _relaxed_scale(o, alpha, global_grad_norm):
     return np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * global_grad_norm)
 
 
-def needs_global_grads(o: OracleSpec) -> bool:
-    """Whether the oracle's draws depend on the global gradient at each model."""
-    return o.kind == "relaxed_subgaussian" and o.rho != 0.0
-
-
 def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int], T: int):
     """Bind an oracle to an ensemble and a block of runs for the hot loop.
 
-    Returns ``f(x, t, alpha, global_grads) -> (g, exact)`` over models x of
-    shape (B, n, d), one run per (seeds[b], runs[b]), for iterations t <= T.
+    Returns ``f(x, t, alpha) -> (g, exact)`` over models x of shape
+    (B, n, d), one run per (seeds[b], runs[b]), for iterations t <= T.
     ``exact`` holds the noiseless local gradients when they come for free
     (additive-noise flavors), else None; the relaxed flavor at rho > 0 needs
-    alpha and the global gradients at x. Gaussian noise is drawn at the first
-    call within each chunk, for every run of the block.
+    alpha and evaluates the global gradients at x itself. Gaussian noise is
+    drawn at the first call within each chunk, for every run of the block.
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
         _require_dataset(e)
 
-        def sample_minibatch(x, t, alpha=None, global_grads=None):
+        def sample_minibatch(x, t, alpha=None):
             g = np.empty_like(x)
             for b, (seed, run) in enumerate(zip(seeds, runs)):
                 gen = _batch_generator(seed, run, t)
@@ -221,12 +215,13 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         return sample_minibatch
 
-    grad_all = e.grad_all if e.evaluates_stacks else (
-        lambda x: np.stack([e.grad_all(xb) for xb in x]))
-    if o.kind == "gaussian" and not o.s_vector(n).any():
+    if o.kind not in ("gaussian", "relaxed_subgaussian"):
+        raise OracleError(f"unknown oracle kind {o.kind!r}")
+    s_col = o.s_vector(n)[:, None] if o.kind == "gaussian" else o.s
+    if o.kind == "gaussian" and not s_col.any():
 
-        def sample_exact(x, t, alpha=None, global_grads=None):
-            exact = grad_all(x)
+        def sample_exact(x, t, alpha=None):
+            exact = e.grad_all(x)
             return exact, exact
 
         return sample_exact
@@ -244,35 +239,20 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
             drawn = t0
         return z[t - t0]
 
-    if o.kind == "gaussian":
-        s_col = o.s_vector(n)[:, None]
+    if o.kind == "gaussian" or o.rho == 0.0:
 
-        def sample_gaussian(x, t, alpha=None, global_grads=None):
-            exact = grad_all(x)
+        def sample_gaussian(x, t, alpha=None):
+            exact = e.grad_all(x)
             return exact + s_col * noise_rows(t), exact
 
         return sample_gaussian
 
-    if o.kind == "relaxed_subgaussian":
-        if o.rho == 0.0:
+    def sample_relaxed(x, t, alpha=None):
+        exact = e.grad_all(x)
+        scale = _relaxed_scale(o, alpha, np.linalg.norm(e.grad_global_all(x), axis=-1))
+        return exact + o.s * scale[..., None] * noise_rows(t), exact
 
-            def sample_plain(x, t, alpha=None, global_grads=None):
-                exact = grad_all(x)
-                return exact + o.s * noise_rows(t), exact
-
-            return sample_plain
-
-        def sample_relaxed(x, t, alpha=None, global_grads=None):
-            if alpha is None or global_grads is None:
-                raise OracleError("relaxed oracle needs the step-size alpha and global gradients")
-            exact = grad_all(x)
-            norms = np.linalg.norm(global_grads, axis=-1)
-            scale = np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * norms)
-            return exact + o.s * scale[..., None] * noise_rows(t), exact
-
-        return sample_relaxed
-
-    raise OracleError(f"unknown oracle kind {o.kind!r}")
+    return sample_relaxed
 
 
 def calibrate_sigma(s: float, d: int) -> float:

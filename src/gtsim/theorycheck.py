@@ -151,16 +151,6 @@ def _dot(a, b) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _at_points(e, method: str, pts) -> np.ndarray:
-    """A global cost method at every point of a (..., d) stack: one call on
-    the stack when the ensemble evaluates stacks, else one call per point."""
-    fn = getattr(e, method)
-    if e.evaluates_stacks:
-        return fn(pts)
-    out = np.array([fn(p) for p in pts.reshape(-1, pts.shape[-1])])
-    return out.reshape(pts.shape[:-1] + out.shape[1:])
-
-
 def _report(name, slack, labels, t_first, details=None) -> CheckReport:
     """Report on a (runs, K) slack array whose column k is iteration t_first + k."""
     runs = len(labels)
@@ -197,8 +187,8 @@ def check_descent(rec, e, run_label: int | None = None) -> CheckReport:
         raise ValueError(f"alpha {alpha} exceeds the cap 1/(4L) = {descent_step_cap(L)}")
     n = xs.shape[-2]
     xbar = xs.mean(axis=-2)
-    f = _at_points(e, "value_global", xbar)
-    grad_bar = _at_points(e, "grad_global", xbar[:, :-1])
+    f = e.value_global(xbar)
+    grad_bar = e.grad_global(xbar[:, :-1])
     zbar = zs.mean(axis=-2)
     exact_bar = (gs - zs).mean(axis=-2)
     gap = _sqnorm(_dev(xs[:, :-1]), 2)
@@ -229,8 +219,8 @@ def check_descent_pl(rec, e, run_label: int | None = None) -> CheckReport:
     alpha = rec.alpha
     n = xs.shape[-2]
     xbar = xs.mean(axis=-2)
-    f = _at_points(e, "value_global", xbar)
-    grad_bar = _at_points(e, "grad_global", xbar[:, :-1])
+    f = e.value_global(xbar)
+    grad_bar = e.grad_global(xbar[:, :-1])
     zbar = zs.mean(axis=-2)
     gap = _sqnorm(_dev(xs[:, :-1]), 2)
     rhs = (

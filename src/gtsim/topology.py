@@ -312,7 +312,8 @@ def save_matrix_csv(m: MixingMatrix, path) -> None:
 
 
 def load_matrix_csv(path) -> MixingMatrix:
-    """Reload a mixing matrix written by :func:`save_matrix_csv`."""
+    """Reload a mixing matrix written by :func:`save_matrix_csv`; raise
+    GraphError unless it is doubly stochastic and symmetric."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -325,4 +326,6 @@ def load_matrix_csv(path) -> MixingMatrix:
     w = np.vstack(rows)
     if w.shape != (n, n):
         raise GraphError(f"expected {n}x{n} matrix, got {w.shape}")
-    return MixingMatrix(n=n, w=w, lam=lam)
+    m = MixingMatrix(n=n, w=w, lam=lam)
+    m.validate()
+    return m

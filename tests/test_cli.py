@@ -2,7 +2,10 @@ import os
 
 import pytest
 
+from gtsim import costs, topology as tp
 from gtsim.cli import cli
+
+TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
 CONFIG = """\
 [experiment]
@@ -175,3 +178,43 @@ descent = true
 """)
     assert cli(["check", str(cfg)]) == 1
     assert "'experiment.T' must be >= 1" in capsys.readouterr().err
+
+
+def matrix_csv_config(tmp_path, cost):
+    """CONFIG on a 4-agent ring saved as a matrix CSV, with the given [cost]
+    body and a tail statistic that needs no known optimum."""
+    w = tmp_path / "w.csv"
+    tp.save_matrix_csv(tp.metropolis_hastings(tp.generate_graph("ring", 4)), w)
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(CONFIG.replace('kind = "ring"\nn = 4', f'kind = "matrix_csv"\npath = "{w}"')
+                   .replace('kind = "quadratic_synthetic"\nd = 3', cost)
+                   .replace("thresholds = [0.5]", 'thresholds = [0.5]\ntail_statistic = "running_stationarity"'))
+    return cfg
+
+
+def json_ensemble(tmp_path, n):
+    path = tmp_path / "e.json"
+    costs.save_ensemble_json(costs.make_synthetic_quadratics(n, 2), path)
+    return f'kind = "quadratic_json"\npath = "{path}"'
+
+
+@pytest.mark.parametrize("cost", ['kind = "quadratic_synthetic"\nd = 3',
+                                  f'kind = "logistic_libsvm"\npath = "{TOY}"'],
+                         ids=["quadratic_synthetic", "logistic_libsvm"])
+def test_run_on_a_matrix_csv_takes_n_from_the_matrix(tmp_path, capsys, cost):
+    out = tmp_path / "out"
+    assert cli(["run", str(matrix_csv_config(tmp_path, cost)), "--out", str(out)]) == 0
+    assert (out / "envelope.json").exists()
+
+
+def test_run_rejects_a_matrix_csv_that_is_not_doubly_stochastic(tmp_path, capsys):
+    cfg = matrix_csv_config(tmp_path, json_ensemble(tmp_path, 4))
+    (tmp_path / "w.csv").write_text("# n=4,lambda=0.5\n" + "0.225,0.225,0.225,0.225\n" * 4)
+    assert cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "not doubly stochastic" in capsys.readouterr().err
+
+
+def test_run_names_both_agent_counts_when_a_json_ensemble_misfits_w(tmp_path, capsys):
+    cfg = matrix_csv_config(tmp_path, json_ensemble(tmp_path, 3))
+    assert cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "the cost ensemble has 3 agents but the mixing matrix has 4" in capsys.readouterr().err

@@ -23,22 +23,24 @@ SEEDS = st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1))
 @st.composite
 def run_configs(draw):
     oracle_kind = draw(st.sampled_from(["gaussian", "relaxed", "minibatch"]))
-    if oracle_kind == "minibatch":
+    # mini-batches need a dataset; the other oracles draw either cost family
+    if oracle_kind == "minibatch" or draw(st.booleans()):
         n = draw(st.integers(1, 3))
         parts = datasets.split_uniform(datasets.load_libsvm(TOY), n, seed=draw(st.integers(0, 9)))
         e = datasets.to_logistic_ensemble(parts, eta=0.1)
-        oracle = noise.MinibatchOracle(batch_size=draw(st.integers(1, 2)))
     else:
         n = draw(st.integers(1, 6))
         profile = "b" if n == 5 and draw(st.booleans()) else "a"
         e = costs.make_synthetic_quadratics(n, draw(st.integers(1, 4)), profile,
                                             sparsity=draw(st.sampled_from([0.3, 1.0])),
                                             seed=draw(st.integers(0, 99)))
-        if oracle_kind == "gaussian":
-            per_agent = tuple(draw(st.lists(st.sampled_from([0.0, 0.4, 1.1]), min_size=n, max_size=n)))
-            oracle = noise.GaussianOracle(draw(st.sampled_from([0.0, 0.7, per_agent])))
-        else:
-            oracle = noise.RelaxedSubgaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
+    if oracle_kind == "minibatch":
+        oracle = noise.MinibatchOracle(batch_size=draw(st.integers(1, 2)))
+    elif oracle_kind == "gaussian":
+        per_agent = tuple(draw(st.lists(st.sampled_from([0.0, 0.4, 1.1]), min_size=n, max_size=n)))
+        oracle = noise.GaussianOracle(draw(st.sampled_from([0.0, 0.7, per_agent])))
+    else:
+        oracle = noise.RelaxedSubgaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
     g = tp.generate_graph("erdos_renyi", n, seed=draw(st.integers(0, 99)),
                           p=draw(st.sampled_from([0.4, 1.0]))) if n > 1 else tp.generate_graph("ring", 1)
     schedule = draw(st.sampled_from([alg.ConstantStep(0.05), alg.InverseTimeStep(1.0, 2.0, 3.0)]))

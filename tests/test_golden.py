@@ -1,6 +1,6 @@
-"""Golden envelopes: the sha256 of envelope.json for two tiny experiments.
+"""Golden envelopes: the sha256 of envelope.json for three tiny experiments.
 
-Both run gt_dsgd and dsgd with R = 3 at master seed 0, whose run seeds lie
+Each runs gt_dsgd and dsgd with R = 3 at master seed 0, whose run seeds lie
 on both sides of 2**63 for each algorithm. Any change to the noise streams
 or to the arithmetic of a run changes these digests; such a change must
 update the pin and say so in CHANGES.md.
@@ -33,13 +33,24 @@ MINIBATCH = {
     "schedule": {"kind": "constant", "alpha": 0.1},
 }
 
+# the Gaussian experiment with noise that grows with the global gradient norm
+RELAXED = dict(
+    GAUSSIAN,
+    experiment=dict(GAUSSIAN["experiment"], name="golden_relaxed",
+                    tail_statistic="running_stationarity"),
+    oracle={"flavor": "relaxed_subgaussian", "s": 0.5, "rho": 2.0, "eps_exponent": 0.5},
+    schedule={"kind": "constant", "alpha": 0.05},
+)
+
 PINS = {
     "gaussian": "e7b87577d93d07019aae948d32f8228e2674d6d902f8602aa8519623988753d6",
     "minibatch": "98f4f26417c508e295da17e3427f819e3be6af0554b899bffd5c4f8f2abc2dd2",
+    "relaxed": "03e3e8fc7c621d4766e7f4f4cd291664a92c887008e7cee071477b4d80a38fb7",
 }
 
 
-@pytest.mark.parametrize("name, raw", [("gaussian", GAUSSIAN), ("minibatch", MINIBATCH)])
+@pytest.mark.parametrize("name, raw", [("gaussian", GAUSSIAN), ("minibatch", MINIBATCH),
+                                       ("relaxed", RELAXED)])
 def test_envelope_digest_is_pinned(name, raw, tmp_path, monkeypatch):
     monkeypatch.chdir(os.path.dirname(os.path.abspath(__file__)))
     env = harness.run_experiment(harness.normalize_config(raw))

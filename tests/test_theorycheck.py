@@ -1,14 +1,17 @@
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, noise, theorycheck as tc, topology as tp
+from gtsim import algorithms as alg, costs, datasets, noise, theorycheck as tc, topology as tp
 from util import (
     path3_matrix, reference_check_consensus_bound, reference_check_descent,
     reference_check_descent_pl, reference_check_tracker_recursion, ring_matrix,
 )
+
+TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
 
 def quad_ensemble(n=3, d=4, seed=1):
@@ -207,8 +210,8 @@ def test_noise_properties_rejects_few_samples():
 
 # ---------------------------------------------------------------------------
 # Properties over random problems: blocks of traced runs on connected
-# Erdos-Renyi graphs and synthetic quadratic ensembles, each check at its
-# own step size under its cap.
+# Erdos-Renyi graphs and synthetic quadratic or toy logistic ensembles, each
+# check at its own step size under its cap.
 # ---------------------------------------------------------------------------
 
 CHECKS = (
@@ -221,16 +224,26 @@ CHECKS = (
 
 @st.composite
 def check_cases(draw):
-    """(check, reference check, block record, args) for each of the four."""
-    n = draw(st.integers(2, 9))
+    """(check, reference check, block record, args) for each of the four, or
+    for the three that need no PL constant on a logistic ensemble."""
+    logistic = draw(st.booleans())
+    # at most 8 agents, so that each holds 2 of the 16 toy samples and a
+    # mini-batch of 1 is smaller than its dataset
+    n = draw(st.integers(2, 8 if logistic else 9))
     w = tp.metropolis_hastings(tp.generate_graph(
         "erdos_renyi", n, seed=draw(st.integers(0, 99)), p=draw(st.sampled_from([0.4, 0.7, 1.0]))))
-    e = costs.make_synthetic_quadratics(n, draw(st.sampled_from([1, 2, 3, 4, 17])), "a",
-                                        seed=draw(st.integers(0, 99)))
+    if logistic:
+        parts = datasets.split_uniform(datasets.load_libsvm(TOY), n, seed=draw(st.integers(0, 9)))
+        e = datasets.to_logistic_ensemble(parts, eta=0.1)
+        oracle = draw(st.sampled_from([noise.GaussianOracle(0.0), noise.GaussianOracle(0.5),
+                                       noise.MinibatchOracle(batch_size=1)]))
+    else:
+        e = costs.make_synthetic_quadratics(n, draw(st.sampled_from([1, 2, 3, 4, 17])), "a",
+                                            seed=draw(st.integers(0, 99)))
+        oracle = noise.GaussianOracle(draw(st.sampled_from([0.0, 0.5, 1.0])))
     L = e.smoothness()
     B = draw(st.integers(1, 5))
     T = draw(st.sampled_from([1, 2, 64, 65]))
-    oracle = noise.GaussianOracle(draw(st.sampled_from([0.0, 0.5, 1.0])))
     x0 = draw(st.sampled_from([0.0, 1.0, 3.0])) * np.random.default_rng(
         draw(st.integers(0, 99))).standard_normal((n, e.d))
     caps = (tc.descent_step_cap(L), tc.descent_pl_step_cap(L),
@@ -238,6 +251,8 @@ def check_cases(draw):
             min(tc.tracker_step_cap(w.lam, L), tc.descent_step_cap(L)))
     cases = []
     for (check, reference, mixing), cap in zip(CHECKS, caps):
+        if logistic and check is tc.check_descent_pl:
+            continue
         alpha = draw(st.floats(0.05, 1.0)) * cap
         cfg = alg.RunConfig(w=w, ensemble=e, oracle=oracle, schedule=alg.ConstantStep(alpha),
                             T=T, x0=x0, record_trace=True)
