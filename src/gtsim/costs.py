@@ -202,8 +202,7 @@ class LogisticEnsemble(CostEnsemble):
         self.n = len(features)
         self.d = int(features[0].shape[1])
         self.eta = float(eta)
-        self.features = []
-        self.labels = []
+        feats, labs = [], []
         for h, y in zip(features, labels):
             h = np.asarray(h, dtype=float)
             y = np.asarray(y, dtype=float)
@@ -213,16 +212,19 @@ class LogisticEnsemble(CostEnsemble):
                 raise CostError("each agent needs at least one sample")
             if not np.all(np.isin(y, (-1.0, 1.0))):
                 raise CostError("labels must be +1 or -1")
-            self.features.append(h)
-            self.labels.append(y)
+            feats.append(h)
+            labs.append(y)
         self._smoothness = None
-        # flattened view for global-gradient evaluation at arbitrary points
-        self._h_all = np.vstack(self.features)
-        weights = np.concatenate(
-            [np.full(h.shape[0], 1.0 / (self.n * h.shape[0])) for h in self.features]
+        # the pooled data is the only copy: each agent's arrays are row views
+        self._h_all = np.vstack(feats)
+        self._y_all = np.concatenate(labs)
+        cuts = np.cumsum([h.shape[0] for h in feats])[:-1]
+        self.features = np.split(self._h_all, cuts)
+        self.labels = np.split(self._y_all, cuts)
+        self._w_all = np.concatenate(
+            [np.full(h.shape[0], 1.0 / (self.n * h.shape[0])) for h in feats]
         )
-        self._y_all = np.concatenate(self.labels)
-        self._w_all = weights
+        self._yw_all = self._y_all * self._w_all
 
     def _penalty_grad(self, x):
         return self.eta * 2.0 * x / (1.0 + x * x) ** 2
@@ -251,6 +253,7 @@ class LogisticEnsemble(CostEnsemble):
         h = self.features[i][idx]
         y = self.labels[i][idx]
         margins = y * (h @ x)
+        # expit, not grad_global_all's exp form: this drives the mini-batch trajectories
         sig = expit(-margins)
         data = -(h.T @ (y * sig)) / len(idx)
         return data + self._penalty_grad(x)
@@ -259,16 +262,22 @@ class LogisticEnsemble(CostEnsemble):
     def grad_global(self, x):
         margins = self._y_all * (self._h_all @ x)
         sig = expit(-margins)
-        data = -(self._h_all.T @ (self._y_all * self._w_all * sig))
+        data = -(self._h_all.T @ (self._yw_all * sig))
         return data + self._penalty_grad(x)
 
     @_per_slice(2)
     def grad_global_all(self, x_rows):
-        # margins (m_total, n): one pass over the pooled data for all rows
-        margins = (self._h_all @ x_rows.T) * self._y_all[:, None]
-        sig = expit(-margins)
-        data = -(self._h_all.T @ (sig * (self._y_all * self._w_all)[:, None])).T
-        return data + self.eta * 2.0 * x_rows / (1.0 + x_rows * x_rows) ** 2
+        # one (n, m_total) buffer: margins, then y w expit(-margin) as
+        # y w / (1 + exp(margin)), which differs from expit in the last ulp;
+        # exp overflowing to inf gives the exact limit 0
+        z = x_rows @ self._h_all.T
+        z *= self._y_all
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+        z += 1.0
+        np.divide(self._yw_all, z, out=z)
+        data = -(z @ self._h_all)
+        return data + self._penalty_grad(x_rows)
 
     @_per_slice(1)
     def value_global(self, x):

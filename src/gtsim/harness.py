@@ -262,6 +262,9 @@ def normalize_config(raw: dict) -> ExperimentConfig:
     }
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
+    if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
+        raise ConfigError("'checks.noise' needs a Gaussian or relaxed_subgaussian oracle, "
+                          "not the minibatch flavor")
     return ExperimentConfig(data=data)
 
 

@@ -334,6 +334,8 @@ def check_noise_properties(
     """
     if samples < 100_000:
         raise ValueError("noise property checks need at least 1e5 samples")
+    if o.kind == "minibatch":
+        raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
     if getattr(o, "rho", 0.0) != 0.0:
         raise ValueError("closed-form comparisons require the rho = 0 flavor")
     if o.kind == "gaussian":

@@ -180,6 +180,19 @@ descent = true
     assert "'experiment.T' must be >= 1" in capsys.readouterr().err
 
 
+def test_check_noise_on_a_minibatch_oracle_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "chk.toml"
+    cfg.write_text(CONFIG.replace('kind = "quadratic_synthetic"\nd = 3',
+                                  f'kind = "logistic_libsvm"\npath = "{TOY}"')
+                   .replace('flavor = "gaussian"\ns = 0.5', 'flavor = "minibatch"') + """
+[checks]
+runs = 1
+noise = true
+""")
+    assert cli(["check", str(cfg)]) == 1
+    assert "'checks.noise' needs a Gaussian or relaxed_subgaussian oracle" in capsys.readouterr().err
+
+
 def matrix_csv_config(tmp_path, cost):
     """CONFIG on a 4-agent ring saved as a matrix CSV, with the given [cost]
     body and a tail statistic that needs no known optimum."""

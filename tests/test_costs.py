@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from gtsim import costs
-from util import central_diff_grad
+from util import central_diff_grad, reference_logistic_grad_global_all
 
 
 def quad2():
@@ -206,6 +210,47 @@ def test_logistic_grad_global_all_matches_loop():
     block = e.grad_global_all(x)
     for i in range(3):
         assert np.allclose(block[i], e.grad_global(x[i]), atol=1e-12)
+
+
+@st.composite
+def logistic_cases(draw):
+    """A toy logistic ensemble (1-8 agents, 1-4 real-valued samples each, both
+    labels) and a stack of two model slices: x and 1e3 x, whose margins pass
+    exp's overflow threshold (~709.8) whenever x's exceed 0.71."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from([1, 2, 17]))
+    reals = st.floats(-4.0, 4.0, allow_nan=False)
+    feats, labels = [], []
+    for _ in range(n):
+        m = draw(st.integers(1, 4))
+        feats.append(np.array(draw(st.lists(reals, min_size=m * d, max_size=m * d))).reshape(m, d))
+        labels.append(np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))))
+    e = costs.LogisticEnsemble(feats, labels, eta=draw(st.sampled_from([0.0, 0.1])))
+    x = np.array(draw(st.lists(st.floats(-30.0, 30.0, allow_nan=False),
+                               min_size=n * d, max_size=n * d))).reshape(n, d)
+    return e, np.stack([x, 1e3 * x])
+
+
+@settings(max_examples=150, deadline=None)
+@given(logistic_cases())
+def test_logistic_grad_global_all_matches_the_expit_form(case):
+    e, xs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            stacked = e.grad_global_all(xs)
+            slices = [e.grad_global_all(x) for x in xs]
+    assert np.all(np.isfinite(stacked))
+    assert np.array_equal(stacked, np.stack(slices))
+    for x, got in zip(xs, slices):
+        ref = reference_logistic_grad_global_all(e, x)
+        # 1e-13 of the summed magnitudes bounds the error of any summation
+        # order; a term whose expit lies below the smallest normal float may be
+        # lost by the exp form (flushed to 0 or left subnormal), hence tiny
+        sig = e._w_all[:, None] * expit(-(e._h_all @ x.T) * e._y_all[:, None])
+        terms = (np.abs(e._h_all).T @ sig).T + e.eta * 2.0 * np.abs(x) / (1.0 + x * x) ** 2
+        tol = 1e-13 * terms + np.finfo(float).tiny * (e._w_all @ np.abs(e._h_all))
+        assert np.all(np.abs(got - ref) <= tol)
 
 
 def test_ensemble_json_roundtrip(tmp_path):

@@ -202,6 +202,12 @@ def test_noise_properties_rejects_relaxed_rho():
         tc.check_noise_properties(o, e, [np.zeros(2)], samples=100_000)
 
 
+def test_noise_properties_rejects_minibatch():
+    e = datasets.to_logistic_ensemble(datasets.split_uniform(datasets.load_libsvm(TOY), 2))
+    with pytest.raises(ValueError, match="not mini-batch"):
+        tc.check_noise_properties(noise.MinibatchOracle(1), e, [np.zeros(e.d)], samples=100_000)
+
+
 def test_noise_properties_rejects_few_samples():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ trajectory and pathwise-check loops."""
 import math
 
 import numpy as np
+from scipy.special import expit
 
 from gtsim import algorithms as alg, theorycheck as tc, topology as tp
 
@@ -17,6 +18,15 @@ def central_diff_grad(f, x, h=1e-6):
         e[k] = h
         g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def reference_logistic_grad_global_all(e, x_rows):
+    """Global logistic gradient at each row of ``x_rows`` (n, d) through
+    ``expit``, the form grad_local, grad_batch and grad_global use."""
+    margins = (e._h_all @ x_rows.T) * e._y_all[:, None]
+    sig = expit(-margins)
+    data = -(e._h_all.T @ (sig * (e._y_all * e._w_all)[:, None])).T
+    return data + e.eta * 2.0 * x_rows / (1.0 + x_rows * x_rows) ** 2
 
 
 def path3_matrix():
