@@ -169,8 +169,8 @@ def _cmd_calc(args) -> int:
 
 def _cmd_parse(args) -> int:
     ds = datasets.load_libsvm(args.path)
-    pos = sum(1 for label, _ in ds.rows if label > 0)
-    nnz = sum(len(f) for _, f in ds.rows)
+    pos = int(np.count_nonzero(ds.labels > 0))
+    nnz = len(ds.values)
     print(f"samples: {ds.m}")
     print(f"features: {ds.d}")
     print(f"labels: +1 x {pos}, -1 x {ds.m - pos}")

@@ -195,35 +195,41 @@ class LogisticEnsemble(CostEnsemble):
     kind = "logistic"
 
     def __init__(self, features, labels, eta: float = 0.0):
-        if eta < 0:
-            raise CostError("penalty eta must be >= 0")
         if len(features) != len(labels) or not features:
             raise CostError("need one (features, labels) pair per agent")
-        self.n = len(features)
-        self.d = int(features[0].shape[1])
+        feats = [np.asarray(h, dtype=float) for h in features]
+        if any(h.ndim != 2 or h.shape[1] != feats[0].shape[1] for h in feats):
+            raise CostError("all agents must share one feature dimension")
+        self._hold(np.vstack(feats), np.concatenate([np.asarray(y, dtype=float) for y in labels]),
+                   [h.shape[0] for h in feats], eta)
+
+    @classmethod
+    def from_pooled(cls, h_all, y_all, sizes, eta: float = 0.0) -> "LogisticEnsemble":
+        """The ensemble whose agent i owns the next ``sizes[i]`` rows of the
+        pooled (m, d) features ``h_all`` and labels ``y_all``; both arrays are
+        kept as they are, not copied."""
+        e = cls.__new__(cls)
+        e._hold(h_all, y_all, list(sizes), eta)
+        return e
+
+    def _hold(self, h_all, y_all, sizes, eta):
+        if eta < 0:
+            raise CostError("penalty eta must be >= 0")
+        if min(sizes) < 1:
+            raise CostError("each agent needs at least one sample")
+        if not np.all(np.isin(y_all, (-1.0, 1.0))):
+            raise CostError("labels must be +1 or -1")
+        self.n = len(sizes)
+        self.d = int(h_all.shape[1])
         self.eta = float(eta)
-        feats, labs = [], []
-        for h, y in zip(features, labels):
-            h = np.asarray(h, dtype=float)
-            y = np.asarray(y, dtype=float)
-            if h.ndim != 2 or h.shape[1] != self.d:
-                raise CostError("all agents must share one feature dimension")
-            if h.shape[0] < 1:
-                raise CostError("each agent needs at least one sample")
-            if not np.all(np.isin(y, (-1.0, 1.0))):
-                raise CostError("labels must be +1 or -1")
-            feats.append(h)
-            labs.append(y)
         self._smoothness = None
         # the pooled data is the only copy: each agent's arrays are row views
-        self._h_all = np.vstack(feats)
-        self._y_all = np.concatenate(labs)
-        cuts = np.cumsum([h.shape[0] for h in feats])[:-1]
+        self._h_all = h_all
+        self._y_all = y_all
+        cuts = np.cumsum(sizes)[:-1]
         self.features = np.split(self._h_all, cuts)
         self.labels = np.split(self._y_all, cuts)
-        self._w_all = np.concatenate(
-            [np.full(h.shape[0], 1.0 / (self.n * h.shape[0])) for h in feats]
-        )
+        self._w_all = np.repeat([1.0 / (self.n * m) for m in sizes], sizes)
         self._yw_all = self._y_all * self._w_all
 
     def _penalty_grad(self, x):

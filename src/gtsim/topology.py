@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +42,10 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph on agents 0..n-1; edges stored as sorted pairs."""
+    """Undirected graph on agents 0..n-1; edges stored as sorted pairs.
+
+    The boolean adjacency matrix, built once from the edges, backs the
+    degree, adjacency and connectivity queries."""
 
     n: int
     edges: frozenset
@@ -49,37 +53,39 @@ class WeightedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("agent count must be >= 1")
-        for (i, j) in self.edges:
-            if not (0 <= i < j < self.n):
-                raise GraphError(f"edge ({i},{j}) out of range for n={self.n}")
+        pairs = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                            count=2 * len(self.edges)).reshape(-1, 2)
+        i, j = pairs.T
+        bad = ~((0 <= i) & (i < j) & (j < self.n))
+        if bad.any():
+            i, j = pairs[np.argmax(bad)].tolist()
+            raise GraphError(f"edge ({i},{j}) out of range for n={self.n}")
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[i, j] = adj[j, i] = True
+        adj.flags.writeable = False
+        object.__setattr__(self, "_adj", adj)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for (i, j) in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return self._adj.sum(axis=1)
 
     def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for (i, j) in self.edges:
-            adj[i, j] = adj[j, i] = True
-        return adj
+        """The (n, n) boolean adjacency matrix (read-only)."""
+        return self._adj
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
+        return _connected(self._adj)
+
+
+def _connected(adj) -> bool:
+    """Whether the graph of a symmetric boolean adjacency matrix is connected:
+    grow the set reached from agent 0 one frontier at a time."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,6 @@ def _ring_edges(n: int):
     return [(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
 
 
-def _er_edges(n: int, p: float, rng: np.random.Generator):
-    mask = rng.random((n, n)) < p
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-    return edges
-
-
 def generate_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> WeightedGraph:
     """Generate a connected graph of the given kind.
 
@@ -136,15 +136,18 @@ def generate_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> 
     if kind == "path":
         return WeightedGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
     if kind == "complete":
-        return WeightedGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        i, j = np.triu_indices(n, k=1)
+        return WeightedGraph(n, frozenset(zip(i.tolist(), j.tolist())))
     if kind == "erdos_renyi":
         if p is None or not (0.0 < p <= 1.0):
             raise GraphError("erdos_renyi requires edge probability p in (0, 1]")
         for attempt in range(_ER_RESAMPLE_CAP):
             rng = np.random.default_rng((int(seed), attempt))
-            g = WeightedGraph(n, frozenset(_er_edges(n, p, rng)))
-            if g.is_connected():
-                return g
+            # pair (i, j), i < j, is an edge when draw [i, j] falls below p
+            upper = np.triu(rng.random((n, n)) < p, k=1)
+            if _connected(upper | upper.T):
+                i, j = np.nonzero(upper)
+                return WeightedGraph(n, frozenset(zip(i.tolist(), j.tolist())))
         raise GraphError(
             f"unconnectable configuration: erdos_renyi(n={n}, p={p}) produced no "
             f"connected graph in {_ER_RESAMPLE_CAP} resamples"
@@ -162,9 +165,7 @@ def metropolis_hastings(g: WeightedGraph) -> MixingMatrix:
         raise GraphError("graph not connected")
     n = g.n
     deg = g.degrees()
-    w = np.zeros((n, n))
-    for (i, j) in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    w = np.where(g.adjacency(), 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     lam = spectral_gap(w)
     return MixingMatrix(n=n, w=w, lam=lam)
@@ -318,11 +319,16 @@ def load_matrix_csv(path) -> MixingMatrix:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise GraphError("missing '# n=...,lambda=...' header line")
-    header = lines[0][1:].strip()
-    fields = dict(part.split("=", 1) for part in header.split(","))
+    fields = {}
+    for part in lines[0][1:].split(","):
+        key, _, value = part.partition("=")
+        fields[key.strip()] = value.strip()
+    for key in ("n", "lambda"):
+        if not fields.get(key):
+            raise GraphError(f"matrix CSV header has no '{key}=' field")
     n = int(fields["n"])
     lam = float(fields["lambda"])
-    rows = [np.array([float(v) for v in ln.split(",")]) for ln in lines[1:]]
+    rows = [np.array(ln.split(","), dtype=np.float64) for ln in lines[1:]]
     w = np.vstack(rows)
     if w.shape != (n, n):
         raise GraphError(f"expected {n}x{n} matrix, got {w.shape}")

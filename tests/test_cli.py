@@ -169,6 +169,22 @@ def test_parse_malformed_exits_1(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_parse_counts_labels_and_nonzeros(tmp_path, capsys):
+    f = tmp_path / "toy.libsvm"
+    f.write_text("+1 1:1.0 3:2.0\n0 2:1.0\n\n-1 1:0.5\n+1 2:2.0 # two nonzeros above\n")
+    assert cli(["parse", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "labels: +1 x 2, -1 x 2" in out
+    assert "nonzeros: 5 (1.25 per sample)" in out
+
+
+def test_parse_non_finite_value_exits_1(tmp_path, capsys):
+    f = tmp_path / "nan.libsvm"
+    f.write_text("+1 1:1 2:nan\n")
+    assert cli(["parse", str(f)]) == 1
+    assert "line 1: non-finite feature value 'nan'" in capsys.readouterr().err
+
+
 def test_check_with_no_iterations_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "chk.toml"
     cfg.write_text(CONFIG.replace("T = 30", "T = 0") + """
@@ -225,6 +241,15 @@ def test_run_rejects_a_matrix_csv_that_is_not_doubly_stochastic(tmp_path, capsys
     (tmp_path / "w.csv").write_text("# n=4,lambda=0.5\n" + "0.225,0.225,0.225,0.225\n" * 4)
     assert cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "not doubly stochastic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, field", [("# n=3", "lambda"), ("# lambda=0.5", "n")],
+                         ids=["no_lambda", "no_n"])
+def test_run_names_a_field_missing_from_the_matrix_csv_header(tmp_path, capsys, header, field):
+    cfg = matrix_csv_config(tmp_path, 'kind = "quadratic_synthetic"\nd = 3')
+    (tmp_path / "w.csv").write_text(header + "\n" + "0.5,0.25,0.25\n0.25,0.5,0.25\n0.25,0.25,0.5\n")
+    assert cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"matrix CSV header has no '{field}=' field" in capsys.readouterr().err
 
 
 def test_run_names_both_agent_counts_when_a_json_ensemble_misfits_w(tmp_path, capsys):

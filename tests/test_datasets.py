@@ -1,7 +1,11 @@
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import util
 from gtsim import datasets
 
 FIXTURE = """\
@@ -136,3 +140,152 @@ def test_load_libsvm(tmp_path):
     path.write_text(FIXTURE)
     ds = datasets.load_libsvm(path)
     assert ds.m == 8
+
+
+@pytest.mark.parametrize("token", ["2:nan", "2:inf", "2:-Infinity", "2:1e999"])
+def test_non_finite_value_rejected_with_line_number(token):
+    with pytest.raises(datasets.ParseError, match=f"line 2: non-finite feature value '{token[2:]}'"):
+        datasets.parse_libsvm(f"+1 1:1\n-1 1:1 {token} 3:1\n")
+
+
+def test_pair_without_colon_next_to_one_with_two():
+    # together they hold one colon per pair, and split into four halves
+    with pytest.raises(datasets.ParseError, match="line 2: malformed index:value pair '5'"):
+        datasets.parse_libsvm("+1 1:1\n+1 5 6:7:8")
+
+
+def test_index_beyond_int64_rejected():
+    with pytest.raises(datasets.ParseError, match="line 1: feature index 9223372036854775808 does"):
+        datasets.parse_libsvm("+1 9223372036854775808:1")
+
+
+def test_dataset_is_csr():
+    ds = datasets.parse_libsvm("+1 3:0.5 7:1.2\n\n0 # no features\n-1 1:2")
+    assert ds.labels.tolist() == [1, -1, -1]
+    assert ds.indptr.tolist() == [0, 2, 2, 3]
+    assert ds.indices.tolist() == [2, 6, 0]
+    assert ds.values.tolist() == [0.5, 1.2, 2.0]
+    assert ds.rows == ((1, {2: 0.5, 6: 1.2}), (-1, {}), (-1, {0: 2.0}))
+
+
+# ---------------------------------------------------------------------------
+# The array parser, split, scaling and densify against the per-entry loops
+# ---------------------------------------------------------------------------
+
+LABELS = ["+1", "1", "-1", "0", "1.0", "-1.0", "0.0", "+0", "-0", "1e0"]
+# each fault class, as a token that replaces a well-formed pair, or a label
+PAIR_FAULTS = ["oops", "7", "a:1", "1.5:2", ":3", "3:abc", "3:", "3:1:2", "0:1", "-2:1"]
+LABEL_FAULTS = ["abc", "2", "nan", "+", "1:1"]
+NON_FINITE = ["nan", "-inf", "Infinity", "1e999"]
+
+
+def _value_text(v, style):
+    return {"repr": repr(v), "short": f"{v:.3g}", "exp": f"{v:.2E}", "int": str(int(v))}[style]
+
+
+@st.composite
+def libsvm_texts(draw):
+    """LIBSVM text with blank lines, comments, both label styles and sparse
+    rows, and up to two faults: a pair or label fault, a repeated or
+    decreasing index, or a non-finite value."""
+    faults = draw(st.lists(st.sampled_from(["pair", "label", "order", "non_finite"]), max_size=2))
+    lines, data_lines = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if kind == "comment":
+            lines.append("# comment 1:2 +1")
+            continue
+        idx = sorted(draw(st.sets(st.integers(1, 30), max_size=6)))
+        toks = [draw(st.sampled_from(LABELS))]
+        for i in idx:
+            v = draw(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+            style = draw(st.sampled_from(["repr", "short", "exp", "int"]))
+            toks.append(f"{draw(st.sampled_from(['', '+', '0']))}{i}:{_value_text(v, style)}")
+        data_lines.append(len(lines))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(sep.join(toks) + draw(st.sampled_from(["", " # tail", "  "])))
+    # order faults read the index before them, so they go in before the others
+    for fault in sorted(faults, key=lambda f: f != "order") if data_lines else []:
+        at = draw(st.sampled_from(data_lines))
+        toks = lines[at].split("#", 1)[0].split()
+        if fault == "label":
+            toks[0] = draw(st.sampled_from(LABEL_FAULTS))
+        else:
+            pos = draw(st.integers(1, len(toks)))
+            if fault == "pair":
+                bad = draw(st.sampled_from(PAIR_FAULTS))
+            elif fault == "order":
+                prev = int(toks[pos - 1].split(":")[0]) if pos > 1 else 31
+                bad = f"{draw(st.integers(1, prev))}:1"
+            else:
+                bad = f"{draw(st.integers(31, 40))}:{draw(st.sampled_from(NON_FINITE))}"
+            toks.insert(pos, bad)
+        lines[at] = " ".join(toks)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text, d, as_file):
+    try:
+        return parse(io.StringIO(text) if as_file else text, d=d)
+    except datasets.ParseError as exc:
+        return exc
+
+
+def _non_finite_line(line):
+    """Whether the loops accept this line alone and it holds a non-finite value."""
+    try:
+        rows, _ = util.reference_parse_libsvm(line)
+    except datasets.ParseError:
+        return False
+    return any(not math.isfinite(v) for _, f in rows for v in f.values())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=libsvm_texts(), d=st.one_of(st.none(), st.integers(0, 42)), as_file=st.booleans(),
+       n=st.integers(1, 6), seed=st.integers(0, 99), eta=st.sampled_from([0.0, 0.1]))
+def test_arrays_match_the_reference_loops(text, d, as_file, n, seed, eta):
+    got = _outcome(datasets.parse_libsvm, text, d, as_file)
+    ref = _outcome(util.reference_parse_libsvm, text, d, as_file)
+    ref_line = ref.line_no if isinstance(ref, datasets.ParseError) else None
+    non_finite = [no for no, line in enumerate(text.splitlines(), start=1)
+                  if _non_finite_line(line)]
+    if non_finite and (ref_line in (None, 0) or non_finite[0] < ref_line):
+        # the one difference in what is accepted: non-finite values
+        assert isinstance(got, datasets.ParseError)
+        assert got.line_no == non_finite[0] and "non-finite feature value" in str(got)
+        return
+    if ref_line is not None:
+        # every fault the loops reject is rejected at the same line, in the same words
+        assert isinstance(got, datasets.ParseError)
+        assert (got.line_no, str(got)) == (ref.line_no, str(ref))
+        return
+    rows, ref_d = ref
+    assert not isinstance(got, datasets.ParseError), got
+    assert got.rows == rows and got.d == ref_d
+    assert got.labels.tolist() == [label for label, _ in rows]
+    assert got.indices.tolist() == [i for _, f in rows for i in f]
+    assert np.array_equal(_bits(got.values), _bits([v for _, f in rows for v in f.values()]))
+    assert np.array_equal(got.indptr, np.cumsum([0] + [len(f) for _, f in rows]))
+
+    scaled, ref_scaled = datasets.maxabs_scale(got), util.reference_maxabs_scale(rows, ref_d)
+    assert scaled.rows == ref_scaled
+    assert np.array_equal(_bits(scaled.values), _bits([v for _, f in ref_scaled for v in f.values()]))
+    if n > got.m:
+        return
+    parts = datasets.split_uniform(scaled, n, seed=seed)
+    ref_parts = util.reference_split_uniform(ref_scaled, n, seed=seed)
+    assert [p.rows for p in parts] == ref_parts
+    if ref_d == 0:
+        return
+    e = datasets.to_logistic_ensemble(parts, eta=eta)
+    dense = [util.reference_densify(p, ref_d) for p in ref_parts]
+    assert np.array_equal(_bits(e._h_all), _bits(np.vstack([h for h, _ in dense])))
+    assert np.array_equal(e._y_all, np.concatenate([y for _, y in dense]))
+    assert all(np.array_equal(_bits(f), _bits(h)) for f, (h, _) in zip(e.features, dense))

@@ -1,4 +1,4 @@
-"""Golden envelopes: the sha256 of envelope.json for three tiny experiments.
+"""Golden envelopes: the sha256 of envelope.json for four tiny experiments.
 
 Each runs gt_dsgd and dsgd with R = 3 at master seed 0, whose run seeds lie
 on both sides of 2**63 for each algorithm. Any change to the noise streams
@@ -42,15 +42,26 @@ RELAXED = dict(
     schedule={"kind": "constant", "alpha": 0.05},
 )
 
+# the mini-batch experiment on an ER graph tuned to a target gap, with the
+# features max-abs scaled
+ER_NORMALIZED = dict(
+    MINIBATCH,
+    experiment=dict(MINIBATCH["experiment"], name="golden_er_normalized"),
+    topology={"kind": "erdos_renyi", "n": 8, "seed": 3, "target_lambda": 0.6, "tol": 0.05},
+    cost=dict(MINIBATCH["cost"], normalize=True),
+    oracle={"flavor": "minibatch", "batch_size": 1},
+)
+
 PINS = {
     "gaussian": "e7b87577d93d07019aae948d32f8228e2674d6d902f8602aa8519623988753d6",
     "minibatch": "98f4f26417c508e295da17e3427f819e3be6af0554b899bffd5c4f8f2abc2dd2",
     "relaxed": "03e3e8fc7c621d4766e7f4f4cd291664a92c887008e7cee071477b4d80a38fb7",
+    "er_normalized": "07f9726c202a6eda04cf0181914f1bb9168b8b938fda06e844b7a1b3655db481",
 }
 
 
 @pytest.mark.parametrize("name, raw", [("gaussian", GAUSSIAN), ("minibatch", MINIBATCH),
-                                       ("relaxed", RELAXED)])
+                                       ("relaxed", RELAXED), ("er_normalized", ER_NORMALIZED)])
 def test_envelope_digest_is_pinned(name, raw, tmp_path, monkeypatch):
     monkeypatch.chdir(os.path.dirname(os.path.abspath(__file__)))
     env = harness.run_experiment(harness.normalize_config(raw))

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import util
 from gtsim import topology as tp
 
 
@@ -123,6 +126,44 @@ def test_mixing_matrix_invariants(n, seed, kind):
     one = np.ones(n)
     assert np.max(np.abs(m.w @ one - one)) <= 1e-12
     assert np.max(np.abs(j @ m.w - j)) <= 1e-12
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), p=st.floats(0.15, 1.0), seed=st.integers(0, 2**64 - 1),
+       keep=st.lists(st.booleans(), min_size=780, max_size=780))
+def test_graph_arrays_match_the_reference_loops(n, p, seed, keep):
+    g = tp.generate_graph("erdos_renyi", n, seed=seed, p=p)
+    ref = util.reference_generate_er("erdos_renyi", n, seed=seed, p=p)
+    assert g.edges == ref.edges
+    m, ref_m = tp.metropolis_hastings(g), util.reference_metropolis_hastings(ref)
+    assert np.array_equal(_bits(m.w), _bits(ref_m.w)) and m.lam == ref_m.lam
+    # any edge subset, connected or not
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sub = tp.WeightedGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert np.array_equal(sub.degrees(), util.reference_degrees(sub))
+    assert np.array_equal(sub.adjacency(), util.reference_adjacency(sub))
+    assert sub.is_connected() == util.reference_is_connected(sub)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), target=st.floats(0.05, 0.95), tol=st.sampled_from([0.01, 0.05]),
+       seed=st.integers(0, 10**6))
+def test_tune_er_matches_the_reference_loops(n, target, tol, seed):
+    def tune():
+        return tp.tune_er_probability(n, target, tol, seed=seed, samples_per_probe=4, max_steps=6)
+
+    res = tune()
+    with mock.patch.object(tp, "generate_graph", util.reference_generate_er), \
+            mock.patch.object(tp, "metropolis_hastings", util.reference_metropolis_hastings):
+        ref = tune()
+    assert (res.p, res.lam, res.converged, res.lambda_range) == \
+        (ref.p, ref.lam, ref.converged, ref.lambda_range)
+    assert res.graph.edges == ref.graph.edges
+    assert np.array_equal(_bits(res.matrix.w), _bits(ref.matrix.w))
 
 
 def test_tune_er_hits_target_band():

@@ -1,12 +1,12 @@
 """Shared test oracles: finite differences, small builders, and reference
-trajectory and pathwise-check loops."""
+trajectory, pathwise-check, LIBSVM and graph-building loops."""
 
 import math
 
 import numpy as np
 from scipy.special import expit
 
-from gtsim import algorithms as alg, theorycheck as tc, topology as tp
+from gtsim import algorithms as alg, datasets, theorycheck as tc, topology as tp
 
 
 def central_diff_grad(f, x, h=1e-6):
@@ -291,3 +291,168 @@ def reference_check_tracker_recursion(rec, w, e, run_label=None):
         )
         slacks.append(rhs - lhs)
     return _reference_report("tracker_recursion", slacks, run_label, 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference LIBSVM loops: one dict of {0-based index: value} per row, built
+# one entry at a time. Rows are (label, dict) pairs, as LabeledDataset.rows
+# gives them. The parser accepts non-finite values.
+# ---------------------------------------------------------------------------
+
+def _reference_parse_label(token, line_no):
+    try:
+        val = float(token)
+    except ValueError:
+        raise datasets.ParseError(line_no, f"bad label {token!r}") from None
+    if val == 1.0:
+        return 1
+    if val == -1.0 or val == 0.0:
+        return -1
+    raise datasets.ParseError(line_no, f"label must be one of -1, 0, +1, got {token!r}")
+
+
+def reference_parse_libsvm(source, d=None):
+    """(rows, d) of LIBSVM text (a string or an iterable of lines)."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = source
+    rows = []
+    max_idx = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        label = _reference_parse_label(tokens[0], line_no)
+        feats = {}
+        prev_idx = 0
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise datasets.ParseError(line_no, f"malformed index:value pair {tok!r}")
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise datasets.ParseError(line_no, f"non-integer feature index {idx_s!r}") from None
+            try:
+                val = float(val_s)
+            except ValueError:
+                raise datasets.ParseError(line_no, f"non-numeric feature value {val_s!r}") from None
+            if idx < 1:
+                raise datasets.ParseError(line_no, f"feature indices are 1-based, got {idx}")
+            if idx <= prev_idx:
+                raise datasets.ParseError(
+                    line_no, f"indices must be strictly increasing, got {idx} after {prev_idx}")
+            feats[idx - 1] = val
+            prev_idx = idx
+            max_idx = max(max_idx, idx)
+        rows.append((label, feats))
+    if d is None:
+        d = max_idx
+    elif d < max_idx:
+        raise datasets.ParseError(0, f"d override {d} smaller than max feature index {max_idx}")
+    return tuple(rows), d
+
+
+def reference_split_uniform(rows, n, seed=0):
+    """The rows of each of n parts: seeded permutation, then contiguous chunks."""
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    base, extra = divmod(len(rows), n)
+    parts = []
+    pos = 0
+    for i in range(n):
+        size = base + (1 if i < extra else 0)
+        chunk = perm[pos:pos + size]
+        parts.append(tuple(rows[j] for j in chunk))
+        pos += size
+    return parts
+
+
+def reference_densify(rows, d):
+    """Dense (m, d) features and (m,) labels, set one cell at a time."""
+    h = np.zeros((len(rows), d))
+    y = np.empty(len(rows))
+    for r, (label, feats) in enumerate(rows):
+        y[r] = label
+        for idx, val in feats.items():
+            h[r, idx] = val
+    return h, y
+
+
+def reference_maxabs_scale(rows, d):
+    scale = np.zeros(d)
+    for _, feats in rows:
+        for idx, val in feats.items():
+            scale[idx] = max(scale[idx], abs(val))
+    scale[scale == 0.0] = 1.0
+    return tuple(
+        (label, {idx: val / scale[idx] for idx, val in feats.items()})
+        for label, feats in rows
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference graph loops: edges, degrees, adjacency, connectivity and
+# Metropolis-Hastings weights one node pair at a time, from a graph's edge set.
+# ---------------------------------------------------------------------------
+
+def reference_er_edges(n, p, rng):
+    mask = rng.random((n, n)) < p
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+    return edges
+
+
+def reference_degrees(g):
+    deg = np.zeros(g.n, dtype=int)
+    for (i, j) in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def reference_adjacency(g):
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    for (i, j) in g.edges:
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+def reference_is_connected(g):
+    if g.n == 1:
+        return True
+    adj = reference_adjacency(g)
+    seen = np.zeros(g.n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for v in np.nonzero(adj[u])[0]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(seen.all())
+
+
+def reference_generate_er(kind, n, seed=0, p=None):
+    """generate_graph for kind "erdos_renyi": resample until connected."""
+    assert kind == "erdos_renyi"
+    for attempt in range(1000):
+        rng = np.random.default_rng((int(seed), attempt))
+        g = tp.WeightedGraph(n, frozenset(reference_er_edges(n, p, rng)))
+        if reference_is_connected(g):
+            return g
+    raise tp.GraphError(f"unconnectable configuration: erdos_renyi(n={n}, p={p})")
+
+
+def reference_metropolis_hastings(g):
+    if not reference_is_connected(g):
+        raise tp.GraphError("graph not connected")
+    n = g.n
+    deg = reference_degrees(g)
+    w = np.zeros((n, n))
+    for (i, j) in g.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    lam = tp.spectral_gap(w)
+    return tp.MixingMatrix(n=n, w=w, lam=lam)
