@@ -98,14 +98,16 @@ def _raise_nonfinite(t, stages):
 @dataclass
 class TrajectoryRecord:
     """Per-iteration metrics of one run, or of a block of runs; optional raw
-    traces for checks.
+    traces for checks and optional model snapshots.
 
     Metric arrays are indexed by iteration 1..T (position t-1). When traces
     are recorded, ``x_hist`` has T+1 entries (models at t = 1..T+1) while
     ``y_hist``/``g_hist``/``z_hist`` have T (values produced at t = 1..T).
-    A block record holds tuples in ``seed`` and ``run_id`` and a leading run
-    axis on every per-run array, and its snapshots map t to (B, n, d);
-    ``split`` gives its runs. ``alpha`` is shared by all runs.
+    ``snapshots`` maps t to a copy of the models at t, and is empty unless
+    ``RunConfig.record_stride`` asks for them. A block record holds tuples in
+    ``seed`` and ``run_id`` and a leading run axis on every per-run array,
+    and its snapshots map t to (B, n, d); ``split`` gives its runs. ``alpha``
+    is shared by all runs.
     """
 
     algorithm: str
@@ -160,14 +162,8 @@ class RunConfig:
     schedule: object        # step schedule
     T: int
     x0: np.ndarray          # (n, d) initial models
-    record_stride: int = 0  # 0 = auto: every iteration if n*d <= 1e4, else every 10
+    record_stride: int = 0  # k > 0: snapshot the models at t = 1, 1+k, ...; 0: none
     record_trace: bool = False
-
-
-def _auto_stride(n, d, stride):
-    if stride > 0:
-        return stride
-    return 1 if n * d <= 10_000 else 10
 
 
 # iterations whose metrics are reduced together, in one pass over a block;
@@ -201,7 +197,9 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
     opt = e.optimum()
     x_star = opt[0] if opt is not None else None
     trace = config.record_trace
-    stride = 0 if trace else _auto_stride(n, d, config.record_stride)
+    if config.record_stride < 0:
+        raise ValueError("record_stride must be >= 0")
+    stride = 0 if trace else config.record_stride
     sched = config.schedule
     alphas = [sched.value(t) for t in range(1, T + 1)]
 

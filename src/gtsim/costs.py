@@ -200,8 +200,11 @@ class LogisticEnsemble(CostEnsemble):
         feats = [np.asarray(h, dtype=float) for h in features]
         if any(h.ndim != 2 or h.shape[1] != feats[0].shape[1] for h in feats):
             raise CostError("all agents must share one feature dimension")
-        self._hold(np.vstack(feats), np.concatenate([np.asarray(y, dtype=float) for y in labels]),
-                   [h.shape[0] for h in feats], eta)
+        labs = [np.asarray(y, dtype=float) for y in labels]
+        for i, (h, y) in enumerate(zip(feats, labs)):
+            if y.shape != (h.shape[0],):
+                raise CostError(f"agent {i} has {h.shape[0]} feature rows but labels of shape {y.shape}")
+        self._hold(np.vstack(feats), np.concatenate(labs), [h.shape[0] for h in feats], eta)
 
     @classmethod
     def from_pooled(cls, h_all, y_all, sizes, eta: float = 0.0) -> "LogisticEnsemble":

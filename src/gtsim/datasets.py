@@ -170,7 +170,8 @@ def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
     (must cover every index seen).
     """
     if isinstance(source, str):
-        lines = source.splitlines()
+        # universal newlines, as a text-mode file read splits: \n, \r\n and \r
+        lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     else:
         lines = source
     # (line number, label, its pairs joined by single spaces, pair count) of

@@ -102,6 +102,7 @@ def _normalize_experiment(data):
         "algorithms": list(algs),
         "thresholds": [float(x) for x in thresholds],
         "tail_statistic": stat,
+        # kept in the envelope's config; experiment runs record no snapshots
         "record_stride": _num("experiment", data, "record_stride", default=1, minimum=0, integer=True),
         "output_dir": str(data.get("output_dir", "out")),
     }
@@ -381,7 +382,6 @@ def build_run_config(cfg: ExperimentConfig, record_trace: bool = False) -> algor
         schedule=build_schedule(cfg),
         T=cfg["experiment"]["T"],
         x0=build_x0(cfg, w.n, e.d),
-        record_stride=cfg["experiment"]["record_stride"],
         record_trace=record_trace,
     )
 

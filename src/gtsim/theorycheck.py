@@ -379,11 +379,12 @@ def check_noise_properties(
             bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
             record(f"moment_x{k}_p{p}", est, bound, stderr)
         for m in n_avg:
-            draws = np.stack(
-                [noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
-                 for j in range(m)]
-            )
-            zbar = draws.mean(axis=0)
+            # a running sum in draw order, then one division: bitwise the mean
+            # of the stacked draws, without holding all m of them
+            zbar = noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k)
+            for j in range(1, m):
+                zbar += noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+            zbar /= m
             wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
             est, stderr, capped = capped_exp_mean(wexp)
             bound = 2.0 * d * math.e

@@ -124,6 +124,12 @@ def test_quadratic_optimum_singular_rejected():
         costs.quadratic_optimum(e)
 
 
+def test_logistic_labels_must_match_each_agents_feature_rows():
+    feats = [np.ones((3, 2)), np.ones((2, 2))]
+    with pytest.raises(costs.CostError, match="agent 0 has 3 feature rows"):
+        costs.LogisticEnsemble(feats, [np.ones(2), np.ones(3)])
+
+
 def test_profile_b_beta_assignment():
     e = costs.make_synthetic_quadratics(5, 3, "b", seed=9)
     betas = sorted(e.b[:, 0])

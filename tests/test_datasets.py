@@ -142,6 +142,16 @@ def test_load_libsvm(tmp_path):
     assert ds.m == 8
 
 
+@pytest.mark.parametrize("text", ["+1 1:1\x0c2:1\n", "+1 1:1\r\n-1 2:1\r\n\r\n+1 3:1", "+1 1:1\r-1 2:1"])
+def test_string_and_file_split_lines_alike(tmp_path, text):
+    path = tmp_path / "f.libsvm"
+    path.write_bytes(text.encode("utf-8"))
+    from_file, from_str = datasets.load_libsvm(path), datasets.parse_libsvm(text)
+    assert from_str.rows == from_file.rows and from_str.d == from_file.d
+    if "\x0c" in text:
+        assert from_str.rows == ((1, {0: 1.0, 1: 1.0}),)
+
+
 @pytest.mark.parametrize("token", ["2:nan", "2:inf", "2:-Infinity", "2:1e999"])
 def test_non_finite_value_rejected_with_line_number(token):
     with pytest.raises(datasets.ParseError, match=f"line 2: non-finite feature value '{token[2:]}'"):

@@ -182,6 +182,28 @@ def test_workers_do_not_change_results(tmp_path):
     assert harness.envelope_to_jsonable(env1) == harness.envelope_to_jsonable(env2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_runs_record_no_snapshots(tmp_path, workers):
+    # a file per engine call, so that calls in forked workers are seen too
+    cfg = experiment_cfg(tmp_path)
+    run = alg.run
+
+    def spy(algorithm, config, seed, run_id):
+        rec = run(algorithm, config, seed, run_id)
+        ids = run_id if isinstance(run_id, list) else [run_id]
+        for r in ids:
+            (tmp_path / f"{os.getpid()}-{algorithm}-{r}").write_text(
+                f"{config.record_stride} {len(rec.snapshots)}")
+        return rec
+
+    with mock.patch.object(harness.algorithms, "run", spy):
+        harness.run_experiment(cfg, workers=workers)
+    calls = {p.name.split("-", 1)[1]: p.read_text() for p in tmp_path.iterdir() if "-" in p.name}
+    assert calls == {f"{a}-{r}": "0 0" for a in ("gt_dsgd", "dsgd") for r in range(4)}
+    pids = {p.name.split("-")[0] for p in tmp_path.iterdir() if "-" in p.name}
+    assert (str(os.getpid()) in pids) == (workers == 1)
+
+
 def test_emit_outputs_and_reemit_identical(tmp_path):
     cfg = experiment_cfg(tmp_path, R=2)
     env = harness.run_experiment(cfg)

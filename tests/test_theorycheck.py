@@ -1,3 +1,4 @@
+import json
 import os
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtsim import algorithms as alg, costs, datasets, noise, theorycheck as tc, topology as tp
 from util import (
-    path3_matrix, reference_check_consensus_bound, reference_check_descent,
+    path3_matrix, reference_avg_mgf_details, reference_check_consensus_bound, reference_check_descent,
     reference_check_descent_pl, reference_check_tracker_recursion, ring_matrix,
 )
 
@@ -186,6 +187,21 @@ def test_noise_properties_gaussian():
     assert any(k.startswith("tail") for k in rep.details)
     assert any(k.startswith("moment") for k in rep.details)
     assert any(k.startswith("avg_mgf") for k in rep.details)
+
+
+@pytest.mark.parametrize("oracle, agent", [
+    (noise.GaussianOracle((0.5, 2.0, 1.0)), 1),
+    (noise.RelaxedSubgaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 0),
+])
+def test_noise_average_mgf_matches_the_stacked_mean_bitwise(oracle, agent):
+    e = costs.QuadraticEnsemble(np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
+    xs = [np.zeros(3), np.ones(3)]
+    rep = tc.check_noise_properties(oracle, e, xs, samples=100_000, seed=7, n_avg=(1, 3, 16),
+                                    agent=agent)
+    got = {k: v for k, v in rep.details.items() if k.startswith("avg_mgf")}
+    ref = reference_avg_mgf_details(oracle, e, xs, 100_000, 7, (1, 3, 16), agent)
+    assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+    assert len(got) == 6
 
 
 def test_noise_properties_noiseless_trivial():

@@ -1,12 +1,13 @@
 """Shared test oracles: finite differences, small builders, and reference
 trajectory, pathwise-check, LIBSVM and graph-building loops."""
 
+import io
 import math
 
 import numpy as np
 from scipy.special import expit
 
-from gtsim import algorithms as alg, datasets, theorycheck as tc, topology as tp
+from gtsim import algorithms as alg, datasets, noise, theorycheck as tc, topology as tp
 
 
 def central_diff_grad(f, x, h=1e-6):
@@ -95,7 +96,7 @@ def reference_run(algorithm, config, seed, run_id):
     T = config.T
     opt = e.optimum()
     x_star = None if opt is None else opt[0]
-    stride = config.record_stride or (1 if n * d <= 10_000 else 10)
+    stride = config.record_stride  # 0: no snapshots
     trace = config.record_trace
     w = config.w.w
     rec = dict(alpha=np.empty(T), f_avg=np.empty(T), mse_to_opt=np.full(T, np.nan),
@@ -123,7 +124,7 @@ def reference_run(algorithm, config, seed, run_id):
             rec["stationarity_sum"][i] = (gg * gg).sum()
             if trace:
                 x_hist[i] = x
-            elif (t - 1) % stride == 0:
+            elif stride and (t - 1) % stride == 0:
                 rec["snapshots"][t] = x.copy()
 
             g, exact = _reference_oracle(o, e, x, seed, run_id, t, alpha, gg)
@@ -293,6 +294,26 @@ def reference_check_tracker_recursion(rec, w, e, run_label=None):
     return _reference_report("tracker_recursion", slacks, run_label, 1)
 
 
+def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
+    """The ``avg_mgf_*`` entries of check_noise_properties' details, with
+    zbar the mean of the m stacked draws."""
+    s = float(o.s_vector(e.n)[agent]) if o.kind == "gaussian" else float(o.s)
+    sigma_sq = noise.calibrate_sigma(s, e.d)
+    details = {}
+    for k, x in enumerate(xs):
+        for m in n_avg:
+            draws = np.stack([noise.noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+                              for j in range(m)])
+            zbar = draws.mean(axis=0)
+            wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
+            est, stderr, capped = noise.capped_exp_mean(wexp)
+            label = f"avg_mgf_x{k}_n{m}"
+            details[label] = {"estimate": est, "bound": 2.0 * e.d * math.e, "stderr": stderr}
+            if capped:
+                details[label]["capped"] = capped
+    return details
+
+
 # ---------------------------------------------------------------------------
 # Reference LIBSVM loops: one dict of {0-based index: value} per row, built
 # one entry at a time. Rows are (label, dict) pairs, as LabeledDataset.rows
@@ -313,10 +334,8 @@ def _reference_parse_label(token, line_no):
 
 def reference_parse_libsvm(source, d=None):
     """(rows, d) of LIBSVM text (a string or an iterable of lines)."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+    # a string splits as a text-mode file read does: universal newlines
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows = []
     max_idx = 0
     for line_no, raw in enumerate(lines, start=1):
