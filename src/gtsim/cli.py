@@ -80,9 +80,10 @@ def _cmd_run(args) -> int:
         data = dict(cfg.data)
         data["experiment"] = dict(data["experiment"], master_seed=args.seed_override)
         cfg = harness.ExperimentConfig(data=data)
+    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+    harness.check_formats(formats)  # before the run, not after it
     env = harness.run_experiment(cfg, workers=args.workers)
     outdir = args.out if args.out is not None else cfg["experiment"]["output_dir"]
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     written = harness.emit_outputs(env, formats=formats, outdir=outdir)
     print(f"config {env.fingerprint[:12]} | wall clock {env.wall_clock:.2f}s")
     for path in written:

@@ -12,8 +12,6 @@ import functools
 import json
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.special import expit
 
 __all__ = [
     "CostError",
@@ -36,6 +34,13 @@ class CostError(ValueError):
 def _check_finite(x):
     if not np.all(np.isfinite(x)):
         raise CostError("non-finite input to gradient evaluation")
+
+
+def _sigmoid(v):
+    """The logistic sigmoid 1 / (1 + exp(-v)); an exp that overflows to inf
+    gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
 
 
 def _per_slice(core_ndim):
@@ -246,7 +251,7 @@ class LogisticEnsemble(CostEnsemble):
         _check_finite(x)
         h, y = self.features[i], self.labels[i]
         margins = y * (h @ x)
-        sig = expit(-margins)
+        sig = _sigmoid(-margins)
         data = -(h.T @ (y * sig)) / h.shape[0]
         return data + self._penalty_grad(x)
 
@@ -262,23 +267,21 @@ class LogisticEnsemble(CostEnsemble):
         h = self.features[i][idx]
         y = self.labels[i][idx]
         margins = y * (h @ x)
-        # expit, not grad_global_all's exp form: this drives the mini-batch trajectories
-        sig = expit(-margins)
+        sig = _sigmoid(-margins)
         data = -(h.T @ (y * sig)) / len(idx)
         return data + self._penalty_grad(x)
 
     @_per_slice(1)
     def grad_global(self, x):
         margins = self._y_all * (self._h_all @ x)
-        sig = expit(-margins)
+        sig = _sigmoid(-margins)
         data = -(self._h_all.T @ (self._yw_all * sig))
         return data + self._penalty_grad(x)
 
     @_per_slice(2)
     def grad_global_all(self, x_rows):
-        # one (n, m_total) buffer: margins, then y w expit(-margin) as
-        # y w / (1 + exp(margin)), which differs from expit in the last ulp;
-        # exp overflowing to inf gives the exact limit 0
+        # one (n, m_total) buffer: margins, then y w sigmoid(-margin) in
+        # place as y w / (1 + exp(margin)), the form of _sigmoid
         z = x_rows @ self._h_all.T
         z *= self._y_all
         with np.errstate(over="ignore"):
@@ -308,14 +311,15 @@ class LogisticEnsemble(CostEnsemble):
 
 
 def quadratic_optimum(e: QuadraticEnsemble):
-    """Solve mean(A) x* = -mean(b) by Cholesky; return (x_star, f_star)."""
+    """Solve mean(A) x* = -mean(b) with the Cholesky factor L of mean(A),
+    by the two solves L y = -mean(b) and L' x* = y; return (x_star, f_star)."""
     if e.kind != "quadratic":
         raise CostError("closed-form optimum exists only for quadratics")
     try:
-        factor = cho_factor(e._a_bar)
-    except LinAlgError as exc:
+        factor = np.linalg.cholesky(e._a_bar)
+    except np.linalg.LinAlgError as exc:
         raise CostError("no unique optimum: average matrix is not positive definite") from exc
-    x_star = cho_solve(factor, -e._b_bar)
+    x_star = np.linalg.solve(factor.T, np.linalg.solve(factor, -e._b_bar))
     return x_star, e.value_global(x_star)
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "ResultEnvelope",
     "run_experiment",
     "run_checks",
+    "check_formats",
     "emit_outputs",
     "load_envelope",
 ]
@@ -91,6 +92,11 @@ def _normalize_experiment(data):
     thresholds = data.get("thresholds", [])
     if not isinstance(thresholds, list):
         raise ConfigError("'experiment.thresholds' must be a list")
+    for eps in thresholds:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+            raise ConfigError(f"'experiment.thresholds' entry {eps!r} is not a number")
+        if not eps > 0:
+            raise ConfigError(f"'experiment.thresholds' entry {eps!r} must be > 0")
     stat = data.get("tail_statistic", "mse_to_opt")
     if stat not in ("mse_to_opt", "running_stationarity"):
         raise ConfigError("'experiment.tail_statistic' must be 'mse_to_opt' or 'running_stationarity'")
@@ -468,6 +474,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     aggregated in run order after all workers join, so any worker count and
     block size yields an identical envelope.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     exp = cfg["experiment"]
     if run_cfg is None:
@@ -652,12 +660,24 @@ def _series_csv(s: metrics.MetricSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_outputs(env: ResultEnvelope, formats=("csv", "json", "svg"), outdir="out") -> list:
+_FORMATS = ("csv", "json", "svg")
+
+
+def check_formats(formats) -> None:
+    """Raise ValueError naming each format that is not csv, json or svg."""
+    unknown = [f for f in formats if f not in _FORMATS]
+    if unknown:
+        raise ValueError(f"unknown output format(s) {', '.join(map(repr, unknown))}; "
+                         f"expected some of {', '.join(_FORMATS)}")
+
+
+def emit_outputs(env: ResultEnvelope, formats=_FORMATS, outdir="out") -> list:
     """Write one CSV per metric series, the JSON envelope, and SVG charts.
 
     Returns the list of paths written. Output bytes are a pure function of
     the envelope contents.
     """
+    check_formats(formats)
     os.makedirs(outdir, exist_ok=True)
     written = []
     if "csv" in formats:
@@ -671,7 +691,7 @@ def emit_outputs(env: ResultEnvelope, formats=("csv", "json", "svg"), outdir="ou
         written.append(path)
     if "svg" in formats:
         t_axis = {name: list(range(1, s.T + 1)) for name, s in env.series.items()}
-        mse_series = {n: (t_axis[n], list(s.values)) for n, s in sorted(env.series.items()) if n.startswith("mse_")}
+        mse_series = {n: (t_axis[n], s.values.tolist()) for n, s in sorted(env.series.items()) if n.startswith("mse_")}
         if mse_series:
             for log_y, suffix in ((False, ""), (True, "_log")):
                 path = os.path.join(outdir, f"mse{suffix}.svg")
@@ -680,7 +700,7 @@ def emit_outputs(env: ResultEnvelope, formats=("csv", "json", "svg"), outdir="ou
         eps_groups = {}
         for name, s in sorted(env.series.items()):
             if name.startswith("tail_"):
-                eps_groups.setdefault(s.meta.get("epsilon"), {})[name] = (t_axis[name], list(s.values))
+                eps_groups.setdefault(s.meta.get("epsilon"), {})[name] = (t_axis[name], s.values.tolist())
         for eps, group in sorted(eps_groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
             tag = f"eps{eps:g}" if eps is not None else "eps"
             for log_y, suffix in ((False, ""), (True, "_log")):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +8,7 @@ from gtsim import costs, topology as tp
 from gtsim.cli import cli
 
 TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 CONFIG = """\
 [experiment]
@@ -31,6 +34,15 @@ s = 0.5
 kind = "constant"
 alpha = 0.01
 """
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is numpy-only: scipy is a test dependency
+    code = ("import sys, gtsim.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_calc_transient_nonconvex(capsys):
@@ -92,6 +104,23 @@ def test_run_emits_outputs(tmp_path, capsys):
     assert (out / "envelope.json").exists()
     assert (out / "mse_gt_dsgd.csv").exists()
     assert (out / "tail_eps0.5_log.svg").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_with_fewer_than_one_worker_is_a_config_error(tmp_path, capsys, workers):
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(CONFIG)
+    assert cli(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", workers]) == 1
+    assert "config error: workers must be >= 1" in capsys.readouterr().err
+
+
+def test_run_with_an_unknown_format_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    assert cli(["run", str(cfg), "--out", str(out), "--formats", "jsn,svgg"]) == 1
+    assert "unknown output format(s) 'jsn', 'svgg'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_seed_override_changes_results(tmp_path):

@@ -53,9 +53,9 @@ ER_NORMALIZED = dict(
 )
 
 PINS = {
-    "gaussian": "e7b87577d93d07019aae948d32f8228e2674d6d902f8602aa8519623988753d6",
+    "gaussian": "ffa983f2c590d2290007b6065779fb1efab3534c6ff0f1c992e5a38419749686",
     "minibatch": "98f4f26417c508e295da17e3427f819e3be6af0554b899bffd5c4f8f2abc2dd2",
-    "relaxed": "03e3e8fc7c621d4766e7f4f4cd291664a92c887008e7cee071477b4d80a38fb7",
+    "relaxed": "b3923dfd4e77848f582c615c1771bfb85c395a65b749c120a586c5239c5fb87c",
     "er_normalized": "07f9726c202a6eda04cf0181914f1bb9168b8b938fda06e844b7a1b3655db481",
 }
 

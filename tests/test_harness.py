@@ -71,6 +71,15 @@ def test_missing_required_key(tmp_path):
         harness.load_config(write(tmp_path, MINIMAL_TOML.replace("T = 5\n", "")))
 
 
+@pytest.mark.parametrize("entry, message", [("0.0", "must be > 0"), ("-1", "must be > 0"),
+                                            ("nan", "must be > 0"), ("true", "is not a number"),
+                                            ('"x"', "is not a number")])
+def test_thresholds_are_positive_numbers(tmp_path, entry, message):
+    text = MINIMAL_TOML.replace("T = 5\n", f"T = 5\nthresholds = [0.5, {entry}]\n")
+    with pytest.raises(harness.ConfigError, match=rf"'experiment\.thresholds' entry .* {message}"):
+        harness.load_config(write(tmp_path, text))
+
+
 def test_save_load_roundtrip_is_canonical(tmp_path):
     cfg = harness.load_config(write(tmp_path, MINIMAL_TOML))
     out = tmp_path / "normalized.json"
@@ -220,6 +229,14 @@ def test_emit_outputs_and_reemit_identical(tmp_path):
         b = (out2 / f"{name}.csv").read_bytes()
         assert a == b
     assert (out1 / "mse_log.svg").read_bytes() == (out2 / "mse_log.svg").read_bytes()
+
+
+def test_emit_outputs_rejects_an_unknown_format_and_writes_nothing(tmp_path):
+    env = harness.run_experiment(experiment_cfg(tmp_path, R=1, algorithms=("gt_dsgd",)))
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="unknown output format.*'jsn'"):
+        harness.emit_outputs(env, formats=("csv", "jsn"), outdir=out)
+    assert not out.exists()
 
 
 def test_csv_format(tmp_path):

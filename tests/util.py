@@ -23,7 +23,7 @@ def central_diff_grad(f, x, h=1e-6):
 
 def reference_logistic_grad_global_all(e, x_rows):
     """Global logistic gradient at each row of ``x_rows`` (n, d) through
-    ``expit``, the form grad_local, grad_batch and grad_global use."""
+    scipy's ``expit``, a sigmoid independent of gtsim's exp form."""
     margins = (e._h_all @ x_rows.T) * e._y_all[:, None]
     sig = expit(-margins)
     data = -(e._h_all.T @ (sig * (e._y_all * e._w_all)[:, None])).T
