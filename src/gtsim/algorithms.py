@@ -128,11 +128,12 @@ class TrajectoryRecord:
     z_hist: Optional[np.ndarray] = None
 
     def max_tracker_mean_residual(self) -> float:
-        """Worst || y_bar^t - g_bar^t || over the recorded trace."""
+        """Worst || y_bar^t - g_bar^t || over the recorded trace, and over
+        the runs of a block record."""
         if self.y_hist is None:
             raise ValueError("traces were not recorded")
-        res = np.linalg.norm(self.y_hist.mean(axis=1) - self.g_hist.mean(axis=1), axis=1)
-        return float(res.max()) if len(res) else 0.0
+        res = np.linalg.norm(self.y_hist.mean(axis=-2) - self.g_hist.mean(axis=-2), axis=-1)
+        return float(res.max()) if res.size else 0.0
 
     def split(self) -> list:
         """The per-run records of a block record, as views into its arrays;
@@ -164,6 +165,13 @@ class RunConfig:
     x0: np.ndarray          # (n, d) initial models
     record_stride: int = 0  # k > 0: snapshot the models at t = 1, 1+k, ...; 0: none
     record_trace: bool = False
+
+
+def _sum_sq(v):
+    """Sum of squares over the trailing (n, d) axes of a (B, m, n, d) array,
+    squared in place."""
+    np.multiply(v, v, out=v)
+    return v.reshape(v.shape[0], v.shape[1], -1).sum(axis=2)
 
 
 # iterations whose metrics are reduced together, in one pass over a block;
@@ -226,6 +234,10 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
     x = np.repeat(np.asarray(config.x0, dtype=float)[None], B, axis=0)
     y = np.zeros((B, n, d))
     g_prev = np.zeros((B, n, d))
+    # the updates and the block reductions write through these, not through
+    # fresh temporaries; out= performs the same operations bit for bit
+    tmp = np.empty((B, n, d))
+    scratch = np.empty((B, min(T, _BLOCK), n, d))
     # overflow is handled by the explicit non-finite abort, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(1, T + 1, _BLOCK):
@@ -238,11 +250,17 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
                 xb[:, k] = x
                 g, exact = sampler(x, t, alpha)
                 if tracked:
-                    y = wm @ (y + g - g_prev)
-                    x = wm @ (x - alpha * y)
-                    ys[:, lo + k] = y
+                    np.add(y, g, out=tmp)
+                    np.subtract(tmp, g_prev, out=tmp)
+                    np.matmul(wm, tmp, out=y)
+                    step = y
                 else:
-                    x = wm @ (x - alpha * g)
+                    step = g
+                np.multiply(alpha, step, out=tmp)
+                np.subtract(x, tmp, out=tmp)
+                np.matmul(wm, tmp, out=x)
+                if tracked:
+                    ys[:, lo + k] = y
                 # Every column of a doubly stochastic W has a positive entry,
                 # so a non-finite oracle output or tracker reaches the model:
                 # one check covers all three stages, named on failure. A sum
@@ -259,17 +277,15 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
             span = slice(t0 - 1, t1 - 1)
             xbar = xb.sum(axis=2) * inv_n
             f_avg[:, span] = e.value_global(xbar)
+            sb = scratch[:, :m]
             if x_star is not None:
-                diff = xb - x_star
-                mse[:, span] = (diff * diff).reshape(B, m, -1).sum(axis=2) * inv_n
-            dev = xb - xbar[:, :, None, :]
-            cons[:, span] = (dev * dev).reshape(B, m, -1).sum(axis=2) * inv_n
+                mse[:, span] = _sum_sq(np.subtract(xb, x_star, out=sb)) * inv_n
+            cons[:, span] = _sum_sq(np.subtract(xb, xbar[:, :, None, :], out=sb)) * inv_n
             if tracked:
                 yb = ys[:, lo:lo + m]
-                ydev = yb - (yb.sum(axis=2) * inv_n)[:, :, None, :]
-                track[:, span] = (ydev * ydev).reshape(B, m, -1).sum(axis=2) * inv_n
-            gg = e.grad_global_all(xb)
-            statio[:, span] = (gg * gg).reshape(B, m, -1).sum(axis=2)
+                ybar = yb.sum(axis=2) * inv_n
+                track[:, span] = _sum_sq(np.subtract(yb, ybar[:, :, None, :], out=sb)) * inv_n
+            statio[:, span] = _sum_sq(e.grad_global_all(xb))
             if stride:
                 first = -(t0 - 1) % stride
                 snaps = xb[:, first::stride].swapaxes(0, 1).copy()

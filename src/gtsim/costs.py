@@ -164,7 +164,11 @@ class QuadraticEnsemble(CostEnsemble):
         return np.matmul(self._a_bar, x[..., None])[..., 0] + self._b_bar
 
     def grad_global_all(self, x_rows):
-        return x_rows @ self._a_bar + self._b_bar
+        # the offset is added in place: a block of models makes a MB-sized
+        # product, and a second one would be mapped and faulted in per call
+        g = x_rows @ self._a_bar
+        g += self._b_bar
+        return g
 
     def value_global(self, x):
         if x.ndim == 1:

@@ -414,21 +414,35 @@ class ResultEnvelope:
     wall_clock: float = 0.0
 
 
-# bytes of block buffers (models, trackers and noise, each (K, n, d) float64
-# per run, and with traces on the four (T, n, d) traces) that one block of
-# runs may hold
+# bytes of block buffers (models, trackers, noise and the engine's scratch,
+# each (K, n, d) float64 per run, and with traces on the four (T, n, d)
+# traces) that one block of runs may hold
 _BLOCK_BUDGET = 4 << 20
 
 
-def _block_size(run_cfg, jobs: int, workers: int) -> int:
-    """Runs stepped together: as many as the buffer budget allows, and with
-    several workers no more than the old per-message chunk of jobs."""
+def _block_size(run_cfg) -> int:
+    """Most runs one block may step: as many as the buffer budget allows."""
     n, d = run_cfg.x0.shape
-    per_run = 3 * algorithms._BLOCK * n * d * 8
+    per_run = 4 * algorithms._BLOCK * n * d * 8
     if run_cfg.record_trace:
         per_run += 4 * run_cfg.T * n * d * 8
-    size = max(1, _BLOCK_BUDGET // per_run)
-    return size if workers == 1 else min(size, max(1, jobs // (4 * workers)))
+    return max(1, _BLOCK_BUDGET // per_run)
+
+
+def _block_plan(R: int, n_algorithms: int, workers: int, size: int) -> list:
+    """Each algorithm's runs 0..R-1 as contiguous ranges, in run order.
+
+    The ranges are as few as blocks of at most ``size`` runs allow, then as
+    many more as make the block count over all algorithms a whole number of
+    rounds over the workers (while each block keeps a run); their sizes
+    differ by at most one run, so every worker gets an equal share.
+    """
+    count = -(-R // size)
+    while (n_algorithms * count) % workers and count < R:
+        count += 1
+    base, extra = divmod(R, count)
+    bounds = [k * base + min(k, extra) for k in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_block(run_cfg, block):
@@ -481,10 +495,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     if run_cfg is None:
         run_cfg = build_run_config(cfg)
     R = exp["R"]
-    size = _block_size(run_cfg, len(exp["algorithms"]) * R, workers)
-    blocks = [(alg, [derive_run_seed(exp["master_seed"], alg, r) for r in ids], ids)
-              for alg in exp["algorithms"]
-              for ids in (list(range(lo, min(lo + size, R))) for lo in range(0, R, size))]
+    plan = _block_plan(R, len(exp["algorithms"]), workers, _block_size(run_cfg))
+    blocks = [(alg, [derive_run_seed(exp["master_seed"], alg, r) for r in ids], list(ids))
+              for alg in exp["algorithms"] for ids in plan]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(run_cfg,)) as pool:
@@ -572,10 +585,9 @@ def run_checks(cfg: ExperimentConfig) -> list:
 
     if trajectory_checks:
         R = chk["runs"]
-        size = _block_size(run_cfg, R, 1)
         per_name = {name: [] for name, _ in trajectory_checks}
-        for lo in range(0, R, size):
-            run_ids = list(range(lo, min(lo + size, R)))
+        for ids in _block_plan(R, 1, 1, _block_size(run_cfg)):
+            run_ids = list(ids)
             seeds = [derive_run_seed(exp["master_seed"], "check", r) for r in run_ids]
             rec = _check_block(run_cfg, seeds, run_ids)
             for name, fn in trajectory_checks:

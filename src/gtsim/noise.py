@@ -226,6 +226,9 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         return sample_exact
 
+    # the additive flavors scale each chunk draw once, as it is drawn: the
+    # product is elementwise, so every row is the same as scaled per iteration
+    additive = o.kind == "gaussian" or o.rho == 0.0
     z = np.empty((min(T, CHUNK), len(seeds), n, d))  # time-major chunk draw
     drawn = 0  # first iteration of the chunk in z
 
@@ -236,14 +239,16 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
             k = min(CHUNK, T + 1 - t0)
             for b, (seed, run) in enumerate(zip(seeds, runs)):
                 z[:k, b] = noise_block(seed, run, t0, k * n, d).reshape(k, n, d)
+            if additive:
+                z[:k] *= s_col
             drawn = t0
         return z[t - t0]
 
-    if o.kind == "gaussian" or o.rho == 0.0:
+    if additive:
 
         def sample_gaussian(x, t, alpha=None):
             exact = e.grad_all(x)
-            return exact + s_col * noise_rows(t), exact
+            return exact + noise_rows(t), exact
 
         return sample_gaussian
 

@@ -310,6 +310,13 @@ def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckRep
     return _report("tracker_recursion", rhs - y_gap[:, 1:], labels, 1)
 
 
+def _avg_mgf_exponent(total, m, sigma_sq):
+    """m ||zbar||^2 / (96 sigma^2) per sample, with zbar = total / m."""
+    sq = total / m
+    np.multiply(sq, sq, out=sq)
+    return m * np.sum(sq, axis=1) / (96.0 * sigma_sq)
+
+
 def check_noise_properties(
     o,
     e,
@@ -378,15 +385,21 @@ def check_noise_properties(
             stderr = float(vals.std(ddof=1) / math.sqrt(samples))
             bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
             record(f"moment_x{k}_p{p}", est, bound, stderr)
+        # one running sum in draw order serves every average: the sum of the
+        # first m draws, divided once by m, is bitwise the mean of the stacked
+        # draws, without holding all m of them or drawing any of them twice
+        total = None
+        stats = {}
+        for j in range(max(n_avg, default=0)):
+            z = noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+            if total is None:
+                total = z
+            else:
+                total += z
+            if j + 1 in n_avg:
+                stats[j + 1] = capped_exp_mean(_avg_mgf_exponent(total, j + 1, sigma_sq))
         for m in n_avg:
-            # a running sum in draw order, then one division: bitwise the mean
-            # of the stacked draws, without holding all m of them
-            zbar = noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k)
-            for j in range(1, m):
-                zbar += noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
-            zbar /= m
-            wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
-            est, stderr, capped = capped_exp_mean(wexp)
+            est, stderr, capped = stats[m]
             bound = 2.0 * d * math.e
             record(f"avg_mgf_x{k}_n{m}", est, bound, stderr)
             if capped:

@@ -110,6 +110,16 @@ def test_tracking_identity_under_noise(cfg, seed):
     assert rec.max_tracker_mean_residual() <= 1e-10
 
 
+def test_tracker_mean_residual_of_a_block_is_the_worst_of_its_runs():
+    e = costs.make_synthetic_quadratics(5, 3, "a", seed=2)
+    cfg = alg.RunConfig(w=ring_matrix(5), ensemble=e, oracle=noise.GaussianOracle(1.0),
+                        schedule=alg.ConstantStep(0.05), T=40, x0=np.ones((5, 3)),
+                        record_trace=True)
+    block = alg.run("gt_dsgd", cfg, (3, 4), (0, 1))
+    per_run = [rec.max_tracker_mean_residual() for rec in block.split()]
+    assert block.max_tracker_mean_residual() == max(per_run) <= 1e-10
+
+
 @settings(max_examples=15, deadline=None)
 @given(cfg=traced_quadratic_runs(), seed=st.integers(0, 2**64 - 1))
 def test_average_dynamics_identity(cfg, seed):

@@ -6,6 +6,7 @@ performs the same floating-point operations as a plain per-iteration loop.
 """
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -186,3 +187,23 @@ def test_finite_models_whose_sum_overflows_do_not_abort():
     rec = alg.run("gt_dsgd", cfg, 0, 0)
     assert np.all(np.isfinite(rec.final_x))
     assert_records_identical(rec, reference_run("gt_dsgd", cfg, 0, 0))
+
+
+@pytest.mark.parametrize("algorithm, buffers", [("gt_dsgd", 4), ("dsgd", 3)])
+def test_a_block_holds_its_buffers_and_no_block_sized_temporaries(algorithm, buffers):
+    # the block buffers are the models, the trackers (gt_dsgd only), the
+    # noise chunk and the scratch the updates and reductions write through;
+    # beyond them a block holds the global gradients at the models and small
+    # per-run arrays, measured at about 1.2 buffers
+    Bn, n, d = 4, 50, 10
+    e = costs.make_synthetic_quadratics(n, d, "a", seed=0)
+    cfg = alg.RunConfig(w=ring_matrix(n), ensemble=e, oracle=noise.GaussianOracle(1.0),
+                        schedule=alg.InverseTimeStep(1.0, 1.0, 1.0), T=4 * B, x0=np.zeros((n, d)))
+    alg.run(algorithm, cfg, range(Bn), range(Bn))  # warm the caches of the cost and the noise
+    tracemalloc.start()
+    try:
+        alg.run(algorithm, cfg, range(Bn), range(Bn))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (buffers + 2) * Bn * B * n * d * 8

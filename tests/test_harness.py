@@ -305,12 +305,47 @@ def envelope_bytes(env):
 def test_envelope_is_byte_identical_across_workers_and_block_sizes(raw, block):
     cfg = harness.normalize_config(raw)
     n, d = raw["topology"]["n"], raw["cost"]["d"]
-    budget = block * 3 * alg._BLOCK * n * d * 8  # blocks of `block` runs at one worker
+    budget = block * 4 * alg._BLOCK * n * d * 8  # blocks of `block` runs at most
     with mock.patch.object(harness, "_BLOCK_BUDGET", budget):
-        assert harness._block_size(harness.build_run_config(cfg), 2, 1) == block
+        assert harness._block_size(harness.build_run_config(cfg)) == block
         reference = envelope_bytes(harness.run_experiment(cfg, workers=1))
     assert envelope_bytes(harness.run_experiment(cfg, workers=1)) == reference
     assert envelope_bytes(harness.run_experiment(cfg, workers=2)) == reference
+    assert envelope_bytes(harness.run_experiment(cfg, workers=3)) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.integers(1, 60), n_algorithms=st.integers(1, 2), workers=st.integers(1, 4),
+       n=st.integers(1, 60), d=st.integers(1, 60), trace=st.booleans())
+def test_block_plan_covers_the_runs_in_order_within_the_budget(R, n_algorithms, workers, n, d,
+                                                                trace):
+    run_cfg = alg.RunConfig(w=None, ensemble=None, oracle=None, schedule=None, T=300,
+                            x0=np.zeros((n, d)), record_trace=trace)
+    size = harness._block_size(run_cfg)
+    per_run = (4 * alg._BLOCK + (4 * run_cfg.T if trace else 0)) * n * d * 8
+    assert size == 1 or size * per_run <= harness._BLOCK_BUDGET
+    plan = harness._block_plan(R, n_algorithms, workers, size)
+    # contiguous ranges in run order that cover each run once
+    assert [r for ids in plan for r in ids] == list(range(R))
+    assert all(ids.step == 1 and len(ids) >= 1 for ids in plan)
+    assert max(len(ids) for ids in plan) <= size
+    if workers > 1:
+        assert max(len(ids) for ids in plan) - min(len(ids) for ids in plan) <= 1
+        # whole rounds over the workers, unless that needs blocks of no runs
+        assert (n_algorithms * len(plan)) % workers == 0 or len(plan) == R
+
+
+def test_two_workers_step_equal_blocks_on_the_fig2_shape():
+    # 16 runs at n = 50, d = 10: the budget holds 4 runs, and 4 blocks make
+    # two rounds over 2 workers
+    run_cfg = alg.RunConfig(w=None, ensemble=None, oracle=None, schedule=None, T=1500,
+                            x0=np.zeros((50, 10)))
+    size = harness._block_size(run_cfg)
+    assert size == 4
+    assert harness._block_plan(16, 1, 2, size) == [range(0, 4), range(4, 8), range(8, 12),
+                                                   range(12, 16)]
+    assert harness._block_plan(16, 1, 3, size) == [range(0, 3), range(3, 6), range(6, 9),
+                                                   range(9, 12), range(12, 14), range(14, 16)]
 
 
 class InfPastBound(costs.QuadraticEnsemble):
@@ -371,7 +406,7 @@ def test_check_block_abort_names_the_first_aborting_run():
         except alg.RunAbort as exc:
             alone.append((r, str(exc), exc.iteration))
     assert [r for r, _, _ in alone] == [1, 2] and alone[1][2] < alone[0][2]
-    assert harness._block_size(run_cfg, 4, 1) >= 4
+    assert harness._block_size(run_cfg) >= 4
     with pytest.raises(alg.RunAbort) as block:
         alg.run("gt_dsgd", run_cfg, seeds, [0, 1, 2, 3])
     assert block.value.iteration == alone[1][2]

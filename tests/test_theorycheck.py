@@ -204,6 +204,16 @@ def test_noise_average_mgf_matches_the_stacked_mean_bitwise(oracle, agent):
     assert len(got) == 6
 
 
+def test_noise_averages_share_one_set_of_draws():
+    e = costs.QuadraticEnsemble(np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
+    xs = [np.zeros(3), np.ones(3)]
+    with mock.patch.object(tc, "noise_samples", wraps=tc.noise_samples) as draws:
+        tc.check_noise_properties(noise.GaussianOracle(0.5), e, xs, samples=100_000, seed=3,
+                                  n_avg=(4, 16))
+    # per grid point: the tail and moment draw, then the 16 averaged draws
+    assert draws.call_count == len(xs) * (1 + 16)
+
+
 def test_noise_properties_noiseless_trivial():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
     rep = tc.check_noise_properties(noise.GaussianOracle(0.0), e, [np.zeros(2)], samples=100_000)
