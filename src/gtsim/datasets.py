@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -83,6 +83,7 @@ def _offsets(count):
 
 
 _MAX_INDEX = np.iinfo(np.int64).max
+_CHUNK_ROWS = 4096  # rows parsed per array conversion
 
 
 def _parse_label(token: str, line_no: int) -> int:
@@ -98,8 +99,9 @@ def _parse_label(token: str, line_no: int) -> int:
 
 
 def _csr(rows):
-    """(labels, indptr, indices, values) of parsed rows, or None if any row is
-    malformed. The checks are the ones :func:`_raise_fault` words for one line."""
+    """(labels, pair counts, indices, values) of parsed rows, or None if any
+    row is malformed. The checks are the ones :func:`_raise_fault` words for
+    one line."""
     count = np.fromiter((n for *_, n in rows), dtype=np.int64, count=len(rows))
     n_pairs = int(count.sum())
     joined = " ".join(pairs for _, _, pairs, n in rows if n)
@@ -123,7 +125,7 @@ def _csr(rows):
     if not (np.isin(label, (1.0, -1.0, 0.0)).all() and (idx > prev).all()
             and np.isfinite(val).all()):
         return None
-    return np.where(label == 1.0, 1, -1), indptr, idx - 1, val
+    return np.where(label == 1.0, 1, -1), count, idx - 1, val
 
 
 def _raise_fault(line_no: int, tokens) -> None:
@@ -159,15 +161,29 @@ def _raise_fault(line_no: int, tokens) -> None:
     raise AssertionError(f"line {line_no} passes every check")
 
 
+def _raise_first_fault(rows):
+    """Raise the error of the first malformed row of ``rows``, which :func:`_csr`
+    rejects: each row is checked alone, so halving finds it."""
+    lo, hi = 0, len(rows)  # rows[:lo] are well formed; rows[lo:hi] are not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _csr(rows[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    line_no, label, pairs, _ = rows[lo]
+    _raise_fault(line_no, [label] + pairs.split())
+
+
 def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
     """Parse LIBSVM text (a string or an iterable of lines).
 
     Blank lines are skipped and a ``#`` comment suffix is ignored. Each line
-    is split once; the tokens of all lines are then converted and checked as
-    arrays. Malformed pairs, non-numeric or non-finite values, and
-    non-increasing indices raise :class:`ParseError` with the number of the
-    first offending line. ``d`` overrides the inferred feature dimension
-    (must cover every index seen).
+    is split once; the tokens of each chunk of ``_CHUNK_ROWS`` rows are then
+    converted and checked as arrays. Malformed pairs, non-numeric or
+    non-finite values, and non-increasing indices raise :class:`ParseError`
+    with the number of the first offending line. ``d`` overrides the
+    inferred feature dimension (must cover every index seen).
     """
     if isinstance(source, str):
         # universal newlines, as a text-mode file read splits: \n, \r\n and \r
@@ -177,21 +193,20 @@ def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
     # (line number, label, its pairs joined by single spaces, pair count) of
     # each row; a line's tokens are dropped as soon as its row is built
     split = (line.split("#", 1)[0].split() for line in lines)
-    rows = [(line_no, tokens[0], " ".join(tokens[1:]), len(tokens) - 1)
-            for line_no, tokens in enumerate(split, start=1) if tokens]
-    csr = _csr(rows)
-    if csr is None:
-        # each row is checked alone, so halving finds the first bad one
-        lo, hi = 0, len(rows)  # rows[:lo] are well formed; rows[lo:hi] are not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _csr(rows[lo:mid]) is None:
-                hi = mid
-            else:
-                lo = mid
-        line_no, label, pairs, _ = rows[lo]
-        _raise_fault(line_no, [label] + pairs.split())
-    labels, indptr, indices, values = csr
+    rows = ((line_no, tokens[0], " ".join(tokens[1:]), len(tokens) - 1)
+            for line_no, tokens in enumerate(split, start=1) if tokens)
+    # rows are converted a chunk at a time, so only one chunk's text is held
+    chunks = []
+    while True:
+        chunk = list(islice(rows, _CHUNK_ROWS))
+        csr = _csr(chunk)
+        if csr is None:
+            _raise_first_fault(chunk)
+        chunks.append(csr)
+        if len(chunk) < _CHUNK_ROWS:
+            break
+    labels, counts, indices, values = (np.concatenate(a) for a in zip(*chunks))
+    indptr = _offsets(counts)
     max_idx = int(indices.max()) + 1 if len(indices) else 0
     if d is None:
         d = max_idx
@@ -241,14 +256,16 @@ def maxabs_scale(ds: LabeledDataset) -> LabeledDataset:
 
 
 def to_logistic_ensemble(parts, eta: float = 0.0, d: int | None = None) -> LogisticEnsemble:
-    """Densify per-agent datasets into a logistic cost ensemble: one scatter
-    of all parts' entries into the pooled (m, d) features it keeps."""
+    """Densify per-agent datasets into a logistic cost ensemble: each part's
+    entries are scattered into its rows of the pooled (m, d) features it keeps."""
     if d is None:
         d = max(p.d for p in parts)
     sizes = [p.m for p in parts]
-    counts = np.concatenate([np.diff(p.indptr) for p in parts])
     h = np.zeros((sum(sizes), d))
-    h[np.repeat(np.arange(len(counts)), counts), np.concatenate([p.indices for p in parts])] = \
-        np.concatenate([p.values for p in parts])
+    start = 0
+    for p in parts:
+        rows = np.repeat(np.arange(start, start + p.m), np.diff(p.indptr))
+        h[rows, p.indices] = p.values
+        start += p.m
     y = np.concatenate([p.labels for p in parts]).astype(float)
     return LogisticEnsemble.from_pooled(h, y, sizes, eta=eta)

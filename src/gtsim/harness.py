@@ -120,12 +120,12 @@ def _normalize_topology(data):
         _expect("topology", data, {"kind", "n", "seed"}, {"kind", "n"})
         return {"kind": kind,
                 "n": _num("topology", data, "n", minimum=1, integer=True),
-                "seed": _num("topology", data, "seed", default=0, integer=True)}
+                "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True)}
     if kind == "erdos_renyi":
         _expect("topology", data, {"kind", "n", "seed", "p", "target_lambda", "tol"}, {"kind", "n"})
         out = {"kind": kind,
                "n": _num("topology", data, "n", minimum=2, integer=True),
-               "seed": _num("topology", data, "seed", default=0, integer=True),
+               "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True),
                "p": _num("topology", data, "p"),
                "target_lambda": _num("topology", data, "target_lambda"),
                "tol": _num("topology", data, "tol", default=0.05)}
@@ -150,14 +150,14 @@ def _normalize_cost(data):
                 "profile": profile,
                 "sparsity": _num("cost", data, "sparsity", default=0.1),
                 "mu0": _num("cost", data, "mu0", default=0.1),
-                "seed": _num("cost", data, "seed", default=0, integer=True)}
+                "seed": _num("cost", data, "seed", default=0, minimum=0, integer=True)}
     if kind == "logistic_libsvm":
         _expect("cost", data, {"kind", "path", "eta", "normalize", "split_seed"}, {"kind", "path"})
         return {"kind": kind,
                 "path": str(data["path"]),
                 "eta": _num("cost", data, "eta", default=0.1, minimum=0.0),
                 "normalize": bool(data.get("normalize", False)),
-                "split_seed": _num("cost", data, "split_seed", default=0, integer=True)}
+                "split_seed": _num("cost", data, "split_seed", default=0, minimum=0, integer=True)}
     if kind == "quadratic_json":
         _expect("cost", data, {"kind", "path"}, {"kind", "path"})
         return {"kind": kind, "path": str(data["path"])}
@@ -210,7 +210,7 @@ def _normalize_init(data):
         _expect("init", data, {"kind", "scale", "seed"}, set())
         return {"kind": "gaussian",
                 "scale": _num("init", data, "scale", default=1.0),
-                "seed": _num("init", data, "seed", default=0, integer=True)}
+                "seed": _num("init", data, "seed", default=0, minimum=0, integer=True)}
     raise ConfigError("'init.kind' must be zeros or gaussian")
 
 
@@ -348,6 +348,7 @@ def build_ensemble(cfg: ExperimentConfig, n: int):
     if c["normalize"]:
         ds = datasets.maxabs_scale(ds)
     parts = datasets.split_uniform(ds, n, seed=c["split_seed"])
+    del ds  # the parts hold copies; free the unsplit corpus before densifying
     return datasets.to_logistic_ensemble(parts, eta=c["eta"])
 
 

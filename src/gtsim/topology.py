@@ -73,19 +73,20 @@ class WeightedGraph:
         return self._adj
 
     def is_connected(self) -> bool:
-        return _connected(self._adj)
+        return bool(_connected(self._adj))
 
 
-def _connected(adj) -> bool:
-    """Whether the graph of a symmetric boolean adjacency matrix is connected:
-    grow the set reached from agent 0 one frontier at a time."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[0] = True
+def _connected(adj) -> np.ndarray:
+    """Whether the graphs of a (..., n, n) stack of symmetric boolean
+    adjacency matrices are connected: grow the set reached from agent 0 one
+    frontier at a time, for every graph of the stack at once."""
+    seen = np.zeros(adj.shape[:-1], dtype=bool)
+    seen[..., 0] = True
     frontier = seen.copy()
     while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
+        frontier = (adj & frontier[..., :, None]).any(axis=-2) & ~seen
         seen |= frontier
-    return bool(seen.all())
+    return seen.all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,34 @@ def _ring_edges(n: int):
     return [(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
 
 
+def _graph(adj) -> WeightedGraph:
+    """The graph of an (n, n) adjacency matrix, read from its upper triangle."""
+    i, j = np.nonzero(np.triu(adj, k=1))
+    return WeightedGraph(len(adj), frozenset(zip(i.tolist(), j.tolist())))
+
+
+def _er_draw(n, p, seed, attempt):
+    """One ER attempt as an upper-triangular boolean matrix: pair (i, j),
+    i < j, is an edge when draw [i, j] of stream (seed, attempt) falls below p."""
+    rng = np.random.default_rng((int(seed), attempt))
+    return np.triu(rng.random((n, n)) < p, k=1)
+
+
+def _er_connected(n, p, seed, start=0):
+    """The adjacency of the first connected ER attempt of ``seed`` from
+    attempt ``start`` on; after 1000 attempts in all, the configuration is
+    deemed unconnectable."""
+    for attempt in range(start, _ER_RESAMPLE_CAP):
+        upper = _er_draw(n, p, seed, attempt)
+        adj = upper | upper.T
+        if _connected(adj):
+            return adj
+    raise GraphError(
+        f"unconnectable configuration: erdos_renyi(n={n}, p={p}) produced no "
+        f"connected graph in {_ER_RESAMPLE_CAP} resamples"
+    )
+
+
 def generate_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> WeightedGraph:
     """Generate a connected graph of the given kind.
 
@@ -136,22 +165,13 @@ def generate_graph(kind: str, n: int, seed: int = 0, p: float | None = None) -> 
     if kind == "path":
         return WeightedGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
     if kind == "complete":
-        i, j = np.triu_indices(n, k=1)
-        return WeightedGraph(n, frozenset(zip(i.tolist(), j.tolist())))
+        return _graph(np.ones((n, n), dtype=bool))
     if kind == "erdos_renyi":
         if p is None or not (0.0 < p <= 1.0):
             raise GraphError("erdos_renyi requires edge probability p in (0, 1]")
-        for attempt in range(_ER_RESAMPLE_CAP):
-            rng = np.random.default_rng((int(seed), attempt))
-            # pair (i, j), i < j, is an edge when draw [i, j] falls below p
-            upper = np.triu(rng.random((n, n)) < p, k=1)
-            if _connected(upper | upper.T):
-                i, j = np.nonzero(upper)
-                return WeightedGraph(n, frozenset(zip(i.tolist(), j.tolist())))
-        raise GraphError(
-            f"unconnectable configuration: erdos_renyi(n={n}, p={p}) produced no "
-            f"connected graph in {_ER_RESAMPLE_CAP} resamples"
-        )
+        if seed < 0:
+            raise GraphError("erdos_renyi requires a seed >= 0")
+        return _graph(_er_connected(n, p, seed))
     raise GraphError(f"unknown graph kind {kind!r}")
 
 
@@ -163,12 +183,22 @@ def metropolis_hastings(g: WeightedGraph) -> MixingMatrix:
     """
     if not g.is_connected():
         raise GraphError("graph not connected")
-    n = g.n
-    deg = g.degrees()
-    w = np.where(g.adjacency(), 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    lam = spectral_gap(w)
-    return MixingMatrix(n=n, w=w, lam=lam)
+    w = _mh_weights(g.adjacency())
+    return MixingMatrix(n=g.n, w=w, lam=spectral_gap(w))
+
+
+def _mh_weights(adj) -> np.ndarray:
+    """Metropolis-Hastings weights of a (..., n, n) stack of adjacency matrices."""
+    deg = adj.sum(axis=-1)
+    w = np.where(adj, 1.0 / (1.0 + np.maximum(deg[..., :, None], deg[..., None, :])), 0.0)
+    diag = np.arange(adj.shape[-1])
+    w[..., diag, diag] = 1.0 - w.sum(axis=-1)
+    return w
+
+
+def _symmetric_gap(diff) -> np.ndarray:
+    """``||D||_2`` of each symmetric matrix D of a (..., n, n) stack."""
+    return np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
 def spectral_gap(w, atol: float = SPECTRAL_ATOL) -> float:
@@ -187,7 +217,7 @@ def spectral_gap(w, atol: float = SPECTRAL_ATOL) -> float:
         raise GraphError("weight matrix is not doubly stochastic")
     diff = mat - np.full((n, n), 1.0 / n)
     if np.max(np.abs(diff - diff.T)) <= 1e-12:
-        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+        return float(_symmetric_gap(diff))
     # power iteration on M = D^T D; eigenvalue of M is the squared gap
     m = diff.T @ diff
     v = np.full(n, 1.0 / math.sqrt(n))
@@ -220,16 +250,16 @@ class TuneResult:
 
 
 def _probe_er(n, p, seed, step, samples):
-    """Sample ``samples`` connected ER graphs at probability p; return list of
-    (graph, lam) plus the mean lam."""
-    out = []
-    for k in range(samples):
-        sub = int(np.random.SeedSequence((seed, step, k)).generate_state(1)[0])
-        g = generate_graph("erdos_renyi", n, seed=sub, p=p)
-        m = metropolis_hastings(g)
-        out.append((g, m))
-    mean_lam = float(np.mean([m.lam for (_, m) in out]))
-    return out, mean_lam
+    """Sample ``samples`` connected ER graphs at probability p as one stack:
+    return their (samples, n, n) adjacency matrices and (samples,) gaps."""
+    subs = [int(np.random.SeedSequence((seed, step, k)).generate_state(1)[0])
+            for k in range(samples)]
+    upper = np.stack([_er_draw(n, p, sub, 0) for sub in subs])
+    adj = upper | upper.swapaxes(-1, -2)
+    # a disconnected first attempt resamples exactly as generate_graph does
+    for k in np.flatnonzero(~_connected(adj)):
+        adj[k] = _er_connected(n, p, subs[k], start=1)
+    return adj, _symmetric_gap(_mh_weights(adj) - 1.0 / n)
 
 
 def tune_er_probability(
@@ -254,33 +284,36 @@ def tune_er_probability(
         raise GraphError("tol must be positive")
     if n < 2:
         raise GraphError("tuning needs at least 2 agents")
+    if seed < 0:
+        raise GraphError("seed must be >= 0")
+    if samples_per_probe < 1:
+        raise GraphError("samples_per_probe must be >= 1")
+    if max_steps < 0:
+        raise GraphError("max_steps must be >= 0")
 
     # Below ln(n)/n connected samples become too rare for reject-and-resample.
     p_lo = min(0.95, max(math.log(max(n, 2)) / n, 1.0 / (n - 1)))
     p_hi = 1.0
 
-    best = None  # (|lam - target|, graph, matrix, p)
+    best = None  # (|lam - target|, adjacency, p) of the closest sample so far
     means = []
 
-    def consider(p, pool):
+    def probe(p, step):
         nonlocal best
-        for (g, m) in pool:
-            gap = abs(m.lam - target_lambda)
-            if best is None or gap < best[0]:
-                best = (gap, g, m, p)
+        adj, lams = _probe_er(n, p, seed, step, samples_per_probe)
+        gaps = np.abs(lams - target_lambda)
+        k = int(np.argmin(gaps))  # the first closest, as a scan in draw order keeps
+        if best is None or gaps[k] < best[0]:
+            best = (float(gaps[k]), adj[k], p)
+        means.append(float(np.mean(lams)))
+        return means[-1]
 
-    pool_lo, mean_lo = _probe_er(n, p_lo, seed, 0, samples_per_probe)
-    pool_hi, mean_hi = _probe_er(n, p_hi, seed, 1, samples_per_probe)
-    consider(p_lo, pool_lo)
-    consider(p_hi, pool_hi)
-    means += [mean_lo, mean_hi]
-
+    probe(p_lo, 0)
+    probe(p_hi, 1)
     lo, hi = p_lo, p_hi
     for step in range(2, max_steps + 2):
         mid = 0.5 * (lo + hi)
-        pool, mean_mid = _probe_er(n, mid, seed, step, samples_per_probe)
-        consider(mid, pool)
-        means.append(mean_mid)
+        mean_mid = probe(mid, step)
         if best[0] <= tol and abs(mean_mid - target_lambda) <= tol:
             break
         if mean_mid > target_lambda:
@@ -288,14 +321,16 @@ def tune_er_probability(
         else:
             hi = mid
 
-    gap, g, m, p = best
+    gap, adj, p = best
+    g = _graph(adj)
+    m = metropolis_hastings(g)
     return TuneResult(
         p=p,
         matrix=m,
         graph=g,
         lam=m.lam,
         converged=gap <= tol,
-        lambda_range=(float(min(means)), float(max(means))),
+        lambda_range=(min(means), max(means)),
     )
 
 

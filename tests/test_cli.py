@@ -123,6 +123,20 @@ def test_run_with_an_unknown_format_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_with_a_negative_graph_seed_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(CONFIG.replace('kind = "ring"\nn = 4',
+                                  'kind = "erdos_renyi"\nn = 4\nseed = -1\ntarget_lambda = 0.5'))
+    assert cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: 'topology.seed' must be >= 0" in capsys.readouterr().err
+
+
+def test_topo_with_a_negative_seed_is_a_graph_error(capsys):
+    assert cli(["topo", "--kind", "erdos_renyi", "--n", "10", "--seed", "-1",
+                "--target-lambda", "0.5"]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
 def test_run_seed_override_changes_results(tmp_path):
     cfg = tmp_path / "cfg.toml"
     cfg.write_text(CONFIG)

@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,3 +300,45 @@ def test_arrays_match_the_reference_loops(text, d, as_file, n, seed, eta):
     assert np.array_equal(_bits(e._h_all), _bits(np.vstack([h for h, _ in dense])))
     assert np.array_equal(e._y_all, np.concatenate([y for _, y in dense]))
     assert all(np.array_equal(_bits(f), _bits(h)) for f, (h, _) in zip(e.features, dense))
+
+
+def _same_outcome(got, ref):
+    if isinstance(ref, datasets.ParseError):
+        assert isinstance(got, datasets.ParseError)
+        assert (got.line_no, str(got)) == (ref.line_no, str(ref))
+        return
+    assert not isinstance(got, datasets.ParseError), got
+    assert got.d == ref.d and np.array_equal(got.labels, ref.labels)
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(_bits(got.values), _bits(ref.values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=libsvm_texts(), chunk=st.integers(1, 4), as_file=st.booleans())
+def test_chunked_parse_matches_one_chunk(text, chunk, as_file):
+    # at most 10 rows: one chunk at the default size, several at the patched one
+    whole = _outcome(datasets.parse_libsvm, text, None, as_file)
+    with mock.patch.object(datasets, "_CHUNK_ROWS", chunk):
+        _same_outcome(_outcome(datasets.parse_libsvm, text, None, as_file), whole)
+
+
+GOOD_ROWS = [f"{'+1' if r % 3 else '-1'} {r % 5 + 1}:{r}.5 {r % 5 + 7}:-0.25" for r in range(12)]
+
+
+@pytest.mark.parametrize("bad_row", [3, 4, 7, 8, 11])
+@pytest.mark.parametrize("fault", ["3:abc", "5:1 2:1", "4:inf"])
+def test_first_fault_in_a_later_chunk_keeps_its_line_and_words(bad_row, fault):
+    # chunks of 4 rows: rows 3 and 7 end a chunk, rows 4 and 8 start one; a
+    # second fault in the last chunk must not mask the first
+    rows = list(GOOD_ROWS)
+    rows[bad_row] = f"+1 {fault}"
+    if bad_row < 11:
+        rows[11] = "+1 oops"
+    text = "# header\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(datasets, "_CHUNK_ROWS", 4):
+        with pytest.raises(datasets.ParseError) as exc:
+            datasets.parse_libsvm(text)
+    assert exc.value.line_no == bad_row + 2
+    with pytest.raises(datasets.ParseError) as whole:
+        datasets.parse_libsvm(text)
+    assert str(exc.value) == str(whole.value)

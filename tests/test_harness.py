@@ -80,6 +80,32 @@ def test_thresholds_are_positive_numbers(tmp_path, entry, message):
         harness.load_config(write(tmp_path, text))
 
 
+SEEDED = {
+    "experiment": {"T": 5, "master_seed": -7},
+    "topology": {"kind": "erdos_renyi", "n": 6, "target_lambda": 0.5},
+    "cost": {"kind": "quadratic_synthetic", "d": 3},
+    "oracle": {"flavor": "gaussian", "s": 0.5},
+    "schedule": {"kind": "constant", "alpha": 0.01},
+    "init": {"kind": "gaussian"},
+}
+
+
+@pytest.mark.parametrize("section, key", [("topology", "seed"), ("cost", "seed"),
+                                          ("cost", "split_seed"), ("init", "seed")])
+def test_a_negative_seed_is_a_config_error_that_names_its_key(section, key):
+    raw = {name: dict(body) for name, body in SEEDED.items()}
+    if key == "split_seed":
+        raw["cost"] = {"kind": "logistic_libsvm", "path": "corpus.libsvm"}
+    raw[section][key] = -1
+    with pytest.raises(harness.ConfigError, match=rf"'{section}\.{key}' must be >= 0"):
+        harness.normalize_config(raw)
+
+
+def test_master_seed_may_be_any_integer():
+    # it is hashed, never handed to numpy
+    assert harness.normalize_config(SEEDED)["experiment"]["master_seed"] == -7
+
+
 def test_save_load_roundtrip_is_canonical(tmp_path):
     cfg = harness.load_config(write(tmp_path, MINIMAL_TOML))
     out = tmp_path / "normalized.json"

@@ -1,3 +1,5 @@
+import hashlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import util
-from gtsim import topology as tp
+from gtsim import harness, topology as tp
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_ring3_is_triangle():
@@ -149,21 +153,97 @@ def test_graph_arrays_match_the_reference_loops(n, p, seed, keep):
     assert sub.is_connected() == util.reference_is_connected(sub)
 
 
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 40), target=st.floats(0.05, 0.95), tol=st.sampled_from([0.01, 0.05]),
-       seed=st.integers(0, 10**6))
-def test_tune_er_matches_the_reference_loops(n, target, tol, seed):
-    def tune():
-        return tp.tune_er_probability(n, target, tol, seed=seed, samples_per_probe=4, max_steps=6)
-
-    res = tune()
-    with mock.patch.object(tp, "generate_graph", util.reference_generate_er), \
-            mock.patch.object(tp, "metropolis_hastings", util.reference_metropolis_hastings):
-        ref = tune()
+def _assert_same_tune(res, ref):
     assert (res.p, res.lam, res.converged, res.lambda_range) == \
         (ref.p, ref.lam, ref.converged, ref.lambda_range)
     assert res.graph.edges == ref.graph.edges
     assert np.array_equal(_bits(res.matrix.w), _bits(ref.matrix.w))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), target=st.floats(0.05, 0.95), tol=st.sampled_from([0.01, 0.05]),
+       seed=st.integers(0, 10**6), samples=st.integers(1, 16), steps=st.integers(0, 6))
+def test_tune_er_matches_the_reference_loops(n, target, tol, seed, samples, steps):
+    res = tp.tune_er_probability(n, target, tol, seed=seed, samples_per_probe=samples,
+                                 max_steps=steps)
+    ref = util.reference_tune_er(n, target, tol, seed=seed, samples_per_probe=samples,
+                                 max_steps=steps)
+    _assert_same_tune(res, ref)
+
+
+def test_tune_er_resamples_a_disconnected_candidate_as_generate_graph_does():
+    # found by search: here the closest candidate is a resampled one
+    resampled = []
+
+    def spy(*args, **kwargs):
+        adj = connected(*args, **kwargs)
+        resampled.append((kwargs.get("start"), adj))
+        return adj
+
+    connected = tp._er_connected
+    with mock.patch.object(tp, "_er_connected", spy):
+        res = tp.tune_er_probability(5, 0.5, 0.05, seed=22, samples_per_probe=4, max_steps=2)
+    assert resampled and all(start == 1 for start, _ in resampled)
+    assert any(np.array_equal(adj, res.graph.adjacency()) for _, adj in resampled)
+    _assert_same_tune(res, util.reference_tune_er(5, 0.5, 0.05, seed=22, samples_per_probe=4,
+                                                  max_steps=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_stacked_helpers_match_one_graph_at_a_time(n, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graphs = [tp.WeightedGraph(n, frozenset(e for e in pairs if data.draw(st.booleans())))
+              for _ in range(data.draw(st.integers(1, 6)))]
+    adj = np.stack([g.adjacency() for g in graphs])
+    assert tp._connected(adj).tolist() == [util.reference_is_connected(g) for g in graphs]
+    w = tp._mh_weights(adj)
+    gaps = tp._symmetric_gap(w - 1.0 / n)
+    for k, g in enumerate(graphs):
+        assert np.array_equal(_bits(w[k]), _bits(tp._mh_weights(g.adjacency())))
+        assert gaps[k] == tp._symmetric_gap(w[k] - 1.0 / n)
+        if g.is_connected():
+            ref = util.reference_metropolis_hastings(g)
+            assert np.array_equal(_bits(w[k]), _bits(ref.w)) and gaps[k] == ref.lam
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples_per_probe": 0}, "samples_per_probe must be >= 1"),
+    ({"samples_per_probe": -2}, "samples_per_probe must be >= 1"),
+    ({"max_steps": -1}, "max_steps must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_tune_er_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(tp.GraphError, match=message):
+        tp.tune_er_probability(10, 0.5, 0.05, **kwargs)
+
+
+def test_er_rejects_a_negative_seed():
+    with pytest.raises(tp.GraphError, match="seed >= 0"):
+        tp.generate_graph("erdos_renyi", 10, seed=-1, p=0.5)
+
+
+# p, lambda and the sha256 of W's bytes of each committed fig2 topology
+FIG2_TOPOLOGIES = {
+    10: (0.326476195636979, 0.901453025783935,
+         "f34a29650ab24a9e0e7f3fcd9e0d10320b9a6403276e19c5fec6847fcf492891"),
+    25: (0.18320784343255753, 0.8999052200902217,
+         "6fd088d67467bc919caf8826673065fea082f61f22585b8c6de347489f8d391c"),
+    50: (0.1358504313517777, 0.9014103728069343,
+         "681d435197b2d67b33920febcac4cee1fcf9a7535488a057844e1828620919bd"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FIG2_TOPOLOGIES))
+def test_committed_fig2_topologies_are_pinned(n):
+    cfg = harness.load_config(os.path.join(CONFIGS, f"fig2_synthetic_speedup_n{n}.toml"))
+    t = cfg["topology"]
+    res = tp.tune_er_probability(t["n"], t["target_lambda"], t["tol"], seed=t["seed"])
+    m = harness.build_topology(cfg)
+    p, lam, digest = FIG2_TOPOLOGIES[n]
+    assert (res.p, res.lam, m.lam) == (p, lam, lam)
+    assert hashlib.sha256(m.w.tobytes()).hexdigest() == digest
+    assert np.array_equal(_bits(res.matrix.w), _bits(m.w))
 
 
 def test_tune_er_hits_target_band():

@@ -475,3 +475,40 @@ def reference_metropolis_hastings(g):
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     lam = tp.spectral_gap(w)
     return tp.MixingMatrix(n=n, w=w, lam=lam)
+
+
+def reference_tune_er(n, target_lambda, tol, seed=0, samples_per_probe=16, max_steps=40):
+    """tune_er_probability as one graph at a time: each probe builds every
+    candidate's graph and matrix, and the bisection keeps the closest."""
+    p_lo = min(0.95, max(math.log(max(n, 2)) / n, 1.0 / (n - 1)))
+    best, means = None, []
+
+    def probe(p, step):
+        nonlocal best
+        lams = []
+        for k in range(samples_per_probe):
+            sub = int(np.random.SeedSequence((seed, step, k)).generate_state(1)[0])
+            g = reference_generate_er("erdos_renyi", n, seed=sub, p=p)
+            m = reference_metropolis_hastings(g)
+            gap = abs(m.lam - target_lambda)
+            if best is None or gap < best[0]:
+                best = (gap, g, m, p)
+            lams.append(m.lam)
+        means.append(float(np.mean(lams)))
+        return means[-1]
+
+    probe(p_lo, 0)
+    probe(1.0, 1)
+    lo, hi = p_lo, 1.0
+    for step in range(2, max_steps + 2):
+        mid = 0.5 * (lo + hi)
+        mean_mid = probe(mid, step)
+        if best[0] <= tol and abs(mean_mid - target_lambda) <= tol:
+            break
+        if mean_mid > target_lambda:
+            lo = mid
+        else:
+            hi = mid
+    gap, g, m, p = best
+    return tp.TuneResult(p=p, matrix=m, graph=g, lam=m.lam, converged=gap <= tol,
+                         lambda_range=(min(means), max(means)))
