@@ -25,11 +25,11 @@ cfg = alg.RunConfig(
 )
 
 print(f"\n{'iteration':>10} {'vanilla |xbar - x*|':>22} {'tracked |xbar - x*|':>22}")
-recs = {name: alg.run(name, cfg, 0, 0) for name in ("dsgd", "gt_dsgd")}
+recs = {name: alg.run(name, cfg, [0], [0]) for name in ("dsgd", "gt_dsgd")}
 for t in sorted(recs["dsgd"].snapshots):
-    errs = [np.linalg.norm(recs[n].snapshots[t].mean(axis=0) - x_star) for n in ("dsgd", "gt_dsgd")]
+    errs = [np.linalg.norm(recs[n].snapshots[t][0].mean(axis=0) - x_star) for n in ("dsgd", "gt_dsgd")]
     print(f"{t:>10} {errs[0]:>22.3e} {errs[1]:>22.3e}")
 
-final = {n: np.linalg.norm(r.final_x.mean(axis=0) - x_star) for n, r in recs.items()}
+final = {n: np.linalg.norm(r.final_x[0].mean(axis=0) - x_star) for n, r in recs.items()}
 print(f"\nafter 10^4 steps: vanilla error {final['dsgd']:.3e} (bias floor), "
       f"tracked error {final['gt_dsgd']:.3e} (exact convergence)")

@@ -40,17 +40,19 @@ __all__ = [
 
 
 class RunAbort(RuntimeError):
-    """A trajectory produced a non-finite update; carries (iteration, agent).
-
-    ``run_id`` is None unless a caller that steps one run at a time sets it.
-    """
-
-    run_id = None
+    """A run produced a non-finite update; carries (iteration, agent), and
+    ``run_id``, which the engine sets to the id of the run that aborted."""
 
     def __init__(self, iteration: int, agent: int, what: str):
         super().__init__(f"non-finite {what} at iteration {iteration}, agent {agent}")
         self.iteration = iteration
         self.agent = agent
+        self.what = what
+
+    def __reduce__(self):
+        # rebuilt from its arguments, so that an abort crosses a process
+        # boundary with its run_id
+        return (RunAbort, (self.iteration, self.agent, self.what), self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -85,34 +87,36 @@ class InverseTimeStep:
         return self.a / (self.mu * (t + self.t0))
 
 
-def _raise_nonfinite(t, stages):
+def _raise_nonfinite(t, run_ids, stages):
     """Raise RunAbort for the first run, then the first stage of that run,
     holding a non-finite entry, if any. Stages are (name, (B, n, d) array)."""
     bad = [(what, ~np.isfinite(arr)) for what, arr in stages if arr is not None]
-    for b in range(len(bad[0][1])):
+    for b, run_id in enumerate(run_ids):
         for what, mask in bad:
             if mask[b].any():
-                raise RunAbort(t, int(np.argwhere(mask[b])[0][0]), what)
+                exc = RunAbort(t, int(np.argwhere(mask[b])[0][0]), what)
+                exc.run_id = run_id
+                raise exc
 
 
 @dataclass
 class TrajectoryRecord:
-    """Per-iteration metrics of one run, or of a block of runs; optional raw
-    traces for checks and optional model snapshots.
+    """Per-iteration metrics of a block of B runs; optional raw traces for
+    checks and optional model snapshots.
 
-    Metric arrays are indexed by iteration 1..T (position t-1). When traces
-    are recorded, ``x_hist`` has T+1 entries (models at t = 1..T+1) while
+    ``seed`` and ``run_id`` are B-tuples, and every per-run array has a
+    leading run axis; one run is the block of one. Metric arrays are (B, T),
+    indexed by iteration 1..T (position t-1). When traces are recorded,
+    ``x_hist`` has T+1 entries per run (models at t = 1..T+1) while
     ``y_hist``/``g_hist``/``z_hist`` have T (values produced at t = 1..T).
-    ``snapshots`` maps t to a copy of the models at t, and is empty unless
-    ``RunConfig.record_stride`` asks for them. A block record holds tuples in
-    ``seed`` and ``run_id`` and a leading run axis on every per-run array,
-    and its snapshots map t to (B, n, d); ``split`` gives its runs. ``alpha``
-    is shared by all runs.
+    ``snapshots`` maps t to a copy of the (B, n, d) models at t, and is empty
+    unless ``RunConfig.record_stride`` asks for them. ``alpha`` is shared by
+    all runs.
     """
 
     algorithm: str
-    seed: int
-    run_id: int
+    seed: tuple
+    run_id: tuple
     T: int
     alpha: np.ndarray
     f_avg: np.ndarray
@@ -128,22 +132,18 @@ class TrajectoryRecord:
     z_hist: Optional[np.ndarray] = None
 
     def max_tracker_mean_residual(self) -> float:
-        """Worst || y_bar^t - g_bar^t || over the recorded trace, and over
-        the runs of a block record."""
+        """Worst || y_bar^t - g_bar^t || over the recorded trace and the runs."""
         if self.y_hist is None:
             raise ValueError("traces were not recorded")
         res = np.linalg.norm(self.y_hist.mean(axis=-2) - self.g_hist.mean(axis=-2), axis=-1)
         return float(res.max()) if res.size else 0.0
 
     def split(self) -> list:
-        """The per-run records of a block record, as views into its arrays;
-        a one-run record is returned alone."""
-        if not isinstance(self.run_id, tuple):
-            return [self]
+        """Each run of the block as a block of one, with views into its arrays."""
         return [
-            replace(self, seed=seed, run_id=run_id,
-                    snapshots={t: v[b] for t, v in self.snapshots.items()},
-                    **{k: None if getattr(self, k) is None else getattr(self, k)[b]
+            replace(self, seed=(seed,), run_id=(run_id,),
+                    snapshots={t: v[b:b + 1] for t, v in self.snapshots.items()},
+                    **{k: None if getattr(self, k) is None else getattr(self, k)[b:b + 1]
                        for k in _PER_RUN})
             for b, (seed, run_id) in enumerate(zip(self.seed, self.run_id))
         ]
@@ -179,24 +179,24 @@ def _sum_sq(v):
 _BLOCK = noise.CHUNK
 
 
-def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
-    """Execute T iterations, recording metrics each iteration.
+def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
+    """Execute T iterations of a block of runs, recording metrics each iteration.
 
-    ``seed`` and ``run_id`` are ints for one run, or equal-length sequences
-    for a block of B runs stepped together as one (B, n, d) state; a block
-    returns one record with a leading run axis (see TrajectoryRecord). Each
-    run is deterministic in (config, seed, run_id) and bitwise the same
-    alone or in any block, on any worker. The loop carries only the dynamics
-    and copies each iteration's models (and trackers) into a block buffer;
-    the metrics of a block are reduced in one pass.
+    ``seeds`` and ``run_ids`` are equal-length sequences naming B runs,
+    stepped together as one (B, n, d) state; one run is the block of one,
+    ``run(algorithm, config, [seed], [run_id])``. Each run is deterministic
+    in (config, seed, run_id) and bitwise the same in any block, on any
+    worker. A non-finite update raises RunAbort for the first run that has
+    one. The loop carries only the dynamics and copies each iteration's
+    models (and trackers) into a block buffer; the metrics of a block are
+    reduced in one pass.
     """
     if algorithm not in ("gt_dsgd", "dsgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    single = isinstance(run_id, (int, np.integer))
-    seeds = (int(seed),) if single else tuple(int(s) for s in seed)
-    run_ids = (int(run_id),) if single else tuple(int(r) for r in run_id)
+    seeds = tuple(int(s) for s in seeds)
+    run_ids = tuple(int(r) for r in run_ids)
     if len(seeds) != len(run_ids) or not seeds:
-        raise ValueError("seed and run_id must name the same, non-empty set of runs")
+        raise ValueError("seeds and run_ids must name the same, non-empty set of runs")
     tracked = algorithm == "gt_dsgd"
     e = config.ensemble
     n, d = config.x0.shape
@@ -266,7 +266,7 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
                 # one check covers all three stages, named on failure. A sum
                 # that overflows over finite entries is not a failure.
                 if not math.isfinite(x.sum()):
-                    _raise_nonfinite(t, (("oracle output", g),
+                    _raise_nonfinite(t, run_ids, (("oracle output", g),
                                          ("tracker update", y if tracked else None),
                                          ("model update", x)))
                 g_prev = g
@@ -294,7 +294,7 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
     if trace:
         xs[:, T] = x
 
-    rec = TrajectoryRecord(
+    return TrajectoryRecord(
         algorithm=algorithm,
         seed=seeds,
         run_id=run_ids,
@@ -312,7 +312,6 @@ def run(algorithm: str, config: RunConfig, seed, run_id) -> TrajectoryRecord:
         g_hist=g_hist if trace else None,
         z_hist=z_hist if trace else None,
     )
-    return rec.split()[0] if single else rec
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,18 @@ def _build_parser():
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load_config(args):
+    """The config of ``args.config``, with ``--seed-override`` as its master seed."""
     cfg = harness.load_config(args.config)
-    if args.seed_override is not None:
-        data = dict(cfg.data)
-        data["experiment"] = dict(data["experiment"], master_seed=args.seed_override)
-        cfg = harness.ExperimentConfig(data=data)
+    if args.seed_override is None:
+        return cfg
+    data = dict(cfg.data)
+    data["experiment"] = dict(data["experiment"], master_seed=args.seed_override)
+    return harness.ExperimentConfig(data=data)
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_config(args)
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     harness.check_formats(formats)  # before the run, not after it
     env = harness.run_experiment(cfg, workers=args.workers)
@@ -96,11 +102,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = harness.load_config(args.config)
-    if args.seed_override is not None:
-        data = dict(cfg.data)
-        data["experiment"] = dict(data["experiment"], master_seed=args.seed_override)
-        cfg = harness.ExperimentConfig(data=data)
+    cfg = _load_config(args)
     try:
         reports = harness.run_checks(cfg)
     except algorithms.RunAbort as exc:

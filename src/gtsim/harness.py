@@ -447,10 +447,13 @@ def _block_plan(R: int, n_algorithms: int, workers: int, size: int) -> list:
 
 
 def _run_block(run_cfg, block):
-    """A block record, or the block run again one run at a time if it aborts.
+    """The block's records in run order: one block record, or, if the block
+    aborts, each run stepped again as a block of one, giving its record or
+    its RunAbort.
 
     Outputs do not depend on the block size, so the runs that finish keep
-    their records and each abort names its own iteration, agent and stage.
+    their records and each abort names its own run, iteration, agent and
+    stage.
     """
     algorithm, seeds, run_ids = block
     try:
@@ -460,9 +463,9 @@ def _run_block(run_cfg, block):
     out = []
     for seed, run_id in zip(seeds, run_ids):
         try:
-            out.append(algorithms.run(algorithm, run_cfg, seed, run_id))
+            out.append(algorithms.run(algorithm, run_cfg, [seed], [run_id]))
         except algorithms.RunAbort as exc:
-            out.append(("abort", algorithm, run_id, str(exc)))
+            out.append(exc)
     return out
 
 
@@ -506,23 +509,22 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                                     chunksize=max(1, len(blocks) // (4 * workers))))
     else:
         results = [_run_block(run_cfg, b) for b in blocks]
-    results = [res for block in results for res in block]
 
     aborted = []
     per_alg = {alg: [] for alg in exp["algorithms"]}
-    for res in results:
-        if isinstance(res, tuple) and res and res[0] == "abort":
-            aborted.append({"algorithm": res[1], "run_id": res[2], "error": res[3]})
-        else:
-            per_alg[res.algorithm].extend(res.split())
+    for (alg, _, _), block_results in zip(blocks, results):
+        for res in block_results:
+            if isinstance(res, algorithms.RunAbort):
+                aborted.append({"algorithm": alg, "run_id": res.run_id, "error": str(res)})
+            else:
+                per_alg[alg].append(res)
 
     series = {}
     run_summaries = {}
-    fingerprint = cfg.fingerprint
     for alg, records in per_alg.items():
         if not records:
             continue
-        rs = metrics.RunSet(records=records, fingerprint=fingerprint)
+        rs = metrics.RunSet(records=records)
         summaries = {"R": rs.R, "T": rs.T}
         try:
             mse = metrics.empirical_mse(rs)
@@ -537,7 +539,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
 
     return ResultEnvelope(
         config=cfg.data,
-        fingerprint=fingerprint,
+        fingerprint=cfg.fingerprint,
         series=series,
         run_summaries=run_summaries,
         partial=bool(aborted),
@@ -546,27 +548,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     )
 
 
-def _check_block(run_cfg, seeds, run_ids):
-    """The traced block record of the check runs; if the block aborts, its
-    runs are stepped again one at a time and the first that aborts raises,
-    with ``run_id`` set."""
-    try:
-        return algorithms.run("gt_dsgd", run_cfg, seeds, run_ids)
-    except algorithms.RunAbort:
-        for seed, run_id in zip(seeds, run_ids):
-            try:
-                algorithms.run("gt_dsgd", run_cfg, seed, run_id)
-            except algorithms.RunAbort as exc:
-                exc.run_id = run_id
-                raise
-        raise
-
-
 def run_checks(cfg: ExperimentConfig) -> list:
     """Run the enabled trajectory/noise checks from the [checks] section.
 
     The check runs are stepped in blocks, in run order, and each trajectory
-    check takes a whole block record; the reports merge over the blocks.
+    check takes a whole block record; the reports merge over the blocks. A
+    run that aborts raises its RunAbort, the first in run order.
     """
     chk = cfg["checks"]
     exp = cfg["experiment"]
@@ -588,11 +575,13 @@ def run_checks(cfg: ExperimentConfig) -> list:
         R = chk["runs"]
         per_name = {name: [] for name, _ in trajectory_checks}
         for ids in _block_plan(R, 1, 1, _block_size(run_cfg)):
-            run_ids = list(ids)
-            seeds = [derive_run_seed(exp["master_seed"], "check", r) for r in run_ids]
-            rec = _check_block(run_cfg, seeds, run_ids)
+            seeds = [derive_run_seed(exp["master_seed"], "check", r) for r in ids]
+            results = _run_block(run_cfg, ("gt_dsgd", seeds, list(ids)))
+            for res in results:
+                if isinstance(res, algorithms.RunAbort):
+                    raise res
             for name, fn in trajectory_checks:
-                per_name[name].append(fn(rec))
+                per_name[name].extend(fn(rec) for rec in results)
         for name, _ in trajectory_checks:
             reports.append(theorycheck.merge_reports(name, per_name[name]))
 

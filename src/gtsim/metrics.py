@@ -29,14 +29,14 @@ __all__ = [
 
 @dataclass
 class RunSet:
-    """R repetitions of one configuration (same T, n, d, config hash)."""
+    """R repetitions of one configuration: block records in run order, all
+    with the same horizon T."""
 
     records: list
-    fingerprint: str = ""
 
     @property
     def R(self) -> int:
-        return len(self.records)
+        return sum(len(r.run_id) for r in self.records)
 
     @property
     def T(self) -> int:
@@ -63,21 +63,19 @@ class MetricSeries:
 
 
 def _per_run_statistic(rs: RunSet, statistic: str) -> np.ndarray:
-    """Matrix (R, T) of the requested per-iteration statistic."""
+    """Matrix (R, T) of the requested per-iteration statistic, in run order."""
     if statistic == "mse_to_opt":
-        out = np.stack([r.mse_to_opt for r in rs.records])
+        out = np.concatenate([r.mse_to_opt for r in rs.records])
         if np.isnan(out).any():
             raise ValueError("optimum unknown: mse_to_opt requires a known x*")
         return out
     if statistic == "running_stationarity":
         # (1/(n t)) sum_{tau <= t} sum_i ||grad f(x_i^tau)||^2; the records
         # store the inner sum, n recovered from final_x
-        rows = []
-        for r in rs.records:
-            n = r.final_x.shape[0]
-            t = np.arange(1, r.T + 1)
-            rows.append(np.cumsum(r.stationarity_sum) / (n * t))
-        return np.stack(rows)
+        n = rs.records[0].final_x.shape[-2]
+        t = np.arange(1, rs.T + 1)
+        sums = np.concatenate([r.stationarity_sum for r in rs.records])
+        return np.cumsum(sums, axis=1) / (n * t)
     raise ValueError(f"unknown statistic {statistic!r}")
 
 

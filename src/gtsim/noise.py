@@ -70,13 +70,10 @@ class GaussianOracle:
 
 @dataclass(frozen=True)
 class MinibatchOracle:
-    """Uniform without-replacement mini-batches over finite local datasets.
-
-    ``allow_full`` lifts the batch < m_i restriction for test fixtures only.
-    """
+    """Uniform without-replacement mini-batches over finite local datasets;
+    a batch is smaller than each local dataset."""
 
     batch_size: int
-    allow_full: bool = False
     kind = "minibatch"
 
     def __post_init__(self):
@@ -178,7 +175,7 @@ def _require_dataset(e):
 
 def _batch_of(o, e, i, gen):
     m = e.sample_count(i)
-    if o.batch_size > m or (o.batch_size == m and not o.allow_full):
+    if o.batch_size >= m:
         raise OracleError(f"batch_size {o.batch_size} must be < local dataset size {m}")
     return gen.choice(m, size=o.batch_size, replace=False)
 

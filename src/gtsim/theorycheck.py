@@ -6,10 +6,9 @@ slack below -1e-9 is a build bug, not statistical variation. The noise
 property checks are Monte-Carlo and pass at three standard errors.
 
 All checks are pure functions of recorded traces: re-running on the same
-trajectories yields identical reports. A trajectory check takes one run's
-record or a block record of several runs (see ``algorithms.run``) and
-computes the slack of every (run, t) at once, with the same floating-point
-operations per run either way.
+trajectories yields identical reports. A trajectory check takes a block
+record (see ``algorithms.run``) and computes the slack of every (run, t) at
+once, with the same floating-point operations per run in any block.
 """
 
 from __future__ import annotations
@@ -88,20 +87,13 @@ def merge_reports(name: str, reports) -> CheckReport:
     )
 
 
-def _traces(rec, run_label):
-    """The (x, y, g, z) traces with a leading run axis, and one label per run.
-
-    A block record's runs are labelled by their run ids; a one-run record is
-    the one-run block labelled ``run_label``.
-    """
+def _traces(rec):
+    """The (x, y, g, z) traces of a block record, each with a leading run axis."""
     if rec.x_hist is None or rec.z_hist is None:
         raise ValueError("this check needs a trajectory recorded with traces enabled")
     if rec.T < 1:
         raise ValueError("this check needs a trajectory of at least one iteration")
-    hists = (rec.x_hist, rec.y_hist, rec.g_hist, rec.z_hist)
-    if isinstance(rec.run_id, tuple):
-        return hists, rec.run_id
-    return tuple(h[None] for h in hists), (run_label,)
+    return rec.x_hist, rec.y_hist, rec.g_hist, rec.z_hist
 
 
 def _constant_alpha(rec) -> float:
@@ -152,7 +144,8 @@ def _dot(a, b) -> np.ndarray:
 
 
 def _report(name, slack, labels, t_first, details=None) -> CheckReport:
-    """Report on a (runs, K) slack array whose column k is iteration t_first + k."""
+    """Report on a (runs, K) slack array whose row r is run ``labels[r]`` and
+    whose column k is iteration t_first + k."""
     runs = len(labels)
     if slack.size == 0:
         return CheckReport(name, 0, 0.0, runs=runs)
@@ -168,7 +161,7 @@ def _report(name, slack, labels, t_first, details=None) -> CheckReport:
     )
 
 
-def check_descent(rec, e, run_label: int | None = None) -> CheckReport:
+def check_descent(rec, e) -> CheckReport:
     """Per-iteration descent inequality for the averaged model, fixed step.
 
     With alpha <= 1/(4L), for every t:
@@ -177,10 +170,8 @@ def check_descent(rec, e, run_label: int | None = None) -> CheckReport:
                          - alpha <grad f(xbar^t), zbar^t> + alpha^2 L ||zbar^t||^2
                          + (alpha L^2 / 2n) sum_i ||x_i^t - xbar^t||^2
                          - (alpha/4) ||gbar_exact^t||^2
-
-    ``rec`` is one run or a block of runs (see ``_traces``).
     """
-    (xs, _, gs, zs), labels = _traces(rec, run_label)
+    xs, _, gs, zs = _traces(rec)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     if alpha > descent_step_cap(L) * (1 + 1e-12):
@@ -200,15 +191,15 @@ def check_descent(rec, e, run_label: int | None = None) -> CheckReport:
         + alpha * L * L / (2.0 * n) * gap
         - 0.25 * alpha * _sqnorm(exact_bar, 1)
     )
-    return _report("descent", rhs - f[:, 1:], labels, 1)
+    return _report("descent", rhs - f[:, 1:], rec.run_id, 1)
 
 
-def check_descent_pl(rec, e, run_label: int | None = None) -> CheckReport:
+def check_descent_pl(rec, e) -> CheckReport:
     """Descent inequality with the (1 - alpha_t mu) contraction, PL costs.
 
     Needs alpha_t <= 1/(2L) for all recorded t and a known PL constant mu.
     """
-    (xs, _, _, zs), labels = _traces(rec, run_label)
+    xs, _, _, zs = _traces(rec)
     L = e.smoothness()
     mu = e.pl_constant()
     if mu is None:
@@ -229,10 +220,10 @@ def check_descent_pl(rec, e, run_label: int | None = None) -> CheckReport:
         + alpha * alpha * L * _sqnorm(zbar, 1)
         + alpha * L * L / (2.0 * n) * gap
     )
-    return _report("descent_pl", rhs - (f[:, 1:] - f_star), labels, 1)
+    return _report("descent_pl", rhs - (f[:, 1:] - f_star), rec.run_id, 1)
 
 
-def check_consensus_bound(rec, w, e, run_label: int | None = None) -> CheckReport:
+def check_consensus_bound(rec, w, e) -> CheckReport:
     """Summed consensus-gap bound over the horizon, fixed step.
 
     With alpha <= (1-lam^2)^2 / (16 lam^2 L sqrt(3)):
@@ -245,10 +236,10 @@ def check_consensus_bound(rec, w, e, run_label: int | None = None) -> CheckRepor
 
     where Dx is the initial consensus gap. All right-hand quantities come from
     the same recorded trajectory. One instance per run, at t = T; the sums
-    over t add one term at a time. ``details`` holds both sides: floats for
-    a one-run record, per-run lists for a block.
+    over t add one term at a time. ``details`` holds both sides, one entry
+    per run.
     """
-    (xs, ys, gs, zs), labels = _traces(rec, run_label)
+    xs, ys, gs, zs = _traces(rec)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     lam = float(w.lam)
@@ -271,14 +262,11 @@ def check_consensus_bound(rec, w, e, run_label: int | None = None) -> CheckRepor
         + 512.0 * alpha ** 2 * lam ** 4 / (n * one ** 4) * sum_z_sq
         + 768.0 * alpha ** 4 * lam ** 4 * L * L / one ** 4 * sum_avg_sq
     )
-    if isinstance(rec.run_id, tuple):
-        details = {"lhs": lhs.tolist(), "rhs": rhs.tolist()}
-    else:
-        details = {"lhs": float(lhs[0]), "rhs": float(rhs[0])}
-    return _report("consensus_bound", (rhs - lhs)[:, None], labels, rec.T, details)
+    details = {"lhs": lhs.tolist(), "rhs": rhs.tolist()}
+    return _report("consensus_bound", (rhs - lhs)[:, None], rec.run_id, rec.T, details)
 
 
-def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckReport:
+def check_tracker_recursion(rec, w, e) -> CheckReport:
     """One-step tracker-gap recursion, fixed step.
 
     With alpha <= (1-lam^2)^(3/2) / (4 lam^2 L sqrt(6)), for every t < T:
@@ -291,7 +279,7 @@ def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckRep
     (stacked norms over agents; gbar is the mean oracle output). With T = 1
     there is no instance and the worst slack is 0.
     """
-    (xs, ys, gs, zs), labels = _traces(rec, run_label)
+    xs, ys, gs, zs = _traces(rec)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     lam = float(w.lam)
@@ -307,7 +295,7 @@ def check_tracker_recursion(rec, w, e, run_label: int | None = None) -> CheckRep
         + 4.0 * lam * lam / one * _sqnorm(zs[:, 1:] - zs[:, :-1], 2)
         + 12.0 * alpha * alpha * lam * lam * L * L / one * n * _sqnorm(gs[:, :-1].mean(axis=-2), 1)
     )
-    return _report("tracker_recursion", rhs - y_gap[:, 1:], labels, 1)
+    return _report("tracker_recursion", rhs - y_gap[:, 1:], rec.run_id, 1)
 
 
 def _avg_mgf_exponent(total, m, sigma_sq):

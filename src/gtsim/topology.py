@@ -27,12 +27,11 @@ __all__ = [
     "load_matrix_csv",
 ]
 
-# Tolerances: stochasticity is checked at 1e-12 on generated matrices, the
-# spectral gap is resolved to 1e-10 (it only feeds diagnostics and
-# transient-time formulas).
+# Tolerances: stochasticity and symmetry are checked at 1e-12, and the
+# spectral gap is resolved to 1e-10: a matrix CSV's lambda must match the
+# matrix's own to that tolerance.
 STOCHASTIC_ATOL = 1e-12
 SPECTRAL_ATOL = 1e-10
-_POWER_ITER_CAP = 100_000
 _ER_RESAMPLE_CAP = 1000
 
 
@@ -201,12 +200,9 @@ def _symmetric_gap(diff) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
-def spectral_gap(w, atol: float = SPECTRAL_ATOL) -> float:
-    """Return ``||W - J||_2``, the second largest singular value of W.
-
-    Symmetric matrices go through a dense eigendecomposition; anything else
-    falls back to power iteration on ``(W-J)^T (W-J)``.
-    """
+def spectral_gap(w) -> float:
+    """Return ``||W - J||_2``, the second largest singular value of W, for a
+    symmetric doubly stochastic W, from a dense eigendecomposition."""
     mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
     n = mat.shape[0]
     if mat.shape != (n, n):
@@ -215,26 +211,10 @@ def spectral_gap(w, atol: float = SPECTRAL_ATOL) -> float:
     col_dev = np.max(np.abs(mat.sum(axis=0) - 1.0))
     if row_dev > 1e-9 or col_dev > 1e-9:
         raise GraphError("weight matrix is not doubly stochastic")
-    diff = mat - np.full((n, n), 1.0 / n)
-    if np.max(np.abs(diff - diff.T)) <= 1e-12:
-        return float(_symmetric_gap(diff))
-    # power iteration on M = D^T D; eigenvalue of M is the squared gap
-    m = diff.T @ diff
-    v = np.full(n, 1.0 / math.sqrt(n))
-    v[0] += 0.5  # deterministic symmetry-breaking start
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        mv = m @ v
-        norm = np.linalg.norm(mv)
-        if norm == 0.0:
-            return 0.0
-        v = mv / norm
-        est = float(v @ (m @ v))
-        if abs(est - prev) <= atol * atol:
-            return math.sqrt(max(est, 0.0))
-        prev = est
-    return math.sqrt(max(prev, 0.0))
+    sym_dev = np.max(np.abs(mat - mat.T))
+    if sym_dev > STOCHASTIC_ATOL:
+        raise GraphError(f"weight matrix is not symmetric (dev {sym_dev:.3e})")
+    return float(_symmetric_gap(mat - np.full((n, n), 1.0 / n)))
 
 
 @dataclass(frozen=True)
@@ -349,7 +329,8 @@ def save_matrix_csv(m: MixingMatrix, path) -> None:
 
 def load_matrix_csv(path) -> MixingMatrix:
     """Reload a mixing matrix written by :func:`save_matrix_csv`; raise
-    GraphError unless it is doubly stochastic and symmetric."""
+    GraphError unless it is doubly stochastic and symmetric and its header's
+    lambda is its spectral gap to within ``SPECTRAL_ATOL``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -369,4 +350,10 @@ def load_matrix_csv(path) -> MixingMatrix:
         raise GraphError(f"expected {n}x{n} matrix, got {w.shape}")
     m = MixingMatrix(n=n, w=w, lam=lam)
     m.validate()
+    # lambda sets the caps and slacks of the checks, so the header's value
+    # must be the matrix's own; it is kept as written, so a reload is bitwise
+    actual = spectral_gap(w)
+    if abs(actual - lam) > SPECTRAL_ATOL:
+        raise GraphError(f"matrix CSV header says lambda={lam!r}, but the matrix has "
+                         f"lambda={actual!r}")
     return m

@@ -66,7 +66,7 @@ def test_c02_tracking_identity():
                             x0=np.zeros((10, 5)), record_trace=True)
         worst = 0.0
         for s in range(10):
-            rec = alg.run("gt_dsgd", cfg, 100 + s, s)
+            rec = alg.run("gt_dsgd", cfg, [100 + s], [s])
             worst = max(worst, rec.max_tracker_mean_residual())
         assert worst <= 1e-10
 
@@ -80,12 +80,12 @@ def test_c03_centralized_reduction():
         x0 = np.tile([0.7, -0.2], (3, 1))
         cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.0),
                             schedule=alg.ConstantStep(0.1), T=200, x0=x0, record_trace=True)
-        rec = alg.run("gt_dsgd", cfg, 0, 0)
+        rec = alg.run("gt_dsgd", cfg, [0], [0])
         xc = np.array([0.7, -0.2])
         worst = 0.0
         for t in range(1, 201):
             xc = xc - 0.1 * (a @ xc + b)
-            worst = max(worst, float(np.max(np.abs(rec.x_hist[t] - xc))))
+            worst = max(worst, float(np.max(np.abs(rec.x_hist[0, t] - xc))))
         assert worst <= 1e-9
 
 
@@ -99,8 +99,8 @@ def test_c04_bias_floor_separation():
         cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.0),
                             schedule=alg.ConstantStep(1.0 / (8.0 * e.smoothness())),
                             T=10_000, x0=np.zeros((3, 2)))
-        err_dsgd = np.linalg.norm(alg.run("dsgd", cfg, 0, 0).final_x.mean(axis=0) - x_star)
-        err_gt = np.linalg.norm(alg.run("gt_dsgd", cfg, 0, 0).final_x.mean(axis=0) - x_star)
+        err_dsgd = np.linalg.norm(alg.run("dsgd", cfg, [0], [0]).final_x[0].mean(axis=0) - x_star)
+        err_gt = np.linalg.norm(alg.run("gt_dsgd", cfg, [0], [0]).final_x[0].mean(axis=0) - x_star)
         assert err_dsgd > 1e-3
         assert err_gt <= 1e-8
 
@@ -114,7 +114,7 @@ def test_c05_pathwise_lemma_suite():
 
         def traced(alpha, T, seeds):
             # one block record; every run has run id 0, so each is the run
-            # that run(cfg, seed, 0) gives
+            # that run(cfg, [seed], [0]) gives
             cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.5),
                                 schedule=alg.ConstantStep(alpha), T=T, x0=x0,
                                 record_trace=True)

@@ -22,9 +22,9 @@ def one_traced_step(w, e, x0, alpha):
     """The engine's first tracked step, checked against the reference loop."""
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(alpha), T=1,
                         x0=x0, record_trace=True)
-    rec = alg.run("gt_dsgd", cfg, 0, 0)
+    rec = alg.run("gt_dsgd", cfg, [0], [0])
     assert_records_identical(rec, reference_run("gt_dsgd", cfg, 0, 0))
-    return rec.y_hist[0], rec.x_hist[1]
+    return rec.y_hist[0, 0], rec.x_hist[0, 1]
 
 
 def test_one_step_hand_simulation():
@@ -51,7 +51,7 @@ def test_homogeneous_reduction_to_centralized_gd():
     e = costs.QuadraticEnsemble(np.stack([a] * 3), np.tile([1.0, -0.5], (3, 1)))
     x0 = np.tile([0.7, -0.2], (3, 1))
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(0.1), T=100, x0=x0)
-    rec = alg.run("gt_dsgd", cfg, 0, 0)
+    rec = alg.run("gt_dsgd", cfg, [0], [0])
     xc = np.array([0.7, -0.2])
     for _ in range(100):
         xc = xc - 0.1 * (a @ xc + np.array([1.0, -0.5]))
@@ -62,7 +62,7 @@ def test_dsgd_average_follows_centralized_gd_under_uniform_mixing():
     w, e = heterogeneous_pair()
     x0 = np.array([[1.0], [3.0]])
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(0.2), T=30, x0=x0)
-    rec = alg.run("dsgd", cfg, 0, 0)
+    rec = alg.run("dsgd", cfg, [0], [0])
     xbar = 2.0
     for _ in range(30):
         xbar = xbar - 0.2 * xbar  # grad f(x) = x for the averaged cost
@@ -79,8 +79,8 @@ def test_bias_floor_separation():
     x_star, _ = e.optimum()
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO,
                         schedule=alg.ConstantStep(1.0 / (8.0 * L)), T=10_000, x0=np.zeros((3, 2)))
-    err_d = np.linalg.norm(alg.run("dsgd", cfg, 0, 0).final_x.mean(axis=0) - x_star)
-    err_g = np.linalg.norm(alg.run("gt_dsgd", cfg, 0, 0).final_x.mean(axis=0) - x_star)
+    err_d = np.linalg.norm(alg.run("dsgd", cfg, [0], [0]).final_x[0].mean(axis=0) - x_star)
+    err_g = np.linalg.norm(alg.run("gt_dsgd", cfg, [0], [0]).final_x[0].mean(axis=0) - x_star)
     assert err_d > 1e-3
     assert err_g <= 1e-8
 
@@ -106,7 +106,7 @@ def traced_quadratic_runs(draw):
 @given(cfg=traced_quadratic_runs(), seed=st.integers(0, 2**64 - 1))
 def test_tracking_identity_under_noise(cfg, seed):
     # the tracker mean equals the gradient mean at every iteration
-    rec = alg.run("gt_dsgd", cfg, seed, 0)
+    rec = alg.run("gt_dsgd", cfg, [seed], [0])
     assert rec.max_tracker_mean_residual() <= 1e-10
 
 
@@ -125,9 +125,9 @@ def test_tracker_mean_residual_of_a_block_is_the_worst_of_its_runs():
 def test_average_dynamics_identity(cfg, seed):
     # mixing preserves the average: xbar^{t+1} = xbar^t - alpha_t gbar^t for both methods
     for algo in ("gt_dsgd", "dsgd"):
-        rec = alg.run(algo, cfg, seed, 0)
-        xbar = rec.x_hist.mean(axis=1)
-        gbar = rec.g_hist.mean(axis=1)
+        rec = alg.run(algo, cfg, [seed], [0])
+        xbar = rec.x_hist[0].mean(axis=1)
+        gbar = rec.g_hist[0].mean(axis=1)
         drift = np.linalg.norm(xbar[1:] - (xbar[:-1] - rec.alpha[:, None] * gbar), axis=1)
         assert drift.max() <= 1e-10
 
@@ -140,7 +140,7 @@ def test_run_matches_step_composition():
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=o, schedule=sched, T=40, x0=np.zeros((5, 3)))
     for algo in ("gt_dsgd", "dsgd"):
         ref = reference_run(algo, cfg, 9, 3)
-        assert np.array_equal(alg.run(algo, cfg, 9, 3).final_x, ref.final_x)
+        assert np.array_equal(alg.run(algo, cfg, [9], [3]).final_x, ref.final_x)
 
 
 def test_run_deterministic_in_seed_and_run_id():
@@ -148,12 +148,23 @@ def test_run_deterministic_in_seed_and_run_id():
     e = costs.make_synthetic_quadratics(4, 3, "a", seed=2)
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(1.0),
                         schedule=alg.ConstantStep(0.05), T=50, x0=np.zeros((4, 3)))
-    a = alg.run("gt_dsgd", cfg, 13, 2)
-    b = alg.run("gt_dsgd", cfg, 13, 2)
+    a = alg.run("gt_dsgd", cfg, [13], [2])
+    b = alg.run("gt_dsgd", cfg, [13], [2])
     assert np.array_equal(a.final_x, b.final_x)
     assert np.array_equal(a.mse_to_opt, b.mse_to_opt)
-    c = alg.run("gt_dsgd", cfg, 13, 3)
+    c = alg.run("gt_dsgd", cfg, [13], [3])
     assert not np.array_equal(a.final_x, c.final_x)
+
+
+def test_run_takes_sequences_of_seeds_and_run_ids_only():
+    cfg = alg.RunConfig(w=ring_matrix(3), ensemble=costs.make_synthetic_quadratics(3, 2, "a", seed=1),
+                        oracle=ZERO, schedule=alg.ConstantStep(0.1), T=2, x0=np.ones((3, 2)))
+    rec = alg.run("gt_dsgd", cfg, [4], [2])
+    assert (rec.seed, rec.run_id, rec.final_x.shape) == ((4,), (2,), (1, 3, 2))
+    with pytest.raises(TypeError):
+        alg.run("gt_dsgd", cfg, 4, 2)
+    with pytest.raises(ValueError, match="same, non-empty set of runs"):
+        alg.run("gt_dsgd", cfg, [4, 5], [2])
 
 
 def test_t_zero_returns_initial_only():
@@ -161,10 +172,10 @@ def test_t_zero_returns_initial_only():
     e = costs.make_synthetic_quadratics(3, 2, "a", seed=1)
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(0.1), T=0,
                         x0=np.ones((3, 2)))
-    rec = alg.run("gt_dsgd", cfg, 0, 0)
+    rec = alg.run("gt_dsgd", cfg, [0], [0])
     assert rec.T == 0
-    assert len(rec.f_avg) == 0
-    assert np.array_equal(rec.final_x, np.ones((3, 2)))
+    assert rec.f_avg.shape == (1, 0)
+    assert np.array_equal(rec.final_x, np.ones((1, 3, 2)))
 
 
 def test_nan_aborts_with_diagnostics():
@@ -174,8 +185,9 @@ def test_nan_aborts_with_diagnostics():
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=ZERO, schedule=alg.ConstantStep(1e300),
                         T=50, x0=np.ones((3, 1)))
     with pytest.raises(alg.RunAbort) as info:
-        alg.run("gt_dsgd", cfg, 0, 0)
+        alg.run("gt_dsgd", cfg, [0], [7])
     assert info.value.iteration >= 1
+    assert info.value.run_id == 7
 
 
 def test_schedule_values():

@@ -286,6 +286,18 @@ def test_run_rejects_a_matrix_csv_that_is_not_doubly_stochastic(tmp_path, capsys
     assert "not doubly stochastic" in capsys.readouterr().err
 
 
+def test_check_rejects_a_matrix_csv_whose_lambda_is_not_its_gap(tmp_path, capsys):
+    # lambda sets the consensus and tracker caps and slacks of the checks
+    cfg = matrix_csv_config(tmp_path, 'kind = "quadratic_synthetic"\nd = 3')
+    w = tmp_path / "w.csv"
+    lines = w.read_text().splitlines()
+    w.write_text("\n".join(["# n=4,lambda=0.1"] + lines[1:]) + "\n")
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("\n[checks]\nruns = 2\nconsensus = true\n")
+    assert cli(["check", str(cfg)]) == 1
+    assert "matrix CSV header says lambda=0.1, but the matrix has lambda=0.333" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("header, field", [("# n=3", "lambda"), ("# lambda=0.5", "n")],
                          ids=["no_lambda", "no_n"])
 def test_run_names_a_field_missing_from_the_matrix_csv_header(tmp_path, capsys, header, field):

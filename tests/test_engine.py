@@ -6,6 +6,7 @@ performs the same floating-point operations as a plain per-iteration loop.
 """
 
 import os
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -57,7 +58,7 @@ def run_configs(draw):
 @given(cfg=run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]), seed=SEEDS,
        run_id=st.integers(0, 1000))
 def test_engine_matches_reference_bitwise(cfg, algorithm, seed, run_id):
-    assert_records_identical(alg.run(algorithm, cfg, seed, run_id),
+    assert_records_identical(alg.run(algorithm, cfg, [seed], [run_id]),
                              reference_run(algorithm, cfg, seed, run_id))
 
 
@@ -74,7 +75,7 @@ def test_block_record_splits_into_the_per_run_records(cfg, algorithm, keys):
     runs = block.split()
     assert len(runs) == len(keys)
     for rec, (seed, run_id) in zip(runs, keys):
-        assert_records_identical(rec, alg.run(algorithm, cfg, seed, run_id))
+        assert_records_identical(rec, alg.run(algorithm, cfg, [seed], [run_id]))
         assert_records_identical(rec, reference_run(algorithm, cfg, seed, run_id))
 
 
@@ -89,12 +90,13 @@ def test_positive_record_stride_snapshots_iterations_1_plus_multiples(stride):
     block = alg.run("dsgd", cfg, *zip(*keys))
     assert list(block.snapshots) == expected
     for b, (seed, run_id) in enumerate(keys):
-        one = alg.run("dsgd", cfg, seed, run_id)
-        models = alg.run("dsgd", replace(cfg, record_stride=0, record_trace=True), seed, run_id).x_hist
+        one = alg.run("dsgd", cfg, [seed], [run_id])
+        models = alg.run("dsgd", replace(cfg, record_stride=0, record_trace=True),
+                         [seed], [run_id]).x_hist[0]
         assert list(one.snapshots) == expected
         # the engine reuses its block buffers, so equality at the end needs copies
         for t, x in one.snapshots.items():
-            assert x.shape == (3, 2)
+            assert x.shape == (1, 3, 2)
             assert x.tobytes() == models[t - 1].tobytes() == block.snapshots[t][b].tobytes()
     assert all(v.shape == (len(keys), 3, 2) for v in block.snapshots.values())
 
@@ -103,10 +105,10 @@ def test_record_stride_zero_records_no_snapshots_and_negative_is_rejected():
     cfg = alg.RunConfig(w=ring_matrix(3), ensemble=costs.make_synthetic_quadratics(3, 2, "a", seed=4),
                         oracle=noise.GaussianOracle(0.5), schedule=alg.ConstantStep(0.05),
                         T=B + 1, x0=np.ones((3, 2)))
-    assert alg.run("gt_dsgd", cfg, 1, 0).snapshots == {}
+    assert alg.run("gt_dsgd", cfg, [1], [0]).snapshots == {}
     assert alg.run("gt_dsgd", cfg, (1, 2), (0, 1)).snapshots == {}
     with pytest.raises(ValueError, match="record_stride"):
-        alg.run("gt_dsgd", replace(cfg, record_stride=-1), 1, 0)
+        alg.run("gt_dsgd", replace(cfg, record_stride=-1), [1], [0])
 
 
 class InfAtCall(costs.QuadraticEnsemble):
@@ -156,10 +158,41 @@ def test_abort_after_block_boundary_names_iteration_agent_and_stage(algorithm):
                              oracle=noise.GaussianOracle(0.3), schedule=alg.ConstantStep(0.1),
                              T=2 * B + 3, x0=np.ones((4, 2)))
 
-    exc = abort_of(alg.run, algorithm, config(), 5, 1)
-    assert (exc.iteration, exc.agent) == (B + 1, 2)
+    exc = abort_of(alg.run, algorithm, config(), [5], [1])
+    assert (exc.run_id, exc.iteration, exc.agent) == (1, B + 1, 2)
     assert str(exc) == f"non-finite oracle output at iteration {B + 1}, agent 2"
     assert str(abort_of(reference_run, algorithm, config(), 5, 1)) == str(exc)
+
+
+class InfInOneRun(costs.QuadraticEnsemble):
+    """grad_all gives inf for one agent of one run of a block at one call."""
+
+    def __init__(self, a, b, run, agent, call):
+        super().__init__(a, b)
+        self.run, self.agent, self.call, self.calls = run, agent, call, 0
+
+    def grad_all(self, x_rows):
+        self.calls += 1
+        g = super().grad_all(x_rows)
+        if self.calls == self.call:
+            g[self.run, self.agent] = np.inf
+        return g
+
+
+@pytest.mark.parametrize("run", [0, 1, 2])
+def test_a_block_abort_names_the_run_id_of_the_run_that_aborted(run):
+    e = InfInOneRun(np.stack([np.eye(2)] * 4), np.zeros((4, 2)), run=run, agent=3, call=B + 2)
+    cfg = alg.RunConfig(w=ring_matrix(4), ensemble=e, oracle=noise.GaussianOracle(0.3),
+                        schedule=alg.ConstantStep(0.1), T=2 * B, x0=np.ones((4, 2)))
+    run_ids = [40, 7, 19]
+    exc = abort_of(alg.run, "gt_dsgd", cfg, [5, 6, 8], run_ids)
+    assert (exc.run_id, exc.iteration, exc.agent) == (run_ids[run], B + 2, 3)
+    assert str(exc) == f"non-finite oracle output at iteration {B + 2}, agent 3"
+    # an abort crosses a process boundary whole, its run id included
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is alg.RunAbort
+    assert (str(again), again.run_id, again.iteration, again.agent) == (
+        str(exc), run_ids[run], B + 2, 3)
 
 
 @pytest.mark.parametrize("algorithm, ensemble, alpha, stage", [
@@ -173,10 +206,11 @@ def test_divergence_reports_the_same_stage_as_the_reference(algorithm, ensemble,
         return alg.RunConfig(w=ring_matrix(3), ensemble=e, oracle=noise.GaussianOracle(0.0),
                              schedule=alg.ConstantStep(alpha), T=B + 5, x0=np.ones((3, 1)))
 
-    exc = abort_of(alg.run, algorithm, config(), 0, 0)
+    exc = abort_of(alg.run, algorithm, config(), [0], [0])
     ref = abort_of(reference_run, algorithm, config(), 0, 0)
     assert stage in str(exc)
-    assert (str(exc), exc.iteration, exc.agent) == (str(ref), ref.iteration, ref.agent)
+    assert (str(exc), exc.run_id, exc.iteration, exc.agent) == (
+        str(ref), ref.run_id, ref.iteration, ref.agent)
 
 
 def test_finite_models_whose_sum_overflows_do_not_abort():
@@ -184,7 +218,7 @@ def test_finite_models_whose_sum_overflows_do_not_abort():
     e = costs.QuadraticEnsemble(np.stack([1e-300 * np.eye(2)] * 3), np.zeros((3, 2)))
     cfg = alg.RunConfig(w=ring_matrix(3), ensemble=e, oracle=noise.GaussianOracle(0.0),
                         schedule=alg.ConstantStep(0.1), T=3, x0=np.full((3, 2), 1e308))
-    rec = alg.run("gt_dsgd", cfg, 0, 0)
+    rec = alg.run("gt_dsgd", cfg, [0], [0])
     assert np.all(np.isfinite(rec.final_x))
     assert_records_identical(rec, reference_run("gt_dsgd", cfg, 0, 0))
 

@@ -223,10 +223,9 @@ def test_experiment_runs_record_no_snapshots(tmp_path, workers):
     cfg = experiment_cfg(tmp_path)
     run = alg.run
 
-    def spy(algorithm, config, seed, run_id):
-        rec = run(algorithm, config, seed, run_id)
-        ids = run_id if isinstance(run_id, list) else [run_id]
-        for r in ids:
+    def spy(algorithm, config, seeds, run_ids):
+        rec = run(algorithm, config, seeds, run_ids)
+        for r in run_ids:
             (tmp_path / f"{os.getpid()}-{algorithm}-{r}").write_text(
                 f"{config.record_stride} {len(rec.snapshots)}")
         return rec
@@ -399,14 +398,15 @@ def test_abort_in_a_block_leaves_the_other_runs_unchanged(bound, algorithm, run_
                         schedule=alg.ConstantStep(0.1), T=T, x0=np.zeros((4, 2)))
     seeds = [harness.derive_run_seed(3, algorithm, r) for r in run_ids]
     results = harness._run_block(cfg, (algorithm, seeds, run_ids))
-    if len(results) == 1 and not isinstance(results[0], tuple):
+    if len(results) == 1 and not isinstance(results[0], alg.RunAbort):
         results = results[0].split()
     assert len(results) == len(run_ids)
     for res, seed, run_id in zip(results, seeds, run_ids):
         try:
-            alone = alg.run(algorithm, cfg, seed, run_id)
+            alone = alg.run(algorithm, cfg, [seed], [run_id])
         except alg.RunAbort as exc:
-            assert res == ("abort", algorithm, run_id, str(exc))
+            assert isinstance(res, alg.RunAbort)
+            assert (res.run_id, str(res)) == (run_id, str(exc))
         else:
             assert_records_identical(res, alone)
 
@@ -428,16 +428,41 @@ def test_check_block_abort_names_the_first_aborting_run():
     alone = []
     for r, seed in enumerate(seeds):
         try:
-            alg.run("gt_dsgd", run_cfg, seed, r)
+            alg.run("gt_dsgd", run_cfg, [seed], [r])
         except alg.RunAbort as exc:
             alone.append((r, str(exc), exc.iteration))
     assert [r for r, _, _ in alone] == [1, 2] and alone[1][2] < alone[0][2]
     assert harness._block_size(run_cfg) >= 4
     with pytest.raises(alg.RunAbort) as block:
         alg.run("gt_dsgd", run_cfg, seeds, [0, 1, 2, 3])
-    assert block.value.iteration == alone[1][2]
+    assert (block.value.run_id, block.value.iteration) == (2, alone[1][2])
 
     with mock.patch.object(harness, "build_run_config", lambda cfg, record_trace: run_cfg):
         with pytest.raises(alg.RunAbort) as info:
             harness.run_checks(cfg)
     assert (info.value.run_id, str(info.value)) == alone[0][:2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_lists_aborted_runs_in_run_order_and_aggregates_the_rest(tmp_path, workers):
+    cfg = experiment_cfg(tmp_path, R=6)
+    run_cfg = alg.RunConfig(w=ring_matrix(4), ensemble=InfPastBound(np.stack([np.eye(3)] * 4),
+                                                                    np.zeros((4, 3)), 0.3),
+                            oracle=noise.GaussianOracle(1.0), schedule=alg.ConstantStep(0.1),
+                            T=40, x0=np.zeros((4, 3)))
+    exp = cfg["experiment"]
+    expected, finished = [], {}
+    for algorithm in exp["algorithms"]:
+        finished[algorithm] = 0
+        for r in range(exp["R"]):
+            seed = harness.derive_run_seed(exp["master_seed"], algorithm, r)
+            try:
+                alg.run(algorithm, run_cfg, [seed], [r])
+                finished[algorithm] += 1
+            except alg.RunAbort as exc:
+                expected.append({"algorithm": algorithm, "run_id": r, "error": str(exc)})
+    # some runs abort and some finish, in each algorithm
+    assert all(0 < k < exp["R"] for k in finished.values())
+    env = harness.run_experiment(cfg, workers=workers, run_cfg=run_cfg)
+    assert env.partial and env.aborted == expected
+    assert {a: s["R"] for a, s in env.run_summaries.items()} == finished

@@ -1,24 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtsim import algorithms as alg, metrics
 
 
+def block_record(mse, statio, n=2):
+    """A block record carrying prescribed (B, T) mse and stationarity rows."""
+    B, T = mse.shape
+    zeros = np.zeros((B, T))
+    return alg.TrajectoryRecord(
+        algorithm="gt_dsgd", seed=tuple(range(B)), run_id=tuple(range(B)), T=T,
+        alpha=np.full(T, 0.1), f_avg=zeros, mse_to_opt=mse, consensus_gap=zeros,
+        tracker_gap=zeros, stationarity_sum=statio, final_x=np.zeros((B, n, 3)),
+    )
+
+
 def fake_record(mse_rows=None, statio=None, n=2, T=None):
-    """Build a TrajectoryRecord carrying prescribed metric series."""
+    """A block record of one run carrying prescribed metric series."""
     if mse_rows is not None:
         T = len(mse_rows)
     elif statio is not None:
         T = len(statio)
-    zeros = np.zeros(T)
-    return alg.TrajectoryRecord(
-        algorithm="gt_dsgd", seed=0, run_id=0, T=T,
-        alpha=np.full(T, 0.1), f_avg=zeros.copy(),
-        mse_to_opt=np.array(mse_rows if mse_rows is not None else [np.nan] * T),
-        consensus_gap=zeros.copy(), tracker_gap=zeros.copy(),
-        stationarity_sum=np.array(statio if statio is not None else zeros),
-        final_x=np.zeros((n, 3)),
-    )
+    mse = np.array([mse_rows if mse_rows is not None else [np.nan] * T])
+    return block_record(mse, np.array([statio if statio is not None else [0.0] * T]), n)
 
 
 def runset(rows):
@@ -87,6 +92,28 @@ def test_running_stationarity_statistic():
     series = metrics.empirical_tail_probability(rs, "running_stationarity", 1.4)
     # G^t = cumsum / (n t): [1.0, 1.5, 2.0] against eps = 1.4
     assert list(series.values) == [0.0, 1.0, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=st.integers(1, 12), T=st.integers(0, 40), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_per_run_statistic_of_blocks_is_the_stack_of_per_run_rows(R, T, n, seed, data):
+    # R runs cut into blocks at random, as the harness steps them
+    rng = np.random.default_rng(seed)
+    mse = rng.random((R, T)) * 10.0 ** rng.uniform(-3, 3, (R, 1))
+    statio = rng.random((R, T)) * 10.0 ** rng.uniform(-3, 3, (R, 1))
+    cuts = data.draw(st.lists(st.booleans(), min_size=R - 1, max_size=R - 1))
+    bounds = [0] + [b + 1 for b, cut in enumerate(cuts) if cut] + [R]
+    rs = metrics.RunSet(records=[block_record(mse[lo:hi], statio[lo:hi], n)
+                                 for lo, hi in zip(bounds, bounds[1:])])
+    assert rs.R == R
+    t = np.arange(1, T + 1)
+    rows = {"mse_to_opt": np.stack([row for row in mse]),
+            "running_stationarity": np.stack([np.cumsum(row) / (n * t) for row in statio])}
+    for statistic, expected in rows.items():
+        got = metrics._per_run_statistic(rs, statistic)
+        assert got.shape == expected.shape == (R, T)
+        assert got.tobytes() == expected.tobytes(), statistic
 
 
 def test_consensus_gap_examples():

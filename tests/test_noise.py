@@ -54,15 +54,13 @@ def test_block_matches_per_agent_calls():
                 assert np.array_equal(block[b, i], e.grad_local(i, x[b, i]) + 0.8 * z[i])
 
 
-def test_minibatch_full_average_in_test_mode():
+def test_grad_batch_over_every_sample_is_the_local_gradient():
     rng = np.random.default_rng(1)
     e = costs.LogisticEnsemble(
         [rng.standard_normal((6, 3))], [rng.choice([-1.0, 1.0], size=6)], eta=0.0
     )
-    o = noise.MinibatchOracle(batch_size=6, allow_full=True)
-    x = rng.standard_normal((1, 3))
-    g = draw(o, e, x, 1, 0, 1)
-    assert np.allclose(g[0], e.grad_local(0, x[0]), atol=1e-12)
+    x = rng.standard_normal(3)
+    assert np.allclose(e.grad_batch(0, x, np.arange(6)), e.grad_local(0, x), atol=1e-12)
 
 
 def test_minibatch_requires_dataset():

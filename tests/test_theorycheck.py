@@ -23,7 +23,7 @@ def traced_run(w, e, oracle, alpha, T, seed, x0=None, algorithm="gt_dsgd"):
     x0 = np.zeros((e.n, e.d)) if x0 is None else x0
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=oracle, schedule=alg.ConstantStep(alpha),
                         T=T, x0=x0, record_trace=True)
-    return alg.run(algorithm, cfg, seed, 0)
+    return alg.run(algorithm, cfg, [seed], [0])
 
 
 def test_descent_zero_noise_500_steps():
@@ -45,7 +45,7 @@ def test_descent_single_agent_collapse():
     report = tc.check_descent(rec, e)
     assert report.passed
     # with one agent and no noise the inequality is plain descent along GD
-    f = e.value_global(rec.x_hist.mean(axis=1))
+    f = e.value_global(rec.x_hist[0].mean(axis=1))
     for t in range(1, rec.T + 1):
         assert f[t] <= f[t - 1] + 1e-12
 
@@ -57,7 +57,7 @@ def test_descent_noisy_multi_seed():
     reports = []
     for s in range(50):
         rec = traced_run(w, e, noise.GaussianOracle(0.5), alpha, 60, s)
-        reports.append(tc.check_descent(rec, e, run_label=s))
+        reports.append(tc.check_descent(rec, e))
     merged = tc.merge_reports("descent", reports)
     assert merged.passed
     assert merged.instances == 50 * 60
@@ -90,7 +90,7 @@ def test_descent_pl_single_agent_and_noisy_seeds():
     e = quad_ensemble(seed=3)
     alpha = 1.0 / (4.0 * e.smoothness())
     reports = [
-        tc.check_descent_pl(traced_run(w, e, noise.GaussianOracle(0.4), alpha, 60, s), e, s)
+        tc.check_descent_pl(traced_run(w, e, noise.GaussianOracle(0.4), alpha, 60, s), e)
         for s in range(50)
     ]
     assert tc.merge_reports("descent_pl", reports).passed
@@ -103,7 +103,7 @@ def test_descent_pl_supports_schedule():
     sched = alg.InverseTimeStep(a=6.0, mu=mu, t0=max(12.0 * L / mu, 6.0 / mu))
     cfg = alg.RunConfig(w=w, ensemble=e, oracle=noise.GaussianOracle(0.3), schedule=sched,
                         T=200, x0=np.zeros((3, 4)), record_trace=True)
-    rec = alg.run("gt_dsgd", cfg, 5, 0)
+    rec = alg.run("gt_dsgd", cfg, [5], [0])
     assert tc.check_descent_pl(rec, e).passed
 
 
@@ -115,11 +115,11 @@ def test_consensus_bound_zero_noise_and_noisy():
     rec = traced_run(w, e, noise.GaussianOracle(0.0), 0.9 * cap, 300, 0, x0=x0)
     rep = tc.check_consensus_bound(rec, w, e)
     assert rep.passed
-    assert rep.details["rhs"] >= rep.details["lhs"]
+    assert rep.details["rhs"][0] >= rep.details["lhs"][0]
 
     reports = [
         tc.check_consensus_bound(
-            traced_run(w, e, noise.GaussianOracle(0.5), 0.9 * cap, 120, s, x0=x0), w, e, s)
+            traced_run(w, e, noise.GaussianOracle(0.5), 0.9 * cap, 120, s, x0=x0), w, e)
         for s in range(20)
     ]
     assert tc.merge_reports("consensus_bound", reports).passed
@@ -132,7 +132,7 @@ def test_consensus_bound_uniform_matrix_degenerate():
     rec = traced_run(w, e, noise.GaussianOracle(0.0), 1.0 / (8 * e.smoothness()), 50, 0)
     rep = tc.check_consensus_bound(rec, w, e)
     assert rep.passed
-    assert rep.details["lhs"] <= 1e-20
+    assert rep.details["lhs"][0] <= 1e-20
 
 
 def test_consensus_bound_rejects_cap_violation():
@@ -154,7 +154,7 @@ def test_tracker_recursion_zero_noise_noisy_and_degenerate():
 
     reports = [
         tc.check_tracker_recursion(
-            traced_run(w, e, noise.GaussianOracle(0.5), 0.9 * cap, 120, s, x0=x0), w, e, s)
+            traced_run(w, e, noise.GaussianOracle(0.5), 0.9 * cap, 120, s, x0=x0), w, e)
         for s in range(20)
     ]
     merged = tc.merge_reports("tracker_recursion", reports)
@@ -307,8 +307,8 @@ def test_array_checks_match_the_reference_loops_bitwise(cases, tol):
         for check, reference, rec, args in cases:
             refs = []
             for run in rec.split():
-                ref = reference(run, *args, run_label=run.run_id)
-                assert report_key(check(run, *args, run_label=run.run_id)) == report_key(ref)
+                ref = reference(run, *args)
+                assert report_key(check(run, *args)) == report_key(ref)
                 refs.append(ref)
             assert report_key(check(rec, *args)) == report_key(tc.merge_reports(ref.name, refs))
 
@@ -333,7 +333,7 @@ def test_worst_slack_location_is_reported():
     rep = tc.check_descent(rec, e)
     run, t = rep.worst_at
     alone = tc.check_descent(rec.split()[run - 4], e)
-    assert alone.worst_slack == rep.worst_slack and alone.worst_at == (None, t)
+    assert alone.worst_slack == rep.worst_slack and alone.worst_at == (run, t)
     assert rep.summary().endswith(f"at run {run}, t {t})")
     assert (rep.instances, rep.runs) == (3 * 40, 3)
 
@@ -343,4 +343,4 @@ def test_checks_reject_a_trace_without_iterations():
                         schedule=alg.ConstantStep(0.01), T=0, x0=np.zeros((3, 4)),
                         record_trace=True)
     with pytest.raises(ValueError, match="at least one iteration"):
-        tc.check_descent(alg.run("gt_dsgd", cfg, 0, 0), quad_ensemble())
+        tc.check_descent(alg.run("gt_dsgd", cfg, [0], [0]), quad_ensemble())

@@ -87,14 +87,12 @@ def test_spectral_gap_matches_dense_eigensolver():
         assert 0.0 <= m.lam < 1.0
 
 
-def test_spectral_gap_power_iteration_branch():
+def test_spectral_gap_rejects_non_symmetric_input():
     # doubly stochastic but non-symmetric: a circulant permutation blend
     n = 5
-    p = np.roll(np.eye(n), 1, axis=1)
-    w = 0.6 * np.eye(n) + 0.4 * p
-    j = np.full((n, n), 1.0 / n)
-    oracle = np.linalg.svd(w - j, compute_uv=False)[0]
-    assert abs(tp.spectral_gap(w) - oracle) <= 1e-8
+    w = 0.6 * np.eye(n) + 0.4 * np.roll(np.eye(n), 1, axis=1)
+    with pytest.raises(tp.GraphError, match="not symmetric"):
+        tp.spectral_gap(w)
 
 
 def test_spectral_gap_rejects_non_stochastic():
@@ -281,3 +279,29 @@ def test_matrix_csv_roundtrip(tmp_path):
     assert loaded.n == m.n
     assert np.array_equal(loaded.w, m.w)  # bit-identical
     assert loaded.lam == m.lam
+
+
+def with_header(path, header):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+
+
+def test_matrix_csv_whose_lambda_is_not_the_matrix_gap_is_rejected(tmp_path):
+    m = tp.metropolis_hastings(tp.generate_graph("ring", 6))
+    path = tmp_path / "w.csv"
+    tp.save_matrix_csv(m, path)
+    with_header(path, "# n=6,lambda=0.1")
+    with pytest.raises(tp.GraphError) as info:
+        tp.load_matrix_csv(path)
+    assert str(info.value) == (f"matrix CSV header says lambda=0.1, but the matrix has "
+                               f"lambda={tp.spectral_gap(m.w)!r}")
+    assert abs(m.lam - 2.0 / 3.0) <= 1e-12
+
+
+def test_matrix_csv_lambda_within_the_spectral_tolerance_is_kept_as_written(tmp_path):
+    m = tp.metropolis_hastings(tp.generate_graph("ring", 6))
+    path = tmp_path / "w.csv"
+    tp.save_matrix_csv(m, path)
+    lam = m.lam + 0.5 * tp.SPECTRAL_ATOL
+    with_header(path, f"# n=6,lambda={lam!r}")
+    assert tp.load_matrix_csv(path).lam == lam

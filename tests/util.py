@@ -82,14 +82,16 @@ def _reference_oracle(o, e, x, seed, run_id, t, alpha, gg):
     return exact + o.s * scale[:, None] * z, exact
 
 
-def _reference_guard(arr, t, what):
+def _reference_guard(arr, t, what, run_id):
     bad = ~np.isfinite(arr)
     if bad.any():
-        raise alg.RunAbort(t, int(np.argwhere(bad)[0][0]), what)
+        exc = alg.RunAbort(t, int(np.argwhere(bad)[0][0]), what)
+        exc.run_id = run_id
+        raise exc
 
 
 def reference_run(algorithm, config, seed, run_id):
-    """The trajectory record of one run, computed one iteration at a time."""
+    """The record of one run, as a block of one, computed one iteration at a time."""
     tracked = algorithm == "gt_dsgd"
     e, o = config.ensemble, config.oracle
     n, d = config.x0.shape
@@ -128,16 +130,16 @@ def reference_run(algorithm, config, seed, run_id):
                 rec["snapshots"][t] = x.copy()
 
             g, exact = _reference_oracle(o, e, x, seed, run_id, t, alpha, gg)
-            _reference_guard(g, t, "oracle output")
+            _reference_guard(g, t, "oracle output", run_id)
             if tracked:
                 y = w @ (y + g - g_prev)
-                _reference_guard(y, t, "tracker update")
+                _reference_guard(y, t, "tracker update", run_id)
                 x = w @ (x - alpha * y)
                 ydev = y - y.sum(axis=0) * (1.0 / n)
                 rec["tracker_gap"][i] = (ydev * ydev).sum() * (1.0 / n)
             else:
                 x = w @ (x - alpha * g)
-            _reference_guard(x, t, "model update")
+            _reference_guard(x, t, "model update", run_id)
             g_prev = g
             if trace:
                 y_hist[i] = y
@@ -145,8 +147,11 @@ def reference_run(algorithm, config, seed, run_id):
                 z_hist[i] = g - (e.grad_all(x_hist[i]) if exact is None else exact)
     x_hist[T] = x
     hists = dict(x_hist=x_hist, y_hist=y_hist, g_hist=g_hist, z_hist=z_hist) if trace else {}
-    return alg.TrajectoryRecord(algorithm=algorithm, seed=seed, run_id=run_id, T=T,
-                                final_x=x.copy(), **rec, **hists)
+    alpha, snapshots = rec.pop("alpha"), rec.pop("snapshots")
+    per_run = {k: v[None] for k, v in dict(rec, final_x=x, **hists).items()}
+    return alg.TrajectoryRecord(algorithm=algorithm, seed=(seed,), run_id=(run_id,), T=T,
+                                alpha=alpha, snapshots={t: v[None] for t, v in snapshots.items()},
+                                **per_run)
 
 
 def assert_records_identical(a, b):
@@ -168,8 +173,8 @@ def assert_records_identical(a, b):
 
 # ---------------------------------------------------------------------------
 # Reference pathwise checks: the inequalities evaluated one run and one
-# iteration at a time, on per-point cost calls. They skip the step-size cap
-# validation and return the report of one run.
+# iteration at a time, on per-point cost calls. They take a block of one,
+# skip the step-size cap validation and return the report of its run.
 # ---------------------------------------------------------------------------
 
 def _sq(v):
@@ -177,30 +182,37 @@ def _sq(v):
     return float(np.sum(v * v))
 
 
-def _reference_report(name, slacks, run_label, t_first):
+def _one_run(rec):
+    """The run id and the (x, y, g, z) traces of a block of one."""
+    (run_id,) = rec.run_id
+    return run_id, rec.x_hist[0], rec.y_hist[0], rec.g_hist[0], rec.z_hist[0]
+
+
+def _reference_report(name, slacks, run_id, t_first):
     """Report on one run's slacks, in t order from t_first; worst first-seen."""
     worst, worst_at, violations = math.inf, None, []
     for k, slack in enumerate(slacks):
         t = t_first + k
         if slack < worst:
-            worst, worst_at = slack, (run_label, t)
+            worst, worst_at = slack, (run_id, t)
         if slack < tc.SLACK_TOL:
-            violations.append((run_label, t))
+            violations.append((run_id, t))
     if not slacks:
         worst = 0.0
     return tc.CheckReport(name, len(slacks), worst, violations, worst_at=worst_at)
 
 
-def reference_check_descent(rec, e, run_label=None):
+def reference_check_descent(rec, e):
+    run_id, x_hist, y_hist, g_hist, z_hist = _one_run(rec)
     alpha = float(rec.alpha[0])
     L = e.smoothness()
-    T, n = rec.T, rec.x_hist.shape[1]
+    T, n = rec.T, x_hist.shape[1]
     slacks = []
     for t in range(1, T + 1):
-        x = rec.x_hist[t - 1]
+        x = x_hist[t - 1]
         xbar = x.mean(axis=0)
-        zbar = rec.z_hist[t - 1].mean(axis=0)
-        exact_bar = (rec.g_hist[t - 1] - rec.z_hist[t - 1]).mean(axis=0)
+        zbar = z_hist[t - 1].mean(axis=0)
+        exact_bar = (g_hist[t - 1] - z_hist[t - 1]).mean(axis=0)
         grad_bar = e.grad_global(xbar)
         gap = _sq(x - xbar)
         rhs = (
@@ -211,22 +223,23 @@ def reference_check_descent(rec, e, run_label=None):
             + alpha * L * L / (2.0 * n) * gap
             - 0.25 * alpha * _sq(exact_bar)
         )
-        lhs = e.value_global(rec.x_hist[t].mean(axis=0))
+        lhs = e.value_global(x_hist[t].mean(axis=0))
         slacks.append(rhs - lhs)
-    return _reference_report("descent", slacks, run_label, 1)
+    return _reference_report("descent", slacks, run_id, 1)
 
 
-def reference_check_descent_pl(rec, e, run_label=None):
+def reference_check_descent_pl(rec, e):
+    run_id, x_hist, y_hist, g_hist, z_hist = _one_run(rec)
     L = e.smoothness()
     mu = e.pl_constant()
     _, f_star = e.optimum()
-    T, n = rec.T, rec.x_hist.shape[1]
+    T, n = rec.T, x_hist.shape[1]
     slacks = []
     for t in range(1, T + 1):
         alpha = float(rec.alpha[t - 1])
-        x = rec.x_hist[t - 1]
+        x = x_hist[t - 1]
         xbar = x.mean(axis=0)
-        zbar = rec.z_hist[t - 1].mean(axis=0)
+        zbar = z_hist[t - 1].mean(axis=0)
         grad_bar = e.grad_global(xbar)
         gap = _sq(x - xbar)
         rhs = (
@@ -235,30 +248,31 @@ def reference_check_descent_pl(rec, e, run_label=None):
             + alpha * alpha * L * _sq(zbar)
             + alpha * L * L / (2.0 * n) * gap
         )
-        lhs = e.value_global(rec.x_hist[t].mean(axis=0)) - f_star
+        lhs = e.value_global(x_hist[t].mean(axis=0)) - f_star
         slacks.append(rhs - lhs)
-    return _reference_report("descent_pl", slacks, run_label, 1)
+    return _reference_report("descent_pl", slacks, run_id, 1)
 
 
-def reference_check_consensus_bound(rec, w, e, run_label=None):
+def reference_check_consensus_bound(rec, w, e):
+    run_id, x_hist, y_hist, g_hist, z_hist = _one_run(rec)
     alpha = float(rec.alpha[0])
     L = e.smoothness()
     lam = float(w.lam)
     one = 1.0 - lam * lam
-    T, n = rec.T, rec.x_hist.shape[1]
+    T, n = rec.T, x_hist.shape[1]
     lhs = 0.0
     sum_z_sq = 0.0
     sum_avg_sq = 0.0
     for t in range(1, T + 1):
-        x = rec.x_hist[t - 1]
+        x = x_hist[t - 1]
         lhs += _sq(x - x.mean(axis=0)) / n
-        z = rec.z_hist[t - 1]
+        z = z_hist[t - 1]
         sum_z_sq += _sq(z)
-        exact_bar = (rec.g_hist[t - 1] - z).mean(axis=0)
+        exact_bar = (g_hist[t - 1] - z).mean(axis=0)
         sum_avg_sq += _sq(exact_bar) + _sq(z.mean(axis=0))
-    x1 = rec.x_hist[0]
+    x1 = x_hist[0]
     delta_x = _sq(x1 - x1.mean(axis=0)) / n
-    y1 = rec.y_hist[0]
+    y1 = y_hist[0]
     y1_gap = _sq(y1 - y1.mean(axis=0))
     rhs = (
         4.0 * delta_x / one
@@ -266,23 +280,24 @@ def reference_check_consensus_bound(rec, w, e, run_label=None):
         + 512.0 * alpha ** 2 * lam ** 4 / (n * one ** 4) * sum_z_sq
         + 768.0 * alpha ** 4 * lam ** 4 * L * L / one ** 4 * sum_avg_sq
     )
-    return _reference_report("consensus_bound", [rhs - lhs], run_label, T)
+    return _reference_report("consensus_bound", [rhs - lhs], run_id, T)
 
 
-def reference_check_tracker_recursion(rec, w, e, run_label=None):
+def reference_check_tracker_recursion(rec, w, e):
+    run_id, x_hist, y_hist, g_hist, z_hist = _one_run(rec)
     alpha = float(rec.alpha[0])
     L = e.smoothness()
     lam = float(w.lam)
     one = 1.0 - lam * lam
-    T, n = rec.T, rec.x_hist.shape[1]
+    T, n = rec.T, x_hist.shape[1]
     slacks = []
     for t in range(1, T):
-        y_now = rec.y_hist[t - 1]
-        y_next = rec.y_hist[t]
-        x = rec.x_hist[t - 1]
-        z_now = rec.z_hist[t - 1]
-        z_next = rec.z_hist[t]
-        gbar = rec.g_hist[t - 1].mean(axis=0)
+        y_now = y_hist[t - 1]
+        y_next = y_hist[t]
+        x = x_hist[t - 1]
+        z_now = z_hist[t - 1]
+        z_next = z_hist[t]
+        gbar = g_hist[t - 1].mean(axis=0)
         lhs = _sq(y_next - y_next.mean(axis=0))
         rhs = (
             (3.0 + lam * lam) / 4.0 * _sq(y_now - y_now.mean(axis=0))
@@ -291,7 +306,7 @@ def reference_check_tracker_recursion(rec, w, e, run_label=None):
             + 12.0 * alpha * alpha * lam * lam * L * L / one * n * _sq(gbar)
         )
         slacks.append(rhs - lhs)
-    return _reference_report("tracker_recursion", slacks, run_label, 1)
+    return _reference_report("tracker_recursion", slacks, run_id, 1)
 
 
 def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
