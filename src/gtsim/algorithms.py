@@ -238,6 +238,7 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     # fresh temporaries; out= performs the same operations bit for bit
     tmp = np.empty((B, n, d))
     scratch = np.empty((B, min(T, _BLOCK), n, d))
+    grads = None  # the global gradients of the block, where the sampler returns them
     # overflow is handled by the explicit non-finite abort, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(1, T + 1, _BLOCK):
@@ -248,7 +249,11 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
             for k, t in enumerate(range(t0, t1)):
                 alpha = alphas[t - 1]
                 xb[:, k] = x
-                g, exact = sampler(x, t, alpha)
+                g, exact, grad_global = sampler(x, t, alpha)
+                if grad_global is not None:
+                    if grads is None:
+                        grads = np.empty_like(scratch)
+                    grads[:, k] = grad_global
                 if tracked:
                     np.add(y, g, out=tmp)
                     np.subtract(tmp, g_prev, out=tmp)
@@ -285,7 +290,7 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                 yb = ys[:, lo:lo + m]
                 ybar = yb.sum(axis=2) * inv_n
                 track[:, span] = _sum_sq(np.subtract(yb, ybar[:, :, None, :], out=sb)) * inv_n
-            statio[:, span] = _sum_sq(e.grad_global_all(xb))
+            statio[:, span] = _sum_sq(e.grad_global_all(xb) if grads is None else grads[:, :m])
             if stride:
                 first = -(t0 - 1) % stride
                 snaps = xb[:, first::stride].swapaxes(0, 1).copy()

@@ -9,9 +9,11 @@ the corpus-wide max index so all agents share one model dimension.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -83,7 +85,16 @@ def _offsets(count):
 
 
 _MAX_INDEX = np.iinfo(np.int64).max
-_CHUNK_ROWS = 4096  # rows parsed per array conversion
+_CHUNK_ROWS = 4096  # source lines tokenized and converted together
+
+# the whitespace characters beyond ASCII that str.split() splits on, each of
+# which a chunk turns into a space before it tokenizes its bytes
+_WIDE_SPACES = tuple(c.encode("utf-8") for c in (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"))
+_COMMENT = re.compile(rb"#[^\n]*")
+# the most ASCII digits whose value is exact in int64
+_HORNER_DIGITS = 18
 
 
 def _parse_label(token: str, line_no: int) -> int:
@@ -98,25 +109,86 @@ def _parse_label(token: str, line_no: int) -> int:
     raise ParseError(line_no, f"label must be one of -1, 0, +1, got {token!r}")
 
 
-def _csr(rows):
-    """(labels, pair counts, indices, values) of parsed rows, or None if any
-    row is malformed. The checks are the ones :func:`_raise_fault` words for
-    one line."""
-    count = np.fromiter((n for *_, n in rows), dtype=np.int64, count=len(rows))
-    n_pairs = int(count.sum())
-    joined = " ".join(pairs for _, _, pairs, n in rows if n)
-    halves = joined.replace(":", " ").split()
-    raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    spaces, colons = np.flatnonzero(raw == ord(" ")), np.flatnonzero(raw == ord(":"))
-    # pair k holds the k-th colon and no other, with text on both sides of it
-    if len(halves) != 2 * n_pairs or not np.array_equal(
-            np.searchsorted(spaces, colons), np.arange(n_pairs)):
+def _clean(buf: bytes) -> bytes:
+    """Whole lines of UTF-8 text with each ``#`` comment cut and every
+    whitespace character beyond ASCII turned into a space, so that ASCII
+    whitespace alone separates tokens. Line breaks stay where they are."""
+    if b"#" in buf:
+        buf = _COMMENT.sub(b"", buf)
+    if not buf.isascii():
+        # UTF-8 is self-synchronizing: a character's bytes only match at its start
+        for space in _WIDE_SPACES:
+            buf = buf.replace(space, b" ")
+    return buf
+
+
+def _numbers(buf: bytes, start, end, dtype):
+    """The numbers that the tokens ``buf[start:end]`` spell, as ``int``
+    (dtype int64) or ``float`` (float64) reads them, or None if one of them is
+    not such a number or is an int beyond int64.
+
+    A token of an optional sign and at most ``_HORNER_DIGITS`` ASCII digits is
+    decoded by Horner's rule, exact in int64; a float is that integer rounded
+    once, as ``float`` rounds its decimal. Every other token goes through
+    numpy's conversion of its text, which follows ``int`` and ``float``.
+    """
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    digit = raw - ord("0")  # 0 to 9 at an ASCII digit, more at any other byte
+    lead = raw[start]
+    neg = lead == ord("-")
+    first = start + (neg | (lead == ord("+")))
+    width = end - first
+    plain = (width >= 1) & (width <= _HORNER_DIGITS)
+    acc = np.zeros(len(start), dtype=np.int64)
+    # each token right-aligned in the columns of the widest, zeros to its left
+    for j in range(min(int(width.max(initial=0)), _HORNER_DIGITS), 0, -1):
+        d = digit.take(end - j, mode="clip")
+        inside = width >= j
+        plain &= (d <= 9) | ~inside
+        acc *= 10
+        acc += np.where(inside, d, 0)
+    if dtype is np.int64:
+        out = np.negative(acc, out=acc, where=neg)
+    else:
+        out = acc.astype(np.float64)
+        np.negative(out, out=out, where=neg)  # "-0" is -0.0
+    slow = np.flatnonzero(~plain)
+    if len(slow):
+        text = [buf[a:b].decode("utf-8", "surrogatepass")
+                for a, b in zip(start[slow].tolist(), end[slow].tolist())]
+        try:
+            out[slow] = np.array(text, dtype=dtype)
+        except (ValueError, OverflowError):
+            return None
+    return out
+
+
+def _csr(buf: bytes):
+    """(labels, pair counts, indices, values) of the rows of ``buf``, whole
+    lines from :func:`_clean`, or None if any row is malformed. The checks are
+    the ones :func:`_raise_fault` words for one line."""
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    # a token is a maximal run of bytes other than ASCII whitespace: \t, \n,
+    # \v, \f, \r, \x1c to \x1f and the space; buf ends in a line break
+    word = (raw != ord(" ")) & ((raw - 0x09) > 4) & ((raw - 0x1C) > 3)
+    bounds = np.flatnonzero(np.diff(word, prepend=False))
+    start, end = bounds[0::2], bounds[1::2]
+    # the first token after each line break is a label, the others are pairs
+    head = np.zeros(len(start) + 1, dtype=bool)
+    head[np.searchsorted(start, np.flatnonzero(raw == ord("\n")))] = True
+    head[0] = True
+    head = head[:-1]
+    heads = np.flatnonzero(head)
+    count = np.diff(heads, append=len(start)) - 1
+    p_start, p_end = start[~head], end[~head]
+    # pair k holds the k-th colon and no other
+    colon = np.flatnonzero(raw == ord(":"))
+    if len(colon) != len(p_start) or not ((p_start <= colon) & (colon < p_end)).all():
         return None
-    try:
-        label = np.array([label for _, label, _, _ in rows], dtype=np.float64)
-        idx = np.array(halves[0::2], dtype=np.int64)
-        val = np.array(halves[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):
+    label = _numbers(buf, start[heads], end[heads], np.float64)
+    idx = _numbers(buf, p_start, colon, np.int64)
+    val = _numbers(buf, colon + 1, p_end, np.float64)
+    if label is None or idx is None or val is None:
         return None
     indptr = _offsets(count)
     prev = np.zeros_like(idx)
@@ -161,51 +233,42 @@ def _raise_fault(line_no: int, tokens) -> None:
     raise AssertionError(f"line {line_no} passes every check")
 
 
-def _raise_first_fault(rows):
-    """Raise the error of the first malformed row of ``rows``, which :func:`_csr`
-    rejects: each row is checked alone, so halving finds it."""
-    lo, hi = 0, len(rows)  # rows[:lo] are well formed; rows[lo:hi] are not
+def _raise_first_fault(buf: bytes, line_no: int):
+    """Raise the error of the first malformed line of ``buf``, a chunk that
+    :func:`_csr` rejects whose first line is ``line_no``: each line is
+    checked alone, so halving finds it."""
+    cuts = [0, *(np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n")) + 1).tolist()]
+    lo, hi = 0, len(cuts) - 1  # lines [0, lo) are well formed; lines [lo, hi) are not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _csr(rows[lo:mid]) is None:
+        if _csr(buf[cuts[lo]:cuts[mid]]) is None:
             hi = mid
         else:
             lo = mid
-    line_no, label, pairs, _ = rows[lo]
-    _raise_fault(line_no, [label] + pairs.split())
+    _raise_fault(line_no + lo, buf[cuts[lo]:cuts[lo + 1]].decode("utf-8", "surrogatepass").split())
 
 
-def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
-    """Parse LIBSVM text (a string or an iterable of lines).
+def _joined(pieces: list) -> np.ndarray:
+    """The concatenation of ``pieces``, which are dropped as it is made."""
+    out = np.concatenate(pieces)
+    pieces.clear()
+    return out
 
-    Blank lines are skipped and a ``#`` comment suffix is ignored. Each line
-    is split once; the tokens of each chunk of ``_CHUNK_ROWS`` rows are then
-    converted and checked as arrays. Malformed pairs, non-numeric or
-    non-finite values, and non-increasing indices raise :class:`ParseError`
-    with the number of the first offending line. ``d`` overrides the
-    inferred feature dimension (must cover every index seen).
-    """
-    if isinstance(source, str):
-        # universal newlines, as a text-mode file read splits: \n, \r\n and \r
-        lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    else:
-        lines = source
-    # (line number, label, its pairs joined by single spaces, pair count) of
-    # each row; a line's tokens are dropped as soon as its row is built
-    split = (line.split("#", 1)[0].split() for line in lines)
-    rows = ((line_no, tokens[0], " ".join(tokens[1:]), len(tokens) - 1)
-            for line_no, tokens in enumerate(split, start=1) if tokens)
-    # rows are converted a chunk at a time, so only one chunk's text is held
-    chunks = []
-    while True:
-        chunk = list(islice(rows, _CHUNK_ROWS))
-        csr = _csr(chunk)
+
+def _parse(chunks, d):
+    """The dataset of ``chunks``: UTF-8 bytes of whole lines, each ended by a
+    ``\\n``, that together hold the source in order."""
+    columns = ([], [], [], [])  # labels, pair counts, indices, values
+    line_no = 1
+    for buf in chunks:
+        buf = _clean(buf)
+        csr = _csr(buf)
         if csr is None:
-            _raise_first_fault(chunk)
-        chunks.append(csr)
-        if len(chunk) < _CHUNK_ROWS:
-            break
-    labels, counts, indices, values = (np.concatenate(a) for a in zip(*chunks))
+            _raise_first_fault(buf, line_no)
+        for column, part in zip(columns, csr):
+            column.append(part)
+        line_no += buf.count(b"\n")
+    labels, counts, indices, values = map(_joined, columns)
     indptr = _offsets(counts)
     max_idx = int(indices.max()) + 1 if len(indices) else 0
     if d is None:
@@ -215,8 +278,38 @@ def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
     return LabeledDataset(labels, indptr, indices, values, d)
 
 
+def _text_chunks(lines):
+    """Chunks of ``_CHUNK_ROWS`` text lines each. A line break inside a line
+    separates tokens like any whitespace."""
+    lines = iter(lines)
+    while True:
+        chunk = list(islice(lines, _CHUNK_ROWS))
+        text = "".join(line.replace("\n", " ") + "\n" for line in chunk)
+        yield text.encode("utf-8", "surrogatepass")
+        if len(chunk) < _CHUNK_ROWS:
+            return
+
+
+def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
+    """Parse LIBSVM text (a string or an iterable of lines).
+
+    A string splits into lines at universal newlines, as a text-mode file
+    read splits. Blank lines are skipped and a ``#`` comment suffix is
+    ignored. The lines are read in chunks of ``_CHUNK_ROWS``, and numpy
+    tokenizes and converts each chunk's bytes as arrays. Malformed pairs,
+    non-numeric or non-finite values, and non-increasing indices raise
+    :class:`ParseError` with the number of the first offending line. ``d``
+    overrides the inferred feature dimension (must cover every index seen).
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    return _parse(_text_chunks(source), d)
+
+
 def load_libsvm(path, d: int | None = None) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse the LIBSVM file at ``path``, UTF-8 text with universal newlines,
+    holding one chunk of its lines at a time."""
+    with open(path, encoding="utf-8") as fh:
         return parse_libsvm(fh, d=d)
 
 

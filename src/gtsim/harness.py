@@ -621,6 +621,18 @@ def _report_to_jsonable(r: theorycheck.CheckReport):
     }
 
 
+def _report_from_jsonable(obj):
+    return theorycheck.CheckReport(
+        name=obj["name"],
+        instances=obj["instances"],
+        worst_slack=obj["worst_slack"],
+        violations=[tuple(v) if isinstance(v, list) else v for v in obj["violations"]],
+        deterministic=obj["deterministic"],
+        details=obj["details"],
+        runs=obj["details"].get("runs", 1),
+    )
+
+
 def envelope_to_jsonable(env: ResultEnvelope) -> dict:
     return {
         "config": env.config,
@@ -641,7 +653,7 @@ def load_envelope(path) -> ResultEnvelope:
         fingerprint=obj["fingerprint"],
         series={k: _series_from_jsonable(v) for k, v in obj["series"].items()},
         run_summaries=obj.get("run_summaries", {}),
-        check_reports=[],
+        check_reports=[_report_from_jsonable(r) for r in obj.get("check_reports", [])],
         partial=obj.get("partial", False),
         aborted=obj.get("aborted", []),
     )

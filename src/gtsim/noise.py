@@ -191,12 +191,13 @@ def _relaxed_scale(o, alpha, global_grad_norm):
 def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int], T: int):
     """Bind an oracle to an ensemble and a block of runs for the hot loop.
 
-    Returns ``f(x, t, alpha) -> (g, exact)`` over models x of shape
-    (B, n, d), one run per (seeds[b], runs[b]), for iterations t <= T.
+    Returns ``f(x, t, alpha) -> (g, exact, grad_global)`` over models x of
+    shape (B, n, d), one run per (seeds[b], runs[b]), for iterations t <= T.
     ``exact`` holds the noiseless local gradients when they come for free
     (additive-noise flavors), else None; the relaxed flavor at rho > 0 needs
-    alpha and evaluates the global gradients at x itself. Gaussian noise is
-    drawn at the first call within each chunk, for every run of the block.
+    alpha and evaluates the global gradients at x itself, and returns them as
+    ``grad_global`` (None for every other flavor). Gaussian noise is drawn
+    at the first call within each chunk, for every run of the block.
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
@@ -208,7 +209,7 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
                 gen = _batch_generator(seed, run, t)
                 for i in range(n):
                     g[b, i] = e.grad_batch(i, x[b, i], _batch_of(o, e, i, gen))
-            return g, None
+            return g, None, None
 
         return sample_minibatch
 
@@ -219,7 +220,7 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         def sample_exact(x, t, alpha=None):
             exact = e.grad_all(x)
-            return exact, exact
+            return exact, exact, None
 
         return sample_exact
 
@@ -245,14 +246,15 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         def sample_gaussian(x, t, alpha=None):
             exact = e.grad_all(x)
-            return exact + noise_rows(t), exact
+            return exact + noise_rows(t), exact, None
 
         return sample_gaussian
 
     def sample_relaxed(x, t, alpha=None):
         exact = e.grad_all(x)
-        scale = _relaxed_scale(o, alpha, np.linalg.norm(e.grad_global_all(x), axis=-1))
-        return exact + o.s * scale[..., None] * noise_rows(t), exact
+        grad_global = e.grad_global_all(x)
+        scale = _relaxed_scale(o, alpha, np.linalg.norm(grad_global, axis=-1))
+        return exact + o.s * scale[..., None] * noise_rows(t), exact, grad_global
 
     return sample_relaxed
 

@@ -1,5 +1,9 @@
+import importlib.util
 import io
 import math
+import os
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -183,28 +187,72 @@ def test_dataset_is_csr():
 # The array parser, split, scaling and densify against the per-entry loops
 # ---------------------------------------------------------------------------
 
-LABELS = ["+1", "1", "-1", "0", "1.0", "-1.0", "0.0", "+0", "-0", "1e0"]
+LABELS = ["+1", "1", "-1", "0", "1.0", "-1.0", "0.0", "+0", "-0", "1e0", "01", "-001",
+          "+١", "٠", "-１"]
 # each fault class, as a token that replaces a well-formed pair, or a label
-PAIR_FAULTS = ["oops", "7", "a:1", "1.5:2", ":3", "3:abc", "3:", "3:1:2", "0:1", "-2:1"]
-LABEL_FAULTS = ["abc", "2", "nan", "+", "1:1"]
+PAIR_FAULTS = ["oops", "7", "a:1", "1.5:2", ":3", "3:abc", "3:", "3:1:2", "0:1", "-2:1",
+               "+:1", "3:+", "3:1_", "3:0x1p3", "3:١x", "3:\x00"]
+LABEL_FAULTS = ["abc", "2", "nan", "+", "1:1", "-2", "1_0", "٢"]
 NON_FINITE = ["nan", "-inf", "Infinity", "1e999"]
+# separators str.splitlines() also breaks at, and those it does not; the test
+# finds non-finite lines with it, so only the latter go where one may be
+LINE_BREAKING_SPACES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"]
+SPACES = [" ", "  ", "\t", " \x1f", "\xa0", "\t\xa0 "]
+# ASCII digits, Arabic-Indic, Devanagari and fullwidth: int and float read them all
+DIGITS = ["0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９"]
+# zero-padded widths: up to 18 digits are decoded by Horner's rule, wider ones are not
+INDEX_WIDTHS = [0, 2, 18, 19, 25]
 
 
 def _value_text(v, style):
-    return {"repr": repr(v), "short": f"{v:.3g}", "exp": f"{v:.2E}", "int": str(int(v))}[style]
+    if style == "big":
+        # 15 sevens and up to 8 zeros after the integer part: 16 digits and
+        # more, past float64's exact integers, and from 19 on past int64
+        return f"{int(v)}{'7' * 15}{'0' * int(abs(v) % 9)}"
+    if style == "nines":
+        # 16 to 20 nines: from 17 digits on float rounds them; 19 overflow int64
+        return f"{'-' if v < 0 else ''}{'9' * (16 + int(abs(v)) % 5)}"
+    return {
+        "repr": repr(v), "short": f"{v:.3g}", "exp": f"{v:.2E}", "int": str(int(v)),
+        "plus": f"{v:+.4f}", "padded": f"{v:012.4f}", "point": f"{int(v)}.",
+        "bare_point": f"{v:.3f}".replace("0.", ".", 1), "exp_lower": f"{v:.3e}",
+        "exp_short": f"{v:.1e}".replace("e+0", "e").replace("e-0", "e-"),
+        "grouped": f"{v:_.2f}", "neg_zero": "-0" if v < 0 else "-0.0",
+    }[style]
+
+
+def _digits(text, script):
+    return text.translate(str.maketrans("0123456789", script))
 
 
 @st.composite
-def libsvm_texts(draw):
+def libsvm_texts(draw, straddle=True):
     """LIBSVM text with blank lines, comments, both label styles and sparse
     rows, and up to two faults: a pair or label fault, a repeated or
-    decreasing index, or a non-finite value."""
+    decreasing index, or a non-finite value.
+
+    Lines end in ``\n``, ``\r\n`` or ``\r``; tokens are separated by any
+    whitespace str.split() knows; indices may be signed, zero-padded to 19
+    digits or more, or written in other scripts' digits; values take every
+    spelling float() reads. With ``straddle``, some texts start with enough
+    filler rows that their rows fall on both sides of the first cut between
+    chunks at the default chunk size.
+    """
     faults = draw(st.lists(st.sampled_from(["pair", "label", "order", "non_finite"]), max_size=2))
+    # a non-finite line is found by str.splitlines(), so it needs the line
+    # breaks and separators that split alike there and in every parser
+    plain_breaks = "non_finite" in faults
+    spaces = SPACES + ([] if plain_breaks else LINE_BREAKING_SPACES)
+    ends = ["\n", "\r\n"] + ([] if plain_breaks else ["\r"])
+    filler = ""
+    if straddle and draw(st.integers(0, 7)) == 7:
+        rows = datasets._CHUNK_ROWS - draw(st.integers(1, 4))
+        filler = ("-1 1:1" + draw(st.sampled_from(ends))) * rows
     lines, data_lines = [], []
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "   ", "\t"] + spaces)))
             continue
         if kind == "comment":
             lines.append("# comment 1:2 +1")
@@ -213,11 +261,19 @@ def libsvm_texts(draw):
         toks = [draw(st.sampled_from(LABELS))]
         for i in idx:
             v = draw(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
-            style = draw(st.sampled_from(["repr", "short", "exp", "int"]))
-            toks.append(f"{draw(st.sampled_from(['', '+', '0']))}{i}:{_value_text(v, style)}")
+            style = draw(st.sampled_from(["repr", "short", "exp", "int", "plus", "padded", "point",
+                                          "bare_point", "exp_lower", "exp_short", "grouped",
+                                          "neg_zero", "big", "nines"]))
+            width = draw(st.sampled_from(INDEX_WIDTHS))
+            index = f"{draw(st.sampled_from(['', '+', '0']))}{i:0{width}d}"
+            value = _value_text(v, style)
+            if draw(st.integers(0, 3)) == 3:
+                script = draw(st.sampled_from(DIGITS))
+                index, value = _digits(index, script), _digits(value, script)
+            toks.append(f"{index}:{value}")
         data_lines.append(len(lines))
-        sep = draw(st.sampled_from([" ", "  ", "\t"]))
-        lines.append(sep.join(toks) + draw(st.sampled_from(["", " # tail", "  "])))
+        sep = draw(st.sampled_from(spaces))
+        lines.append(sep.join(toks) + draw(st.sampled_from(["", " # tail", "  "] + spaces)))
     # order faults read the index before them, so they go in before the others
     for fault in sorted(faults, key=lambda f: f != "order") if data_lines else []:
         at = draw(st.sampled_from(data_lines))
@@ -235,7 +291,9 @@ def libsvm_texts(draw):
                 bad = f"{draw(st.integers(31, 40))}:{draw(st.sampled_from(NON_FINITE))}"
             toks.insert(pos, bad)
         lines[at] = " ".join(toks)
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    breaks = [draw(st.sampled_from(ends)) for _ in lines]
+    text = filler + "".join(line + end for line, end in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[:-len(breaks[-1])]
 
 
 def _outcome(parse, text, d, as_file):
@@ -314,9 +372,10 @@ def _same_outcome(got, ref):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=libsvm_texts(), chunk=st.integers(1, 4), as_file=st.booleans())
+@given(text=libsvm_texts(straddle=False), chunk=st.integers(1, 4), as_file=st.booleans())
 def test_chunked_parse_matches_one_chunk(text, chunk, as_file):
-    # at most 10 rows: one chunk at the default size, several at the patched one
+    # at most 10 rows: one chunk at the default size, several at the patched
+    # one (filler rows at chunks of 1 to 4 lines would cost seconds per text)
     whole = _outcome(datasets.parse_libsvm, text, None, as_file)
     with mock.patch.object(datasets, "_CHUNK_ROWS", chunk):
         _same_outcome(_outcome(datasets.parse_libsvm, text, None, as_file), whole)
@@ -342,3 +401,61 @@ def test_first_fault_in_a_later_chunk_keeps_its_line_and_words(bad_row, fault):
     with pytest.raises(datasets.ParseError) as whole:
         datasets.parse_libsvm(text)
     assert str(exc.value) == str(whole.value)
+
+
+def test_a_file_of_bare_cr_lines_is_read_a_chunk_at_a_time(tmp_path):
+    lines = [f"{'+1' if r % 2 else '-1'} {r + 1}:{r}.5" for r in range(7)]
+    path = tmp_path / "f.libsvm"
+    path.write_bytes("\r".join(lines).encode("utf-8"))
+    with mock.patch.object(datasets, "_CHUNK_ROWS", 2), \
+            mock.patch.object(datasets, "_csr", wraps=datasets._csr) as csr:
+        got = datasets.load_libsvm(path)
+    assert [buf.count(b"\n") for (buf,), _ in csr.call_args_list] == [2, 2, 2, 1]
+    _same_outcome(got, datasets.parse_libsvm("\n".join(lines)))
+
+
+def test_wide_spaces_are_every_whitespace_beyond_ascii():
+    wide = {chr(c).encode("utf-8") for c in range(128, sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(datasets._WIDE_SPACES) == wide
+
+
+@pytest.mark.parametrize("data", [b"+1 1:\xff\n", b"+1 1:1\n-1 2:\xed\xa0\x80\n", b"+1 \xc3 1:1"])
+def test_invalid_utf8_raises(tmp_path, data):
+    path = tmp_path / "f.libsvm"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        datasets.load_libsvm(path)
+
+
+def _corpus():
+    """perfbench's a9a-shaped corpus generator, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "corpus.py")
+    spec = importlib.util.spec_from_file_location("a9a_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a9a_shaped_text_matches_the_reference_loops():
+    text = _corpus().generate(3, rows=4000)
+    got = datasets.parse_libsvm(text)
+    rows, d = util.reference_parse_libsvm(text)
+    assert got.rows == rows and got.d == d == 123
+    assert np.array_equal(got.indptr, np.cumsum([0] + [len(f) for _, f in rows]))
+    assert np.array_equal(_bits(got.values), _bits([v for _, f in rows for v in f.values()]))
+
+
+def test_a9a_load_holds_one_chunk_at_a_time(tmp_path):
+    # the parsed arrays take 7.3 MB; the bound is the peak of the parser that
+    # held one chunk's text, and the bytes of one chunk stay well under the rest
+    corpus = _corpus()
+    path = tmp_path / "a9a"
+    corpus.write(5, path)
+    tracemalloc.start()
+    try:
+        ds = datasets.load_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.m == corpus.ROWS and len(ds.indices) == corpus.ROWS * corpus.NONZEROS_PER_ROW
+    assert peak <= 16.3 * 2**20

@@ -9,6 +9,7 @@ import os
 import pickle
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ def test_record_stride_zero_records_no_snapshots_and_negative_is_rejected():
     assert alg.run("gt_dsgd", cfg, (1, 2), (0, 1)).snapshots == {}
     with pytest.raises(ValueError, match="record_stride"):
         alg.run("gt_dsgd", replace(cfg, record_stride=-1), [1], [0])
+
+
+@pytest.mark.parametrize("rho, calls", [(1.5, 2 * B + 3), (0.0, 3)])
+def test_global_gradients_are_evaluated_once_per_iteration(rho, calls):
+    # at rho > 0 the sampler evaluates them to scale the noise, and the
+    # stationarity series squares those; otherwise it evaluates them per block
+    e = costs.make_synthetic_quadratics(3, 2, "a", seed=4)
+    cfg = alg.RunConfig(w=ring_matrix(3), ensemble=e,
+                        oracle=noise.RelaxedSubgaussianOracle(0.6, rho, 0.5),
+                        schedule=alg.ConstantStep(0.05), T=2 * B + 3, x0=np.ones((3, 2)))
+    with mock.patch.object(costs.QuadraticEnsemble, "grad_global_all", autospec=True,
+                           side_effect=costs.QuadraticEnsemble.grad_global_all) as spy:
+        rec = alg.run("gt_dsgd", cfg, (1, 2), (0, 1))
+    assert spy.call_count == calls
+    for b, run in enumerate(rec.split()):
+        assert_records_identical(run, reference_run("gt_dsgd", cfg, 1 + b, b))
 
 
 class InfAtCall(costs.QuadraticEnsemble):

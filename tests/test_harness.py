@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, harness, noise
+from gtsim import algorithms as alg, costs, harness, noise, theorycheck
 from gtsim.cli import cli
 from util import assert_records_identical, ring_matrix
 
@@ -254,6 +254,35 @@ def test_emit_outputs_and_reemit_identical(tmp_path):
         b = (out2 / f"{name}.csv").read_bytes()
         assert a == b
     assert (out1 / "mse_log.svg").read_bytes() == (out2 / "mse_log.svg").read_bytes()
+
+
+def _checks_envelope():
+    cfg = harness.load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "check_pathwise.toml"))
+    data = dict(cfg.data)
+    data["checks"] = dict(data["checks"], runs=2)
+    data["experiment"] = dict(data["experiment"], T=40)
+    cfg = harness.ExperimentConfig(data=data)
+    # a failing report too, whose violations are (run, t) pairs
+    failing = theorycheck.CheckReport("descent", 80, -0.25, [(0, 3), (1, 7)], worst_at=(0, 3), runs=2)
+    return harness.ResultEnvelope(config=cfg.data, fingerprint=cfg.fingerprint, series={},
+                                  run_summaries={}, check_reports=harness.run_checks(cfg) + [failing])
+
+
+@pytest.mark.parametrize("kind", ["experiment", "checks"])
+def test_a_reloaded_envelope_emits_the_same_json(tmp_path, kind):
+    env = harness.run_experiment(experiment_cfg(tmp_path, R=2)) if kind == "experiment" \
+        else _checks_envelope()
+    harness.emit_outputs(env, formats=("json",), outdir=tmp_path / "o1")
+    reloaded = harness.load_envelope(tmp_path / "o1" / "envelope.json")
+    harness.emit_outputs(reloaded, formats=("json",), outdir=tmp_path / "o2")
+    assert (tmp_path / "o2" / "envelope.json").read_bytes() == \
+        (tmp_path / "o1" / "envelope.json").read_bytes()
+    assert [(r.name, r.passed, r.violations) for r in reloaded.check_reports] == \
+        [(r.name, r.passed, r.violations) for r in env.check_reports]
+    # run_checks merges each check's reports, which keeps the run count in details
+    merged = slice(0, -1) if kind == "checks" else slice(0, 0)
+    assert [r.runs for r in reloaded.check_reports[merged]] == \
+        [r.runs for r in env.check_reports[merged]]
 
 
 def test_emit_outputs_rejects_an_unknown_format_and_writes_nothing(tmp_path):

@@ -15,7 +15,7 @@ def small_quadratic(n=3, d=2):
 
 def draw(o, e, x, seed, run, t, *extra):
     """One run's (n, d) oracle output at iteration t, from a fresh sampler."""
-    g, _ = noise.prepare_sampler(o, e, [seed], [run], t)(x[None], t, *extra)
+    g, _, _ = noise.prepare_sampler(o, e, [seed], [run], t)(x[None], t, *extra)
     return g[0]
 
 
@@ -46,7 +46,8 @@ def test_block_matches_per_agent_calls():
     keys = [(5, 2), (2**63 + 7, 4)]
     sampler = noise.prepare_sampler(o, e, [k[0] for k in keys], [k[1] for k in keys], 70)
     for t in (9, noise.CHUNK, noise.CHUNK + 1, 70, 1):
-        block, exact = sampler(x, t)
+        block, exact, grad_global = sampler(x, t)
+        assert grad_global is None
         assert np.array_equal(exact, e.grad_all(x))
         for b, (seed, run) in enumerate(keys):
             z = reference_noise(seed, run, t, 3, 2)
