@@ -16,9 +16,9 @@ import hashlib
 import json
 import os
 import time
-import tomllib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -288,6 +288,8 @@ def load_config(path) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     else:
+        import tomllib  # imported here: JSON configs never pay for it
+
         try:
             raw = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:
@@ -602,7 +604,7 @@ def run_checks(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 def _series_to_jsonable(s: metrics.MetricSeries):
-    return {"name": s.name, "values": [float(v) for v in s.values], "meta": s.meta}
+    return {"name": s.name, "values": s.values.astype(float, copy=False).tolist(), "meta": s.meta}
 
 
 def _series_from_jsonable(obj):
@@ -618,6 +620,7 @@ def _report_to_jsonable(r: theorycheck.CheckReport):
         "deterministic": r.deterministic,
         "passed": r.passed,
         "details": r.details,
+        "worst_at": r.worst_at,
     }
 
 
@@ -629,6 +632,7 @@ def _report_from_jsonable(obj):
         violations=[tuple(v) if isinstance(v, list) else v for v in obj["violations"]],
         deterministic=obj["deterministic"],
         details=obj["details"],
+        worst_at=tuple(obj["worst_at"]) if obj.get("worst_at") is not None else None,
         runs=obj["details"].get("runs", 1),
     )
 
@@ -667,11 +671,39 @@ def _write_text(path, text):
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _series_csv(s: metrics.MetricSeries) -> str:
-    lines = ["t,value"]
-    for t, v in enumerate(s.values, start=1):
-        lines.append(f"{t},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+def _series_csv(texts, row_heads) -> str:
+    """A series' CSV text; ``row_heads`` are "\\n1,", "\\n2,", ..., at least one per text."""
+    return "t,value" + "".join(chain.from_iterable(zip(row_heads, texts))) + "\n"
+
+
+# json.dumps' spellings of the non-finite floats, keyed by their repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _envelope_json(env: ResultEnvelope, texts: dict) -> str:
+    """``json.dumps(envelope_to_jsonable(env), indent=2, sort_keys=True)``,
+    with each series' values list joined from its float texts.
+
+    json's indent encoder is pure Python and formats one float at a time, so
+    it writes the envelope with every values list empty, and each list is
+    spliced in. "series" is the envelope's last key and "values" each
+    series' last key, so each empty list ends its dumped object.
+    """
+    obj = envelope_to_jsonable(env)
+    entries = []
+    for name, entry in obj.pop("series").items():
+        entry["values"] = []
+        body = json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    ")
+        values = texts[name]
+        if not np.isfinite(env.series[name].values).all():
+            values = [_JSON_NONFINITE.get(t, t) for t in values]
+        if values:
+            body = body[:-len("[]\n    }")] + "[\n        " + ",\n        ".join(values) + "\n      ]\n    }"
+        entries.append(f"{json.dumps(name)}: {body}")
+    obj["series"] = {}
+    head = json.dumps(obj, indent=2, sort_keys=True)
+    series = "{\n    " + ",\n    ".join(entries) + "\n  }" if entries else "{}"
+    return head[:-len("{}\n}")] + series + "\n}\n"
 
 
 _FORMATS = ("csv", "json", "svg")
@@ -694,18 +726,24 @@ def emit_outputs(env: ResultEnvelope, formats=_FORMATS, outdir="out") -> list:
     check_formats(formats)
     os.makedirs(outdir, exist_ok=True)
     written = []
+    texts = {}
+    if "csv" in formats or "json" in formats:
+        # each value's repr, made once for its CSV row and its JSON entry
+        texts = {name: list(map(repr, s.values.astype(float, copy=False).tolist()))
+                 for name, s in env.series.items()}
     if "csv" in formats:
-        for name, s in sorted(env.series.items()):
+        row_heads = [f"\n{t}," for t in range(1, max(map(len, texts.values()), default=0) + 1)]
+        for name in sorted(env.series):
             path = os.path.join(outdir, f"{name}.csv")
-            _write_text(path, _series_csv(s))
+            _write_text(path, _series_csv(texts[name], row_heads))
             written.append(path)
     if "json" in formats:
         path = os.path.join(outdir, "envelope.json")
-        _write_text(path, json.dumps(envelope_to_jsonable(env), indent=2, sort_keys=True) + "\n")
+        _write_text(path, _envelope_json(env, texts))
         written.append(path)
     if "svg" in formats:
-        t_axis = {name: list(range(1, s.T + 1)) for name, s in env.series.items()}
-        mse_series = {n: (t_axis[n], s.values.tolist()) for n, s in sorted(env.series.items()) if n.startswith("mse_")}
+        t_axis = {name: np.arange(1, s.T + 1, dtype=float) for name, s in env.series.items()}
+        mse_series = {n: (t_axis[n], s.values) for n, s in sorted(env.series.items()) if n.startswith("mse_")}
         if mse_series:
             for log_y, suffix in ((False, ""), (True, "_log")):
                 path = os.path.join(outdir, f"mse{suffix}.svg")
@@ -714,7 +752,7 @@ def emit_outputs(env: ResultEnvelope, formats=_FORMATS, outdir="out") -> list:
         eps_groups = {}
         for name, s in sorted(env.series.items()):
             if name.startswith("tail_"):
-                eps_groups.setdefault(s.meta.get("epsilon"), {})[name] = (t_axis[name], s.values.tolist())
+                eps_groups.setdefault(s.meta.get("epsilon"), {})[name] = (t_axis[name], s.values)
         for eps, group in sorted(eps_groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
             tag = f"eps{eps:g}" if eps is not None else "eps"
             for log_y, suffix in ((False, ""), (True, "_log")):

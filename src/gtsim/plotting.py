@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["render_line_chart"]
 
 _WIDTH, _HEIGHT = 720, 440
@@ -34,42 +36,61 @@ def _ticks(lo: float, hi: float, count: int = 6):
     v = start
     while v <= hi + 1e-12 * step:
         ticks.append(v)
+        if v + step == v:  # a step below v's resolution would never end
+            break
         v += step
     return ticks
+
+
+def _widen(lo: float, hi: float):
+    """An axis range with room to step through: an empty one gains 1.0, or,
+    where 1.0 is below lo's resolution, a millionth of lo's magnitude."""
+    if hi <= lo:
+        hi = lo + 1.0
+        if hi <= lo:
+            hi = lo + abs(lo) * 1e-6
+    return lo, hi
 
 
 def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
                       ylabel: str = "value", log_y: bool = False) -> str:
     """Render named (x, y) arrays as one SVG document string.
 
-    ``series`` maps a legend label to a pair of equal-length sequences. With
-    ``log_y`` non-positive points are dropped from the drawn path.
+    ``series`` maps a legend label to a pair of equal-length sequences.
+    Non-finite points, and with ``log_y`` non-positive points, are left out
+    of the drawn path and the axis range.
     """
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    pts = []
+    # each series' drawn points, y already on the axis scale
+    drawn = []
     for xs, ys in series.values():
-        for x, y in zip(xs, ys):
-            if log_y and y <= 0:
-                continue
-            pts.append((float(x), float(y)))
-    if not pts:
-        pts = [(0.0, 1.0), (1.0, 1.0)]
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
-    ys_all = [math.log10(p[1]) if log_y else p[1] for p in pts]
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
+        x = np.asarray(xs, dtype=float)
+        y = np.asarray(ys, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)
+        if log_y:
+            keep &= y > 0
+        x, y = x[keep], y[keep]
+        if log_y:
+            # math.log10 per point: np.log10 need not round every point alike
+            y = np.fromiter(map(math.log10, y.tolist()), float, y.size)
+        drawn.append((x, y))
+    if any(x.size for x, _ in drawn):
+        x_all = np.concatenate([x for x, _ in drawn])
+        y_all = np.concatenate([y for _, y in drawn])
+        x_lo, x_hi = _widen(float(x_all.min()), float(x_all.max()))
+        y_lo, y_hi = _widen(float(y_all.min()), float(y_all.max()))
+    else:
+        x_lo, x_hi = 0.0, 1.0
+        y_lo = 0.0 if log_y else 1.0
         y_hi = y_lo + 1.0
 
+    # for tick scalars and point arrays alike
     def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y):
-        yv = math.log10(y) if log_y else y
+    def sy(yv):
         return _MARGIN_T + plot_h - (yv - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
@@ -102,7 +123,7 @@ def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
         ticks_y = _ticks(y_lo, y_hi)
         labels = [_fmt(t) for t in ticks_y]
     for tv, lab in zip(ticks_y, labels):
-        py = _MARGIN_T + plot_h - (tv - y_lo) / (y_hi - y_lo) * plot_h
+        py = sy(tv)
         if py < _MARGIN_T - 1 or py > ax_b + 1:
             continue
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
@@ -120,15 +141,13 @@ def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
     )
 
     # polylines and legend
-    for idx, (label, (xs, ys)) in enumerate(series.items()):
+    for idx, (label, (x, y)) in enumerate(zip(series, drawn)):
         color = _COLORS[idx % len(_COLORS)]
-        coords = [
-            f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-            for x, y in zip(xs, ys)
-            if not (log_y and y <= 0)
-        ]
-        if coords:
-            out.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        if x.size:
+            # one % call formats every coordinate pair
+            pairs = np.column_stack((sx(x), sy(y))).ravel().tolist()
+            coords = " ".join(["%.2f,%.2f"] * x.size) % tuple(pairs)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 14 + 16 * idx
         lx = _MARGIN_L + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="2"/>')

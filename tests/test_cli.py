@@ -45,6 +45,14 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_tomllib_unloaded():
+    # tomllib is imported where a TOML config is read, so JSON configs never load it
+    code = "import sys, gtsim.cli; print('tomllib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_calc_transient_nonconvex(capsys):
     code = cli(["calc", "transient", "--nonconvex", "--n", "2", "--lambda", "0", "--rho", "0"])
     assert code == 0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, harness, noise, theorycheck
+from gtsim import algorithms as alg, costs, harness, metrics, noise, theorycheck
 from gtsim.cli import cli
-from util import assert_records_identical, ring_matrix
+from util import (assert_records_identical, reference_emit_outputs, reference_envelope_json,
+                  reference_series_csv, ring_matrix)
 
 MINIMAL_TOML = """\
 [experiment]
@@ -277,12 +279,109 @@ def test_a_reloaded_envelope_emits_the_same_json(tmp_path, kind):
     harness.emit_outputs(reloaded, formats=("json",), outdir=tmp_path / "o2")
     assert (tmp_path / "o2" / "envelope.json").read_bytes() == \
         (tmp_path / "o1" / "envelope.json").read_bytes()
-    assert [(r.name, r.passed, r.violations) for r in reloaded.check_reports] == \
-        [(r.name, r.passed, r.violations) for r in env.check_reports]
+    assert [(r.name, r.passed, r.violations, r.worst_at, r.summary()) for r in reloaded.check_reports] == \
+        [(r.name, r.passed, r.violations, r.worst_at, r.summary()) for r in env.check_reports]
     # run_checks merges each check's reports, which keeps the run count in details
     merged = slice(0, -1) if kind == "checks" else slice(0, 0)
     assert [r.runs for r in reloaded.check_reports[merged]] == \
         [r.runs for r in env.check_reports[merged]]
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.builds(lambda sign, e, m: sign * m * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.integers(-300, 299), st.floats(1.0, 9.99)),
+)
+
+
+@st.composite
+def emitted_envelopes(draw):
+    """Envelopes of several series of unequal lengths (empty, one point,
+    constant, or any floats, non-finite ones too), with names and meta that
+    JSON must escape."""
+    series = {}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.text(alphabet='ab_\u00e9"\\', min_size=1, max_size=6))
+        n = draw(st.integers(0, 30))
+        values = draw(st.one_of(st.lists(_FLOATS, min_size=n, max_size=n),
+                                _FLOATS.map(lambda v: [v] * n)))
+        dtype = draw(st.sampled_from([np.float64, np.float32]))
+        meta = draw(st.dictionaries(st.sampled_from(["epsilon", "floor", "note"]),
+                                    st.one_of(st.floats(), st.text(max_size=3), st.none())))
+        with np.errstate(over="ignore"):  # float32 rounds what it cannot hold to inf
+            series[name] = metrics.MetricSeries(name, np.array(values, dtype=dtype), meta)
+    return harness.ResultEnvelope(
+        config={"experiment": {"name": draw(st.text(max_size=4)), "T": 3}}, fingerprint="f",
+        series=series, run_summaries={"gt_dsgd": {"R": 1, "final_mse": draw(st.floats())}},
+        partial=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=emitted_envelopes())
+def test_csv_and_json_match_the_reference_writers(env):
+    with tempfile.TemporaryDirectory() as out:
+        written = harness.emit_outputs(env, formats=("csv", "json"), outdir=out)
+        assert written == [os.path.join(out, f"{name}.csv") for name in sorted(env.series)] + \
+            [os.path.join(out, "envelope.json")]
+        for name, s in env.series.items():
+            with open(os.path.join(out, f"{name}.csv"), encoding="utf-8") as fh:
+                assert fh.read() == reference_series_csv(s)
+        with open(os.path.join(out, "envelope.json"), encoding="utf-8") as fh:
+            assert fh.read() == reference_envelope_json(env)
+
+
+def _read_dir(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_an_experiment_emits_what_the_reference_writers_emit(tmp_path):
+    env = harness.run_experiment(experiment_cfg(tmp_path, R=3))
+    written = harness.emit_outputs(env, outdir=tmp_path / "new")
+    expected = reference_emit_outputs(env, tmp_path / "ref")
+    assert [os.path.basename(p) for p in written] == [os.path.basename(p) for p in expected]
+    assert len(written) == 13
+    assert _read_dir(tmp_path / "new") == _read_dir(tmp_path / "ref")
+
+
+def _diverging_envelope(tmp_path):
+    # no run aborts, and mse_dsgd ends at inf
+    cfg = harness.normalize_config({
+        "experiment": {"T": 720, "R": 2, "master_seed": 0, "algorithms": ["dsgd"],
+                       "thresholds": [0.5]},
+        "topology": {"kind": "ring", "n": 4},
+        "cost": {"kind": "quadratic_synthetic", "d": 3, "seed": 4},
+        "oracle": {"flavor": "gaussian", "s": 0.5},
+        "schedule": {"kind": "constant", "alpha": 8.0}})
+    env = harness.run_experiment(cfg)
+    assert not env.partial and env.series["mse_dsgd"].values[-1] == np.inf
+    return env
+
+
+def _spiked_envelope(tmp_path):
+    # a NaN first, and non-finite points inside the series
+    env = harness.run_experiment(experiment_cfg(tmp_path, R=2))
+    for name, s in env.series.items():
+        s.values[0] = np.nan
+        s.values[5:8] = [np.inf, -np.inf, np.nan]
+    return env
+
+
+@pytest.mark.parametrize("make_env", [_diverging_envelope, _spiked_envelope])
+def test_non_finite_series_emit_every_file_and_draw_only_finite_points(tmp_path, make_env):
+    env = make_env(tmp_path)
+    written = harness.emit_outputs(env, outdir=tmp_path / "o")
+    names = [os.path.basename(p) for p in written]
+    tags = sorted({f"eps{s.meta['epsilon']:g}" for n, s in env.series.items() if n.startswith("tail_")})
+    assert names == [f"{n}.csv" for n in sorted(env.series)] + ["envelope.json", "mse.svg", "mse_log.svg"] + \
+        [f"tail_{tag}{suffix}.svg" for tag in tags for suffix in ("", "_log")]
+    for name, s in env.series.items():
+        assert (tmp_path / "o" / f"{name}.csv").read_text() == reference_series_csv(s)
+    assert (tmp_path / "o" / "envelope.json").read_text() == reference_envelope_json(env)
+    for name in names:
+        if name.endswith(".svg"):
+            svg = (tmp_path / "o" / name).read_text()
+            points = re.findall(r'points="([^"]*)"', svg)
+            assert points and not [p for p in points if "nan" in p or "inf" in p], name
 
 
 def test_emit_outputs_rejects_an_unknown_format_and_writes_nothing(tmp_path):

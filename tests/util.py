@@ -1,8 +1,10 @@
 """Shared test oracles: finite differences, small builders, and reference
-trajectory, pathwise-check, LIBSVM and graph-building loops."""
+trajectory, pathwise-check, LIBSVM, graph-building and output-writing loops."""
 
 import io
+import json
 import math
+import os
 
 import numpy as np
 from scipy.special import expit
@@ -527,3 +529,205 @@ def reference_tune_er(n, target_lambda, tol, seed=0, samples_per_probe=16, max_s
     gap, g, m, p = best
     return tp.TuneResult(p=p, matrix=m, graph=g, lam=m.lam, converged=gap <= tol,
                          lambda_range=(min(means), max(means)))
+
+
+# ---------------------------------------------------------------------------
+# Reference output writers: the CSV, envelope JSON and SVG writers as they
+# were when every float went through Python one at a time (the JSON through
+# json's indent encoder, the SVG through per-point sx/sy), and the emission
+# loop that calls them. Check reports carry no worst_at here.
+# ---------------------------------------------------------------------------
+
+def _reference_fmt(v: float) -> str:
+    return f"{v:.6g}"
+
+
+def _reference_ticks(lo: float, hi: float, count: int = 6):
+    if hi <= lo:
+        hi = lo + 1.0
+    raw = (hi - lo) / max(count - 1, 1)
+    mag = 10.0 ** math.floor(math.log10(raw))
+    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+        if raw <= mult * mag:
+            step = mult * mag
+            break
+    start = math.ceil(lo / step) * step
+    ticks = []
+    v = start
+    while v <= hi + 1e-12 * step:
+        ticks.append(v)
+        v += step
+    return ticks
+
+
+_WIDTH, _HEIGHT = 720, 440
+_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 30, 50
+_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+
+def reference_render_line_chart(series: dict, title: str, xlabel: str = "iteration",
+                                ylabel: str = "value", log_y: bool = False) -> str:
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+
+    pts = []
+    for xs, ys in series.values():
+        for x, y in zip(xs, ys):
+            if log_y and y <= 0:
+                continue
+            pts.append((float(x), float(y)))
+    if not pts:
+        pts = [(0.0, 1.0), (1.0, 1.0)]
+    x_lo = min(p[0] for p in pts)
+    x_hi = max(p[0] for p in pts)
+    ys_all = [math.log10(p[1]) if log_y else p[1] for p in pts]
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+
+    def sx(x):
+        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(y):
+        yv = math.log10(y) if log_y else y
+        return _MARGIN_T + plot_h - (yv - y_lo) / (y_hi - y_lo) * plot_h
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="14">{title}</text>',
+    ]
+
+    # axes and ticks
+    ax_b = _MARGIN_T + plot_h
+    out.append(
+        f'<path d="M {_MARGIN_L} {_MARGIN_T} L {_MARGIN_L} {ax_b} L {_MARGIN_L + plot_w} {ax_b}" '
+        f'stroke="black" fill="none"/>'
+    )
+    for tx in _reference_ticks(x_lo, x_hi):
+        px = sx(tx)
+        out.append(f'<line x1="{px:.2f}" y1="{ax_b}" x2="{px:.2f}" y2="{ax_b + 5}" stroke="black"/>')
+        out.append(
+            f'<text x="{px:.2f}" y="{ax_b + 18}" text-anchor="middle" font-family="sans-serif" '
+            f'font-size="11">{_reference_fmt(tx)}</text>'
+        )
+    if log_y:
+        lo_exp = math.floor(y_lo)
+        hi_exp = math.ceil(y_hi)
+        ticks_y = list(range(int(lo_exp), int(hi_exp) + 1))
+        labels = [f"1e{e}" for e in ticks_y]
+    else:
+        ticks_y = _reference_ticks(y_lo, y_hi)
+        labels = [_reference_fmt(t) for t in ticks_y]
+    for tv, lab in zip(ticks_y, labels):
+        py = _MARGIN_T + plot_h - (tv - y_lo) / (y_hi - y_lo) * plot_h
+        if py < _MARGIN_T - 1 or py > ax_b + 1:
+            continue
+        out.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
+        out.append(
+            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" font-family="sans-serif" '
+            f'font-size="11">{lab}</text>'
+        )
+    out.append(
+        f'<text x="{_MARGIN_L + plot_w // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+    )
+    out.append(
+        f'<text x="18" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{ylabel}</text>'
+    )
+
+    # polylines and legend
+    for idx, (label, (xs, ys)) in enumerate(series.items()):
+        color = _COLORS[idx % len(_COLORS)]
+        coords = [
+            f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
+            for x, y in zip(xs, ys)
+            if not (log_y and y <= 0)
+        ]
+        if coords:
+            out.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        ly = _MARGIN_T + 14 + 16 * idx
+        lx = _MARGIN_L + plot_w - 150
+        out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
+        out.append(
+            f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" font-size="11">{label}</text>'
+        )
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _reference_series_to_jsonable(s):
+    return {"name": s.name, "values": [float(v) for v in s.values], "meta": s.meta}
+
+
+def _reference_report_to_jsonable(r):
+    return {
+        "name": r.name,
+        "instances": r.instances,
+        "worst_slack": r.worst_slack,
+        "violations": [list(v) if isinstance(v, tuple) else v for v in r.violations],
+        "deterministic": r.deterministic,
+        "passed": r.passed,
+        "details": r.details,
+    }
+
+
+def reference_envelope_json(env) -> str:
+    """The text of envelope.json, as json.dumps writes it."""
+    obj = {
+        "config": env.config,
+        "fingerprint": env.fingerprint,
+        "series": {k: _reference_series_to_jsonable(s) for k, s in sorted(env.series.items())},
+        "run_summaries": env.run_summaries,
+        "check_reports": [_reference_report_to_jsonable(r) for r in env.check_reports],
+        "partial": env.partial,
+        "aborted": env.aborted,
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_series_csv(s) -> str:
+    lines = ["t,value"]
+    for t, v in enumerate(s.values, start=1):
+        lines.append(f"{t},{float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_emit_outputs(env, outdir):
+    """Write the csv, json and svg outputs of ``env`` under ``outdir``, as
+    harness.emit_outputs does with every format; return the paths written."""
+    os.makedirs(outdir, exist_ok=True)
+    written = []
+
+    def write(name, text):
+        path = os.path.join(outdir, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        written.append(path)
+
+    for name, s in sorted(env.series.items()):
+        write(f"{name}.csv", reference_series_csv(s))
+    write("envelope.json", reference_envelope_json(env))
+    t_axis = {name: list(range(1, s.T + 1)) for name, s in env.series.items()}
+    mse_series = {n: (t_axis[n], s.values.tolist()) for n, s in sorted(env.series.items()) if n.startswith("mse_")}
+    if mse_series:
+        for log_y, suffix in ((False, ""), (True, "_log")):
+            write(f"mse{suffix}.svg",
+                  reference_render_line_chart(mse_series, "empirical MSE", ylabel="mse", log_y=log_y))
+    eps_groups = {}
+    for name, s in sorted(env.series.items()):
+        if name.startswith("tail_"):
+            eps_groups.setdefault(s.meta.get("epsilon"), {})[name] = (t_axis[name], s.values.tolist())
+    for eps, group in sorted(eps_groups.items(), key=lambda kv: (kv[0] is None, kv[0])):
+        tag = f"eps{eps:g}" if eps is not None else "eps"
+        for log_y, suffix in ((False, ""), (True, "_log")):
+            write(f"tail_{tag}{suffix}.svg",
+                  reference_render_line_chart(group, f"empirical tail probability ({tag})",
+                                              ylabel="tail probability", log_y=log_y))
+    return written
