@@ -121,8 +121,6 @@ class TrajectoryRecord:
     alpha: np.ndarray
     f_avg: np.ndarray
     mse_to_opt: np.ndarray
-    consensus_gap: np.ndarray
-    tracker_gap: np.ndarray
     stationarity_sum: np.ndarray
     final_x: np.ndarray
     snapshots: dict = field(default_factory=dict)
@@ -149,8 +147,8 @@ class TrajectoryRecord:
         ]
 
 
-_PER_RUN = ("f_avg", "mse_to_opt", "consensus_gap", "tracker_gap", "stationarity_sum",
-            "final_x", "x_hist", "y_hist", "g_hist", "z_hist")
+_PER_RUN = ("f_avg", "mse_to_opt", "stationarity_sum", "final_x", "x_hist", "y_hist", "g_hist",
+            "z_hist")
 
 
 @dataclass
@@ -188,8 +186,8 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     in (config, seed, run_id) and bitwise the same in any block, on any
     worker. A non-finite update raises RunAbort for the first run that has
     one. The loop carries only the dynamics and copies each iteration's
-    models (and trackers) into a block buffer; the metrics of a block are
-    reduced in one pass.
+    models into a block buffer; the metrics of a block are reduced in one
+    pass. Trackers are held only as traces.
     """
     if algorithm not in ("gt_dsgd", "dsgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -213,8 +211,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
 
     f_avg = np.empty((B, T))
     mse = np.full((B, T), np.nan)
-    cons = np.empty((B, T))
-    track = np.zeros((B, T))
     statio = np.empty((B, T))
     snapshots = {}
     # with traces on, the trace arrays are the block buffers
@@ -225,7 +221,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
         z_hist = np.empty((B, T, n, d))
     else:
         xs = np.empty((B, min(T, _BLOCK), n, d))
-        ys = np.empty_like(xs) if tracked else None
 
     sampler = prepare_sampler(config.oracle, e, seeds, run_ids, T)
     wm = config.w.w
@@ -264,8 +259,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                 np.multiply(alpha, step, out=tmp)
                 np.subtract(x, tmp, out=tmp)
                 np.matmul(wm, tmp, out=x)
-                if tracked:
-                    ys[:, lo + k] = y
                 # Every column of a doubly stochastic W has a positive entry,
                 # so a non-finite oracle output or tracker reaches the model:
                 # one check covers all three stages, named on failure. A sum
@@ -276,6 +269,8 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                                          ("model update", x)))
                 g_prev = g
                 if trace:
+                    if tracked:
+                        ys[:, t - 1] = y
                     g_hist[:, t - 1] = g
                     z_hist[:, t - 1] = g - (e.grad_all(xb[:, k]) if exact is None else exact)
 
@@ -285,11 +280,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
             sb = scratch[:, :m]
             if x_star is not None:
                 mse[:, span] = _sum_sq(np.subtract(xb, x_star, out=sb)) * inv_n
-            cons[:, span] = _sum_sq(np.subtract(xb, xbar[:, :, None, :], out=sb)) * inv_n
-            if tracked:
-                yb = ys[:, lo:lo + m]
-                ybar = yb.sum(axis=2) * inv_n
-                track[:, span] = _sum_sq(np.subtract(yb, ybar[:, :, None, :], out=sb)) * inv_n
             statio[:, span] = _sum_sq(e.grad_global_all(xb) if grads is None else grads[:, :m])
             if stride:
                 first = -(t0 - 1) % stride
@@ -307,8 +297,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
         alpha=np.array(alphas, dtype=float),
         f_avg=f_avg,
         mse_to_opt=mse,
-        consensus_gap=cons,
-        tracker_gap=track,
         stationarity_sum=statio,
         final_x=x.copy(),
         snapshots=snapshots,

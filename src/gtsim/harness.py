@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -417,9 +416,9 @@ class ResultEnvelope:
     wall_clock: float = 0.0
 
 
-# bytes of block buffers (models, trackers, noise and the engine's scratch,
-# each (K, n, d) float64 per run, and with traces on the four (T, n, d)
-# traces) that one block of runs may hold
+# bytes of block buffers (models, noise, the engine's scratch and the relaxed
+# oracle's global gradients, each (K, n, d) float64 per run, and with traces
+# on the four (T, n, d) traces) that one block of runs may hold
 _BLOCK_BUDGET = 4 << 20
 
 
@@ -505,6 +504,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     blocks = [(alg, [derive_run_seed(exp["master_seed"], alg, r) for r in ids], list(ids))
               for alg in exp["algorithms"] for ids in plan]
     if workers > 1:
+        # imported here: one-worker runs never load the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(run_cfg,)) as pool:
             results = list(pool.map(_run_worker_block, blocks,

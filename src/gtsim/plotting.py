@@ -8,6 +8,7 @@ tail-probability series, where exponential decay reads as a straight line.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -25,16 +26,21 @@ def _fmt(v: float) -> str:
 def _ticks(lo: float, hi: float, count: int = 6):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(count - 1, 1)
+    parts = max(count - 1, 1)
+    raw = (hi - lo) / parts
+    if raw == math.inf:  # the width overflows; the difference of its parts does not
+        raw = hi / parts - lo / parts
+    # a step below the least positive float is that float
+    raw = max(raw, math.ulp(0.0))
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    # the first round multiple of the decade that covers raw; raw itself
+    # where the decade is subnormal and none does
+    step = next((mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag), raw)
     start = math.ceil(lo / step) * step
     ticks = []
     v = start
-    while v <= hi + 1e-12 * step:
+    end = min(hi + 1e-12 * step, sys.float_info.max)
+    while v <= end:
         ticks.append(v)
         if v + step == v:  # a step below v's resolution would never end
             break
@@ -44,12 +50,25 @@ def _ticks(lo: float, hi: float, count: int = 6):
 
 def _widen(lo: float, hi: float):
     """An axis range with room to step through: an empty one gains 1.0, or,
-    where 1.0 is below lo's resolution, a millionth of lo's magnitude."""
+    where 1.0 is below lo's resolution, a millionth of lo's magnitude (below
+    lo where above it overflows)."""
     if hi <= lo:
         hi = lo + 1.0
         if hi <= lo:
             hi = lo + abs(lo) * 1e-6
+            if hi == math.inf:
+                lo, hi = lo - abs(lo) * 1e-6, lo
     return lo, hi
+
+
+def _unit(lo: float, hi: float):
+    """The map v -> (v - lo) / (hi - lo), for scalars and arrays, finite on
+    every finite range: where hi - lo overflows, it maps the halves of v, lo
+    and hi, whose width does not."""
+    if math.isfinite(hi - lo):
+        return lambda v: (v - lo) / (hi - lo)
+    lo, hi = lo * 0.5, hi * 0.5
+    return lambda v: (v * 0.5 - lo) / (hi - lo)
 
 
 def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
@@ -87,11 +106,13 @@ def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
         y_hi = y_lo + 1.0
 
     # for tick scalars and point arrays alike
+    ux, uy = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
+
     def sx(x):
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + ux(x) * plot_w
 
     def sy(yv):
-        return _MARGIN_T + plot_h - (yv - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + plot_h - uy(yv) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

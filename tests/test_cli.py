@@ -45,12 +45,20 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_import_leaves_tomllib_unloaded():
-    # tomllib is imported where a TOML config is read, so JSON configs never load it
-    code = "import sys, gtsim.cli; print('tomllib' in sys.modules)"
+def test_import_leaves_tomllib_unloaded(tmp_path):
+    # tomllib is imported where a TOML config is read, so JSON configs never
+    # load it; the process pool is imported where several workers step the
+    # runs, so a one-worker experiment never loads it
+    path = tmp_path / "exp.toml"
+    path.write_text(CONFIG)
+    code = ("import sys, gtsim.cli\n"
+            "from gtsim import harness\n"
+            "print('tomllib' in sys.modules)\n"
+            f"harness.run_experiment(harness.load_config({str(path)!r}), workers=1)\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "[]"]
 
 
 def test_calc_transient_nonconvex(capsys):

@@ -240,11 +240,11 @@ def test_finite_models_whose_sum_overflows_do_not_abort():
     assert_records_identical(rec, reference_run("gt_dsgd", cfg, 0, 0))
 
 
-@pytest.mark.parametrize("algorithm, buffers", [("gt_dsgd", 4), ("dsgd", 3)])
+@pytest.mark.parametrize("algorithm, buffers", [("gt_dsgd", 3), ("dsgd", 3)])
 def test_a_block_holds_its_buffers_and_no_block_sized_temporaries(algorithm, buffers):
-    # the block buffers are the models, the trackers (gt_dsgd only), the
-    # noise chunk and the scratch the updates and reductions write through;
-    # beyond them a block holds the global gradients at the models and small
+    # the block buffers are the models, the noise chunk and the scratch the
+    # reductions write through (trackers are held only as traces); beyond
+    # them a block holds the global gradients at the models and small
     # per-run arrays, measured at about 1.2 buffers
     Bn, n, d = 4, 50, 10
     e = costs.make_synthetic_quadratics(n, d, "a", seed=0)

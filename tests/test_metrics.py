@@ -11,8 +11,8 @@ def block_record(mse, statio, n=2):
     zeros = np.zeros((B, T))
     return alg.TrajectoryRecord(
         algorithm="gt_dsgd", seed=tuple(range(B)), run_id=tuple(range(B)), T=T,
-        alpha=np.full(T, 0.1), f_avg=zeros, mse_to_opt=mse, consensus_gap=zeros,
-        tracker_gap=zeros, stationarity_sum=statio, final_x=np.zeros((B, n, 3)),
+        alpha=np.full(T, 0.1), f_avg=zeros, mse_to_opt=mse, stationarity_sum=statio,
+        final_x=np.zeros((B, n, 3)),
     )
 
 

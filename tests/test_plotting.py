@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gtsim.plotting import render_line_chart
@@ -44,13 +45,21 @@ def chart_series(draw):
 
 
 def _resolvable(values) -> bool:
-    """Whether an axis over ``values`` has a range the tick loop can step
-    through: the reference loop never ends when the tick step is below the
-    resolution of the ticks, and fails on an empty range where 1.0 is lost."""
+    """Whether the reference writer can draw an axis over ``values``. Its
+    tick loop raises where the width overflows or where the tick step it
+    starts from, width / 5, is subnormal; it never ends where its end,
+    hi + 1e-12 * step, rounds to inf (the step is at most twice the width)
+    or where the step is below the resolution of the ticks; and it raises
+    on an empty range where 1.0 is lost."""
     if not values:
         return True
     lo, hi = min(values), max(values)
-    return hi - lo > 1e-9 * max(abs(lo), abs(hi)) or (hi == lo and abs(lo) < 2.0 ** 40)
+    width = hi - lo
+    if not math.isfinite(width) or hi + 2e-12 * width == math.inf:
+        return False
+    if hi == lo:
+        return abs(lo) < 2.0 ** 40
+    return width / 5 >= sys.float_info.min and width > 1e-9 * max(abs(lo), abs(hi))
 
 
 def _reference_draws(series, log_y) -> bool:
@@ -67,6 +76,8 @@ def _reference_draws(series, log_y) -> bool:
 @example(series={"a": ([1, 2, 3], [0.0, -1.0, 0.0])}, log_y=True, as_arrays=False)
 @example(series={"a": ([1, 2], [1e-300, 1e300]), "b": ([1.5], [-1e300])}, log_y=False,
          as_arrays=False)
+@example(series={"a": ([1, 2], [-1e306, 1e306]), "b": ([1.5, 3e3], [0.0, 1e305])}, log_y=False,
+         as_arrays=True)
 def test_charts_match_the_reference_writer(series, log_y, as_arrays):
     assume(_reference_draws(series, log_y))
     expected = reference_render_line_chart(series, "t", ylabel="y", log_y=log_y)
@@ -94,6 +105,33 @@ def test_non_finite_points_are_left_out_of_the_path_and_the_range(series, log_y,
     svg = render_line_chart(spiked, "t", log_y=log_y)
     assert svg == reference_render_line_chart(series, "t", log_y=log_y)
     assert not [p for p in _points(svg) if "nan" in p or "inf" in p]
+
+
+@pytest.mark.parametrize("lo, hi, labels", [
+    (-1e308, 1e308, ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]),
+    (0.0, sys.float_info.max, ["0", "5e+307", "1e+308", "1.5e+308"]),
+    (0.0, 5e-324, ["0", "4.94066e-324"]),
+])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_ranges_whose_width_overflows_or_whose_tick_step_underflows_render(lo, hi, labels, axis):
+    # the width of [-1e308, 1e308] overflowed the tick step and the pixel
+    # scale, and the tick step of [0, 5e-324] underflowed to 0; both raised.
+    # Up to the largest float, the tick loop's end overflowed, and an inf
+    # tick was drawn on the x axis
+    xs, ys = ([lo, hi], [1.0, 2.0]) if axis == "x" else ([1.0, 2.0], [lo, hi])
+    svg = render_line_chart({"a": (xs, ys)}, "t")
+    assert "nan" not in svg and "inf" not in svg
+    assert _points(svg) == ["70.00,390.00", "700.00,30.00"]
+    anchor = "middle" if axis == "x" else "end"
+    assert re.findall(f'text-anchor="{anchor}" font-family="sans-serif" font-size="11">([^<]*)<',
+                      svg) == labels
+
+
+def test_a_constant_series_at_the_largest_float_renders():
+    # widening its empty range upward overflowed to inf
+    svg = render_line_chart({"a": ([1.0, 2.0], [sys.float_info.max] * 2)}, "t")
+    assert "nan" not in svg and "inf" not in svg
+    assert _points(svg) == ["70.00,30.00", "700.00,30.00"]
 
 
 def test_ranges_below_the_tick_resolution_render(tmp_path):

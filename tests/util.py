@@ -104,7 +104,6 @@ def reference_run(algorithm, config, seed, run_id):
     trace = config.record_trace
     w = config.w.w
     rec = dict(alpha=np.empty(T), f_avg=np.empty(T), mse_to_opt=np.full(T, np.nan),
-               consensus_gap=np.empty(T), tracker_gap=np.zeros(T),
                stationarity_sum=np.empty(T), snapshots={})
     x_hist, y_hist = np.empty((T + 1, n, d)), np.empty((T, n, d))
     g_hist, z_hist = np.empty((T, n, d)), np.empty((T, n, d))
@@ -123,8 +122,6 @@ def reference_run(algorithm, config, seed, run_id):
             if x_star is not None:
                 diff = x - x_star
                 rec["mse_to_opt"][i] = (diff * diff).sum() * (1.0 / n)
-            dev = x - xbar
-            rec["consensus_gap"][i] = (dev * dev).sum() * (1.0 / n)
             rec["stationarity_sum"][i] = (gg * gg).sum()
             if trace:
                 x_hist[i] = x
@@ -137,8 +134,6 @@ def reference_run(algorithm, config, seed, run_id):
                 y = w @ (y + g - g_prev)
                 _reference_guard(y, t, "tracker update", run_id)
                 x = w @ (x - alpha * y)
-                ydev = y - y.sum(axis=0) * (1.0 / n)
-                rec["tracker_gap"][i] = (ydev * ydev).sum() * (1.0 / n)
             else:
                 x = w @ (x - alpha * g)
             _reference_guard(x, t, "model update", run_id)
