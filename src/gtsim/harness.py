@@ -589,12 +589,10 @@ def run_checks(cfg: ExperimentConfig) -> list:
             reports.append(theorycheck.merge_reports(name, per_name[name]))
 
     if chk["noise"]:
-        xs = [np.zeros(e.d)]
-        n_avg = tuple(m for m in (4, 16) if m <= max(e.n, 16))
         reports.append(
             theorycheck.check_noise_properties(
-                run_cfg.oracle, e, xs, samples=chk["noise_samples"],
-                seed=int(exp["master_seed"]), n_avg=n_avg,
+                run_cfg.oracle, e, [np.zeros(e.d)], samples=chk["noise_samples"],
+                seed=int(exp["master_seed"]),
             )
         )
     return reports

@@ -282,13 +282,21 @@ def noise_samples(
     seed: int = 0,
     alpha: Optional[float] = None,
 ) -> np.ndarray:
-    """Monte-Carlo noise draws z = g - grad f_i(x) for diagnostics, (count, d)."""
+    """Monte-Carlo noise draws z = g - grad f_i(x) for diagnostics, (count, d).
+
+    The additive flavors scale their draw in place: the product is
+    elementwise, so it has the bits of ``s * draw`` without a second array.
+    """
     x = np.asarray(x, dtype=float)
     if o.kind == "gaussian":
-        return o.s_vector(e.n)[i] * _generator(seed, 2, i, 0).standard_normal((count, e.d))
+        z = _generator(seed, 2, i, 0).standard_normal((count, e.d))
+        z *= o.s_vector(e.n)[i]
+        return z
     if o.kind == "relaxed_subgaussian":
         scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
-        return o.s * scale * _generator(seed, 2, i, 0).standard_normal((count, e.d))
+        z = _generator(seed, 2, i, 0).standard_normal((count, e.d))
+        z *= o.s * scale
+        return z
     if o.kind == "minibatch":
         _require_dataset(e)
         grad = e.grad_local(i, x)
@@ -301,10 +309,15 @@ def noise_samples(
 
 
 def capped_exp_mean(w: np.ndarray):
-    """(mean, standard error, count capped) of exp(w), exponents capped at 700."""
+    """(mean, standard error, count capped) of exp(w), exponents capped at 700.
+
+    Overwrites ``w`` with the capped exponentials: pass an array that is not
+    needed afterwards.
+    """
     capped = int(np.sum(w > _EXP_CAP))
-    vals = np.exp(np.minimum(w, _EXP_CAP))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), capped
+    np.minimum(w, _EXP_CAP, out=w)
+    np.exp(w, out=w)
+    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(len(w))), capped
 
 
 @dataclass(frozen=True)
@@ -335,5 +348,9 @@ def estimate_mgf(
     if sigma_sq <= 0:
         raise OracleError("sigma_sq must be > 0")
     z = noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha)
-    value, stderr, capped = capped_exp_mean(np.sum(z * z, axis=1) / sigma_sq)
+    np.multiply(z, z, out=z)
+    w = np.sum(z, axis=1)
+    del z
+    w /= sigma_sq
+    value, stderr, capped = capped_exp_mean(w)
     return MgfEstimate(value=value, stderr=stderr, capped=capped, samples=samples)

@@ -14,6 +14,7 @@ once, with the same floating-point operations per run in any block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,11 +299,8 @@ def check_tracker_recursion(rec, w, e) -> CheckReport:
     return _report("tracker_recursion", rhs - y_gap[:, 1:], rec.run_id, 1)
 
 
-def _avg_mgf_exponent(total, m, sigma_sq):
-    """m ||zbar||^2 / (96 sigma^2) per sample, with zbar = total / m."""
-    sq = total / m
-    np.multiply(sq, sq, out=sq)
-    return m * np.sum(sq, axis=1) / (96.0 * sigma_sq)
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def check_noise_properties(
@@ -326,9 +324,22 @@ def check_noise_properties(
     sigma^2 is the calibrated parameter of the agent's noise. Every sub-check
     passes if the estimate stays within three standard errors of its bound;
     margins are recorded in the details.
+
+    At most two (samples, d) arrays are alive at once: every elementwise step
+    writes into an array the check already holds.
     """
+    if not _is_count(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 100_000:
         raise ValueError("noise property checks need at least 1e5 samples")
+    if not _is_count(agent) or not 0 <= agent < e.n:
+        raise ValueError(f"agent must be an agent index in [0, {e.n}), got {agent!r}")
+    n_avg = tuple(n_avg)
+    if not all(_is_count(m) and m >= 1 for m in n_avg):
+        raise ValueError(f"n_avg must hold positive integers, got {n_avg!r}")
+    xs = list(xs)
+    if not xs:
+        raise ValueError("xs must hold at least one grid point")
     if o.kind == "minibatch":
         raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
     if getattr(o, "rho", 0.0) != 0.0:
@@ -360,7 +371,11 @@ def check_noise_properties(
 
     for k, x in enumerate(xs):
         z = noise_samples(o, e, agent, x, samples, seed=seed + k)
-        norms = np.linalg.norm(z, axis=1)
+        # the row norms as np.linalg.norm takes them, squaring in place
+        np.multiply(z, z, out=z)
+        norms = np.add.reduce(z, axis=1)
+        del z
+        np.sqrt(norms, out=norms)
         for mult in (1.0, 2.0, 3.0):
             eps = mult * sigma
             p_hat = float(np.mean(norms > eps))
@@ -373,19 +388,30 @@ def check_noise_properties(
             stderr = float(vals.std(ddof=1) / math.sqrt(samples))
             bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
             record(f"moment_x{k}_p{p}", est, bound, stderr)
+        del norms, vals
         # one running sum in draw order serves every average: the sum of the
         # first m draws, divided once by m, is bitwise the mean of the stacked
-        # draws, without holding all m of them or drawing any of them twice
+        # draws, without holding all m of them or drawing any of them twice.
+        # Once summed, the draw just added makes room for zbar and its square
         total = None
         stats = {}
-        for j in range(max(n_avg, default=0)):
-            z = noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+        for m in range(1, max(n_avg, default=0) + 1):
+            z = noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + m - 1)
             if total is None:
                 total = z
             else:
                 total += z
-            if j + 1 in n_avg:
-                stats[j + 1] = capped_exp_mean(_avg_mgf_exponent(total, j + 1, sigma_sq))
+            if m in n_avg:
+                # the first draw is the total itself, so it gets a new array
+                sq = np.divide(total, m, out=None if z is total else z)
+                np.multiply(sq, sq, out=sq)
+                w = np.sum(sq, axis=1)
+                del sq
+                w *= m
+                w /= 96.0 * sigma_sq
+                stats[m] = capped_exp_mean(w)
+            del z
+        del total
         for m in n_avg:
             est, stderr, capped = stats[m]
             bound = 2.0 * d * math.e

@@ -1,10 +1,14 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gtsim import costs, noise
-from util import reference_noise
+from gtsim import costs, datasets, noise
+from util import reference_estimate_mgf, reference_noise
+
+TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
 
 def small_quadratic(n=3, d=2):
@@ -130,6 +134,28 @@ def test_mgf_requires_enough_samples():
     e = small_quadratic()
     with pytest.raises(noise.OracleError):
         noise.estimate_mgf(noise.GaussianOracle(1.0), e, 0, np.zeros(2), 1.0, 100)
+
+
+@pytest.mark.parametrize("oracle, sigma_sq, samples, alpha, cap", [
+    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3.0, 100_000, None, None),
+    (noise.RelaxedSubgaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0), 4.0, 50_000, 0.1, None),
+    (noise.GaussianOracle(1.0), 1.0, 20_000, None, 0.5),
+], ids=["per_agent_gaussian", "relaxed", "capped"])
+def test_mgf_estimate_matches_the_reference_bitwise(oracle, sigma_sq, samples, alpha, cap):
+    e = small_quadratic(d=3)
+    x = np.full(3, 2.0)
+    args = (oracle, e, 1, x, sigma_sq, samples)
+    with mock.patch.object(noise, "_EXP_CAP", cap or noise._EXP_CAP):
+        got = noise.estimate_mgf(*args, seed=6, alpha=alpha)
+        ref = reference_estimate_mgf(*args, seed=6, alpha=alpha)
+    assert repr(got) == repr(ref)
+    assert got.capped == ref.capped
+
+
+def test_mgf_estimate_matches_the_reference_bitwise_for_minibatches():
+    e = datasets.to_logistic_ensemble(datasets.split_uniform(datasets.load_libsvm(TOY), 2))
+    args = (noise.MinibatchOracle(1), e, 0, np.full(e.d, 0.1), 0.5, 10_000)
+    assert repr(noise.estimate_mgf(*args, seed=3)) == repr(reference_estimate_mgf(*args, seed=3))
 
 
 def test_zero_mean_invariant():

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from gtsim import algorithms as alg, costs, datasets, noise, theorycheck as tc, topology as tp
 from util import (
     path3_matrix, reference_avg_mgf_details, reference_check_consensus_bound, reference_check_descent,
-    reference_check_descent_pl, reference_check_tracker_recursion, ring_matrix,
+    reference_check_descent_pl, reference_check_noise_properties, reference_check_tracker_recursion,
+    ring_matrix,
 )
 
 TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
@@ -238,6 +240,82 @@ def test_noise_properties_rejects_few_samples():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(2)], samples=1000)
+
+
+def _ring3_quadratic(d=2):
+    return costs.QuadraticEnsemble(np.stack([np.eye(d)] * 3), np.zeros((3, d)))
+
+
+@pytest.mark.parametrize("oracle", [
+    noise.GaussianOracle(1.0),
+    noise.RelaxedSubgaussianOracle(s=1.0, rho=0.0, eps_exponent=1.0),
+], ids=["gaussian", "relaxed"])
+@pytest.mark.parametrize("kwargs, argument", [
+    ({"n_avg": (0,)}, "n_avg"),
+    ({"n_avg": (4, -1)}, "n_avg"),
+    ({"agent": 5}, "agent"),
+    ({"xs": []}, "xs"),
+    ({"samples": 1e5}, "samples"),
+], ids=["zero_average", "negative_average", "missing_agent", "no_grid_point", "float_samples"])
+def test_noise_properties_rejects_bad_arguments_by_name(oracle, kwargs, argument):
+    args = {"xs": [np.zeros(2)], "samples": 100_000, **kwargs}
+    with pytest.raises(ValueError, match=argument):
+        tc.check_noise_properties(oracle, _ring3_quadratic(), **args)
+
+
+def assert_noise_reports_identical(got, ref):
+    assert json.dumps(got.details, sort_keys=True) == json.dumps(ref.details, sort_keys=True)
+    assert repr(got.worst_slack) == repr(ref.worst_slack)
+    assert got.violations == ref.violations
+    assert got.instances == ref.instances
+
+
+@pytest.mark.parametrize("oracle, d, points, n_avg, agent", [
+    (noise.GaussianOracle(1.0), 1, 1, (4, 16), 0),
+    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 2, (1, 3, 16), 1),
+    (noise.RelaxedSubgaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 1, (2,), 2),
+], ids=["gaussian_d1", "per_agent_d3_two_points", "relaxed_d17"])
+def test_noise_properties_match_the_reference_bitwise(oracle, d, points, n_avg, agent):
+    e = _ring3_quadratic(d)
+    xs = [np.full(d, float(k)) for k in range(points)]
+    args = dict(samples=100_000, seed=5, n_avg=n_avg, agent=agent)
+    assert_noise_reports_identical(tc.check_noise_properties(oracle, e, xs, **args),
+                                   reference_check_noise_properties(oracle, e, xs, **args))
+
+
+def test_noise_properties_match_the_reference_bitwise_when_capped():
+    e = _ring3_quadratic(3)
+    args = dict(samples=100_000, seed=2, n_avg=(1, 4, 16))
+    with mock.patch.object(noise, "_EXP_CAP", 0.02):
+        got = tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
+        ref = reference_check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
+    assert all(got.details[f"avg_mgf_x0_n{m}"]["capped"] > 0 for m in (1, 4, 16))
+    assert_noise_reports_identical(got, ref)
+
+
+def test_noise_properties_match_the_reference_bitwise_when_violated():
+    # a parameter far below the calibrated one fails tails, moments and averages
+    e = _ring3_quadratic(3)
+    low = lambda s, d, calibrate=noise.calibrate_sigma: 0.05 * calibrate(s, d)
+    args = dict(samples=100_000, seed=4, n_avg=(4, 16))
+    with mock.patch.object(tc, "calibrate_sigma", low), mock.patch.object(noise, "calibrate_sigma", low):
+        got = tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
+        ref = reference_check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
+    assert not got.passed and len(got.violations) > 1
+    assert_noise_reports_identical(got, ref)
+
+
+def test_noise_check_holds_two_draw_sized_arrays():
+    samples, d = 100_000, 4
+    e = _ring3_quadratic(d)
+    tracemalloc.start()
+    try:
+        tc.check_noise_properties(noise.GaussianOracle(0.5), e, [np.zeros(d)], samples=samples, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the running total and the draw being added, plus a few per-sample scalars
+    assert peak <= 2 * samples * d * 8 + 3 * samples * 8
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,124 @@ def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
 
 
 # ---------------------------------------------------------------------------
+# Reference noise Monte Carlo: check_noise_properties and estimate_mgf as they
+# were before the check wrote into arrays it already held, each product,
+# norm and quotient in a new array. Their draws and capped means are inlined,
+# so they depend on no noise helper beyond the counter-based generator and
+# the relaxed scale. The exponent cap is read at call time, so a test may
+# patch noise._EXP_CAP.
+# ---------------------------------------------------------------------------
+
+def _reference_noise_samples(o, e, i, x, count, seed=0, alpha=None):
+    x = np.asarray(x, dtype=float)
+    if o.kind == "gaussian":
+        return o.s_vector(e.n)[i] * noise._generator(seed, 2, i, 0).standard_normal((count, e.d))
+    if o.kind == "relaxed_subgaussian":
+        scale = noise._relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
+        return o.s * scale * noise._generator(seed, 2, i, 0).standard_normal((count, e.d))
+    if o.kind == "minibatch":
+        grad = e.grad_local(i, x)
+        out = np.empty((count, e.d))
+        gen = noise._generator(seed, 2, i, 0)
+        for k in range(count):
+            out[k] = e.grad_batch(i, x, noise._batch_of(o, e, i, gen)) - grad
+        return out
+    raise noise.OracleError(f"unknown oracle kind {o.kind!r}")
+
+
+def _reference_capped_exp_mean(w):
+    capped = int(np.sum(w > noise._EXP_CAP))
+    vals = np.exp(np.minimum(w, noise._EXP_CAP))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), capped
+
+
+def _reference_avg_mgf_exponent(total, m, sigma_sq):
+    sq = total / m
+    np.multiply(sq, sq, out=sq)
+    return m * np.sum(sq, axis=1) / (96.0 * sigma_sq)
+
+
+def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4, 16), agent=0):
+    if samples < 100_000:
+        raise ValueError("noise property checks need at least 1e5 samples")
+    if o.kind == "minibatch":
+        raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
+    if getattr(o, "rho", 0.0) != 0.0:
+        raise ValueError("closed-form comparisons require the rho = 0 flavor")
+    if o.kind == "gaussian":
+        s = float(o.s_vector(e.n)[agent])
+    else:
+        s = float(o.s)
+    d = e.d
+    sigma_sq = noise.calibrate_sigma(s, d)
+    if sigma_sq == 0.0:
+        return tc.CheckReport("noise_properties", 1, 2.0, [], deterministic=False,
+                              details={"noiseless": True})
+    sigma = math.sqrt(sigma_sq)
+
+    worst = math.inf
+    violations = []
+    details = {}
+
+    def record(label, estimate, bound, stderr):
+        nonlocal worst
+        slack = bound + 3.0 * stderr - estimate
+        details[label] = {"estimate": estimate, "bound": bound, "stderr": stderr}
+        if slack < worst:
+            worst = slack
+        if slack < 0:
+            violations.append(label)
+
+    for k, x in enumerate(xs):
+        z = _reference_noise_samples(o, e, agent, x, samples, seed=seed + k)
+        norms = np.linalg.norm(z, axis=1)
+        for mult in (1.0, 2.0, 3.0):
+            eps = mult * sigma
+            p_hat = float(np.mean(norms > eps))
+            stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / samples) / samples)
+            bound = min(1.0, 2.0 * math.exp(-eps * eps / (2.0 * sigma_sq)))
+            record(f"tail_x{k}_eps{mult:g}sigma", p_hat, bound, stderr)
+        for p in (1, 2, 3):
+            vals = norms ** (2 * p)
+            est = float(vals.mean())
+            stderr = float(vals.std(ddof=1) / math.sqrt(samples))
+            bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
+            record(f"moment_x{k}_p{p}", est, bound, stderr)
+        total = None
+        stats = {}
+        for j in range(max(n_avg, default=0)):
+            z = _reference_noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+            if total is None:
+                total = z
+            else:
+                total += z
+            if j + 1 in n_avg:
+                stats[j + 1] = _reference_capped_exp_mean(
+                    _reference_avg_mgf_exponent(total, j + 1, sigma_sq))
+        for m in n_avg:
+            est, stderr, capped = stats[m]
+            bound = 2.0 * d * math.e
+            record(f"avg_mgf_x{k}_n{m}", est, bound, stderr)
+            if capped:
+                details[f"avg_mgf_x{k}_n{m}"]["capped"] = capped
+
+    return tc.CheckReport(
+        "noise_properties",
+        instances=len(details),
+        worst_slack=worst,
+        violations=violations,
+        deterministic=False,
+        details=details,
+    )
+
+
+def reference_estimate_mgf(o, e, i, x, sigma_sq, samples, seed=0, alpha=None):
+    z = _reference_noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha)
+    value, stderr, capped = _reference_capped_exp_mean(np.sum(z * z, axis=1) / sigma_sq)
+    return noise.MgfEstimate(value=value, stderr=stderr, capped=capped, samples=samples)
+
+
+# ---------------------------------------------------------------------------
 # Reference LIBSVM loops: one dict of {0-based index: value} per row, built
 # one entry at a time. Rows are (label, dict) pairs, as LabeledDataset.rows
 # gives them. The parser accepts non-finite values.
