@@ -15,8 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -49,188 +51,150 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _ALGORITHMS = ("gt_dsgd", "dsgd")
+_TRAJECTORY_CHECKS = ("descent", "descent_pl", "consensus", "tracker")
 
 
-def _expect(section, data, allowed, required):
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{section}.{key}'")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"missing required key '{section}.{key}'")
-
-
-def _num(section, data, key, default=None, minimum=None, integer=False):
-    val = data.get(key, default)
-    if val is None:
-        return None
+def _float(path, val, minimum=None, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"'{section}.{key}' must be a number")
+        raise ConfigError(f"'{path}' must be a number")
+    if not (integer and isinstance(val, int) or abs(val) <= sys.float_info.max):
+        raise ConfigError(f"'{path}' must be finite")  # NaN, an infinity, or an int beyond floats
     if integer:
         if int(val) != val:
-            raise ConfigError(f"'{section}.{key}' must be an integer")
+            raise ConfigError(f"'{path}' must be an integer")
         val = int(val)
     else:
         val = float(val)
     if minimum is not None and val < minimum:
-        raise ConfigError(f"'{section}.{key}' must be >= {minimum}")
+        raise ConfigError(f"'{path}' must be >= {minimum}")
     return val
 
 
-def _normalize_experiment(data):
-    _expect("experiment", data,
-            {"name", "T", "R", "master_seed", "algorithms", "thresholds",
-             "tail_statistic", "record_stride", "output_dir"},
-            {"T"})
-    algs = data.get("algorithms", ["gt_dsgd"])
-    if not isinstance(algs, list) or not algs:
-        raise ConfigError("'experiment.algorithms' must be a non-empty list")
-    for a in algs:
+_int = partial(_float, integer=True)
+
+
+def _floats(path, val, positive=False):
+    if not isinstance(val, list):
+        raise ConfigError(f"'{path}' must be a list")
+    for v in val:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"'{path}' entry {v!r} is not a number")
+        if positive and not v > 0:
+            raise ConfigError(f"'{path}' entry {v!r} must be > 0")
+        if not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"'{path}' entry {v!r} must be finite")
+    return [float(v) for v in val]
+
+
+def _scales(path, val):
+    """A number, or a list of numbers (one per agent)."""
+    return _floats(path, val) if isinstance(val, list) else _float(path, val)
+
+
+def _bool(path, val):
+    if not isinstance(val, bool):
+        raise ConfigError(f"'{path}' must be true or false")
+    return val
+
+
+def _str(path, val):
+    if not isinstance(val, str):
+        raise ConfigError(f"'{path}' must be a string")
+    return val
+
+
+def _choice(*options):
+    def check(path, val):
+        if val not in options:  # compares, never hashes: val may be a list
+            raise ConfigError(f"'{path}' must be " + " or ".join(f"'{o}'" for o in options))
+        return val
+    return check
+
+
+def _algorithms(path, val):
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"'{path}' must be a non-empty list")
+    for a in val:
         if a not in _ALGORITHMS:
-            raise ConfigError(f"'experiment.algorithms' entry {a!r} is not one of {_ALGORITHMS}")
-    thresholds = data.get("thresholds", [])
-    if not isinstance(thresholds, list):
-        raise ConfigError("'experiment.thresholds' must be a list")
-    for eps in thresholds:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise ConfigError(f"'experiment.thresholds' entry {eps!r} is not a number")
-        if not eps > 0:
-            raise ConfigError(f"'experiment.thresholds' entry {eps!r} must be > 0")
-    stat = data.get("tail_statistic", "mse_to_opt")
-    if stat not in ("mse_to_opt", "running_stationarity"):
-        raise ConfigError("'experiment.tail_statistic' must be 'mse_to_opt' or 'running_stationarity'")
-    return {
-        "name": str(data.get("name", "experiment")),
-        "T": _num("experiment", data, "T", minimum=0, integer=True),
-        "R": _num("experiment", data, "R", default=1, minimum=1, integer=True),
-        "master_seed": _num("experiment", data, "master_seed", default=0, integer=True),
-        "algorithms": list(algs),
-        "thresholds": [float(x) for x in thresholds],
-        "tail_statistic": stat,
+            raise ConfigError(f"'{path}' entry {a!r} is not one of {_ALGORITHMS}")
+    return list(val)
+
+
+_REQUIRED = object()
+
+# section -> (required, tag key, tag default, {tag value: {key: spec}}); a
+# section without a tag key has the one variant None. A key's spec is (type,
+# default or _REQUIRED[, lower bound]), listed in the order values are checked.
+_SCHEMA = {
+    "experiment": (True, None, None, {None: {
+        "name": (_str, "experiment"),
+        "algorithms": (_algorithms, ["gt_dsgd"]),
+        "thresholds": (partial(_floats, positive=True), []),
+        "tail_statistic": (_choice("mse_to_opt", "running_stationarity"), "mse_to_opt"),
+        "T": (_int, _REQUIRED, 0),
+        "R": (_int, 1, 1),
+        "master_seed": (_int, 0),
         # kept in the envelope's config; experiment runs record no snapshots
-        "record_stride": _num("experiment", data, "record_stride", default=1, minimum=0, integer=True),
-        "output_dir": str(data.get("output_dir", "out")),
-    }
+        "record_stride": (_int, 1, 0),
+        "output_dir": (_str, "out"),
+    }}),
+    "topology": (True, "kind", None, {
+        **dict.fromkeys(("ring", "path", "complete"), {"n": (_int, _REQUIRED, 1), "seed": (_int, 0, 0)}),
+        "erdos_renyi": {"n": (_int, _REQUIRED, 2), "seed": (_int, 0, 0), "p": (_float, None),
+                        "target_lambda": (_float, None), "tol": (_float, 0.05)},
+        "matrix_csv": {"path": (_str, _REQUIRED)},
+    }),
+    "cost": (True, "kind", None, {
+        "quadratic_synthetic": {"profile": (_choice("a", "b"), "a"), "d": (_int, _REQUIRED, 1),
+                                "sparsity": (_float, 0.1), "mu0": (_float, 0.1), "seed": (_int, 0, 0)},
+        "logistic_libsvm": {"path": (_str, _REQUIRED), "eta": (_float, 0.1, 0.0),
+                            "normalize": (_bool, False), "split_seed": (_int, 0, 0)},
+        "quadratic_json": {"path": (_str, _REQUIRED)},
+    }),
+    "oracle": (True, "flavor", None, {
+        "gaussian": {"s": (_scales, 1.0)},
+        "minibatch": {"batch_size": (_int, 1, 1)},
+        "relaxed_subgaussian": {"s": (_float, 1.0, 0.0), "rho": (_float, 0.0, 0.0),
+                                "eps_exponent": (_float, 1.0)},
+    }),
+    "schedule": (True, "kind", None, {
+        "constant": {"alpha": (_float, _REQUIRED)},
+        "inverse_time": {"a": (_float, 1.0), "mu": (_float, 1.0), "t0": (_float, 1.0)},
+    }),
+    "init": (False, "kind", "zeros", {
+        "zeros": {},
+        "gaussian": {"scale": (_float, 1.0), "seed": (_int, 0, 0)},
+    }),
+    "checks": (False, None, None, {None: {
+        "runs": (_int, 20, 1),
+        **dict.fromkeys(_TRAJECTORY_CHECKS + ("noise",), (_bool, False)),
+        "noise_samples": (_int, 100_000, 100_000),
+    }}),
+}
 
 
-def _normalize_topology(data):
-    kind = data.get("kind")
-    if kind in ("ring", "path", "complete"):
-        _expect("topology", data, {"kind", "n", "seed"}, {"kind", "n"})
-        return {"kind": kind,
-                "n": _num("topology", data, "n", minimum=1, integer=True),
-                "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True)}
-    if kind == "erdos_renyi":
-        _expect("topology", data, {"kind", "n", "seed", "p", "target_lambda", "tol"}, {"kind", "n"})
-        out = {"kind": kind,
-               "n": _num("topology", data, "n", minimum=2, integer=True),
-               "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True),
-               "p": _num("topology", data, "p"),
-               "target_lambda": _num("topology", data, "target_lambda"),
-               "tol": _num("topology", data, "tol", default=0.05)}
-        if (out["p"] is None) == (out["target_lambda"] is None):
-            raise ConfigError("'topology': erdos_renyi needs exactly one of 'p' or 'target_lambda'")
-        return out
-    if kind == "matrix_csv":
-        _expect("topology", data, {"kind", "path"}, {"kind", "path"})
-        return {"kind": kind, "path": str(data["path"])}
-    raise ConfigError("'topology.kind' must be ring, path, complete, erdos_renyi, or matrix_csv")
-
-
-def _normalize_cost(data):
-    kind = data.get("kind")
-    if kind == "quadratic_synthetic":
-        _expect("cost", data, {"kind", "d", "profile", "sparsity", "mu0", "seed"}, {"kind", "d"})
-        profile = data.get("profile", "a")
-        if profile not in ("a", "b"):
-            raise ConfigError("'cost.profile' must be 'a' or 'b'")
-        return {"kind": kind,
-                "d": _num("cost", data, "d", minimum=1, integer=True),
-                "profile": profile,
-                "sparsity": _num("cost", data, "sparsity", default=0.1),
-                "mu0": _num("cost", data, "mu0", default=0.1),
-                "seed": _num("cost", data, "seed", default=0, minimum=0, integer=True)}
-    if kind == "logistic_libsvm":
-        _expect("cost", data, {"kind", "path", "eta", "normalize", "split_seed"}, {"kind", "path"})
-        return {"kind": kind,
-                "path": str(data["path"]),
-                "eta": _num("cost", data, "eta", default=0.1, minimum=0.0),
-                "normalize": bool(data.get("normalize", False)),
-                "split_seed": _num("cost", data, "split_seed", default=0, minimum=0, integer=True)}
-    if kind == "quadratic_json":
-        _expect("cost", data, {"kind", "path"}, {"kind", "path"})
-        return {"kind": kind, "path": str(data["path"])}
-    raise ConfigError("'cost.kind' must be quadratic_synthetic, logistic_libsvm, or quadratic_json")
-
-
-def _normalize_oracle(data):
-    flavor = data.get("flavor")
-    if flavor == "gaussian":
-        _expect("oracle", data, {"flavor", "s"}, {"flavor"})
-        s = data.get("s", 1.0)
-        if isinstance(s, list):
-            s = [float(v) for v in s]
-        else:
-            s = float(s)
-        return {"flavor": flavor, "s": s}
-    if flavor == "minibatch":
-        _expect("oracle", data, {"flavor", "batch_size"}, {"flavor"})
-        return {"flavor": flavor,
-                "batch_size": _num("oracle", data, "batch_size", default=1, minimum=1, integer=True)}
-    if flavor == "relaxed_subgaussian":
-        _expect("oracle", data, {"flavor", "s", "rho", "eps_exponent"}, {"flavor"})
-        return {"flavor": flavor,
-                "s": _num("oracle", data, "s", default=1.0, minimum=0.0),
-                "rho": _num("oracle", data, "rho", default=0.0, minimum=0.0),
-                "eps_exponent": _num("oracle", data, "eps_exponent", default=1.0)}
-    raise ConfigError("'oracle.flavor' must be gaussian, minibatch, or relaxed_subgaussian")
-
-
-def _normalize_schedule(data):
-    kind = data.get("kind")
-    if kind == "constant":
-        _expect("schedule", data, {"kind", "alpha"}, {"kind", "alpha"})
-        return {"kind": kind, "alpha": _num("schedule", data, "alpha")}
-    if kind == "inverse_time":
-        _expect("schedule", data, {"kind", "a", "mu", "t0"}, {"kind"})
-        return {"kind": kind,
-                "a": _num("schedule", data, "a", default=1.0),
-                "mu": _num("schedule", data, "mu", default=1.0),
-                "t0": _num("schedule", data, "t0", default=1.0)}
-    raise ConfigError("'schedule.kind' must be constant or inverse_time")
-
-
-def _normalize_init(data):
-    kind = data.get("kind", "zeros")
-    if kind == "zeros":
-        _expect("init", data, {"kind"}, set())
-        return {"kind": "zeros"}
-    if kind == "gaussian":
-        _expect("init", data, {"kind", "scale", "seed"}, set())
-        return {"kind": "gaussian",
-                "scale": _num("init", data, "scale", default=1.0),
-                "seed": _num("init", data, "seed", default=0, minimum=0, integer=True)}
-    raise ConfigError("'init.kind' must be zeros or gaussian")
-
-
-_TRAJECTORY_CHECKS = ("descent", "descent_pl", "consensus", "tracker")
-
-
-def _normalize_checks(data):
-    _expect("checks", data,
-            {"runs", "descent", "descent_pl", "consensus", "tracker",
-             "noise", "noise_samples"},
-            set())
-    return {
-        "runs": _num("checks", data, "runs", default=20, minimum=1, integer=True),
-        "descent": bool(data.get("descent", False)),
-        "descent_pl": bool(data.get("descent_pl", False)),
-        "consensus": bool(data.get("consensus", False)),
-        "tracker": bool(data.get("tracker", False)),
-        "noise": bool(data.get("noise", False)),
-        "noise_samples": _num("checks", data, "noise_samples", default=100_000,
-                              minimum=100_000, integer=True),
-    }
+def _normalize_section(section, data, tag, tag_default, variants):
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{section}' must be a table")
+    # the kind is compared with each name, never hashed: it may be a list.
+    # A section without a tag key reads None, its one variant's name
+    kind = data.get(tag, tag_default)
+    names = [name for name in variants if name == kind]
+    if not names:
+        *head, last = variants
+        raise ConfigError(f"'{section}.{tag}' must be {', '.join(head)}{',' * (len(head) > 1)} or {last}")
+    keys = variants[names[0]]
+    out = {tag: names[0]} if tag else {}
+    for key in data:
+        if key != tag and key not in keys:
+            raise ConfigError(f"unknown key '{section}.{key}'")
+    for key, (_, default, *_) in keys.items():
+        if default is _REQUIRED and key not in data:
+            raise ConfigError(f"missing required key '{section}.{key}'")
+    for key, (check, default, *minimum) in keys.items():
+        val = data.get(key, default)
+        out[key] = None if val is None and default is None else check(f"{section}.{key}", val, *minimum)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,22 +214,17 @@ class ExperimentConfig:
 def normalize_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a table/object")
-    known = {"experiment", "topology", "cost", "oracle", "schedule", "init", "checks"}
     for key in raw:
-        if key not in known:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown section '{key}'")
-    for key in ("experiment", "topology", "cost", "oracle", "schedule"):
-        if key not in raw:
+    for key, (required, *_) in _SCHEMA.items():
+        if required and key not in raw:
             raise ConfigError(f"missing required section '{key}'")
-    data = {
-        "experiment": _normalize_experiment(raw["experiment"]),
-        "topology": _normalize_topology(raw["topology"]),
-        "cost": _normalize_cost(raw["cost"]),
-        "oracle": _normalize_oracle(raw["oracle"]),
-        "schedule": _normalize_schedule(raw["schedule"]),
-        "init": _normalize_init(raw.get("init", {})),
-        "checks": _normalize_checks(raw.get("checks", {})),
-    }
+    data = {}
+    for section, (_, *spec) in _SCHEMA.items():
+        data[section] = out = _normalize_section(section, raw.get(section, {}), *spec)
+        if out.get("kind") == "erdos_renyi" and (out["p"] is None) == (out["target_lambda"] is None):
+            raise ConfigError("'topology': erdos_renyi needs exactly one of 'p' or 'target_lambda'")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":

@@ -312,12 +312,22 @@ def capped_exp_mean(w: np.ndarray):
     """(mean, standard error, count capped) of exp(w), exponents capped at 700.
 
     Overwrites ``w`` with the capped exponentials: pass an array that is not
-    needed afterwards.
+    needed afterwards. Where exponentials near the cap overflow a sum or a
+    square, that result is taken of the exponentials divided by their largest,
+    and scaled back, so both results stay finite.
     """
     capped = int(np.sum(w > _EXP_CAP))
     np.minimum(w, _EXP_CAP, out=w)
     np.exp(w, out=w)
-    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(len(w))), capped
+    with np.errstate(over="ignore"):
+        mean, sd = float(w.mean()), float(w.std(ddof=1))
+    if not math.isfinite(sd):  # also when the mean overflowed
+        top = float(w.max())
+        w /= top
+        sd = float(w.std(ddof=1)) * top
+        if not math.isfinite(mean):
+            mean = float(w.mean()) * top
+    return mean, sd / math.sqrt(len(w)), capped
 
 
 @dataclass(frozen=True)

@@ -322,8 +322,10 @@ def check_noise_properties(
     - average: E exp(m ||zbar||^2 / (96 sigma^2)) <= 2 d e for m in ``n_avg``
 
     sigma^2 is the calibrated parameter of the agent's noise. Every sub-check
-    passes if the estimate stays within three standard errors of its bound;
-    margins are recorded in the details.
+    passes if the estimate stays within three standard errors of its bound,
+    except an average whose exponents were capped (its details count them),
+    which must stay within the bound itself; margins are recorded in the
+    details.
 
     At most two (samples, d) arrays are alive at once: every elementwise step
     writes into an array the check already holds.
@@ -360,10 +362,14 @@ def check_noise_properties(
     violations = []
     details = {}
 
-    def record(label, estimate, bound, stderr):
+    def record(label, estimate, bound, stderr, capped=0):
         nonlocal worst
-        slack = bound + 3.0 * stderr - estimate
+        # capping lowers an estimate by an unknown amount, which no standard
+        # error covers: a capped estimate must meet its bound unaided
+        slack = bound + (0.0 if capped else 3.0 * stderr) - estimate
         details[label] = {"estimate": estimate, "bound": bound, "stderr": stderr}
+        if capped:
+            details[label]["capped"] = capped
         if slack < worst:
             worst = slack
         if slack < 0:
@@ -414,10 +420,7 @@ def check_noise_properties(
         del total
         for m in n_avg:
             est, stderr, capped = stats[m]
-            bound = 2.0 * d * math.e
-            record(f"avg_mgf_x{k}_n{m}", est, bound, stderr)
-            if capped:
-                details[f"avg_mgf_x{k}_n{m}"]["capped"] = capped
+            record(f"avg_mgf_x{k}_n{m}", est, 2.0 * d * math.e, stderr, capped)
 
     return CheckReport(
         "noise_properties",

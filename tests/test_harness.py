@@ -1,7 +1,10 @@
+import copy
+import itertools
 import json
 import os
 import re
 import tempfile
+import tomllib
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from gtsim import algorithms as alg, costs, harness, metrics, noise, theorycheck
 from gtsim.cli import cli
 from util import (assert_records_identical, reference_emit_outputs, reference_envelope_json,
-                  reference_series_csv, ring_matrix)
+                  reference_normalize_config, reference_series_csv, ring_matrix)
 
 MINIMAL_TOML = """\
 [experiment]
@@ -80,6 +83,219 @@ def test_thresholds_are_positive_numbers(tmp_path, entry, message):
     text = MINIMAL_TOML.replace("T = 5\n", f"T = 5\nthresholds = [0.5, {entry}]\n")
     with pytest.raises(harness.ConfigError, match=rf"'experiment\.thresholds' entry .* {message}"):
         harness.load_config(write(tmp_path, text))
+
+
+LIBSVM_COST = '[cost]\nkind = "logistic_libsvm"\npath = "corpus.libsvm"\n'
+
+
+@pytest.mark.parametrize("old, new, path", [
+    ('[topology]\nkind = "ring"\nn = 4\n', "", "'topology' must be a table"),
+    ("T = 5\n", "T = inf\n", "'experiment.T' must be finite"),
+    ("T = 5\n", "T = 5\nR = nan\n", "'experiment.R' must be finite"),
+    ("alpha = 0.01", "alpha = nan", "'schedule.alpha' must be finite"),
+    ("alpha = 0.01", "alpha = 1" + "0" * 400, "'schedule.alpha' must be finite"),
+    ("s = 0.5", "s = true", "'oracle.s' must be a number"),
+    ("s = 0.5", 's = [0.5, "x", 1]', "'oracle.s' entry 'x' is not a number"),
+    ('[cost]\nkind = "quadratic_synthetic"\nd = 3\n', LIBSVM_COST + 'normalize = "no"\n',
+     "'cost.normalize' must be true or false"),
+    ("T = 5\n", "T = 5\n[checks]\ndescent = \"false\"\n", "'checks.descent' must be true or false"),
+    ("T = 5\n", "T = 5\nname = 5\n", "'experiment.name' must be a string"),
+], ids=["section_not_a_table", "infinite_T", "nan_R", "nan_alpha", "huge_alpha", "boolean_s",
+        "string_in_s", "string_normalize", "string_check_flag", "numeric_name"])
+def test_every_value_is_checked_by_its_type(tmp_path, capsys, old, new, path):
+    text = MINIMAL_TOML.replace(old, new, 1)
+    if not new:
+        text = "topology = 5\n" + text
+    cfg_path = write(tmp_path, text)
+    with pytest.raises(harness.ConfigError, match=re.escape(path)):
+        harness.load_config(cfg_path)
+    assert cli(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_the_readme_example_config_follows_the_schema():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    (example,) = re.findall(r"```toml\n(.*?)```", readme, re.S)
+    harness.normalize_config(tomllib.loads(example))
+    # each section header's comment lists the section's kinds, in schema order
+    for section, (_, tag, _, variants) in harness._SCHEMA.items():
+        if tag is not None:
+            (listed,) = re.findall(rf"^\[{section}\] +# (.*)$", example, re.M)
+            assert [part.split()[0] for part in listed.split("|")] == list(variants)
+
+
+# Raw configs for the differential test: a well-typed config, then up to
+# four edits that drop or add keys and sections, set a key to any value its
+# strategy draws (wrong types, out-of-range or non-integer numbers), or set a
+# kind to another, unknown or unhashable one. Left out are the inputs whose
+# outcome changed on purpose: sections that are not tables, non-finite
+# numbers (but NaN thresholds), non-string names and paths, non-boolean
+# flags, a Gaussian scale that is not a number or a list of numbers, and
+# nulls (but 'p' and 'target_lambda', whose default is null).
+_NUMBERS = st.one_of(st.sampled_from([-1, -0.5, -0.0, 0, 0.0, 0.5, 1, 1.5, 2, 2.0, 3, 99_999, 100_000,
+                                      100_000.0, 150_000.5, 1e20, 2**70]),
+                     st.integers(-2, 40), st.floats(-2.0, 40.0))
+_JUNK = st.one_of(st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+_ANY_NUMBER = st.one_of(_NUMBERS, _JUNK)
+_TEXT = st.text(max_size=4)
+_FLAG = st.booleans()
+_SCALE = st.one_of(st.integers(0, 9), st.floats(0.0, 9.0))
+_KINDS = {
+    "topology": ("kind", ["ring", "path", "complete", "erdos_renyi", "matrix_csv"]),
+    "cost": ("kind", ["quadratic_synthetic", "logistic_libsvm", "quadratic_json"]),
+    "oracle": ("flavor", ["gaussian", "minibatch", "relaxed_subgaussian"]),
+    "schedule": ("kind", ["constant", "inverse_time"]),
+    "init": ("kind", ["zeros", "gaussian"]),
+}
+# per section, each key's well-typed, in-range values, by kind
+_VALID = {
+    "experiment": {None: {"name": _TEXT, "T": st.integers(0, 50), "R": st.integers(1, 5),
+                          "master_seed": st.integers(-9, 2**40),
+                          "algorithms": st.lists(st.sampled_from(["gt_dsgd", "dsgd"]), min_size=1,
+                                                 max_size=2),
+                          "thresholds": st.lists(st.floats(0.01, 2.0), max_size=3),
+                          "tail_statistic": st.sampled_from(["mse_to_opt", "running_stationarity"]),
+                          "record_stride": st.integers(0, 3), "output_dir": _TEXT}},
+    "topology": {**dict.fromkeys(["ring", "path", "complete"],
+                                 {"n": st.integers(1, 9), "seed": st.integers(0, 9)}),
+                 "erdos_renyi": {"n": st.integers(2, 9), "seed": st.integers(0, 9),
+                                 "p": st.floats(0.1, 1.0), "tol": st.floats(0.01, 0.1)},
+                 "matrix_csv": {"path": _TEXT}},
+    "cost": {"quadratic_synthetic": {"d": st.integers(1, 5), "profile": st.sampled_from(["a", "b"]),
+                                     "sparsity": _SCALE, "mu0": _SCALE, "seed": st.integers(0, 9)},
+             "logistic_libsvm": {"path": _TEXT, "eta": _SCALE, "normalize": _FLAG,
+                                 "split_seed": st.integers(0, 9)},
+             "quadratic_json": {"path": _TEXT}},
+    "oracle": {"gaussian": {"s": st.one_of(_SCALE, st.lists(_SCALE, max_size=3))},
+               "minibatch": {"batch_size": st.integers(1, 9)},
+               "relaxed_subgaussian": {"s": _SCALE, "rho": _SCALE, "eps_exponent": _SCALE}},
+    "schedule": {"constant": {"alpha": _SCALE},
+                 "inverse_time": {"a": _SCALE, "mu": _SCALE, "t0": _SCALE}},
+    "init": {"zeros": {}, "gaussian": {"scale": _SCALE, "seed": st.integers(0, 9)}},
+    "checks": {None: {"runs": st.integers(1, 30), **dict.fromkeys(
+        ["descent", "descent_pl", "consensus", "tracker", "noise"], _FLAG),
+        "noise_samples": st.sampled_from([100_000, 200_000])}},
+}
+# per section, the keys that hold a number (but the Gaussian scale 's')
+_NUMERIC = {
+    "experiment": ["T", "R", "master_seed", "record_stride"],
+    "topology": ["n", "seed", "p", "target_lambda", "tol"],
+    "cost": ["d", "sparsity", "mu0", "seed", "eta", "split_seed"],
+    "oracle": ["batch_size", "rho", "eps_exponent"],
+    "schedule": ["alpha", "a", "mu", "t0"],
+    "init": ["scale", "seed"],
+    "checks": ["runs", "noise_samples"],
+}
+# per section, any value a key may be set to by an edit
+_EDITS = {section: dict.fromkeys(keys, _ANY_NUMBER) for section, keys in _NUMERIC.items()}
+_EDITS["experiment"].update(
+    name=_TEXT, output_dir=_TEXT,
+    algorithms=st.one_of(st.lists(st.one_of(st.sampled_from(["gt_dsgd", "dsgd", "sgd", 0]),
+                                            st.just(["dsgd"])), max_size=3), _JUNK),
+    thresholds=st.one_of(st.lists(st.one_of(st.floats(-1.0, 2.0), st.just(float("nan")), _JUNK),
+                                  max_size=3), _JUNK),
+    tail_statistic=st.one_of(st.sampled_from(["mse", "Mse_to_opt"]), _JUNK))
+_EDITS["topology"].update(p=st.one_of(_ANY_NUMBER, st.none()),
+                          target_lambda=st.one_of(_ANY_NUMBER, st.none()), path=_TEXT)
+_EDITS["cost"].update(profile=st.one_of(st.sampled_from(["c", "A"]), _JUNK), path=_TEXT,
+                      normalize=_FLAG)
+_EDITS["checks"].update(dict.fromkeys(["descent", "descent_pl", "consensus", "tracker", "noise"], _FLAG))
+_BAD_KINDS = st.one_of(st.sampled_from(["torus", "Ring", "", None, 3, True]), _JUNK,
+                       st.sampled_from(["ring", "gaussian", "constant"]).map(lambda k: [k]))
+
+
+@st.composite
+def raw_configs(draw):
+    raw = {}
+    for section, variants in _VALID.items():
+        tag, names = _KINDS.get(section, (None, [None]))
+        kind = draw(st.sampled_from(names))
+        body = {tag: kind} if tag else {}
+        for key, values in variants[kind].items():
+            if key in ("T", "n", "p", "d", "path", "alpha") or draw(st.booleans()):
+                body[key] = draw(values)
+        if kind == "erdos_renyi" and draw(st.booleans()):
+            body["target_lambda"] = body.pop("p")
+        raw[section] = body
+    for _ in range(draw(st.integers(0, 4))):
+        section = draw(st.sampled_from(sorted(_VALID)))
+        body = raw.get(section)
+        edit = draw(st.sampled_from(["drop", "set", "set", "set", "kind", "unknown"]))
+        if edit == "drop":
+            keys = sorted(body or ())
+            if body is None or not keys or draw(st.integers(0, 3)) == 0:
+                raw.pop(section, None)
+            else:
+                del body[draw(st.sampled_from(keys))]
+        elif body is None:
+            raw[section] = {}
+        elif edit == "set":
+            pool = dict(_EDITS[section])
+            if section == "oracle":
+                scales = st.one_of(_SCALE, st.lists(_SCALE, max_size=2))
+                pool["s"] = scales if body.get("flavor") == "gaussian" else st.one_of(scales, _JUNK)
+            for key in draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=3)):
+                body[key] = draw(pool[key])
+        elif edit == "kind" and section in _KINDS:
+            tag, names = _KINDS[section]
+            # a flavor edit never makes a scale set for another flavor Gaussian
+            names = [name for name in names if name != "gaussian" or section != "oracle"]
+            body[tag] = draw(st.one_of(st.sampled_from(names), _BAD_KINDS))
+        else:
+            target = draw(st.sampled_from(["section", "key"]))
+            if target == "section":
+                raw[draw(st.sampled_from(["extra", "Experiment"]))] = {}
+            else:
+                body[draw(st.sampled_from(["bogus", "stepsize", "kind", "flavor"]))] = 1
+    if draw(st.integers(0, 49)) == 1:
+        return draw(st.sampled_from([[], "config", None]))
+    return raw
+
+
+def _outcome(normalize, raw):
+    try:
+        cfg = normalize(copy.deepcopy(raw))
+    except harness.ConfigError as exc:
+        return "error", str(exc)
+    return "ok", cfg.data, cfg.fingerprint
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=raw_configs())
+def test_the_schema_table_normalizes_like_the_section_normalizers(raw):
+    assert _outcome(harness.normalize_config, raw) == _outcome(reference_normalize_config, raw)
+
+
+# a wrong value of each key that is neither a number nor free text
+_WRONG = {"experiment": {"algorithms": [], "thresholds": [0], "tail_statistic": "x"},
+          "cost": {"profile": "c"}}
+_PROBES = [-1, -0.5, -0.0, 0, 0.0, 0.5, 1, 1.5, 2, 99_999, 100_000, 100_000.0, 150_000.5, 2**70,
+           True, "1", [1], {}]
+
+
+def test_every_number_key_of_every_kind_normalizes_like_the_section_normalizers():
+    # one number key set to each bound and type the schema tells apart, or two
+    # keys set to wrong values, in either order
+    base = {"experiment": {"T": 5}, "topology": {"kind": "ring", "n": 4},
+            "cost": {"kind": "quadratic_synthetic", "d": 3}, "oracle": {"flavor": "gaussian"},
+            "schedule": {"kind": "constant", "alpha": 0.1}}
+    required = {"T": 5, "n": 4, "p": 0.5, "d": 3, "path": "file", "alpha": 0.1}
+    compared = 0
+    for section, variants in _VALID.items():
+        tag = _KINDS.get(section, (None,))[0]
+        for kind, keys in variants.items():
+            body = {tag: kind} if tag else {}
+            body.update((k, v) for k, v in required.items() if k in keys)
+            edits = [{key: v} for key in _NUMERIC[section] for v in _PROBES]
+            wrong = {**dict.fromkeys(_NUMERIC[section], "x"), **_WRONG.get(section, {})}
+            edits += [{k1: wrong[k1], k2: wrong[k2]} for k1, k2 in itertools.permutations(wrong, 2)]
+            for edit in edits:
+                raw = dict(base, **{section: {**body, **edit}})
+                assert _outcome(harness.normalize_config, raw) == _outcome(reference_normalize_config, raw)
+                compared += 1
+    assert compared > 1000
 
 
 SEEDED = {

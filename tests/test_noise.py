@@ -152,6 +152,17 @@ def test_mgf_estimate_matches_the_reference_bitwise(oracle, sigma_sq, samples, a
     assert got.capped == ref.capped
 
 
+def test_mgf_estimate_near_the_cap_keeps_a_finite_standard_error():
+    # nearly every exponent is capped at 700; squaring deviations of about
+    # exp(700) overflowed the standard error to inf, with a RuntimeWarning
+    # (an error under the test settings)
+    e = costs.make_synthetic_quadratics(2, 5)
+    est = noise.estimate_mgf(noise.GaussianOracle(1.0), e, 0, np.zeros(5), 1e-3, 10_000, seed=1)
+    assert est.capped == 9831
+    assert est.value == 9.971769354869116e303  # the mean does not overflow, so it is unchanged
+    assert 0.0 < est.stderr < est.value
+
+
 def test_mgf_estimate_matches_the_reference_bitwise_for_minibatches():
     e = datasets.to_logistic_ensemble(datasets.split_uniform(datasets.load_libsvm(TOY), 2))
     args = (noise.MinibatchOracle(1), e, 0, np.full(e.d, 0.1), 0.5, 10_000)

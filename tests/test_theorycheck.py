@@ -305,6 +305,24 @@ def test_noise_properties_match_the_reference_bitwise_when_violated():
     assert_noise_reports_identical(got, ref)
 
 
+def test_capped_averages_above_their_bound_are_violations():
+    # at a millionth of the calibrated parameter nearly every average's
+    # exponent is capped; capping only lowers an estimate, so a capped one
+    # above its bound fails without standard-error credit
+    e = _ring3_quadratic(3)
+    low = lambda s, d, calibrate=noise.calibrate_sigma: 1e-6 * calibrate(s, d)
+    args = dict(samples=100_000, seed=4, n_avg=(1, 4))
+    with mock.patch.object(tc, "calibrate_sigma", low):
+        rep = tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
+    for m in (1, 4):
+        label = f"avg_mgf_x0_n{m}"
+        entry = rep.details[label]
+        assert entry["capped"] > 0 and entry["estimate"] > entry["bound"]
+        assert 0.0 < entry["stderr"] < entry["estimate"]
+        assert label in rep.violations
+        assert rep.worst_slack <= entry["bound"] - entry["estimate"]
+
+
 def test_noise_check_holds_two_draw_sized_arrays():
     samples, d = 100_000, 4
     e = _ring3_quadratic(d)

@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, small builders, and reference
-trajectory, pathwise-check, LIBSVM, graph-building and output-writing loops."""
+trajectory, pathwise-check, LIBSVM, graph-building and output-writing loops,
+and the per-section config normalizer."""
 
 import io
 import json
@@ -10,6 +11,7 @@ import numpy as np
 from scipy.special import expit
 
 from gtsim import algorithms as alg, datasets, noise, theorycheck as tc, topology as tp
+from gtsim.harness import ConfigError, ExperimentConfig
 
 
 def central_diff_grad(f, x, h=1e-6):
@@ -844,3 +846,221 @@ def reference_emit_outputs(env, outdir):
                   reference_render_line_chart(group, f"empirical tail probability ({tag})",
                                               ylabel="tail probability", log_y=log_y))
     return written
+
+
+# ---------------------------------------------------------------------------
+# Reference config normalizer: the schema as it was before it became one
+# table, with a hand-written normalizer per section. A differential test
+# compares the table's normalizer against it on inputs both accept or reject.
+# ---------------------------------------------------------------------------
+
+_ALGORITHMS = ("gt_dsgd", "dsgd")
+
+
+def _expect(section, data, allowed, required):
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{section}.{key}'")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"missing required key '{section}.{key}'")
+
+
+def _num(section, data, key, default=None, minimum=None, integer=False):
+    val = data.get(key, default)
+    if val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"'{section}.{key}' must be a number")
+    if integer:
+        if int(val) != val:
+            raise ConfigError(f"'{section}.{key}' must be an integer")
+        val = int(val)
+    else:
+        val = float(val)
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"'{section}.{key}' must be >= {minimum}")
+    return val
+
+
+def _normalize_experiment(data):
+    _expect("experiment", data,
+            {"name", "T", "R", "master_seed", "algorithms", "thresholds",
+             "tail_statistic", "record_stride", "output_dir"},
+            {"T"})
+    algs = data.get("algorithms", ["gt_dsgd"])
+    if not isinstance(algs, list) or not algs:
+        raise ConfigError("'experiment.algorithms' must be a non-empty list")
+    for a in algs:
+        if a not in _ALGORITHMS:
+            raise ConfigError(f"'experiment.algorithms' entry {a!r} is not one of {_ALGORITHMS}")
+    thresholds = data.get("thresholds", [])
+    if not isinstance(thresholds, list):
+        raise ConfigError("'experiment.thresholds' must be a list")
+    for eps in thresholds:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+            raise ConfigError(f"'experiment.thresholds' entry {eps!r} is not a number")
+        if not eps > 0:
+            raise ConfigError(f"'experiment.thresholds' entry {eps!r} must be > 0")
+    stat = data.get("tail_statistic", "mse_to_opt")
+    if stat not in ("mse_to_opt", "running_stationarity"):
+        raise ConfigError("'experiment.tail_statistic' must be 'mse_to_opt' or 'running_stationarity'")
+    return {
+        "name": str(data.get("name", "experiment")),
+        "T": _num("experiment", data, "T", minimum=0, integer=True),
+        "R": _num("experiment", data, "R", default=1, minimum=1, integer=True),
+        "master_seed": _num("experiment", data, "master_seed", default=0, integer=True),
+        "algorithms": list(algs),
+        "thresholds": [float(x) for x in thresholds],
+        "tail_statistic": stat,
+        # kept in the envelope's config; experiment runs record no snapshots
+        "record_stride": _num("experiment", data, "record_stride", default=1, minimum=0, integer=True),
+        "output_dir": str(data.get("output_dir", "out")),
+    }
+
+
+def _normalize_topology(data):
+    kind = data.get("kind")
+    if kind in ("ring", "path", "complete"):
+        _expect("topology", data, {"kind", "n", "seed"}, {"kind", "n"})
+        return {"kind": kind,
+                "n": _num("topology", data, "n", minimum=1, integer=True),
+                "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True)}
+    if kind == "erdos_renyi":
+        _expect("topology", data, {"kind", "n", "seed", "p", "target_lambda", "tol"}, {"kind", "n"})
+        out = {"kind": kind,
+               "n": _num("topology", data, "n", minimum=2, integer=True),
+               "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True),
+               "p": _num("topology", data, "p"),
+               "target_lambda": _num("topology", data, "target_lambda"),
+               "tol": _num("topology", data, "tol", default=0.05)}
+        if (out["p"] is None) == (out["target_lambda"] is None):
+            raise ConfigError("'topology': erdos_renyi needs exactly one of 'p' or 'target_lambda'")
+        return out
+    if kind == "matrix_csv":
+        _expect("topology", data, {"kind", "path"}, {"kind", "path"})
+        return {"kind": kind, "path": str(data["path"])}
+    raise ConfigError("'topology.kind' must be ring, path, complete, erdos_renyi, or matrix_csv")
+
+
+def _normalize_cost(data):
+    kind = data.get("kind")
+    if kind == "quadratic_synthetic":
+        _expect("cost", data, {"kind", "d", "profile", "sparsity", "mu0", "seed"}, {"kind", "d"})
+        profile = data.get("profile", "a")
+        if profile not in ("a", "b"):
+            raise ConfigError("'cost.profile' must be 'a' or 'b'")
+        return {"kind": kind,
+                "d": _num("cost", data, "d", minimum=1, integer=True),
+                "profile": profile,
+                "sparsity": _num("cost", data, "sparsity", default=0.1),
+                "mu0": _num("cost", data, "mu0", default=0.1),
+                "seed": _num("cost", data, "seed", default=0, minimum=0, integer=True)}
+    if kind == "logistic_libsvm":
+        _expect("cost", data, {"kind", "path", "eta", "normalize", "split_seed"}, {"kind", "path"})
+        return {"kind": kind,
+                "path": str(data["path"]),
+                "eta": _num("cost", data, "eta", default=0.1, minimum=0.0),
+                "normalize": bool(data.get("normalize", False)),
+                "split_seed": _num("cost", data, "split_seed", default=0, minimum=0, integer=True)}
+    if kind == "quadratic_json":
+        _expect("cost", data, {"kind", "path"}, {"kind", "path"})
+        return {"kind": kind, "path": str(data["path"])}
+    raise ConfigError("'cost.kind' must be quadratic_synthetic, logistic_libsvm, or quadratic_json")
+
+
+def _normalize_oracle(data):
+    flavor = data.get("flavor")
+    if flavor == "gaussian":
+        _expect("oracle", data, {"flavor", "s"}, {"flavor"})
+        s = data.get("s", 1.0)
+        if isinstance(s, list):
+            s = [float(v) for v in s]
+        else:
+            s = float(s)
+        return {"flavor": flavor, "s": s}
+    if flavor == "minibatch":
+        _expect("oracle", data, {"flavor", "batch_size"}, {"flavor"})
+        return {"flavor": flavor,
+                "batch_size": _num("oracle", data, "batch_size", default=1, minimum=1, integer=True)}
+    if flavor == "relaxed_subgaussian":
+        _expect("oracle", data, {"flavor", "s", "rho", "eps_exponent"}, {"flavor"})
+        return {"flavor": flavor,
+                "s": _num("oracle", data, "s", default=1.0, minimum=0.0),
+                "rho": _num("oracle", data, "rho", default=0.0, minimum=0.0),
+                "eps_exponent": _num("oracle", data, "eps_exponent", default=1.0)}
+    raise ConfigError("'oracle.flavor' must be gaussian, minibatch, or relaxed_subgaussian")
+
+
+def _normalize_schedule(data):
+    kind = data.get("kind")
+    if kind == "constant":
+        _expect("schedule", data, {"kind", "alpha"}, {"kind", "alpha"})
+        return {"kind": kind, "alpha": _num("schedule", data, "alpha")}
+    if kind == "inverse_time":
+        _expect("schedule", data, {"kind", "a", "mu", "t0"}, {"kind"})
+        return {"kind": kind,
+                "a": _num("schedule", data, "a", default=1.0),
+                "mu": _num("schedule", data, "mu", default=1.0),
+                "t0": _num("schedule", data, "t0", default=1.0)}
+    raise ConfigError("'schedule.kind' must be constant or inverse_time")
+
+
+def _normalize_init(data):
+    kind = data.get("kind", "zeros")
+    if kind == "zeros":
+        _expect("init", data, {"kind"}, set())
+        return {"kind": "zeros"}
+    if kind == "gaussian":
+        _expect("init", data, {"kind", "scale", "seed"}, set())
+        return {"kind": "gaussian",
+                "scale": _num("init", data, "scale", default=1.0),
+                "seed": _num("init", data, "seed", default=0, minimum=0, integer=True)}
+    raise ConfigError("'init.kind' must be zeros or gaussian")
+
+
+_TRAJECTORY_CHECKS = ("descent", "descent_pl", "consensus", "tracker")
+
+
+def _normalize_checks(data):
+    _expect("checks", data,
+            {"runs", "descent", "descent_pl", "consensus", "tracker",
+             "noise", "noise_samples"},
+            set())
+    return {
+        "runs": _num("checks", data, "runs", default=20, minimum=1, integer=True),
+        "descent": bool(data.get("descent", False)),
+        "descent_pl": bool(data.get("descent_pl", False)),
+        "consensus": bool(data.get("consensus", False)),
+        "tracker": bool(data.get("tracker", False)),
+        "noise": bool(data.get("noise", False)),
+        "noise_samples": _num("checks", data, "noise_samples", default=100_000,
+                              minimum=100_000, integer=True),
+    }
+
+
+def reference_normalize_config(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a table/object")
+    known = {"experiment", "topology", "cost", "oracle", "schedule", "init", "checks"}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown section '{key}'")
+    for key in ("experiment", "topology", "cost", "oracle", "schedule"):
+        if key not in raw:
+            raise ConfigError(f"missing required section '{key}'")
+    data = {
+        "experiment": _normalize_experiment(raw["experiment"]),
+        "topology": _normalize_topology(raw["topology"]),
+        "cost": _normalize_cost(raw["cost"]),
+        "oracle": _normalize_oracle(raw["oracle"]),
+        "schedule": _normalize_schedule(raw["schedule"]),
+        "init": _normalize_init(raw.get("init", {})),
+        "checks": _normalize_checks(raw.get("checks", {})),
+    }
+    if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
+        raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
+    if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
+        raise ConfigError("'checks.noise' needs a Gaussian or relaxed_subgaussian oracle, "
+                          "not the minibatch flavor")
+    return ExperimentConfig(data=data)
