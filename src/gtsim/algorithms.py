@@ -40,19 +40,20 @@ __all__ = [
 
 
 class RunAbort(RuntimeError):
-    """A run produced a non-finite update; carries (iteration, agent), and
+    """A run produced a non-finite update; carries (iteration, agent, stage),
+    the stage being "oracle output", "tracker update" or "model update", and
     ``run_id``, which the engine sets to the id of the run that aborted."""
 
-    def __init__(self, iteration: int, agent: int, what: str):
-        super().__init__(f"non-finite {what} at iteration {iteration}, agent {agent}")
+    def __init__(self, iteration: int, agent: int, stage: str):
+        super().__init__(f"non-finite {stage} at iteration {iteration}, agent {agent}")
         self.iteration = iteration
         self.agent = agent
-        self.what = what
+        self.stage = stage
 
     def __reduce__(self):
         # rebuilt from its arguments, so that an abort crosses a process
         # boundary with its run_id
-        return (RunAbort, (self.iteration, self.agent, self.what), self.__dict__)
+        return (RunAbort, (self.iteration, self.agent, self.stage), self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,11 @@ class InverseTimeStep:
 
 def _raise_nonfinite(t, run_ids, stages):
     """Raise RunAbort for the first run, then the first stage of that run,
-    holding a non-finite entry, if any. Stages are (name, (B, n, d) array)."""
-    bad = [(what, ~np.isfinite(arr)) for what, arr in stages if arr is not None]
+    holding a non-finite entry, if any. Stages are (name, stack) pairs, each
+    stack holding run b's (n, d) arrays at b; padding slots past the runs
+    are never read."""
+    B = len(run_ids)
+    bad = [(what, ~np.isfinite(arr[:B])) for what, arr in stages if arr is not None]
     for b, run_id in enumerate(run_ids):
         for what, mask in bad:
             if mask[b].any():
@@ -105,7 +109,8 @@ class TrajectoryRecord:
     checks and optional model snapshots.
 
     ``seed`` and ``run_id`` are B-tuples, and every per-run array has a
-    leading run axis; one run is the block of one. Metric arrays are (B, T),
+    leading run axis, in run order, whatever the engine's panel layout; no
+    padding slot has a row. One run is the block of one. Metric arrays are (B, T),
     indexed by iteration 1..T (position t-1). When traces are recorded,
     ``x_hist`` has T+1 entries per run (models at t = 1..T+1) while
     ``y_hist``/``g_hist``/``z_hist`` have T (values produced at t = 1..T).
@@ -177,17 +182,39 @@ def _sum_sq(v):
 _BLOCK = noise.CHUNK
 
 
+def _state(B, P, n, d):
+    """A zeroed state array, its (S, n, d) stack of slots and its (S/P, n, P d)
+    panels, which the mixing products take; S is B rounded up to a multiple
+    of P. At P > 1 the array is agent-major, (n, S, d), so each panel is P
+    slots of each agent's rows; one panel is given as (n, P d), a form numpy
+    multiplies in half the time. At P = 1 all three are the (B, n, d) block."""
+    if P == 1:
+        v = np.zeros((B, n, d))
+        return v, v, v
+    S = -(-B // P) * P
+    v = np.zeros((n, S, d))
+    panels = v.reshape(n, P * d) if S == P else v.reshape(n, S // P, P * d).swapaxes(0, 1)
+    return v, v.swapaxes(0, 1), panels
+
+
 def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     """Execute T iterations of a block of runs, recording metrics each iteration.
 
     ``seeds`` and ``run_ids`` are equal-length sequences naming B runs,
-    stepped together as one (B, n, d) state; one run is the block of one,
-    ``run(algorithm, config, [seed], [run_id])``. Each run is deterministic
-    in (config, seed, run_id) and bitwise the same in any block, on any
-    worker. A non-finite update raises RunAbort for the first run that has
-    one. The loop carries only the dynamics and copies each iteration's
-    models into a block buffer; the metrics of a block are reduced in one
-    pass. Trackers are held only as traces.
+    stepped together; one run is the block of one, ``run(algorithm, config,
+    [seed], [run_id])``. Each run is deterministic in (config, seed, run_id)
+    and bitwise the same in any block, on any worker. A non-finite update
+    raises RunAbort for the first run that has one.
+
+    The state (models, trackers, previous gradients and the update scratch)
+    is a stack of slots, slot b holding run b, laid out by the ensemble's
+    ``panel_width`` P. At P = 1 it is the (B, n, d) block. At P > 1 it is
+    held agent-major in zero-padded panels of P runs (see ``_state``):
+    ``grad_all`` gets every slot, and mixing is one (n, n) x (n, P d) product
+    per panel. Padding slots are never reported and never abort a run. The
+    loop carries only the dynamics and copies each iteration's models into a
+    run-major (B, ...) block buffer; the metrics of a block are reduced in
+    one pass. Trackers are held only as traces.
     """
     if algorithm not in ("gt_dsgd", "dsgd"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -226,12 +253,15 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     wm = config.w.w
     inv_n = 1.0 / n
 
-    x = np.repeat(np.asarray(config.x0, dtype=float)[None], B, axis=0)
-    y = np.zeros((B, n, d))
-    g_prev = np.zeros((B, n, d))
+    P = e.panel_width
+    x, x_slots, x_panels = _state(B, P, n, d)
+    x_runs = x_slots[:B]
+    x_runs[...] = config.x0
+    y, y_slots, y_panels = _state(B, P, n, d)
+    g_prev = _state(B, P, n, d)[0]
     # the updates and the block reductions write through these, not through
     # fresh temporaries; out= performs the same operations bit for bit
-    tmp = np.empty((B, n, d))
+    tmp, _, tmp_panels = _state(B, P, n, d)
     scratch = np.empty((B, min(T, _BLOCK), n, d))
     grads = None  # the global gradients of the block, where the sampler returns them
     # overflow is handled by the explicit non-finite abort, not warnings
@@ -243,36 +273,39 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
             xb = xs[:, lo:lo + m]
             for k, t in enumerate(range(t0, t1)):
                 alpha = alphas[t - 1]
-                xb[:, k] = x
-                g, exact, grad_global = sampler(x, t, alpha)
+                xb[:, k] = x_runs
+                g, exact, grad_global = sampler(x_slots, t, alpha)
                 if grad_global is not None:
                     if grads is None:
                         grads = np.empty_like(scratch)
-                    grads[:, k] = grad_global
+                    grads[:, k] = grad_global[:B]
+                g_state = g if P == 1 else g.swapaxes(0, 1)
                 if tracked:
-                    np.add(y, g, out=tmp)
+                    np.add(y, g_state, out=tmp)
                     np.subtract(tmp, g_prev, out=tmp)
-                    np.matmul(wm, tmp, out=y)
+                    np.matmul(wm, tmp_panels, out=y_panels)
                     step = y
                 else:
-                    step = g
+                    step = g_state
                 np.multiply(alpha, step, out=tmp)
                 np.subtract(x, tmp, out=tmp)
-                np.matmul(wm, tmp, out=x)
+                np.matmul(wm, tmp_panels, out=x_panels)
                 # Every column of a doubly stochastic W has a positive entry,
                 # so a non-finite oracle output or tracker reaches the model:
                 # one check covers all three stages, named on failure. A sum
-                # that overflows over finite entries is not a failure.
+                # that overflows over finite entries, or a padding slot that
+                # goes non-finite, is not a failure.
                 if not math.isfinite(x.sum()):
                     _raise_nonfinite(t, run_ids, (("oracle output", g),
-                                         ("tracker update", y if tracked else None),
-                                         ("model update", x)))
-                g_prev = g
+                                         ("tracker update", y_slots if tracked else None),
+                                         ("model update", x_slots)))
+                g_prev = g_state
                 if trace:
                     if tracked:
-                        ys[:, t - 1] = y
-                    g_hist[:, t - 1] = g
-                    z_hist[:, t - 1] = g - (e.grad_all(xb[:, k]) if exact is None else exact)
+                        ys[:, t - 1] = y_slots[:B]
+                    g_hist[:, t - 1] = g[:B]
+                    exact_rows = e.grad_all(xb[:, k]) if exact is None else exact[:B]
+                    z_hist[:, t - 1] = g[:B] - exact_rows
 
             span = slice(t0 - 1, t1 - 1)
             xbar = xb.sum(axis=2) * inv_n
@@ -287,7 +320,7 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                 snapshots.update(zip(range(t0 + first, t1, stride), snaps))
 
     if trace:
-        xs[:, T] = x
+        xs[:, T] = x_runs
 
     return TrajectoryRecord(
         algorithm=algorithm,
@@ -298,7 +331,7 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
         f_avg=f_avg,
         mse_to_opt=mse,
         stationarity_sum=statio,
-        final_x=x.copy(),
+        final_x=x_runs.copy(),
         snapshots=snapshots,
         x_hist=xs if trace else None,
         y_hist=ys if trace else None,

@@ -371,6 +371,8 @@ class ResultEnvelope:
     run_summaries: dict
     check_reports: list = field(default_factory=list)
     partial: bool = False
+    # one dict per aborted run, in run order: algorithm, run_id, and the
+    # RunAbort's iteration, agent, stage and message (error)
     aborted: list = field(default_factory=list)
     wall_clock: float = 0.0
 
@@ -477,7 +479,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     for (alg, _, _), block_results in zip(blocks, results):
         for res in block_results:
             if isinstance(res, algorithms.RunAbort):
-                aborted.append({"algorithm": alg, "run_id": res.run_id, "error": str(res)})
+                aborted.append({"algorithm": alg, "run_id": res.run_id, "iteration": res.iteration,
+                                "agent": res.agent, "stage": res.stage, "error": str(res)})
             else:
                 per_alg[alg].append(res)
 

@@ -240,6 +240,39 @@ def test_quadratic_pl_inequality():
         ) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_smoothness_of_an_indefinite_quadratic_is_its_largest_absolute_eigenvalue(shared):
+    # A has eigenvalues 1 and -6: grad f is 6-Lipschitz, attained along the
+    # second axis, and the largest eigenvalue, 1, would understate it
+    a = np.diag([1.0, -6.0])
+    e = costs.QuadraticEnsemble(a if shared else np.stack([a, 0.5 * np.eye(2)]), np.zeros((2, 2)))
+    assert e.smoothness() == 6.0
+    step = np.array([0.0, 1.0])
+    assert np.linalg.norm(e.grad_local(0, step) - e.grad_local(0, 0 * step)) == 6.0
+
+
+def test_smoothness_of_a_psd_ensemble_is_its_largest_eigenvalue():
+    e = costs.make_synthetic_quadratics(6, 5, "a", seed=3)
+    assert e.smoothness() == max(float(np.linalg.eigvalsh(m)[-1]) for m in e.a)
+
+
+def test_per_agent_gradients_are_bitwise_those_of_one_model_in_a_panel():
+    # at d = 37 a (d, d) x (d,) product and a panel product sum in different
+    # orders, so only the same panel product agrees bitwise
+    e = costs.make_synthetic_quadratics(5, 37, "a", sparsity=1.0, seed=8)
+    x = np.random.default_rng(9).standard_normal((2 * costs.PANEL + 3, 5, 37))
+    block = e.grad_all(x)
+    assert block.shape == x.shape
+    assert block.tobytes() == np.stack([e.grad_all(v) for v in x]).tobytes()
+    for b in (0, costs.PANEL - 1, 2 * costs.PANEL + 2):
+        for i in range(5):
+            assert e.grad_local(i, x[b, i]).tobytes() == block[b, i].tobytes()
+    # the engine's form: a stack of slots viewing agent-major panels
+    mem = np.zeros((5, 3 * costs.PANEL, 37))
+    mem[:, :len(x)] = x.swapaxes(0, 1)
+    assert e.grad_all(mem.swapaxes(0, 1))[:len(x)].tobytes() == block.tobytes()
+
+
 def test_grad_all_consistency():
     e = costs.make_synthetic_quadratics(5, 4, "a", seed=19)
     x = np.random.default_rng(6).standard_normal((5, 4))

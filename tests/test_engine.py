@@ -8,6 +8,7 @@ performs the same floating-point operations as a plain per-iteration loop.
 import os
 import pickle
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, datasets, noise, topology as tp
-from util import assert_records_identical, reference_run, ring_matrix
+from gtsim import algorithms as alg, costs, datasets, harness, noise, topology as tp
+from util import (assert_records_close, assert_records_identical, reference_run,
+                  reference_run_parent, ring_matrix)
 
 B = alg._BLOCK
 HORIZONS = (0, 1, B - 1, B, B + 1, 2 * B + 3)
@@ -258,3 +260,137 @@ def test_a_block_holds_its_buffers_and_no_block_sized_temporaries(algorithm, buf
     finally:
         tracemalloc.stop()
     assert peak <= (buffers + 2) * Bn * B * n * d * 8
+
+
+# Run panels reorder two sums of a per-agent quadratic run: its gradients (a
+# (d, d) x (d,) product per run before, a (P, d) x (d, d) one now) and its
+# mixing (a (n, n) x (n, d) product per run before, (n, n) x (n, P d) per
+# panel now). One sum of m terms differs between two orders by at most about
+# m eps relative, m = d or n, and over T iterations of a contracting
+# recursion such differences add up at most linearly, to T (n + d) eps:
+# 1.3e-11 at T = 3000 and n = d = 10, the largest shape below. Measured at
+# that shape: 1.3e-14 (relaxed oracle), and 2e-16 per entry of the Gaussian
+# oracle's MSE series.
+PANEL_REL = 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]), seed=SEEDS,
+       run_id=st.integers(0, 1000))
+def test_panels_move_only_per_agent_quadratic_records_and_only_in_the_last_ulps(
+        cfg, algorithm, seed, run_id):
+    rec = alg.run(algorithm, cfg, [seed], [run_id])
+    before = reference_run_parent(algorithm, cfg, seed, run_id)
+    if cfg.ensemble.panel_width == 1:  # shared-A quadratics and logistic costs
+        assert_records_identical(rec, before)
+    else:
+        assert_records_close(rec, before, PANEL_REL)
+
+
+@pytest.mark.parametrize("oracle", [noise.GaussianOracle(3.0),
+                                    noise.RelaxedSubgaussianOracle(3.0, 2.0, 0.5)])
+def test_panels_move_the_fig1_shape_in_the_last_ulps(oracle):
+    e = costs.make_synthetic_quadratics(10, 10, "a", sparsity=0.1, seed=42, mu0=0.5)
+    schedule = (alg.InverseTimeStep(1.0, 1.0, 1.0) if oracle.kind == "gaussian"
+                else alg.ConstantStep(0.05))
+    cfg = alg.RunConfig(w=ring_matrix(10), ensemble=e, oracle=oracle, schedule=schedule, T=3000,
+                        x0=np.zeros((10, 10)))
+    for algorithm in ("gt_dsgd", "dsgd"):
+        assert_records_close(alg.run(algorithm, cfg, [7], [2]),
+                             reference_run_parent(algorithm, cfg, 7, 2), PANEL_REL)
+
+
+P = costs.PANEL
+
+
+@st.composite
+def quadratic_run_configs(draw):
+    """Quadratic runs over random n and d, with per-agent or shared A."""
+    n, d = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    e = costs.make_synthetic_quadratics(n, d, "a", sparsity=draw(st.sampled_from([0.3, 1.0])),
+                                        seed=draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        e = costs.QuadraticEnsemble(e.a[0], e.b)
+    if draw(st.booleans()):
+        oracle = noise.GaussianOracle(draw(st.sampled_from([0.7, tuple(np.linspace(0, 1, n))])))
+    else:
+        oracle = noise.RelaxedSubgaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
+    g = tp.generate_graph("erdos_renyi", n, seed=draw(st.integers(0, 99)), p=0.6) if n > 1 \
+        else tp.generate_graph("ring", 1)
+    return alg.RunConfig(w=tp.metropolis_hastings(g), ensemble=e, oracle=oracle,
+                         schedule=alg.ConstantStep(0.05), T=draw(st.sampled_from([1, B + 1])),
+                         x0=np.random.default_rng(n).standard_normal((n, d)),
+                         record_trace=draw(st.booleans()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=quadratic_run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]),
+       master=st.integers(0, 2**32))
+def test_a_runs_record_is_the_same_in_every_block_size_at_one_and_two_workers(
+        cfg, algorithm, master):
+    runs = 2 * P + 1
+    seeds = [harness.derive_run_seed(master, algorithm, r) for r in range(runs)]
+    blocks = [(algorithm, seeds[lo:lo + size], list(range(lo, min(lo + size, runs))))
+              for size in range(1, runs + 1) for lo in range(0, runs, size)]
+    one = [harness._run_block(cfg, block) for block in blocks]
+    with ProcessPoolExecutor(max_workers=2, initializer=harness._init_worker,
+                             initargs=(cfg,)) as pool:
+        two = list(pool.map(harness._run_worker_block, blocks))
+    alone = [results[0] for results in one[:runs]]  # the blocks of one run
+    for results in one + two:
+        (block,) = results  # no run aborts
+        for rec in block.split():
+            assert_records_identical(rec, alone[rec.run_id[0]])
+
+
+class InfPastBoundAndInPadding(costs.QuadraticEnsemble):
+    """grad_all is inf wherever a model coordinate lies past the bound, and
+    in every padding slot: those past the ``runs`` slots of the block."""
+
+    def __init__(self, a, b, bound, runs):
+        super().__init__(a, b)
+        self.bound, self.runs = bound, runs
+
+    def grad_all(self, x_rows):
+        g = super().grad_all(x_rows)
+        g[np.abs(x_rows) > self.bound] = np.inf
+        g[self.runs:] = np.inf
+        return g
+
+
+def test_padding_slots_never_abort_a_run_or_reach_a_record():
+    a, b = np.stack([np.eye(2)] * 4), np.zeros((4, 2))
+
+    def config(e, trace=False):
+        return alg.RunConfig(w=ring_matrix(4), ensemble=e, oracle=noise.GaussianOracle(1.0),
+                             schedule=alg.ConstantStep(0.1), T=B + 6, x0=np.zeros((4, 2)),
+                             record_trace=trace)
+
+    seeds, run_ids = [11, 12, 13, 14], [0, 1, 2, 3]
+    plain = config(costs.QuadraticEnsemble(a, b), trace=True)
+    # a bound that only the run reaching the largest model coordinate crosses
+    peaks = [np.abs(alg.run("gt_dsgd", plain, [s], [r]).x_hist).max()
+             for s, r in zip(seeds, run_ids)]
+    strays = int(np.argmax(peaks))
+    bound = (max(peaks) + sorted(peaks)[-2]) / 2
+
+    # four runs fill half a panel; the padding slots go non-finite at once
+    block = config(InfPastBoundAndInPadding(a, b, bound, runs=4))
+    exc = abort_of(alg.run, "gt_dsgd", block, seeds, run_ids)
+    alone = abort_of(alg.run, "gt_dsgd", config(InfPastBoundAndInPadding(a, b, bound, runs=1)),
+                     [seeds[strays]], [run_ids[strays]])
+    assert (exc.run_id, exc.iteration, exc.agent, exc.stage) == (
+        run_ids[strays], alone.iteration, alone.agent, alone.stage) == (
+        strays, alone.iteration, alone.agent, "oracle output")
+    assert 1 < exc.iteration <= B + 6
+
+    # the three runs that finish, stepped with non-finite padding, keep the
+    # records they have without it, with no row for a padding slot
+    keep = [b for b in range(4) if b != strays]
+    rest = alg.run("gt_dsgd", config(InfPastBoundAndInPadding(a, b, bound, runs=3)),
+                   [seeds[b] for b in keep], [run_ids[b] for b in keep])
+    assert rest.final_x.shape == (3, 4, 2) and rest.mse_to_opt.shape == (3, B + 6)
+    clean = config(costs.QuadraticEnsemble(a, b))
+    for rec, b in zip(rest.split(), keep):
+        assert_records_identical(rec, alg.run("gt_dsgd", clean, [seeds[b]], [run_ids[b]]))
+        assert_records_identical(rec, reference_run("gt_dsgd", clean, seeds[b], run_ids[b]))

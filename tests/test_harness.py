@@ -804,9 +804,13 @@ def test_experiment_lists_aborted_runs_in_run_order_and_aggregates_the_rest(tmp_
                 alg.run(algorithm, run_cfg, [seed], [r])
                 finished[algorithm] += 1
             except alg.RunAbort as exc:
-                expected.append({"algorithm": algorithm, "run_id": r, "error": str(exc)})
+                expected.append({"algorithm": algorithm, "run_id": r, "iteration": exc.iteration,
+                                 "agent": exc.agent, "stage": exc.stage, "error": str(exc)})
     # some runs abort and some finish, in each algorithm
     assert all(0 < k < exp["R"] for k in finished.values())
     env = harness.run_experiment(cfg, workers=workers, run_cfg=run_cfg)
     assert env.partial and env.aborted == expected
     assert {a: s["R"] for a, s in env.run_summaries.items()} == finished
+    # the abort records' fields survive the envelope's JSON round trip
+    harness.emit_outputs(env, formats=("json",), outdir=tmp_path / "out")
+    assert harness.load_envelope(tmp_path / "out" / "envelope.json").aborted == expected

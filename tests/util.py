@@ -63,7 +63,7 @@ def reference_noise(seed, run, t, n, d):
     return reference_generator(seed, 0, run, t0).standard_normal((t - t0 + 1, n, d))[-1]
 
 
-def _reference_oracle(o, e, x, seed, run_id, t, alpha, gg):
+def _reference_oracle(o, grad_all, e, x, seed, run_id, t, alpha, gg):
     """(g, exact) for all agents; exact is None for mini-batches."""
     n, d = x.shape
     if o.kind == "minibatch":
@@ -73,7 +73,7 @@ def _reference_oracle(o, e, x, seed, run_id, t, alpha, gg):
             idx = gen.choice(e.sample_count(i), size=o.batch_size, replace=False)
             g[i] = e.grad_batch(i, x[i], idx)
         return g, None
-    exact = e.grad_all(x)
+    exact = grad_all(x)
     if o.kind == "gaussian":
         s_col = o.s_vector(n)[:, None]
         if not s_col.any():
@@ -94,8 +94,50 @@ def _reference_guard(arr, t, what, run_id):
         raise exc
 
 
+PANEL = 8  # runs per panel where the local gradients are per-agent matrix products
+
+
 def reference_run(algorithm, config, seed, run_id):
-    """The record of one run, as a block of one, computed one iteration at a time."""
+    """The record of one run, as a block of one, computed one iteration at a
+    time. A per-agent quadratic's gradients and mixing are taken as a
+    one-run panel: the run in slot 0 of a zero-padded PANEL-wide panel."""
+    e, w = config.ensemble, config.w.w
+    n, d = config.x0.shape
+    if getattr(e, "shared_a", True):
+        return _reference_loop(algorithm, config, seed, run_id, e.grad_all, lambda v: w @ v)
+
+    def grad_all(v):
+        # the (PANEL, n, d) stack of the panel's slots of agent-major memory,
+        # as the engine passes it
+        panel = np.zeros((n, PANEL, d))
+        panel[:, 0] = v
+        return e.grad_all(panel.swapaxes(0, 1))[0]
+
+    def mix(v):
+        panel = np.zeros((n, PANEL * d))
+        panel[:, :d] = v
+        return (w @ panel)[:, :d]
+
+    return _reference_loop(algorithm, config, seed, run_id, grad_all, mix)
+
+
+def parent_grad_all(e, x_rows):
+    """The local gradients as the engine took them before run panels: one
+    (d, d) x (d,) product per (run, agent) for a per-agent quadratic."""
+    if e.kind == "quadratic" and not e.shared_a:
+        return np.matmul(e.a, x_rows[..., None])[..., 0] + e.b
+    return e.grad_all(x_rows)
+
+
+def reference_run_parent(algorithm, config, seed, run_id):
+    """The reference loop with the arithmetic it had before run panels: the
+    one-product-per-agent gradients and a (n, n) x (n, d) mixing product."""
+    w = config.w.w
+    return _reference_loop(algorithm, config, seed, run_id,
+                           lambda v: parent_grad_all(config.ensemble, v), lambda v: w @ v)
+
+
+def _reference_loop(algorithm, config, seed, run_id, grad_all, mix):
     tracked = algorithm == "gt_dsgd"
     e, o = config.ensemble, config.oracle
     n, d = config.x0.shape
@@ -104,7 +146,6 @@ def reference_run(algorithm, config, seed, run_id):
     x_star = None if opt is None else opt[0]
     stride = config.record_stride  # 0: no snapshots
     trace = config.record_trace
-    w = config.w.w
     rec = dict(alpha=np.empty(T), f_avg=np.empty(T), mse_to_opt=np.full(T, np.nan),
                stationarity_sum=np.empty(T), snapshots={})
     x_hist, y_hist = np.empty((T + 1, n, d)), np.empty((T, n, d))
@@ -130,20 +171,20 @@ def reference_run(algorithm, config, seed, run_id):
             elif stride and (t - 1) % stride == 0:
                 rec["snapshots"][t] = x.copy()
 
-            g, exact = _reference_oracle(o, e, x, seed, run_id, t, alpha, gg)
+            g, exact = _reference_oracle(o, grad_all, e, x, seed, run_id, t, alpha, gg)
             _reference_guard(g, t, "oracle output", run_id)
             if tracked:
-                y = w @ (y + g - g_prev)
+                y = mix(y + g - g_prev)
                 _reference_guard(y, t, "tracker update", run_id)
-                x = w @ (x - alpha * y)
+                x = mix(x - alpha * y)
             else:
-                x = w @ (x - alpha * g)
+                x = mix(x - alpha * g)
             _reference_guard(x, t, "model update", run_id)
             g_prev = g
             if trace:
                 y_hist[i] = y
                 g_hist[i] = g
-                z_hist[i] = g - (e.grad_all(x_hist[i]) if exact is None else exact)
+                z_hist[i] = g - (grad_all(x_hist[i]) if exact is None else exact)
     x_hist[T] = x
     hists = dict(x_hist=x_hist, y_hist=y_hist, g_hist=g_hist, z_hist=z_hist) if trace else {}
     alpha, snapshots = rec.pop("alpha"), rec.pop("snapshots")
@@ -166,6 +207,32 @@ def assert_records_identical(a, b):
             assert va is not None and vb is not None, name
             assert (va.shape, va.dtype) == (vb.shape, vb.dtype), name
             assert va.tobytes() == vb.tobytes(), name
+        else:
+            assert va == vb, name
+
+
+def assert_records_close(a, b, rel):
+    """Every field equal, but the float arrays within ``rel``: each entry of
+    the nonnegative metric series relative to itself, every other array
+    (snapshots included) relative to its largest entry. NaNs must sit at the
+    same places."""
+
+    def close(va, vb, name, per_entry=False):
+        assert vb is not None and va.shape == vb.shape, name
+        assert np.array_equal(np.isnan(va), np.isnan(vb)), name
+        va, vb = np.nan_to_num(va), np.nan_to_num(vb)
+        scale = np.abs(vb) if per_entry else np.abs(vb).max(initial=0)
+        assert np.all(np.abs(va - vb) <= rel * scale), name
+
+    assert vars(a).keys() == vars(b).keys()
+    for name, va in vars(a).items():
+        vb = getattr(b, name)
+        if name == "snapshots":
+            assert va.keys() == vb.keys()
+            for t in va:
+                close(va[t], vb[t], f"snapshot {t}")
+        elif isinstance(va, np.ndarray):
+            close(va, vb, name, per_entry=name in ("mse_to_opt", "stationarity_sum"))
         else:
             assert va == vb, name
 
