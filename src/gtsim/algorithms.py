@@ -182,19 +182,21 @@ def _sum_sq(v):
 _BLOCK = noise.CHUNK
 
 
-def _state(B, P, n, d):
+def _state(e, B):
     """A zeroed state array, its (S, n, d) stack of slots and its (S/P, n, P d)
     panels, which the mixing products take; S is B rounded up to a multiple
-    of P. At P > 1 the array is agent-major, (n, S, d), so each panel is P
-    slots of each agent's rows; one panel is given as (n, P d), a form numpy
+    of the ensemble's panel width P, and the array is ``e.slot_memory(S)``.
+    At P > 1 that memory is agent-major, (n, S, d), so each panel is P slots
+    of each agent's rows; one panel is given as (n, P d), a form numpy
     multiplies in half the time. At P = 1 all three are the (B, n, d) block."""
-    if P == 1:
-        v = np.zeros((B, n, d))
-        return v, v, v
+    P = e.panel_width
     S = -(-B // P) * P
-    v = np.zeros((n, S, d))
+    v, slots = e.slot_memory(S)
+    if P == 1:
+        return v, v, v
+    n, d = e.n, e.d
     panels = v.reshape(n, P * d) if S == P else v.reshape(n, S // P, P * d).swapaxes(0, 1)
-    return v, v.swapaxes(0, 1), panels
+    return v, slots, panels
 
 
 def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
@@ -254,14 +256,14 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     inv_n = 1.0 / n
 
     P = e.panel_width
-    x, x_slots, x_panels = _state(B, P, n, d)
+    x, x_slots, x_panels = _state(e, B)
     x_runs = x_slots[:B]
     x_runs[...] = config.x0
-    y, y_slots, y_panels = _state(B, P, n, d)
-    g_prev = _state(B, P, n, d)[0]
+    y, y_slots, y_panels = _state(e, B)
+    g_prev = _state(e, B)[0]
     # the updates and the block reductions write through these, not through
     # fresh temporaries; out= performs the same operations bit for bit
-    tmp, _, tmp_panels = _state(B, P, n, d)
+    tmp, _, tmp_panels = _state(e, B)
     scratch = np.empty((B, min(T, _BLOCK), n, d))
     grads = None  # the global gradients of the block, where the sampler returns them
     # overflow is handled by the explicit non-finite abort, not warnings

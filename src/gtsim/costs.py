@@ -74,11 +74,11 @@ class CostEnsemble:
     one point (d,) or a stack of points. Each slice of a stack is computed
     exactly as a call on it alone.
 
-    ``panel_width`` is the number of runs the engine groups into one panel:
-    at width P > 1 it holds a block's state agent-major, as (n, S, d) with
-    S the block size rounded up to a multiple of P and the slots past the
-    block zero-padded, and passes ``grad_all`` the (S, n, d) stack of slots,
-    a view of that memory. Width 1 holds the (B, n, d) block as it is.
+    ``panel_width`` is the number of runs the engine groups into one panel.
+    It holds a block's state in ``slot_memory``, with the block size rounded
+    up to a multiple of the width and the slots past the block zero-padded,
+    and passes ``grad_all`` the (S, n, d) stack of slots. Width 1 holds the
+    (B, n, d) block as it is.
     """
 
     kind = "abstract"
@@ -91,6 +91,19 @@ class CostEnsemble:
 
     def value_local(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
+
+    def slot_memory(self, count, lead=()):
+        """Zeroed memory for ``count`` slots of (n, d) models behind the
+        leading axes ``lead``, and the (*lead, count, n, d) stack of slots
+        that views it. At ``panel_width`` 1 the two are one run-major array.
+        Above it the memory is agent-major, (*lead, n, count, d): each
+        agent's rows over consecutive slots are dense, so P of them are one
+        (P, d) panel, which the panel products read in place."""
+        if self.panel_width == 1:
+            mem = np.zeros(lead + (count, self.n, self.d))
+            return mem, mem
+        mem = np.zeros(lead + (self.n, count, self.d))
+        return mem, mem.swapaxes(-3, -2)
 
     @_per_slice(2)
     def grad_all(self, x_rows: np.ndarray) -> np.ndarray:
@@ -158,7 +171,6 @@ class QuadraticEnsemble(CostEnsemble):
             self.panel_width = PANEL
             # A_i' rather than A_i: symmetry is checked only to 1e-12
             self._a_t = np.ascontiguousarray(a.transpose(0, 2, 1))[:, None]
-            self._b_slots = self.b[:, None, None]
         self._a_bar = a if self.shared_a else a.mean(axis=0)
         self._b_bar = b.mean(axis=0)
         self._smoothness = None
@@ -183,26 +195,20 @@ class QuadraticEnsemble(CostEnsemble):
     def grad_all(self, x_rows):
         if self.shared_a:
             return x_rows @ self.a + self.b
-        slots, size = len(x_rows), x_rows.itemsize
-        if slots % PANEL == 0 and x_rows.strides == (size * self.d, size * slots * self.d, size):
-            # the engine's (S, n, d) stack of slots: a view of its dense
-            # agent-major (n, S, d) panels
-            return self._panel_grads(x_rows.swapaxes(0, 1)).swapaxes(0, 1)
-        # any other stack: slice r in slot r of zero-padded panels
+        # slice r is slot r of agent-major panels: the stack's own memory when
+        # it is a stack of slots from slot_memory, else a zero-padded copy
         runs = x_rows.reshape(-1, self.n, self.d)
-        mem = np.zeros((self.n, -(-len(runs) // PANEL) * PANEL, self.d))
-        mem[:, :len(runs)] = runs.swapaxes(0, 1)
+        mem = runs.swapaxes(0, 1)
+        if len(runs) % PANEL or not mem.flags.c_contiguous:
+            mem = np.zeros((self.n, -(-len(runs) // PANEL) * PANEL, self.d))
+            mem[:, :len(runs)] = runs.swapaxes(0, 1)
         return self._panel_grads(mem).swapaxes(0, 1)[:len(runs)].reshape(x_rows.shape)
 
     def _panel_grads(self, mem):
         """The local gradients over agent-major (n, S, d) models, S a multiple
         of PANEL: one (PANEL, d) x (d, d) product per (agent, panel)."""
         g = np.matmul(mem.reshape(self.n, -1, PANEL, self.d), self._a_t)
-        # b repeated over the slots (kept for the next call of this size):
-        # adding it takes a third of the time of adding b broadcast
-        if self._b_slots.shape != g.shape:
-            self._b_slots = np.broadcast_to(self.b[:, None, None], g.shape).copy()
-        g += self._b_slots
+        g += self.b[:, None, None]
         return g.reshape(mem.shape)
 
     def grad_global(self, x):

@@ -200,8 +200,8 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     flavors), else None; the relaxed flavor at rho > 0 needs alpha and
     evaluates the global gradients at x itself, and returns them as
     ``grad_global`` (None for every other flavor). Gaussian noise is drawn
-    at the first call within each chunk, for every run of the block, and
-    laid out as the engine lays out its state: agent-major at P > 1.
+    at the first call within each chunk, for every run of the block, into
+    the ensemble's ``slot_memory``, the layout of the engine's state.
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
@@ -231,25 +231,24 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     # the additive flavors scale each chunk draw once, as it is drawn: the
     # product is elementwise, so every row is the same as scaled per iteration
     additive = o.kind == "gaussian" or o.rho == 0.0
+    # at a panel width above 1, x may hold padding slots past the block, and
+    # the noise is added to the first B slots only
+    padded = e.panel_width > 1
     B, K = len(seeds), min(T, CHUNK)
-    agent_major = e.panel_width > 1
-    # the time-major chunk draw, laid out as the engine lays out its state:
-    # (K, n, B, d) at a panel width above 1, else (K, B, n, d); its rows are
-    # written and read through the (K, B, n, d) view
-    z = np.empty((K, n, B, d)) if agent_major else np.empty((K, B, n, d))
-    z_rows = z.swapaxes(1, 2) if agent_major else z
+    # the time-major chunk draw, a (K, B, n, d) stack laid out as the engine
+    # lays out its state
+    z = e.slot_memory(B, lead=(K,))[1]
     drawn = 0  # first iteration of the chunk in z
 
     def noise_rows(t):
-        """Iteration t's row of the chunk draw, in z's own layout."""
         nonlocal drawn
         t0 = t - (t - 1) % CHUNK
         if drawn != t0:
             k = min(CHUNK, T + 1 - t0)
             for b, (seed, run) in enumerate(zip(seeds, runs)):
-                z_rows[:k, b] = noise_block(seed, run, t0, k * n, d).reshape(k, n, d)
+                z[:k, b] = noise_block(seed, run, t0, k * n, d).reshape(k, n, d)
             if additive:
-                z_rows[:k] *= s_col
+                z[:k] *= s_col
             drawn = t0
         return z[t - t0]
 
@@ -257,15 +256,11 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         def sample_gaussian(x, t, alpha=None):
             exact = e.grad_all(x)
-            if not agent_major:
+            if not padded:
                 return exact + noise_rows(t), exact, None
-            # added in the agent-major memory, where the operands are contiguous
-            rows = noise_rows(t)
-            if len(x) == B:  # no padding slot
-                return (exact.swapaxes(0, 1) + rows).swapaxes(0, 1), exact, None
-            g = exact.swapaxes(0, 1).copy()
-            g[:, :B] += rows
-            return g.swapaxes(0, 1), exact, None
+            g = exact.copy(order="K")
+            g[:B] += noise_rows(t)
+            return g, exact, None
 
         return sample_gaussian
 
@@ -273,9 +268,8 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
         exact = e.grad_all(x)
         grad_global = e.grad_global_all(x)
         scale = _relaxed_scale(o, alpha, np.linalg.norm(grad_global[:B], axis=-1))
-        rows = noise_rows(t)
         g = exact.copy(order="K")
-        g[:B] += o.s * scale[..., None] * (rows.swapaxes(0, 1) if agent_major else rows)
+        g[:B] += o.s * scale[..., None] * noise_rows(t)
         return g, exact, grad_global
 
     return sample_relaxed

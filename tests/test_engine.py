@@ -394,3 +394,32 @@ def test_padding_slots_never_abort_a_run_or_reach_a_record():
     for rec, b in zip(rest.split(), keep):
         assert_records_identical(rec, alg.run("gt_dsgd", clean, [seeds[b]], [run_ids[b]]))
         assert_records_identical(rec, reference_run("gt_dsgd", clean, seeds[b], run_ids[b]))
+
+
+@pytest.mark.parametrize("oracle", [noise.GaussianOracle(1.0),
+                                    noise.RelaxedSubgaussianOracle(0.6, 1.5, 0.5)])
+def test_the_engines_slots_reach_the_panel_products_without_a_copy(oracle):
+    # grad_all multiplies a stack of slots from slot_memory in place, and
+    # copies any other stack into zero-padded panels first, with the same
+    # bits; only a copy owns its memory
+    n, d = 3, 4
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((n, d, d))
+    e = costs.QuadraticEnsemble(m + m.transpose(0, 2, 1) + 8 * np.eye(d), rng.standard_normal((n, d)))
+    owns = []
+    panel_grads = costs.QuadraticEnsemble._panel_grads
+
+    def spy(self, mem):
+        owns.append(mem.flags.owndata)
+        return panel_grads(self, mem)
+
+    with mock.patch.object(costs.QuadraticEnsemble, "_panel_grads", spy):
+        for B in (1, 8, 11):
+            for algorithm in ("gt_dsgd", "dsgd"):
+                cfg = alg.RunConfig(w=ring_matrix(n), ensemble=e, oracle=oracle,
+                                    schedule=alg.ConstantStep(0.05), T=70, x0=np.ones((n, d)),
+                                    record_trace=True)
+                alg.run(algorithm, cfg, range(B), range(B))
+        assert len(owns) == 3 * 2 * 70 and not any(owns)
+        e.grad_all(np.ones((8, n, d)))  # a run-major stack is copied
+    assert owns[-1]
