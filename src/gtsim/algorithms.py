@@ -255,7 +255,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     wm = config.w.w
     inv_n = 1.0 / n
 
-    P = e.panel_width
     x, x_slots, x_panels = _state(e, B)
     x_runs = x_slots[:B]
     x_runs[...] = config.x0
@@ -281,7 +280,7 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                     if grads is None:
                         grads = np.empty_like(scratch)
                     grads[:, k] = grad_global[:B]
-                g_state = g if P == 1 else g.swapaxes(0, 1)
+                g_state = e.memory_of(g)
                 if tracked:
                     np.add(y, g_state, out=tmp)
                     np.subtract(tmp, g_prev, out=tmp)

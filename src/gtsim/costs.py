@@ -101,9 +101,16 @@ class CostEnsemble:
         (P, d) panel, which the panel products read in place."""
         if self.panel_width == 1:
             mem = np.zeros(lead + (count, self.n, self.d))
-            return mem, mem
-        mem = np.zeros(lead + (self.n, count, self.d))
-        return mem, mem.swapaxes(-3, -2)
+        else:
+            mem = np.zeros(lead + (self.n, count, self.d))
+        return mem, self.memory_of(mem)
+
+    def memory_of(self, stack):
+        """A stack of slots viewed in the order of ``slot_memory``'s memory,
+        or that memory viewed as its stack: the view is its own inverse.
+        Elementwise operations on agent-major memory take about half the
+        time through this view that they take through the stack."""
+        return stack if self.panel_width == 1 else stack.swapaxes(-3, -2)
 
     @_per_slice(2)
     def grad_all(self, x_rows: np.ndarray) -> np.ndarray:
@@ -171,6 +178,10 @@ class QuadraticEnsemble(CostEnsemble):
             self.panel_width = PANEL
             # A_i' rather than A_i: symmetry is checked only to 1e-12
             self._a_t = np.ascontiguousarray(a.transpose(0, 2, 1))[:, None]
+            # b_i repeated over the slots of a panel: added in one dense pass,
+            # which takes a fifth of the time of adding b broadcast
+            self._b_panel = np.repeat(self.b[:, None, None], PANEL, axis=2)
+            self._b_panel.flags.writeable = False
         self._a_bar = a if self.shared_a else a.mean(axis=0)
         self._b_bar = b.mean(axis=0)
         self._smoothness = None
@@ -208,7 +219,7 @@ class QuadraticEnsemble(CostEnsemble):
         """The local gradients over agent-major (n, S, d) models, S a multiple
         of PANEL: one (PANEL, d) x (d, d) product per (agent, panel)."""
         g = np.matmul(mem.reshape(self.n, -1, PANEL, self.d), self._a_t)
-        g += self.b[:, None, None]
+        g += self._b_panel
         return g.reshape(mem.shape)
 
     def grad_global(self, x):

@@ -259,7 +259,8 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
             if not padded:
                 return exact + noise_rows(t), exact, None
             g = exact.copy(order="K")
-            g[:B] += noise_rows(t)
+            rows = e.memory_of(g[:B])
+            rows += e.memory_of(noise_rows(t))
             return g, exact, None
 
         return sample_gaussian
