@@ -306,7 +306,7 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                         ys[:, t - 1] = y_slots[:B]
                     g_hist[:, t - 1] = g[:B]
                     exact_rows = e.grad_all(xb[:, k]) if exact is None else exact[:B]
-                    z_hist[:, t - 1] = g[:B] - exact_rows
+                    np.subtract(g[:B], exact_rows, out=z_hist[:, t - 1])
 
             span = slice(t0 - 1, t1 - 1)
             xbar = xb.sum(axis=2) * inv_n

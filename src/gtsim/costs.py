@@ -206,13 +206,14 @@ class QuadraticEnsemble(CostEnsemble):
     def grad_all(self, x_rows):
         if self.shared_a:
             return x_rows @ self.a + self.b
-        # slice r is slot r of agent-major panels: the stack's own memory when
-        # it is a stack of slots from slot_memory, else a zero-padded copy
+        mem = self.memory_of(x_rows) if x_rows.ndim == 3 else None
+        if mem is not None and len(x_rows) % PANEL == 0 and mem.flags.c_contiguous:
+            # a stack of slots from slot_memory: its own memory is the panels
+            return self._panel_grads(mem).swapaxes(0, 1)
+        # any other stack: slice r in slot r of zero-padded panels
         runs = x_rows.reshape(-1, self.n, self.d)
-        mem = runs.swapaxes(0, 1)
-        if len(runs) % PANEL or not mem.flags.c_contiguous:
-            mem = np.zeros((self.n, -(-len(runs) // PANEL) * PANEL, self.d))
-            mem[:, :len(runs)] = runs.swapaxes(0, 1)
+        mem = np.zeros((self.n, -(-len(runs) // PANEL) * PANEL, self.d))
+        mem[:, :len(runs)] = runs.swapaxes(0, 1)
         return self._panel_grads(mem).swapaxes(0, 1)[:len(runs)].reshape(x_rows.shape)
 
     def _panel_grads(self, mem):
