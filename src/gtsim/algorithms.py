@@ -264,6 +264,13 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     # fresh temporaries; out= performs the same operations bit for bit
     tmp, _, tmp_panels = _state(e, B)
     scratch = np.empty((B, min(T, _BLOCK), n, d))
+    if trace:
+        # each chunk's traces are staged in the state's slot layout, one
+        # dense copy per iteration, and moved to the run-major traces once
+        # per chunk
+        y_stage, g_stage, z_stage = (e.slot_memory(len(x_slots), lead=(min(T, _BLOCK),))[1]
+                                     for _ in range(3))
+        staged = [(g_hist, g_stage), (z_hist, z_stage)] + ([(ys, y_stage)] if tracked else [])
     grads = None  # the global gradients of the block, where the sampler returns them
     # overflow is handled by the explicit non-finite abort, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -303,12 +310,15 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
                 g_prev = g_state
                 if trace:
                     if tracked:
-                        ys[:, t - 1] = y_slots[:B]
-                    g_hist[:, t - 1] = g[:B]
+                        y_stage[k] = y_slots
+                    g_stage[k] = g
                     exact_rows = e.grad_all(xb[:, k]) if exact is None else exact[:B]
-                    np.subtract(g[:B], exact_rows, out=z_hist[:, t - 1])
+                    np.subtract(g[:B], exact_rows, out=z_stage[k, :B])
 
             span = slice(t0 - 1, t1 - 1)
+            if trace:
+                for hist, stage in staged:
+                    hist[:, span] = stage[:m, :B].swapaxes(0, 1)
             xbar = xb.sum(axis=2) * inv_n
             f_avg[:, span] = e.value_global(xbar)
             sb = scratch[:, :m]

@@ -73,7 +73,7 @@ def _float(path, val, minimum=None, integer=False):
 _int = partial(_float, integer=True)
 
 
-def _floats(path, val, positive=False):
+def _floats(path, val, positive=False, minimum=None):
     if not isinstance(val, list):
         raise ConfigError(f"'{path}' must be a list")
     for v in val:
@@ -83,12 +83,28 @@ def _floats(path, val, positive=False):
             raise ConfigError(f"'{path}' entry {v!r} must be > 0")
         if not abs(v) <= sys.float_info.max:
             raise ConfigError(f"'{path}' entry {v!r} must be finite")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"'{path}' entry {v!r} must be >= {minimum}")
     return [float(v) for v in val]
 
 
-def _scales(path, val):
-    """A number, or a list of numbers (one per agent)."""
-    return _floats(path, val) if isinstance(val, list) else _float(path, val)
+def _scales(path, val, minimum):
+    """A number, or a list of numbers (one per agent), each >= ``minimum``."""
+    return _floats(path, val, minimum=minimum) if isinstance(val, list) else _float(path, val, minimum)
+
+
+def _positive(path, val):
+    val = _float(path, val)
+    if not val > 0:
+        raise ConfigError(f"'{path}' must be > 0")
+    return val
+
+
+def _probability(path, val):
+    val = _float(path, val)
+    if not 0 < val <= 1:
+        raise ConfigError(f"'{path}' must lie in (0, 1]")
+    return val
 
 
 def _bool(path, val):
@@ -140,7 +156,7 @@ _SCHEMA = {
     }}),
     "topology": (True, "kind", None, {
         **dict.fromkeys(("ring", "path", "complete"), {"n": (_int, _REQUIRED, 1), "seed": (_int, 0, 0)}),
-        "erdos_renyi": {"n": (_int, _REQUIRED, 2), "seed": (_int, 0, 0), "p": (_float, None),
+        "erdos_renyi": {"n": (_int, _REQUIRED, 2), "seed": (_int, 0, 0), "p": (_probability, None),
                         "target_lambda": (_float, None), "tol": (_float, 0.05)},
         "matrix_csv": {"path": (_str, _REQUIRED)},
     }),
@@ -152,13 +168,13 @@ _SCHEMA = {
         "quadratic_json": {"path": (_str, _REQUIRED)},
     }),
     "oracle": (True, "flavor", None, {
-        "gaussian": {"s": (_scales, 1.0)},
+        "gaussian": {"s": (_scales, 1.0, 0.0)},
         "minibatch": {"batch_size": (_int, 1, 1)},
         "relaxed_subgaussian": {"s": (_float, 1.0, 0.0), "rho": (_float, 0.0, 0.0),
                                 "eps_exponent": (_float, 1.0)},
     }),
     "schedule": (True, "kind", None, {
-        "constant": {"alpha": (_float, _REQUIRED)},
+        "constant": {"alpha": (_positive, _REQUIRED)},
         "inverse_time": {"a": (_float, 1.0), "mu": (_float, 1.0), "t0": (_float, 1.0)},
     }),
     "init": (False, "kind", "zeros", {
@@ -225,6 +241,9 @@ def normalize_config(raw: dict) -> ExperimentConfig:
         data[section] = out = _normalize_section(section, raw.get(section, {}), *spec)
         if out.get("kind") == "erdos_renyi" and (out["p"] is None) == (out["target_lambda"] is None):
             raise ConfigError("'topology': erdos_renyi needs exactly one of 'p' or 'target_lambda'")
+    s, n = data["oracle"].get("s"), data["topology"].get("n")
+    if isinstance(s, list) and n is not None and len(s) != n:
+        raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but 'topology.n' is {n}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
@@ -342,6 +361,9 @@ def build_run_config(cfg: ExperimentConfig, record_trace: bool = False) -> algor
     e = build_ensemble(cfg, w.n)
     if e.n != w.n:
         raise ConfigError(f"the cost ensemble has {e.n} agents but the mixing matrix has {w.n}")
+    s = cfg["oracle"].get("s")
+    if isinstance(s, list) and len(s) != w.n:
+        raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but the mixing matrix has {w.n} agents")
     return algorithms.RunConfig(
         w=w,
         ensemble=e,
@@ -379,7 +401,8 @@ class ResultEnvelope:
 
 # bytes of block buffers (models, noise, the engine's scratch and the relaxed
 # oracle's global gradients, each (K, n, d) float64 per run, and with traces
-# on the four (T, n, d) traces) that one block of runs may hold
+# on the four (T, n, d) traces and three (K, n, d) trace stages) that one
+# block of runs may hold
 _BLOCK_BUDGET = 4 << 20
 
 
@@ -388,7 +411,7 @@ def _block_size(run_cfg) -> int:
     n, d = run_cfg.x0.shape
     per_run = 4 * algorithms._BLOCK * n * d * 8
     if run_cfg.record_trace:
-        per_run += 4 * run_cfg.T * n * d * 8
+        per_run += (4 * run_cfg.T + 3 * algorithms._BLOCK) * n * d * 8
     return max(1, _BLOCK_BUDGET // per_run)
 
 

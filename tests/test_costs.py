@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from gtsim import costs
-from util import central_diff_grad, reference_logistic_grad_global_all
+from util import (central_diff_grad, parent_logistic_grad_global_all,
+                  reference_logistic_grad_global_all)
 
 
 def quad2():
@@ -336,6 +339,54 @@ def test_logistic_grad_global_all_matches_the_expit_form(case):
         terms = (np.abs(e._h_all).T @ sig).T + e.eta * 2.0 * np.abs(x) / (1.0 + x * x) ** 2
         tol = 1e-13 * terms + np.finfo(float).tiny * (e._w_all @ np.abs(e._h_all))
         assert np.all(np.abs(got - ref) <= tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=logistic_cases(), tile=st.integers(1, 5))
+def test_logistic_global_gradients_over_row_tiles(case, tile):
+    e, xs = case
+    with mock.patch.object(costs, "TILE", tile):
+        stacked = e.grad_global_all(xs)
+        slices = [e.grad_global_all(x) for x in xs]
+    assert stacked.tobytes() == np.stack(slices).tobytes()
+    m, d = e._h_all.shape
+    for x, got in zip(xs, slices):
+        ref = parent_logistic_grad_global_all(e, x)
+        if m <= tile:  # one tile makes the operations of the (n, m) buffer
+            assert got.tobytes() == ref.tobytes()
+            continue
+        # Tiles reorder the sum over rows of z_r h_r, and two orders of a sum
+        # of m terms differ by at most 2 m eps times the sum of the terms'
+        # magnitudes. A margin whose d terms are summed in another order
+        # moves by at most 2 d eps |x|.|h_r|, and z_r = y w / (1 + exp(margin))
+        # by at most that much relative. The final add of the penalty rounds
+        # twice more, and a z_r near the smallest normal may round by tiny.
+        eps = np.finfo(float).eps
+        z = e._w_all * expit(-(x @ e._h_all.T) * e._y_all)
+        spread = np.abs(x) @ np.abs(e._h_all).T
+        terms = (m * z + d * z * spread) @ np.abs(e._h_all)
+        tol = 2 * eps * (terms + np.abs(ref)) + np.finfo(float).tiny * (e._w_all @ np.abs(e._h_all))
+        assert np.all(np.abs(got - ref) <= tol)
+
+
+def test_logistic_global_gradients_hold_one_tile_buffer():
+    # at n = 50 on a corpus of eight tiles, a call on a stack holds one
+    # (n, TILE) buffer and (n, d) arrays; the (n, m) buffer of one slice
+    # before tiles was eight of them
+    n, d, m = 50, 4, 8 * costs.TILE
+    rng = np.random.default_rng(3)
+    sizes = np.diff(np.linspace(0, m, n + 1).astype(int))
+    e = costs.LogisticEnsemble.from_pooled(rng.standard_normal((m, d)),
+                                           rng.choice([-1.0, 1.0], m), sizes, eta=0.1)
+    xs = rng.standard_normal((2, n, d))
+    e.grad_global_all(xs)
+    tracemalloc.start()
+    try:
+        e.grad_global_all(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * costs.TILE * 8
 
 
 def test_ensemble_json_roundtrip(tmp_path):

@@ -304,12 +304,20 @@ P = costs.PANEL
 
 
 @st.composite
-def quadratic_run_configs(draw):
-    """Quadratic runs over random n and d, with per-agent or shared A."""
+def block_run_configs(draw):
+    """Quadratic runs over random n and d, with per-agent or shared A, or
+    logistic runs on the toy corpus."""
     n, d = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    e = costs.make_synthetic_quadratics(n, d, "a", sparsity=draw(st.sampled_from([0.3, 1.0])),
-                                        seed=draw(st.integers(0, 99)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["per_agent", "shared", "logistic"]))
+    if kind == "logistic":
+        n = min(n, 3)
+        e = datasets.to_logistic_ensemble(
+            datasets.split_uniform(datasets.load_libsvm(TOY), n, seed=draw(st.integers(0, 9))), eta=0.1)
+        d = e.d
+    else:
+        e = costs.make_synthetic_quadratics(n, d, "a", sparsity=draw(st.sampled_from([0.3, 1.0])),
+                                            seed=draw(st.integers(0, 99)))
+    if kind == "shared":
         e = costs.QuadraticEnsemble(e.a[0], e.b)
     if draw(st.booleans()):
         oracle = noise.GaussianOracle(draw(st.sampled_from([0.7, tuple(np.linspace(0, 1, n))])))
@@ -317,25 +325,31 @@ def quadratic_run_configs(draw):
         oracle = noise.RelaxedSubgaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
     g = tp.generate_graph("erdos_renyi", n, seed=draw(st.integers(0, 99)), p=0.6) if n > 1 \
         else tp.generate_graph("ring", 1)
+    # a logistic run stays in one chunk: over tiles of a few rows its global
+    # gradients cost a hundred times a quadratic's
+    T = draw(st.sampled_from([1, 9] if kind == "logistic" else [1, B + 1]))
     return alg.RunConfig(w=tp.metropolis_hastings(g), ensemble=e, oracle=oracle,
-                         schedule=alg.ConstantStep(0.05), T=draw(st.sampled_from([1, B + 1])),
+                         schedule=alg.ConstantStep(0.05), T=T,
                          x0=np.random.default_rng(n).standard_normal((n, d)),
                          record_trace=draw(st.booleans()))
 
 
 @settings(max_examples=20, deadline=None)
-@given(cfg=quadratic_run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]),
-       master=st.integers(0, 2**32))
+@given(cfg=block_run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]),
+       master=st.integers(0, 2**32), tile=st.integers(1, 5))
 def test_a_runs_record_is_the_same_in_every_block_size_at_one_and_two_workers(
-        cfg, algorithm, master):
+        cfg, algorithm, master, tile):
     runs = 2 * P + 1
     seeds = [harness.derive_run_seed(master, algorithm, r) for r in range(runs)]
     blocks = [(algorithm, seeds[lo:lo + size], list(range(lo, min(lo + size, runs))))
               for size in range(1, runs + 1) for lo in range(0, runs, size)]
-    one = [harness._run_block(cfg, block) for block in blocks]
-    with ProcessPoolExecutor(max_workers=2, initializer=harness._init_worker,
-                             initargs=(cfg,)) as pool:
-        two = list(pool.map(harness._run_worker_block, blocks))
+    # logistic global gradients over tiles of a few rows; the forked workers
+    # inherit the patch
+    with mock.patch.object(costs, "TILE", tile):
+        one = [harness._run_block(cfg, block) for block in blocks]
+        with ProcessPoolExecutor(max_workers=2, initializer=harness._init_worker,
+                                 initargs=(cfg,)) as pool:
+            two = list(pool.map(harness._run_worker_block, blocks))
     alone = [results[0] for results in one[:runs]]  # the blocks of one run
     for results in one + two:
         (block,) = results  # no run aborts

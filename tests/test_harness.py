@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, harness, metrics, noise, theorycheck
+from gtsim import algorithms as alg, costs, harness, metrics, noise, theorycheck, topology
 from gtsim.cli import cli
 from util import (assert_records_identical, reference_emit_outputs, reference_envelope_json,
                   reference_normalize_config, reference_series_csv, ring_matrix)
@@ -317,6 +317,49 @@ def test_a_negative_seed_is_a_config_error_that_names_its_key(section, key):
     raw[section][key] = -1
     with pytest.raises(harness.ConfigError, match=rf"'{section}\.{key}' must be >= 0"):
         harness.normalize_config(raw)
+
+
+# The bounds the builders enforce, each a config error that names its key at
+# load time. Before they were in the schema, these configs loaded, and
+# building them raised an error that named no key.
+@pytest.mark.parametrize("section, body, message", [
+    ("oracle", {"flavor": "gaussian", "s": -0.5}, r"'oracle\.s' must be >= 0"),
+    ("oracle", {"flavor": "gaussian", "s": [0.5, -1, 0.5, 0.5]}, r"'oracle\.s' entry -1 must be >= 0"),
+    ("schedule", {"kind": "constant", "alpha": 0}, r"'schedule\.alpha' must be > 0"),
+    ("schedule", {"kind": "constant", "alpha": -0.01}, r"'schedule\.alpha' must be > 0"),
+    ("topology", {"kind": "erdos_renyi", "n": 4, "p": 0.0}, r"'topology\.p' must lie in \(0, 1\]"),
+    ("topology", {"kind": "erdos_renyi", "n": 4, "p": 1.5}, r"'topology\.p' must lie in \(0, 1\]"),
+    ("oracle", {"flavor": "gaussian", "s": [0.5, 0.5, 0.5]},
+     r"'oracle\.s' lists 3 per-agent scales but 'topology\.n' is 4"),
+], ids=["s", "s-entry", "alpha-zero", "alpha-negative", "p-zero", "p-above-one", "s-length"])
+def test_a_bound_the_builders_enforce_is_a_config_error_that_names_its_key(section, body, message):
+    raw = tomllib.loads(MINIMAL_TOML)
+    raw[section] = body
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.normalize_config(raw)
+
+
+def test_the_bounds_admit_their_edges():
+    raw = tomllib.loads(MINIMAL_TOML)
+    raw["topology"] = {"kind": "erdos_renyi", "n": 4, "p": 1.0}
+    raw["oracle"] = {"flavor": "gaussian", "s": [0, 0.0, 1, 2.5]}
+    cfg = harness.normalize_config(raw)
+    assert (cfg["topology"]["p"], cfg["oracle"]["s"]) == (1.0, [0.0, 0.0, 1.0, 2.5])
+    raw["oracle"]["s"] = 0
+    assert harness.normalize_config(raw)["oracle"]["s"] == 0.0
+
+
+def test_a_scale_list_is_checked_against_a_matrix_csv_when_it_is_built(tmp_path):
+    # a matrix file brings its own agent count, known only once it is read
+    w = tmp_path / "w.csv"
+    topology.save_matrix_csv(topology.metropolis_hastings(topology.generate_graph("ring", 4)), w)
+    raw = tomllib.loads(MINIMAL_TOML)
+    raw["topology"] = {"kind": "matrix_csv", "path": str(w)}
+    raw["oracle"] = {"flavor": "gaussian", "s": [0.5, 0.5, 0.5]}
+    cfg = harness.normalize_config(raw)
+    with pytest.raises(harness.ConfigError,
+                       match=r"'oracle\.s' lists 3 per-agent scales but the mixing matrix has 4"):
+        harness.build_run_config(cfg)
 
 
 def test_master_seed_may_be_any_integer():
@@ -691,7 +734,7 @@ def test_block_plan_covers_the_runs_in_order_within_the_budget(R, n_algorithms, 
     run_cfg = alg.RunConfig(w=None, ensemble=None, oracle=None, schedule=None, T=300,
                             x0=np.zeros((n, d)), record_trace=trace)
     size = harness._block_size(run_cfg)
-    per_run = (4 * alg._BLOCK + (4 * run_cfg.T if trace else 0)) * n * d * 8
+    per_run = (4 * alg._BLOCK + (4 * run_cfg.T + 3 * alg._BLOCK if trace else 0)) * n * d * 8
     assert size == 1 or size * per_run <= harness._BLOCK_BUDGET
     plan = harness._block_plan(R, n_algorithms, workers, size)
     # contiguous ranges in run order that cover each run once

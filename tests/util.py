@@ -34,6 +34,22 @@ def reference_logistic_grad_global_all(e, x_rows):
     return data + e.eta * 2.0 * x_rows / (1.0 + x_rows * x_rows) ** 2
 
 
+def parent_logistic_grad_global_all(e, x_rows):
+    """The global logistic gradient at each row of one (n, d) slice, as
+    ``LogisticEnsemble.grad_global_all`` took it before row tiles: one
+    (n, m) buffer over all pooled rows."""
+    # one (n, m_total) buffer: margins, then y w sigmoid(-margin) in
+    # place as y w / (1 + exp(margin)), the form of _sigmoid
+    z = x_rows @ e._h_all.T
+    z *= e._y_all
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    np.divide(e._yw_all, z, out=z)
+    data = -(z @ e._h_all)
+    return data + e._penalty_grad(x_rows)
+
+
 def path3_matrix():
     return tp.metropolis_hastings(tp.generate_graph("path", 3))
 
@@ -917,8 +933,11 @@ def reference_emit_outputs(env, outdir):
 
 # ---------------------------------------------------------------------------
 # Reference config normalizer: the schema as it was before it became one
-# table, with a hand-written normalizer per section. A differential test
-# compares the table's normalizer against it on inputs both accept or reject.
+# table, with a hand-written normalizer per section, plus the bounds the
+# builders enforced and the schema took over later (a Gaussian 's' >= 0, each
+# entry of a list too; 'schedule.alpha' > 0; an ER 'p' in (0, 1]; a per-agent
+# 's' list as long as 'topology.n'). A differential test compares the
+# table's normalizer against it on inputs both accept or reject.
 # ---------------------------------------------------------------------------
 
 _ALGORITHMS = ("gt_dsgd", "dsgd")
@@ -947,6 +966,13 @@ def _num(section, data, key, default=None, minimum=None, integer=False):
         val = float(val)
     if minimum is not None and val < minimum:
         raise ConfigError(f"'{section}.{key}' must be >= {minimum}")
+    return val
+
+
+def _prob(section, data, key):
+    val = _num(section, data, key)
+    if val is not None and not 0 < val <= 1:
+        raise ConfigError(f"'{section}.{key}' must lie in (0, 1]")
     return val
 
 
@@ -998,7 +1024,7 @@ def _normalize_topology(data):
         out = {"kind": kind,
                "n": _num("topology", data, "n", minimum=2, integer=True),
                "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True),
-               "p": _num("topology", data, "p"),
+               "p": _prob("topology", data, "p"),
                "target_lambda": _num("topology", data, "target_lambda"),
                "tol": _num("topology", data, "tol", default=0.05)}
         if (out["p"] is None) == (out["target_lambda"] is None):
@@ -1042,9 +1068,12 @@ def _normalize_oracle(data):
         _expect("oracle", data, {"flavor", "s"}, {"flavor"})
         s = data.get("s", 1.0)
         if isinstance(s, list):
+            for v in s:
+                if v < 0:
+                    raise ConfigError(f"'oracle.s' entry {v!r} must be >= 0.0")
             s = [float(v) for v in s]
         else:
-            s = float(s)
+            s = _num("oracle", data, "s", default=1.0, minimum=0.0)
         return {"flavor": flavor, "s": s}
     if flavor == "minibatch":
         _expect("oracle", data, {"flavor", "batch_size"}, {"flavor"})
@@ -1063,7 +1092,10 @@ def _normalize_schedule(data):
     kind = data.get("kind")
     if kind == "constant":
         _expect("schedule", data, {"kind", "alpha"}, {"kind", "alpha"})
-        return {"kind": kind, "alpha": _num("schedule", data, "alpha")}
+        alpha = _num("schedule", data, "alpha")
+        if not alpha > 0:
+            raise ConfigError("'schedule.alpha' must be > 0")
+        return {"kind": kind, "alpha": alpha}
     if kind == "inverse_time":
         _expect("schedule", data, {"kind", "a", "mu", "t0"}, {"kind"})
         return {"kind": kind,
@@ -1125,6 +1157,9 @@ def reference_normalize_config(raw: dict) -> ExperimentConfig:
         "init": _normalize_init(raw.get("init", {})),
         "checks": _normalize_checks(raw.get("checks", {})),
     }
+    s, n = data["oracle"].get("s"), data["topology"].get("n")
+    if isinstance(s, list) and n is not None and len(s) != n:
+        raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but 'topology.n' is {n}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
