@@ -27,7 +27,7 @@ print(f"  estimate {est.value:.4f} +/- {est.stderr:.4f}, closed form {target:.4f
 print(f"  capped exponents: {est.capped} of {est.samples}")
 
 print("\ngradient-amplified flavor on a grid of points (amplitude grows with ||grad f||):")
-o = noise.RelaxedSubgaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0)
+o = noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0)
 alpha = 0.1
 for scale in (0.0, 1.0, 5.0, 25.0):
     x = np.full(d, scale)

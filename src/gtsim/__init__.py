@@ -16,8 +16,7 @@ from .costs import (
     make_synthetic_quadratics, save_ensemble_json, load_ensemble_json,
 )
 from .noise import (
-    GaussianOracle, MinibatchOracle, RelaxedSubgaussianOracle,
-    calibrate_sigma, estimate_mgf,
+    GaussianOracle, MinibatchOracle, calibrate_sigma, estimate_mgf,
 )
 from .datasets import LabeledDataset, parse_libsvm, load_libsvm, split_uniform
 from .algorithms import (

@@ -462,38 +462,24 @@ def make_synthetic_quadratics(
     raise CostError(f"unknown heterogeneity profile {profile!r}")
 
 
-def save_ensemble_json(e: CostEnsemble, path) -> None:
-    """Serialize an ensemble (matrices row-major) for replay."""
-    if e.kind == "quadratic":
-        payload = {
-            "kind": "quadratic",
-            "shared_a": e.shared_a,
-            "a": e.a.tolist(),
-            "b": e.b.tolist(),
-        }
-    elif e.kind == "logistic":
-        payload = {
-            "kind": "logistic",
-            "eta": e.eta,
-            "agents": [
-                {"features": h.tolist(), "labels": y.tolist()}
-                for h, y in zip(e.features, e.labels)
-            ],
-        }
-    else:
-        raise CostError(f"cannot serialize ensemble kind {e.kind!r}")
+def save_ensemble_json(e: QuadraticEnsemble, path) -> None:
+    """Serialize a quadratic ensemble (matrices row-major) for replay."""
+    if e.kind != "quadratic":
+        raise CostError(f"cannot serialize ensemble kind {e.kind!r}: only quadratics replay from JSON")
+    payload = {"kind": "quadratic", "shared_a": e.shared_a, "a": e.a.tolist(), "b": e.b.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
-def load_ensemble_json(path) -> CostEnsemble:
+def load_ensemble_json(path) -> QuadraticEnsemble:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    kind = payload.get("kind")
-    if kind == "quadratic":
-        return QuadraticEnsemble(np.array(payload["a"]), np.array(payload["b"]))
-    if kind == "logistic":
-        feats = [np.array(a["features"]) for a in payload["agents"]]
-        labs = [np.array(a["labels"]) for a in payload["agents"]]
-        return LogisticEnsemble(feats, labs, eta=payload.get("eta", 0.0))
-    raise CostError(f"unknown ensemble kind {kind!r}")
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CostError(f"invalid JSON: {exc}") from exc
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind != "quadratic":
+        raise CostError(f"a JSON ensemble must be quadratic, not kind {kind!r}")
+    if not {"a", "b"} <= payload.keys():
+        raise CostError("a quadratic JSON ensemble needs both 'a' and 'b'")
+    return QuadraticEnsemble(np.array(payload["a"]), np.array(payload["b"]))

@@ -100,10 +100,11 @@ def _positive(path, val):
     return val
 
 
-def _probability(path, val):
+def _probability(path, val, below_one=False):
+    """A number in (0, 1], or in (0, 1) with ``below_one``."""
     val = _float(path, val)
-    if not 0 < val <= 1:
-        raise ConfigError(f"'{path}' must lie in (0, 1]")
+    if not (0 < val < 1 if below_one else 0 < val <= 1):
+        raise ConfigError(f"'{path}' must lie in (0, 1{')' if below_one else ']'}")
     return val
 
 
@@ -157,12 +158,13 @@ _SCHEMA = {
     "topology": (True, "kind", None, {
         **dict.fromkeys(("ring", "path", "complete"), {"n": (_int, _REQUIRED, 1), "seed": (_int, 0, 0)}),
         "erdos_renyi": {"n": (_int, _REQUIRED, 2), "seed": (_int, 0, 0), "p": (_probability, None),
-                        "target_lambda": (_float, None), "tol": (_float, 0.05)},
+                        "target_lambda": (partial(_probability, below_one=True), None),
+                        "tol": (_positive, 0.05)},
         "matrix_csv": {"path": (_str, _REQUIRED)},
     }),
     "cost": (True, "kind", None, {
         "quadratic_synthetic": {"profile": (_choice("a", "b"), "a"), "d": (_int, _REQUIRED, 1),
-                                "sparsity": (_float, 0.1), "mu0": (_float, 0.1), "seed": (_int, 0, 0)},
+                                "sparsity": (_probability, 0.1), "mu0": (_float, 0.1), "seed": (_int, 0, 0)},
         "logistic_libsvm": {"path": (_str, _REQUIRED), "eta": (_float, 0.1, 0.0),
                             "normalize": (_bool, False), "split_seed": (_int, 0, 0)},
         "quadratic_json": {"path": (_str, _REQUIRED)},
@@ -171,11 +173,11 @@ _SCHEMA = {
         "gaussian": {"s": (_scales, 1.0, 0.0)},
         "minibatch": {"batch_size": (_int, 1, 1)},
         "relaxed_subgaussian": {"s": (_float, 1.0, 0.0), "rho": (_float, 0.0, 0.0),
-                                "eps_exponent": (_float, 1.0)},
+                                "eps_exponent": (_positive, 1.0)},
     }),
     "schedule": (True, "kind", None, {
         "constant": {"alpha": (_positive, _REQUIRED)},
-        "inverse_time": {"a": (_float, 1.0), "mu": (_float, 1.0), "t0": (_float, 1.0)},
+        "inverse_time": {"a": (_positive, 1.0), "mu": (_positive, 1.0), "t0": (_float, 1.0, 0.0)},
     }),
     "init": (False, "kind", "zeros", {
         "zeros": {},
@@ -244,6 +246,8 @@ def normalize_config(raw: dict) -> ExperimentConfig:
     s, n = data["oracle"].get("s"), data["topology"].get("n")
     if isinstance(s, list) and n is not None and len(s) != n:
         raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but 'topology.n' is {n}")
+    if data["cost"].get("profile") == "b" and n is not None and n % 5:
+        raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but 'topology.n' is {n}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
@@ -317,12 +321,17 @@ def build_ensemble(cfg: ExperimentConfig, n: int):
     its own count)."""
     c = cfg["cost"]
     if c["kind"] == "quadratic_synthetic":
+        if c["profile"] == "b" and n % 5:
+            raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but the mixing matrix has {n}")
         return costs.make_synthetic_quadratics(
             n=n, d=c["d"], profile=c["profile"], sparsity=c["sparsity"],
             seed=c["seed"], mu0=c["mu0"],
         )
     if c["kind"] == "quadratic_json":
-        return costs.load_ensemble_json(c["path"])
+        try:
+            return costs.load_ensemble_json(c["path"])
+        except costs.CostError as exc:
+            raise ConfigError(f"'cost.path' {c['path']}: {exc}") from exc
     ds = datasets.load_libsvm(c["path"])
     if c["normalize"]:
         ds = datasets.maxabs_scale(ds)
@@ -333,12 +342,11 @@ def build_ensemble(cfg: ExperimentConfig, n: int):
 
 def build_oracle(cfg: ExperimentConfig):
     o = cfg["oracle"]
-    if o["flavor"] == "gaussian":
-        s = tuple(o["s"]) if isinstance(o["s"], list) else o["s"]
-        return noise.GaussianOracle(s=s)
     if o["flavor"] == "minibatch":
         return noise.MinibatchOracle(batch_size=o["batch_size"])
-    return noise.RelaxedSubgaussianOracle(s=o["s"], rho=o["rho"], eps_exponent=o["eps_exponent"])
+    # the relaxed flavor is the Gaussian oracle with its rho and eps_exponent
+    s = tuple(o["s"]) if isinstance(o["s"], list) else o["s"]
+    return noise.GaussianOracle(s=s, rho=o.get("rho", 0.0), eps_exponent=o.get("eps_exponent", 1.0))
 
 
 def build_schedule(cfg: ExperimentConfig):
@@ -399,10 +407,10 @@ class ResultEnvelope:
     wall_clock: float = 0.0
 
 
-# bytes of block buffers (models, noise, the engine's scratch and the relaxed
-# oracle's global gradients, each (K, n, d) float64 per run, and with traces
-# on the four (T, n, d) traces and three (K, n, d) trace stages) that one
-# block of runs may hold
+# bytes of block buffers (models, noise, the engine's scratch and, at rho > 0,
+# the oracle's global gradients, each (K, n, d) float64 per run, and with
+# traces on the four (T, n, d) traces and three (K, n, d) trace stages) that
+# one block of runs may hold
 _BLOCK_BUDGET = 4 << 20
 
 

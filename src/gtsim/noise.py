@@ -1,9 +1,10 @@
 """Stochastic first-order oracles.
 
-Three flavors of noisy gradient access: exact gradient plus Gaussian noise,
-mini-batch sampling over finite local datasets, and a synthetic noise model
-whose amplitude grows with the global gradient norm (the "relaxed" regime
-where the squared-norm MGF bound carries a gradient-dependent term).
+Two flavors of noisy gradient access: exact gradient plus Gaussian noise,
+and mini-batch sampling over finite local datasets. The Gaussian noise's
+amplitude may grow with the global gradient norm at a rate rho (the
+"relaxed" sub-Gaussian regime, where the squared-norm MGF bound carries a
+gradient-dependent term); at rho = 0 it is plain additive noise.
 
 All randomness is counter-based. Gaussian noise is drawn once per run per
 chunk of CHUNK iterations, from one Philox stream keyed by (seed, run, t0) at
@@ -26,7 +27,6 @@ __all__ = [
     "OracleError",
     "GaussianOracle",
     "MinibatchOracle",
-    "RelaxedSubgaussianOracle",
     "OracleSpec",
     "noise_block",
     "CHUNK",
@@ -50,14 +50,26 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianOracle:
-    """Exact gradient plus N(0, s_i^2 I) noise; ``s`` scalar or per-agent."""
+    """Exact gradient plus N(0, s_i^2 I) noise; ``s`` scalar or per-agent.
+
+    At rho > 0 the noise amplitude is s_i sqrt(1 + rho alpha^(2+eps) ||grad
+    f(x)||), the relaxed sub-Gaussian regime; rho = 0 is plain additive
+    noise. Conformance to the squared-norm MGF bound is certified
+    empirically via :func:`estimate_mgf`, not proven.
+    """
 
     s: Union[float, tuple]
+    rho: float = 0.0
+    eps_exponent: float = 1.0
     kind = "gaussian"
 
     def __post_init__(self):
         if np.any(np.asarray(self.s, dtype=float) < 0):
             raise OracleError("noise std must be >= 0")
+        if self.rho < 0:
+            raise OracleError("rho must be >= 0")
+        if self.eps_exponent <= 0:
+            raise OracleError("eps_exponent must be > 0")
 
     def s_vector(self, n: int) -> np.ndarray:
         s = np.asarray(self.s, dtype=float)
@@ -81,30 +93,7 @@ class MinibatchOracle:
             raise OracleError("batch_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class RelaxedSubgaussianOracle:
-    """Gaussian noise with amplitude sqrt(1 + rho * alpha^(2+eps) * ||grad f(x)||).
-
-    Reduces to the plain Gaussian oracle at rho = 0. Conformance to the
-    squared-norm MGF bound is certified empirically via :func:`estimate_mgf`,
-    not proven.
-    """
-
-    s: float
-    rho: float
-    eps_exponent: float
-    kind = "relaxed_subgaussian"
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise OracleError("noise std must be >= 0")
-        if self.rho < 0:
-            raise OracleError("rho must be >= 0")
-        if self.eps_exponent <= 0:
-            raise OracleError("eps_exponent must be > 0")
-
-
-OracleSpec = Union[GaussianOracle, MinibatchOracle, RelaxedSubgaussianOracle]
+OracleSpec = Union[GaussianOracle, MinibatchOracle]
 
 
 _MASK64 = 2**64 - 1
@@ -181,8 +170,6 @@ def _batch_of(o, e, i, gen):
 
 
 def _relaxed_scale(o, alpha, global_grad_norm):
-    if o.rho == 0.0:
-        return 1.0
     if alpha is None:
         raise OracleError("relaxed oracle needs the current step-size alpha")
     return np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * global_grad_norm)
@@ -196,12 +183,12 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     is (B, n, d), or at an ensemble's ``panel_width`` P > 1 the engine's
     (S, n, d) stack of slots, whose slots past B are padding: they get no
     noise. The results are stacks of x's shape. ``exact`` holds the
-    noiseless local gradients when they come for free (additive-noise
-    flavors), else None; the relaxed flavor at rho > 0 needs alpha and
+    noiseless local gradients when they come for free (the Gaussian
+    flavor), else None; the Gaussian flavor at rho > 0 needs alpha and
     evaluates the global gradients at x itself, and returns them as
-    ``grad_global`` (None for every other flavor). Gaussian noise is drawn
-    at the first call within each chunk, for every run of the block, into
-    the ensemble's ``slot_memory``, the layout of the engine's state.
+    ``grad_global`` (None otherwise). Gaussian noise is drawn at the first
+    call within each chunk, for every run of the block, into the ensemble's
+    ``slot_memory``, the layout of the engine's state.
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
@@ -217,10 +204,14 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         return sample_minibatch
 
-    if o.kind not in ("gaussian", "relaxed_subgaussian"):
+    if o.kind != "gaussian":
         raise OracleError(f"unknown oracle kind {o.kind!r}")
-    s_col = o.s_vector(n)[:, None] if o.kind == "gaussian" else o.s
-    if o.kind == "gaussian" and not s_col.any():
+    s_col = o.s_vector(n)[:, None]
+    # at rho = 0 the noise is additive: each chunk draw is scaled once, as it
+    # is drawn; the product is elementwise, so every row is the same as
+    # scaled per iteration
+    additive = o.rho == 0.0
+    if additive and not s_col.any():
 
         def sample_exact(x, t, alpha=None):
             exact = e.grad_all(x)
@@ -228,9 +219,6 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         return sample_exact
 
-    # the additive flavors scale each chunk draw once, as it is drawn: the
-    # product is elementwise, so every row is the same as scaled per iteration
-    additive = o.kind == "gaussian" or o.rho == 0.0
     # at a panel width above 1, x may hold padding slots past the block, and
     # the noise is added to the first B slots only
     padded = e.panel_width > 1
@@ -270,7 +258,7 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
         grad_global = e.grad_global_all(x)
         scale = _relaxed_scale(o, alpha, np.linalg.norm(grad_global[:B], axis=-1))
         g = exact.copy(order="K")
-        g[:B] += o.s * scale[..., None] * noise_rows(t)
+        g[:B] += s_col * scale[..., None] * noise_rows(t)
         return g, exact, grad_global
 
     return sample_relaxed
@@ -301,18 +289,17 @@ def noise_samples(
 ) -> np.ndarray:
     """Monte-Carlo noise draws z = g - grad f_i(x) for diagnostics, (count, d).
 
-    The additive flavors scale their draw in place: the product is
+    The Gaussian flavor scales its draw in place: the product is
     elementwise, so it has the bits of ``s * draw`` without a second array.
+    Only at rho > 0 does the scale read the global gradient at x.
     """
     x = np.asarray(x, dtype=float)
     if o.kind == "gaussian":
+        scale = 1.0
+        if o.rho != 0.0:
+            scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
         z = _generator(seed, 2, i, 0).standard_normal((count, e.d))
-        z *= o.s_vector(e.n)[i]
-        return z
-    if o.kind == "relaxed_subgaussian":
-        scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
-        z = _generator(seed, 2, i, 0).standard_normal((count, e.d))
-        z *= o.s * scale
+        z *= o.s_vector(e.n)[i] * scale
         return z
     if o.kind == "minibatch":
         _require_dataset(e)

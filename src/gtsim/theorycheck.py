@@ -344,12 +344,9 @@ def check_noise_properties(
         raise ValueError("xs must hold at least one grid point")
     if o.kind == "minibatch":
         raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
-    if getattr(o, "rho", 0.0) != 0.0:
+    if o.rho != 0.0:
         raise ValueError("closed-form comparisons require the rho = 0 flavor")
-    if o.kind == "gaussian":
-        s = float(o.s_vector(e.n)[agent])
-    else:
-        s = float(o.s)
+    s = float(o.s_vector(e.n)[agent])
     d = e.d
     sigma_sq = calibrate_sigma(s, d)
     if sigma_sq == 0.0:

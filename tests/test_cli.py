@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -327,3 +328,22 @@ def test_run_names_both_agent_counts_when_a_json_ensemble_misfits_w(tmp_path, ca
     cfg = matrix_csv_config(tmp_path, json_ensemble(tmp_path, 3))
     assert cli(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "the cost ensemble has 3 agents but the mixing matrix has 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    # a logistic payload, as an older save_ensemble_json wrote it
+    (json.dumps({"kind": "logistic", "eta": 0.1, "agents": [
+        {"features": [[1.0, 0.0], [0.0, 1.0]], "labels": [1.0, -1.0]}] * 4}),
+     "a JSON ensemble must be quadratic, not kind 'logistic'"),
+    (json.dumps({"kind": "quadratic", "b": [[0.0, 0.0]] * 4}),
+     "a quadratic JSON ensemble needs both 'a' and 'b'"),
+    ("not json", "invalid JSON: Expecting value"),
+], ids=["logistic", "no-a", "not-json"])
+def test_a_quadratic_json_cost_refuses_a_file_that_holds_no_quadratic(tmp_path, capsys, text, message):
+    path = tmp_path / "e.json"
+    path.write_text(text)
+    cfg = matrix_csv_config(tmp_path, f'kind = "quadratic_json"\npath = "{path}"')
+    out = tmp_path / "out"
+    assert cli(["run", str(cfg), "--out", str(out)]) == 1
+    assert f"config error: 'cost.path' {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()

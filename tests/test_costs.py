@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from unittest import mock
@@ -399,14 +400,16 @@ def test_ensemble_json_roundtrip(tmp_path):
     x = np.arange(4.0)
     assert np.allclose(loaded.grad_global(x), eq.grad_global(x), atol=0)
 
+    # only quadratics replay from JSON: a logistic cost reads its LIBSVM corpus
     rng = np.random.default_rng(8)
     el = costs.LogisticEnsemble(
         [rng.standard_normal((3, 2)) for _ in range(2)],
         [np.array([1.0, -1.0, 1.0]), np.array([-1.0, 1.0, -1.0])],
         eta=0.1,
     )
-    path2 = tmp_path / "l.json"
-    costs.save_ensemble_json(el, path2)
-    loaded2 = costs.load_ensemble_json(path2)
-    assert loaded2.kind == "logistic"
-    assert np.allclose(loaded2.grad_local(1, np.ones(2)), el.grad_local(1, np.ones(2)), atol=0)
+    with pytest.raises(costs.CostError, match="cannot serialize ensemble kind 'logistic'"):
+        costs.save_ensemble_json(el, tmp_path / "l.json")
+    for payload in ({"kind": "logistic", "eta": 0.1, "agents": []}, [1, 2]):
+        (tmp_path / "l.json").write_text(json.dumps(payload))
+        with pytest.raises(costs.CostError, match="a JSON ensemble must be quadratic"):
+            costs.load_ensemble_json(tmp_path / "l.json")

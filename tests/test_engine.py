@@ -46,7 +46,7 @@ def run_configs(draw):
         per_agent = tuple(draw(st.lists(st.sampled_from([0.0, 0.4, 1.1]), min_size=n, max_size=n)))
         oracle = noise.GaussianOracle(draw(st.sampled_from([0.0, 0.7, per_agent])))
     else:
-        oracle = noise.RelaxedSubgaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
+        oracle = noise.GaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
     g = tp.generate_graph("erdos_renyi", n, seed=draw(st.integers(0, 99)),
                           p=draw(st.sampled_from([0.4, 1.0]))) if n > 1 else tp.generate_graph("ring", 1)
     schedule = draw(st.sampled_from([alg.ConstantStep(0.05), alg.InverseTimeStep(1.0, 2.0, 3.0)]))
@@ -120,7 +120,7 @@ def test_global_gradients_are_evaluated_once_per_iteration(rho, calls):
     # stationarity series squares those; otherwise it evaluates them per block
     e = costs.make_synthetic_quadratics(3, 2, "a", seed=4)
     cfg = alg.RunConfig(w=ring_matrix(3), ensemble=e,
-                        oracle=noise.RelaxedSubgaussianOracle(0.6, rho, 0.5),
+                        oracle=noise.GaussianOracle(0.6, rho, 0.5),
                         schedule=alg.ConstantStep(0.05), T=2 * B + 3, x0=np.ones((3, 2)))
     with mock.patch.object(costs.QuadraticEnsemble, "grad_global_all", autospec=True,
                            side_effect=costs.QuadraticEnsemble.grad_global_all) as spy:
@@ -128,6 +128,22 @@ def test_global_gradients_are_evaluated_once_per_iteration(rho, calls):
     assert spy.call_count == calls
     for b, run in enumerate(rec.split()):
         assert_records_identical(run, reference_run("gt_dsgd", cfg, 1 + b, b))
+
+
+@pytest.mark.parametrize("profile", ["a", "b"], ids=["per_agent_a", "shared_a"])
+@pytest.mark.parametrize("rho", [0.0, 1.5])
+def test_a_per_agent_scale_of_equal_entries_gives_the_records_of_the_scalar_scale(profile, rho):
+    # the sampler scales the noise by a column of o.s_vector(n) at every rho;
+    # equal entries multiply as the scalar does, also at a panel width above 1
+    n, d = 5, 3
+    e = costs.make_synthetic_quadratics(n, d, profile, seed=4)
+    scalar = alg.RunConfig(w=ring_matrix(n), ensemble=e, oracle=noise.GaussianOracle(0.6, rho, 0.5),
+                           schedule=alg.ConstantStep(0.05), T=B + 3, x0=np.ones((n, d)),
+                           record_trace=True)
+    listed = replace(scalar, oracle=noise.GaussianOracle((0.6,) * n, rho, 0.5))
+    for algorithm in ("gt_dsgd", "dsgd"):
+        assert_records_identical(alg.run(algorithm, listed, (1, 2, 3), (0, 1, 2)),
+                                 alg.run(algorithm, scalar, (1, 2, 3), (0, 1, 2)))
 
 
 class InfAtCall(costs.QuadraticEnsemble):
@@ -288,10 +304,10 @@ def test_panels_move_only_per_agent_quadratic_records_and_only_in_the_last_ulps(
 
 
 @pytest.mark.parametrize("oracle", [noise.GaussianOracle(3.0),
-                                    noise.RelaxedSubgaussianOracle(3.0, 2.0, 0.5)])
+                                    noise.GaussianOracle(3.0, 2.0, 0.5)])
 def test_panels_move_the_fig1_shape_in_the_last_ulps(oracle):
     e = costs.make_synthetic_quadratics(10, 10, "a", sparsity=0.1, seed=42, mu0=0.5)
-    schedule = (alg.InverseTimeStep(1.0, 1.0, 1.0) if oracle.kind == "gaussian"
+    schedule = (alg.InverseTimeStep(1.0, 1.0, 1.0) if oracle.rho == 0.0
                 else alg.ConstantStep(0.05))
     cfg = alg.RunConfig(w=ring_matrix(10), ensemble=e, oracle=oracle, schedule=schedule, T=3000,
                         x0=np.zeros((10, 10)))
@@ -322,7 +338,7 @@ def block_run_configs(draw):
     if draw(st.booleans()):
         oracle = noise.GaussianOracle(draw(st.sampled_from([0.7, tuple(np.linspace(0, 1, n))])))
     else:
-        oracle = noise.RelaxedSubgaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
+        oracle = noise.GaussianOracle(0.6, draw(st.sampled_from([0.0, 1.5])), 0.5)
     g = tp.generate_graph("erdos_renyi", n, seed=draw(st.integers(0, 99)), p=0.6) if n > 1 \
         else tp.generate_graph("ring", 1)
     # a logistic run stays in one chunk: over tiles of a few rows its global
@@ -411,7 +427,7 @@ def test_padding_slots_never_abort_a_run_or_reach_a_record():
 
 
 @pytest.mark.parametrize("oracle", [noise.GaussianOracle(1.0),
-                                    noise.RelaxedSubgaussianOracle(0.6, 1.5, 0.5)])
+                                    noise.GaussianOracle(0.6, 1.5, 0.5)])
 def test_the_engines_slots_reach_the_panel_products_without_a_copy(oracle):
     # grad_all multiplies a stack of slots from slot_memory in place, and
     # copies any other stack into zero-padded panels first, with the same

@@ -331,7 +331,21 @@ def test_a_negative_seed_is_a_config_error_that_names_its_key(section, key):
     ("topology", {"kind": "erdos_renyi", "n": 4, "p": 1.5}, r"'topology\.p' must lie in \(0, 1\]"),
     ("oracle", {"flavor": "gaussian", "s": [0.5, 0.5, 0.5]},
      r"'oracle\.s' lists 3 per-agent scales but 'topology\.n' is 4"),
-], ids=["s", "s-entry", "alpha-zero", "alpha-negative", "p-zero", "p-above-one", "s-length"])
+    ("schedule", {"kind": "inverse_time", "a": 0}, r"'schedule\.a' must be > 0"),
+    ("schedule", {"kind": "inverse_time", "mu": 0}, r"'schedule\.mu' must be > 0"),
+    ("schedule", {"kind": "inverse_time", "t0": -0.5}, r"'schedule\.t0' must be >= 0\.0"),
+    ("cost", {"kind": "quadratic_synthetic", "d": 3, "sparsity": 1.5},
+     r"'cost\.sparsity' must lie in \(0, 1\]"),
+    ("topology", {"kind": "erdos_renyi", "n": 4, "target_lambda": 1.5},
+     r"'topology\.target_lambda' must lie in \(0, 1\)"),
+    ("topology", {"kind": "erdos_renyi", "n": 4, "target_lambda": 0.5, "tol": 0},
+     r"'topology\.tol' must be > 0"),
+    ("oracle", {"flavor": "relaxed_subgaussian", "eps_exponent": 0}, r"'oracle\.eps_exponent' must be > 0"),
+    ("cost", {"kind": "quadratic_synthetic", "d": 3, "profile": "b"},
+     r"'cost\.profile' b needs a multiple of 5 agents but 'topology\.n' is 4"),
+], ids=["s", "s-entry", "alpha-zero", "alpha-negative", "p-zero", "p-above-one", "s-length", "a-zero",
+        "mu-zero", "t0-negative", "sparsity-above-one", "target-lambda-one-and-a-half", "tol-zero",
+        "eps-exponent-zero", "profile-b"])
 def test_a_bound_the_builders_enforce_is_a_config_error_that_names_its_key(section, body, message):
     raw = tomllib.loads(MINIMAL_TOML)
     raw[section] = body
@@ -347,6 +361,13 @@ def test_the_bounds_admit_their_edges():
     assert (cfg["topology"]["p"], cfg["oracle"]["s"]) == (1.0, [0.0, 0.0, 1.0, 2.5])
     raw["oracle"]["s"] = 0
     assert harness.normalize_config(raw)["oracle"]["s"] == 0.0
+    raw["topology"] = {"kind": "erdos_renyi", "n": 5, "target_lambda": 0.999, "tol": 1e-12}
+    raw["cost"] = {"kind": "quadratic_synthetic", "d": 3, "profile": "b", "sparsity": 1}
+    raw["oracle"] = {"flavor": "relaxed_subgaussian", "rho": 0, "eps_exponent": 1e-12}
+    raw["schedule"] = {"kind": "inverse_time", "a": 1e-12, "mu": 1e-12, "t0": 0}
+    cfg = harness.normalize_config(raw)
+    assert (cfg["topology"]["target_lambda"], cfg["topology"]["tol"], cfg["cost"]["sparsity"],
+            cfg["oracle"]["eps_exponent"], cfg["schedule"]["t0"]) == (0.999, 1e-12, 1.0, 1e-12, 0.0)
 
 
 def test_a_scale_list_is_checked_against_a_matrix_csv_when_it_is_built(tmp_path):
@@ -359,6 +380,18 @@ def test_a_scale_list_is_checked_against_a_matrix_csv_when_it_is_built(tmp_path)
     cfg = harness.normalize_config(raw)
     with pytest.raises(harness.ConfigError,
                        match=r"'oracle\.s' lists 3 per-agent scales but the mixing matrix has 4"):
+        harness.build_run_config(cfg)
+
+
+def test_profile_b_is_checked_against_a_matrix_csv_when_it_is_built(tmp_path):
+    w = tmp_path / "w.csv"
+    topology.save_matrix_csv(topology.metropolis_hastings(topology.generate_graph("ring", 4)), w)
+    raw = tomllib.loads(MINIMAL_TOML)
+    raw["topology"] = {"kind": "matrix_csv", "path": str(w)}
+    raw["cost"] = {"kind": "quadratic_synthetic", "d": 3, "profile": "b"}
+    cfg = harness.normalize_config(raw)
+    with pytest.raises(harness.ConfigError,
+                       match=r"'cost\.profile' b needs a multiple of 5 agents but the mixing matrix has 4"):
         harness.build_run_config(cfg)
 
 
@@ -460,6 +493,23 @@ def test_run_experiment_series_and_summaries(tmp_path):
     assert "tail_dsgd_eps0.05" in env.series
     assert env.series["tail_gt_dsgd_eps0.5"].meta["floor"] == 0.25
     assert env.run_summaries["gt_dsgd"]["R"] == 4
+
+
+def test_the_relaxed_flavor_at_rho_zero_runs_as_the_gaussian_flavor(tmp_path):
+    # both flavors build the one Gaussian oracle, so only the config differs
+    outputs = []
+    for flavor, extra in (("gaussian", ""), ("relaxed_subgaussian", "rho = 0.0\neps_exponent = 0.5\n")):
+        text = MINIMAL_TOML.replace("T = 5", "T = 70\nR = 3\nmaster_seed = 9\nalgorithms = "
+                                    '["gt_dsgd", "dsgd"]\nthresholds = [0.5, 0.05]')
+        text = text.replace('flavor = "gaussian"\ns = 0.5\n', f'flavor = "{flavor}"\ns = 0.5\n{extra}')
+        env = harness.run_experiment(harness.load_config(write(tmp_path, text, name=f"{flavor}.toml")))
+        out = tmp_path / flavor
+        written = harness.emit_outputs(env, formats=("csv", "json"), outdir=out)
+        envelope = json.loads((out / "envelope.json").read_text())
+        assert envelope["config"]["oracle"]["flavor"] == flavor
+        outputs.append(({os.path.basename(p): open(p, "rb").read() for p in written if p.endswith(".csv")},
+                        json.dumps(envelope["series"]), json.dumps(envelope["run_summaries"])))
+    assert outputs[0][0] and outputs[0] == outputs[1]
 
 
 def test_single_run_tail_is_indicator(tmp_path):

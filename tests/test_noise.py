@@ -86,12 +86,26 @@ def test_minibatch_full_batch_disallowed_by_default():
 def test_relaxed_reduces_to_gaussian_at_zero_gradient():
     # at a stationary point of f the amplitude multiplier is exactly 1
     e = small_quadratic()
-    o_rel = noise.RelaxedSubgaussianOracle(s=1.0, rho=2.0, eps_exponent=0.5)
+    o_rel = noise.GaussianOracle(s=1.0, rho=2.0, eps_exponent=0.5)
     o_gau = noise.GaussianOracle(1.0)
     x = np.zeros((3, 2))  # grad f(0) = 0 for this ensemble
     g_rel = draw(o_rel, e, x, 3, 0, 4, 0.3)
     g_gau = draw(o_gau, e, x, 3, 0, 4)
     assert np.allclose(g_rel, g_gau, atol=1e-12)
+
+
+@pytest.mark.parametrize("rho, calls", [(0.0, 0), (2.0, 1)])
+def test_noise_samples_read_the_global_gradient_only_at_positive_rho(rho, calls):
+    # at rho = 0 the amplitude is s itself, whatever the gradient
+    e = small_quadratic()
+    with mock.patch.object(costs.QuadraticEnsemble, "grad_global", autospec=True,
+                           side_effect=costs.QuadraticEnsemble.grad_global) as spy:
+        z = noise.noise_samples(noise.GaussianOracle(1.5, rho, 0.5), e, 1, np.ones(2), 1000,
+                                seed=3, alpha=0.1)
+    assert spy.call_count == calls
+    if rho == 0.0:
+        assert z.tobytes() == noise.noise_samples(noise.GaussianOracle(1.5), e, 1, np.ones(2), 1000,
+                                                  seed=3).tobytes()
 
 
 def test_calibrate_sigma_closed_form():
@@ -124,7 +138,7 @@ def test_mgf_estimate_huge_sigma_tends_to_one():
 def test_mgf_relaxed_at_stationary_point_matches_gaussian_bound():
     d = 2
     e = small_quadratic(n=2, d=d)
-    o = noise.RelaxedSubgaussianOracle(s=1.0, rho=1.0, eps_exponent=1.0)
+    o = noise.GaussianOracle(s=1.0, rho=1.0, eps_exponent=1.0)
     sigma_sq = noise.calibrate_sigma(1.0, d)
     est = noise.estimate_mgf(o, e, 0, np.zeros(d), sigma_sq, 50_000, seed=2, alpha=0.1)
     assert est.value <= math.e * (1.0 + 3.0 * est.stderr)
@@ -138,7 +152,7 @@ def test_mgf_requires_enough_samples():
 
 @pytest.mark.parametrize("oracle, sigma_sq, samples, alpha, cap", [
     (noise.GaussianOracle((0.5, 2.0, 1.0)), 3.0, 100_000, None, None),
-    (noise.RelaxedSubgaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0), 4.0, 50_000, 0.1, None),
+    (noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0), 4.0, 50_000, 0.1, None),
     (noise.GaussianOracle(1.0), 1.0, 20_000, None, 0.5),
 ], ids=["per_agent_gaussian", "relaxed", "capped"])
 def test_mgf_estimate_matches_the_reference_bitwise(oracle, sigma_sq, samples, alpha, cap):
@@ -289,6 +303,6 @@ def test_invalid_specs_rejected():
     with pytest.raises(noise.OracleError):
         noise.MinibatchOracle(0)
     with pytest.raises(noise.OracleError):
-        noise.RelaxedSubgaussianOracle(1.0, -0.1, 1.0)
+        noise.GaussianOracle(1.0, -0.1, 1.0)
     with pytest.raises(noise.OracleError):
-        noise.RelaxedSubgaussianOracle(1.0, 0.0, 0.0)
+        noise.GaussianOracle(1.0, 0.0, 0.0)

@@ -193,7 +193,7 @@ def test_noise_properties_gaussian():
 
 @pytest.mark.parametrize("oracle, agent", [
     (noise.GaussianOracle((0.5, 2.0, 1.0)), 1),
-    (noise.RelaxedSubgaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 0),
+    (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 0),
 ])
 def test_noise_average_mgf_matches_the_stacked_mean_bitwise(oracle, agent):
     e = costs.QuadraticEnsemble(np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
@@ -225,7 +225,7 @@ def test_noise_properties_noiseless_trivial():
 
 def test_noise_properties_rejects_relaxed_rho():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
-    o = noise.RelaxedSubgaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0)
+    o = noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0)
     with pytest.raises(ValueError, match="rho = 0"):
         tc.check_noise_properties(o, e, [np.zeros(2)], samples=100_000)
 
@@ -248,7 +248,7 @@ def _ring3_quadratic(d=2):
 
 @pytest.mark.parametrize("oracle", [
     noise.GaussianOracle(1.0),
-    noise.RelaxedSubgaussianOracle(s=1.0, rho=0.0, eps_exponent=1.0),
+    noise.GaussianOracle(s=1.0, rho=0.0, eps_exponent=1.0),
 ], ids=["gaussian", "relaxed"])
 @pytest.mark.parametrize("kwargs, argument", [
     ({"n_avg": (0,)}, "n_avg"),
@@ -273,7 +273,7 @@ def assert_noise_reports_identical(got, ref):
 @pytest.mark.parametrize("oracle, d, points, n_avg, agent", [
     (noise.GaussianOracle(1.0), 1, 1, (4, 16), 0),
     (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 2, (1, 3, 16), 1),
-    (noise.RelaxedSubgaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 1, (2,), 2),
+    (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 1, (2,), 2),
 ], ids=["gaussian_d1", "per_agent_d3_two_points", "relaxed_d17"])
 def test_noise_properties_match_the_reference_bitwise(oracle, d, points, n_avg, agent):
     e = _ring3_quadratic(d)

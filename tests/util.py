@@ -90,13 +90,11 @@ def _reference_oracle(o, grad_all, e, x, seed, run_id, t, alpha, gg):
             g[i] = e.grad_batch(i, x[i], idx)
         return g, None
     exact = grad_all(x)
-    if o.kind == "gaussian":
+    if o.rho == 0.0:
         s_col = o.s_vector(n)[:, None]
         if not s_col.any():
             return exact, exact
         return exact + s_col * reference_noise(seed, run_id, t, n, d), exact
-    if o.rho == 0.0:
-        return exact + o.s * reference_noise(seed, run_id, t, n, d), exact
     scale = np.sqrt(1.0 + o.rho * alpha ** (2.0 + o.eps_exponent) * np.linalg.norm(gg, axis=1))
     z = reference_noise(seed, run_id, t, n, d)
     return exact + o.s * scale[:, None] * z, exact
@@ -394,7 +392,7 @@ def reference_check_tracker_recursion(rec, w, e):
 def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
     """The ``avg_mgf_*`` entries of check_noise_properties' details, with
     zbar the mean of the m stacked draws."""
-    s = float(o.s_vector(e.n)[agent]) if o.kind == "gaussian" else float(o.s)
+    s = float(o.s_vector(e.n)[agent])
     sigma_sq = noise.calibrate_sigma(s, e.d)
     details = {}
     for k, x in enumerate(xs):
@@ -422,9 +420,9 @@ def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
 
 def _reference_noise_samples(o, e, i, x, count, seed=0, alpha=None):
     x = np.asarray(x, dtype=float)
-    if o.kind == "gaussian":
+    if o.kind == "gaussian" and o.rho == 0.0:
         return o.s_vector(e.n)[i] * noise._generator(seed, 2, i, 0).standard_normal((count, e.d))
-    if o.kind == "relaxed_subgaussian":
+    if o.kind == "gaussian":
         scale = noise._relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
         return o.s * scale * noise._generator(seed, 2, i, 0).standard_normal((count, e.d))
     if o.kind == "minibatch":
@@ -456,10 +454,7 @@ def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4
         raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
     if getattr(o, "rho", 0.0) != 0.0:
         raise ValueError("closed-form comparisons require the rho = 0 flavor")
-    if o.kind == "gaussian":
-        s = float(o.s_vector(e.n)[agent])
-    else:
-        s = float(o.s)
+    s = float(o.s_vector(e.n)[agent])
     d = e.d
     sigma_sq = noise.calibrate_sigma(s, d)
     if sigma_sq == 0.0:
@@ -969,10 +964,17 @@ def _num(section, data, key, default=None, minimum=None, integer=False):
     return val
 
 
-def _prob(section, data, key):
-    val = _num(section, data, key)
-    if val is not None and not 0 < val <= 1:
-        raise ConfigError(f"'{section}.{key}' must lie in (0, 1]")
+def _prob(section, data, key, default=None, below_one=False):
+    val = _num(section, data, key, default)
+    if val is not None and not (0 < val < 1 if below_one else 0 < val <= 1):
+        raise ConfigError(f"'{section}.{key}' must lie in (0, 1{')' if below_one else ']'}")
+    return val
+
+
+def _pos(section, data, key, default=None):
+    val = _num(section, data, key, default)
+    if val is not None and not val > 0:
+        raise ConfigError(f"'{section}.{key}' must be > 0")
     return val
 
 
@@ -1025,8 +1027,8 @@ def _normalize_topology(data):
                "n": _num("topology", data, "n", minimum=2, integer=True),
                "seed": _num("topology", data, "seed", default=0, minimum=0, integer=True),
                "p": _prob("topology", data, "p"),
-               "target_lambda": _num("topology", data, "target_lambda"),
-               "tol": _num("topology", data, "tol", default=0.05)}
+               "target_lambda": _prob("topology", data, "target_lambda", below_one=True),
+               "tol": _pos("topology", data, "tol", default=0.05)}
         if (out["p"] is None) == (out["target_lambda"] is None):
             raise ConfigError("'topology': erdos_renyi needs exactly one of 'p' or 'target_lambda'")
         return out
@@ -1046,7 +1048,7 @@ def _normalize_cost(data):
         return {"kind": kind,
                 "d": _num("cost", data, "d", minimum=1, integer=True),
                 "profile": profile,
-                "sparsity": _num("cost", data, "sparsity", default=0.1),
+                "sparsity": _prob("cost", data, "sparsity", default=0.1),
                 "mu0": _num("cost", data, "mu0", default=0.1),
                 "seed": _num("cost", data, "seed", default=0, minimum=0, integer=True)}
     if kind == "logistic_libsvm":
@@ -1084,7 +1086,7 @@ def _normalize_oracle(data):
         return {"flavor": flavor,
                 "s": _num("oracle", data, "s", default=1.0, minimum=0.0),
                 "rho": _num("oracle", data, "rho", default=0.0, minimum=0.0),
-                "eps_exponent": _num("oracle", data, "eps_exponent", default=1.0)}
+                "eps_exponent": _pos("oracle", data, "eps_exponent", default=1.0)}
     raise ConfigError("'oracle.flavor' must be gaussian, minibatch, or relaxed_subgaussian")
 
 
@@ -1092,16 +1094,13 @@ def _normalize_schedule(data):
     kind = data.get("kind")
     if kind == "constant":
         _expect("schedule", data, {"kind", "alpha"}, {"kind", "alpha"})
-        alpha = _num("schedule", data, "alpha")
-        if not alpha > 0:
-            raise ConfigError("'schedule.alpha' must be > 0")
-        return {"kind": kind, "alpha": alpha}
+        return {"kind": kind, "alpha": _pos("schedule", data, "alpha")}
     if kind == "inverse_time":
         _expect("schedule", data, {"kind", "a", "mu", "t0"}, {"kind"})
         return {"kind": kind,
-                "a": _num("schedule", data, "a", default=1.0),
-                "mu": _num("schedule", data, "mu", default=1.0),
-                "t0": _num("schedule", data, "t0", default=1.0)}
+                "a": _pos("schedule", data, "a", default=1.0),
+                "mu": _pos("schedule", data, "mu", default=1.0),
+                "t0": _num("schedule", data, "t0", default=1.0, minimum=0.0)}
     raise ConfigError("'schedule.kind' must be constant or inverse_time")
 
 
@@ -1160,6 +1159,8 @@ def reference_normalize_config(raw: dict) -> ExperimentConfig:
     s, n = data["oracle"].get("s"), data["topology"].get("n")
     if isinstance(s, list) and n is not None and len(s) != n:
         raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but 'topology.n' is {n}")
+    if data["cost"].get("profile") == "b" and n is not None and n % 5:
+        raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but 'topology.n' is {n}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
