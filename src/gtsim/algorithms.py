@@ -24,6 +24,7 @@ import numpy as np
 
 from . import noise
 from .noise import prepare_sampler
+from .theorycheck import _inv_or_inf, consensus_step_cap, descent_step_cap
 
 __all__ = [
     "RunAbort",
@@ -362,10 +363,6 @@ class StepCapResult:
     terms: dict         # per-term breakdown; inf marks a non-binding term
 
 
-def _inv_or_inf(num, den):
-    return num / den if den > 0 else math.inf
-
-
 def nonconvex_step_cap(
     n: int,
     T: int,
@@ -380,7 +377,9 @@ def nonconvex_step_cap(
     """Fixed-step cap for the non-convex regime: every term of the min.
 
     Terms whose denominator vanishes (lam = 0, rho = 0, or zero noise) are
-    reported as +inf and never bind. Recommended alpha is min(sqrt(n/T), cap).
+    reported as +inf and never bind. The "consensus" and "smoothness" terms
+    are the caps that ``theorycheck`` enforces. Recommended alpha is
+    min(sqrt(n/T), cap).
     """
     if L <= 0:
         raise ValueError("L must be positive")
@@ -389,14 +388,14 @@ def nonconvex_step_cap(
     one = 1.0 - lam * lam
     sigma = math.sqrt(sigma_sq)
     terms = {
-        "consensus": _inv_or_inf(one ** 2, 16.0 * lam * lam * L * math.sqrt(3.0)),
+        "consensus": consensus_step_cap(lam, L),
         "mixing_sqrt4": _inv_or_inf(one, 4.0 * lam * L * 12.0 ** 0.25),
         "mixing_cbrt": _inv_or_inf(one ** (4.0 / 3.0), 4.0 * lam ** (4.0 / 3.0) * L * 12.0 ** (1.0 / 3.0)),
         "mixing_noise": _inv_or_inf(
             n ** (1.0 / 3.0) * one ** (4.0 / 3.0),
             lam ** (4.0 / 3.0) * sigma_max_sq ** (1.0 / 3.0) * L ** (2.0 / 3.0) * 1614.0 ** (1.0 / 3.0),
         ),
-        "smoothness": 1.0 / (4.0 * L),
+        "smoothness": descent_step_cap(L),
         "noise_dimension": (
             (n / (9.0 * sigma_sq)) * math.sqrt(n / (282.0 * math.e * sigma_sq * d * L))
             if sigma_sq > 0 else math.inf

@@ -265,7 +265,12 @@ class QuadraticEnsemble(CostEnsemble):
         return self._mu if self._mu > 0 else None
 
     def optimum(self):
-        return quadratic_optimum(self)
+        # None where the mean Hessian is not positive definite, as the base
+        # class documents; quadratic_optimum raises there
+        try:
+            return quadratic_optimum(self)
+        except CostError:
+            return None
 
 
 class LogisticEnsemble(CostEnsemble):
@@ -331,13 +336,8 @@ class LogisticEnsemble(CostEnsemble):
         return self.eta * float(np.sum(x * x / (1.0 + x * x)))
 
     def grad_local(self, i, x):
-        self._validate_agent(i)
         _check_finite(x)
-        h, y = self.features[i], self.labels[i]
-        margins = y * (h @ x)
-        sig = _sigmoid(-margins)
-        data = -(h.T @ (y * sig)) / h.shape[0]
-        return data + self._penalty_grad(x)
+        return self.grad_batch(i, x, slice(None))
 
     def value_local(self, i, x):
         self._validate_agent(i)
@@ -352,7 +352,7 @@ class LogisticEnsemble(CostEnsemble):
         y = self.labels[i][idx]
         margins = y * (h @ x)
         sig = _sigmoid(-margins)
-        data = -(h.T @ (y * sig)) / len(idx)
+        data = -(h.T @ (y * sig)) / len(h)
         return data + self._penalty_grad(x)
 
     @_per_slice(1)

@@ -201,9 +201,10 @@ def _csr(buf: bytes):
 
 
 def _raise_fault(line_no: int, tokens) -> None:
-    """Raise the error for the first fault on one line that :func:`_csr`
-    rejects: a bad label or pair in token order, else a non-finite value or
-    an index beyond int64, whichever comes first."""
+    """Raise the error for the first fault of one line's ``tokens``, if
+    :func:`_csr` would reject the line: a bad label or pair in token order,
+    else a non-finite value or an index beyond int64, whichever comes first.
+    Return if the line is well formed."""
     _parse_label(tokens[0], line_no)
     checked = []
     prev_idx = 0
@@ -230,22 +231,16 @@ def _raise_fault(line_no: int, tokens) -> None:
             raise ParseError(line_no, f"non-finite feature value {val_s!r}")
         if idx > _MAX_INDEX:
             raise ParseError(line_no, f"feature index {idx} does not fit in int64")
-    raise AssertionError(f"line {line_no} passes every check")
 
 
 def _raise_first_fault(buf: bytes, line_no: int):
     """Raise the error of the first malformed line of ``buf``, a chunk that
-    :func:`_csr` rejects whose first line is ``line_no``: each line is
-    checked alone, so halving finds it."""
-    cuts = [0, *(np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n")) + 1).tolist()]
-    lo, hi = 0, len(cuts) - 1  # lines [0, lo) are well formed; lines [lo, hi) are not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _csr(buf[cuts[lo]:cuts[mid]]) is None:
-            hi = mid
-        else:
-            lo = mid
-    _raise_fault(line_no + lo, buf[cuts[lo]:cuts[lo + 1]].decode("utf-8", "surrogatepass").split())
+    :func:`_csr` rejects whose first line is ``line_no``."""
+    for k, line in enumerate(buf.decode("utf-8", "surrogatepass").split("\n")):
+        tokens = line.split()
+        if tokens:  # a blank line holds no row
+            _raise_fault(line_no + k, tokens)
+    raise AssertionError(f"every line of the chunk from line {line_no} is well formed")
 
 
 def _joined(pieces: list) -> np.ndarray:

@@ -52,6 +52,8 @@ class ConfigError(ValueError):
 
 _ALGORITHMS = ("gt_dsgd", "dsgd")
 _TRAJECTORY_CHECKS = ("descent", "descent_pl", "consensus", "tracker")
+# the trajectory checks whose lemmas hold for a constant step only
+_CONSTANT_STEP_CHECKS = ("descent", "consensus", "tracker")
 
 
 def _float(path, val, minimum=None, integer=False):
@@ -86,6 +88,18 @@ def _floats(path, val, positive=False, minimum=None):
         if minimum is not None and v < minimum:
             raise ConfigError(f"'{path}' entry {v!r} must be >= {minimum}")
     return [float(v) for v in val]
+
+
+def _thresholds(path, val):
+    """Positive numbers whose series names, formatted ``eps{:g}``, differ."""
+    val = _floats(path, val, positive=True)
+    first = {}
+    for eps in val:
+        name = f"eps{eps:g}"
+        if name in first:
+            raise ConfigError(f"'{path}' entries {first[name]!r} and {eps!r} both name the series {name}")
+        first[name] = eps
+    return val
 
 
 def _scales(path, val, minimum):
@@ -146,7 +160,7 @@ _SCHEMA = {
     "experiment": (True, None, None, {None: {
         "name": (_str, "experiment"),
         "algorithms": (_algorithms, ["gt_dsgd"]),
-        "thresholds": (partial(_floats, positive=True), []),
+        "thresholds": (_thresholds, []),
         "tail_statistic": (_choice("mse_to_opt", "running_stationarity"), "mse_to_opt"),
         "T": (_int, _REQUIRED, 0),
         "R": (_int, 1, 1),
@@ -229,6 +243,16 @@ class ExperimentConfig:
         return config_fingerprint(self.data)
 
 
+def _check_agent_count(data, n, source):
+    """The rules that tie the oracle and the cost to the agent count ``n``,
+    which ``source`` names in each error."""
+    s = data["oracle"].get("s")
+    if isinstance(s, list) and len(s) != n:
+        raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but {source}")
+    if data["cost"].get("profile") == "b" and n % 5:
+        raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but {source}")
+
+
 def normalize_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a table/object")
@@ -243,16 +267,22 @@ def normalize_config(raw: dict) -> ExperimentConfig:
         data[section] = out = _normalize_section(section, raw.get(section, {}), *spec)
         if out.get("kind") == "erdos_renyi" and (out["p"] is None) == (out["target_lambda"] is None):
             raise ConfigError("'topology': erdos_renyi needs exactly one of 'p' or 'target_lambda'")
-    s, n = data["oracle"].get("s"), data["topology"].get("n")
-    if isinstance(s, list) and n is not None and len(s) != n:
-        raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but 'topology.n' is {n}")
-    if data["cost"].get("profile") == "b" and n is not None and n % 5:
-        raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but 'topology.n' is {n}")
+    n = data["topology"].get("n")
+    if n is not None:  # a matrix_csv topology's count is known once it is read
+        _check_agent_count(data, n, f"'topology.n' is {n}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
         raise ConfigError("'checks.noise' needs a Gaussian or relaxed_subgaussian oracle, "
                           "not the minibatch flavor")
+    if data["checks"]["noise"] and data["oracle"].get("rho", 0.0) > 0:
+        raise ConfigError(f"'checks.noise' compares with closed forms that need 'oracle.rho' = 0, "
+                          f"not {data['oracle']['rho']}")
+    if data["schedule"]["kind"] != "constant":
+        for k in _CONSTANT_STEP_CHECKS:
+            if data["checks"][k]:
+                raise ConfigError(f"'checks.{k}' is stated for a constant step-size, "
+                                  f"but 'schedule.kind' is {data['schedule']['kind']}")
     return ExperimentConfig(data=data)
 
 
@@ -321,8 +351,6 @@ def build_ensemble(cfg: ExperimentConfig, n: int):
     its own count)."""
     c = cfg["cost"]
     if c["kind"] == "quadratic_synthetic":
-        if c["profile"] == "b" and n % 5:
-            raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but the mixing matrix has {n}")
         return costs.make_synthetic_quadratics(
             n=n, d=c["d"], profile=c["profile"], sparsity=c["sparsity"],
             seed=c["seed"], mu0=c["mu0"],
@@ -366,12 +394,10 @@ def build_x0(cfg: ExperimentConfig, n: int, d: int) -> np.ndarray:
 
 def build_run_config(cfg: ExperimentConfig, record_trace: bool = False) -> algorithms.RunConfig:
     w = build_topology(cfg)
+    _check_agent_count(cfg.data, w.n, f"the mixing matrix has {w.n} agents")
     e = build_ensemble(cfg, w.n)
     if e.n != w.n:
         raise ConfigError(f"the cost ensemble has {e.n} agents but the mixing matrix has {w.n}")
-    s = cfg["oracle"].get("s")
-    if isinstance(s, list) and len(s) != w.n:
-        raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but the mixing matrix has {w.n} agents")
     return algorithms.RunConfig(
         w=w,
         ensemble=e,
@@ -491,6 +517,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     exp = cfg["experiment"]
     if run_cfg is None:
         run_cfg = build_run_config(cfg)
+    if exp["thresholds"] and exp["tail_statistic"] == "mse_to_opt" and run_cfg.ensemble.optimum() is None:
+        raise ConfigError(f"'experiment.tail_statistic' mse_to_opt needs a known optimum, and the "
+                          f"{run_cfg.ensemble.kind} cost has none: use running_stationarity")
     R = exp["R"]
     plan = _block_plan(R, len(exp["algorithms"]), workers, _block_size(run_cfg))
     blocks = [(alg, [derive_run_seed(exp["master_seed"], alg, r) for r in ids], list(ids))
@@ -555,6 +584,8 @@ def run_checks(cfg: ExperimentConfig) -> list:
     exp = cfg["experiment"]
     run_cfg = build_run_config(cfg, record_trace=True)
     e, w = run_cfg.ensemble, run_cfg.w
+    if chk["descent_pl"] and e.pl_constant() is None:
+        raise ConfigError(f"'checks.descent_pl' needs a known PL constant mu, and the {e.kind} cost has none")
     reports = []
 
     trajectory_checks = []

@@ -104,24 +104,33 @@ def _constant_alpha(rec) -> float:
     return alpha
 
 
+def _inv_or_inf(num, den):
+    """num / den, or inf where den is 0 or underflows to 0: a cap, or a
+    calculator's term, with a vanishing denominator never binds."""
+    return num / den if den > 0 else math.inf
+
+
 def descent_step_cap(L: float) -> float:
-    return 1.0 / (4.0 * L)
+    return _inv_or_inf(1.0, 4.0 * L)
 
 
 def descent_pl_step_cap(L: float) -> float:
-    return 1.0 / (2.0 * L)
+    return _inv_or_inf(1.0, 2.0 * L)
 
 
 def consensus_step_cap(lam: float, L: float) -> float:
-    if lam == 0.0:
-        return math.inf
-    return (1.0 - lam * lam) ** 2 / (16.0 * lam * lam * L * math.sqrt(3.0))
+    return _inv_or_inf((1.0 - lam * lam) ** 2, 16.0 * lam * lam * L * math.sqrt(3.0))
 
 
 def tracker_step_cap(lam: float, L: float) -> float:
-    if lam == 0.0:
-        return math.inf
-    return (1.0 - lam * lam) ** 1.5 / (4.0 * lam * lam * L * math.sqrt(6.0))
+    return _inv_or_inf((1.0 - lam * lam) ** 1.5, 4.0 * lam * lam * L * math.sqrt(6.0))
+
+
+def _check_cap(alpha: float, cap: float, name: str) -> None:
+    """Raise ValueError if the step ``alpha`` exceeds the check's ``cap`` by
+    more than rounding."""
+    if alpha > cap * (1 + 1e-12):
+        raise ValueError(f"alpha {alpha} exceeds the {name} cap {cap}")
 
 
 # The helpers below reduce whole stacks with the same floating-point
@@ -175,8 +184,7 @@ def check_descent(rec, e) -> CheckReport:
     xs, _, gs, zs = _traces(rec)
     alpha = _constant_alpha(rec)
     L = e.smoothness()
-    if alpha > descent_step_cap(L) * (1 + 1e-12):
-        raise ValueError(f"alpha {alpha} exceeds the cap 1/(4L) = {descent_step_cap(L)}")
+    _check_cap(alpha, descent_step_cap(L), "descent")
     n = xs.shape[-2]
     xbar = xs.mean(axis=-2)
     f = e.value_global(xbar)
@@ -205,8 +213,7 @@ def check_descent_pl(rec, e) -> CheckReport:
     mu = e.pl_constant()
     if mu is None:
         raise ValueError("PL descent check needs an ensemble with a known mu")
-    if np.max(rec.alpha) > descent_pl_step_cap(L) * (1 + 1e-12):
-        raise ValueError("some alpha_t exceeds the cap 1/(2L)")
+    _check_cap(float(np.max(rec.alpha)), descent_pl_step_cap(L), "descent_pl")
     _, f_star = e.optimum()
     alpha = rec.alpha
     n = xs.shape[-2]
@@ -244,9 +251,7 @@ def check_consensus_bound(rec, w, e) -> CheckReport:
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     lam = float(w.lam)
-    cap = consensus_step_cap(lam, L)
-    if alpha > cap * (1 + 1e-12):
-        raise ValueError(f"alpha {alpha} exceeds the consensus cap {cap}")
+    _check_cap(alpha, consensus_step_cap(lam, L), "consensus")
     one = 1.0 - lam * lam
     n = xs.shape[-2]
 
@@ -284,9 +289,7 @@ def check_tracker_recursion(rec, w, e) -> CheckReport:
     alpha = _constant_alpha(rec)
     L = e.smoothness()
     lam = float(w.lam)
-    cap = tracker_step_cap(lam, L)
-    if alpha > cap * (1 + 1e-12):
-        raise ValueError(f"alpha {alpha} exceeds the tracker cap {cap}")
+    _check_cap(alpha, tracker_step_cap(lam, L), "tracker")
     one = 1.0 - lam * lam
     n = xs.shape[-2]
     y_gap = _sqnorm(_dev(ys), 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, noise, topology as tp
+from gtsim import algorithms as alg, costs, noise, theorycheck as tc, topology as tp
 from util import assert_records_identical, path3_matrix, reference_run, ring_matrix
 
 
@@ -253,6 +253,34 @@ def test_pl_t0_floor_worked_value():
     assert res.t0 == 746496.0
     assert res.terms["curvature_quartic"] == 746496.0
     assert res.terms["mixing"] == pytest.approx(12.0)
+
+
+def test_nonconvex_step_cap_recommends_the_caps_the_checks_enforce():
+    for lam, L in ((0.0, 1.0), (0.3, 2.5), (0.9, 0.7), (1e-170, 1.0)):
+        terms = alg.nonconvex_step_cap(n=4, T=100, L=L, lam=lam, sigma_sq=1.0, sigma_max_sq=2.0, d=3).terms
+        assert terms["consensus"] == tc.consensus_step_cap(lam, L)
+        assert terms["smoothness"] == tc.descent_step_cap(L)
+    # lam^2 underflows to 0: the consensus term, like the check's cap, never binds
+    assert terms["consensus"] == math.inf
+
+
+def test_pl_t0_floor_relaxed_terms_by_hand():
+    # the relaxed regime at n = 4, lam = 0.5, a = 6, L = 2, mu = 0.5 (kappa = 4),
+    # sigma^2 = 1, sigma_max^2 = 2, rho = 3, eps = 1, so a / mu = 12
+    args = dict(n=4, lam=0.5, a=6.0, L=2.0, mu=0.5, sigma_max_sq=2.0)
+    terms = alg.pl_t0_floor(**args, sigma_sq=1.0, rho=3.0, eps_exponent=1.0).terms
+    assert terms["relaxed_a"] == pytest.approx(12.0 * 216.0 ** (1 / 6))  # (12 rho^2 L)^(1/(4 + 2 eps))
+    assert terms["relaxed_b"] == pytest.approx(12.0 * 648.0 ** (1 / 7))  # (18 rho^2 L^2)^(1/(5 + 2 eps))
+    # rho^(1/3) max(sigma_max^(2/3), (1/(32 sigma^2))^(1/3)), the first larger here
+    assert terms["relaxed_c"] == pytest.approx(12.0 * 6.0 ** (1 / 3))
+    # (4 n rho)^(1/2) max(1, (1/mu)^(1/2), (4 kappa)^(1/2))
+    assert terms["relaxed_d"] == pytest.approx(48.0 * math.sqrt(48.0))
+    assert terms["relaxed_d"] == pytest.approx(332.55, abs=0.01)
+    # at a small sigma^2, (1/(32 sigma^2))^(1/3) is the larger
+    small = alg.pl_t0_floor(**args, sigma_sq=1e-3, rho=3.0, eps_exponent=1.0).terms
+    assert small["relaxed_c"] == pytest.approx(12.0 * 3.0 ** (1 / 3) * 31.25 ** (1 / 3))
+    at_zero = alg.pl_t0_floor(**args, sigma_sq=1.0, rho=0.0).terms
+    assert [at_zero[k] for k in ("relaxed_a", "relaxed_b", "relaxed_c", "relaxed_d")] == [0.0] * 4
 
 
 def test_pl_t0_floor_rejects_small_a():

@@ -288,6 +288,20 @@ def test_grad_all_consistency():
         assert np.allclose(gl[i], e.grad_global(x[i]), atol=1e-12)
 
 
+def test_logistic_local_gradient_is_the_batch_of_all_the_agents_rows():
+    rng = np.random.default_rng(8)
+    e = costs.LogisticEnsemble([rng.standard_normal((m, 3)) for m in (5, 2, 7)],
+                               [rng.choice([-1.0, 1.0], size=m) for m in (5, 2, 7)], eta=0.05)
+    x = rng.standard_normal(3)
+    for i in range(3):
+        h, y = e.features[i], e.labels[i]
+        by_hand = -(h.T @ (y * (1.0 / (1.0 + np.exp(y * (h @ x)))))) / len(h) + e._penalty_grad(x)
+        assert np.array_equal(e.grad_local(i, x), by_hand)
+        assert np.array_equal(e.grad_local(i, x), e.grad_batch(i, x, np.arange(len(h))))
+    with pytest.raises(costs.CostError, match="non-finite"):
+        e.grad_local(0, np.array([0.0, np.nan, 0.0]))
+
+
 def test_logistic_grad_global_all_matches_loop():
     rng = np.random.default_rng(7)
     e = costs.LogisticEnsemble(

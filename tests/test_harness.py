@@ -907,3 +907,114 @@ def test_experiment_lists_aborted_runs_in_run_order_and_aggregates_the_rest(tmp_
     # the abort records' fields survive the envelope's JSON round trip
     harness.emit_outputs(env, formats=("json",), outdir=tmp_path / "out")
     assert harness.load_envelope(tmp_path / "out" / "envelope.json").aborted == expected
+
+
+@pytest.mark.parametrize("thresholds, first, second", [
+    ("[0.001, 0.0010000001, 0.5, 0.5]", "0.001", "0.0010000001"),
+    ("[0.5, 0.05, 0.5]", "0.5", "0.5"),
+    ("[1, 1.0]", "1.0", "1.0"),
+])
+def test_thresholds_that_share_a_series_name_are_a_config_error(tmp_path, thresholds, first, second):
+    # series and charts are named tail_{algorithm}_eps{eps:g}: two such
+    # thresholds would write one series
+    text = MINIMAL_TOML.replace("T = 5\n", f"T = 5\nthresholds = {thresholds}\n")
+    with pytest.raises(harness.ConfigError,
+                       match=rf"'experiment\.thresholds' entries {re.escape(first)} and "
+                             rf"{re.escape(second)} both name the series eps"):
+        harness.load_config(write(tmp_path, text))
+
+
+TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
+
+
+def _fails_before_any_run(tmp_path, capsys, command, text, message):
+    """``gtsim <command>`` on ``text`` exits 1 with ``message`` on stderr,
+    and the engine never runs."""
+    path = write(tmp_path, text, name="unrunnable.toml")
+    with mock.patch.object(harness.algorithms, "run", side_effect=AssertionError("a run started")) as run:
+        assert cli([command, str(path), *(["--out", str(tmp_path / "out")] if command == "run" else [])]) == 1
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("oracle, checks, message", [
+    ('flavor = "relaxed_subgaussian"\ns = 0.5\nrho = 1.5\n', "noise = true\n",
+     r"'checks\.noise' .* 'oracle\.rho' = 0, not 1\.5"),
+    ('flavor = "gaussian"\ns = 0.5\n', "descent = true\n",
+     r"'checks\.descent' is stated for a constant step-size, but 'schedule\.kind' is inverse_time"),
+    ('flavor = "gaussian"\ns = 0.5\n', "consensus = true\ndescent_pl = true\n",
+     r"'checks\.consensus' is stated for a constant step-size"),
+    ('flavor = "gaussian"\ns = 0.5\n', "tracker = true\n",
+     r"'checks\.tracker' is stated for a constant step-size"),
+], ids=["noise-at-positive-rho", "descent-inverse-time", "consensus-inverse-time",
+        "tracker-inverse-time"])
+def test_a_check_config_that_cannot_run_fails_at_load_time(tmp_path, capsys, oracle, checks, message):
+    text = MINIMAL_TOML.replace('flavor = "gaussian"\ns = 0.5\n', oracle)
+    if "noise" not in checks:
+        text = text.replace('kind = "constant"\nalpha = 0.01', 'kind = "inverse_time"\na = 1.0\nmu = 1.0')
+    text += f"\n[checks]\nruns = 2\n{checks}"
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.load_config(write(tmp_path, text))
+    _fails_before_any_run(tmp_path, capsys, "check", text, message)
+
+
+def test_the_pl_descent_check_on_a_cost_without_a_pl_constant_fails_before_any_run(tmp_path, capsys):
+    text = MINIMAL_TOML.replace('kind = "quadratic_synthetic"\nd = 3\n',
+                                f'kind = "logistic_libsvm"\npath = "{TOY}"\n')
+    text += "\n[checks]\nruns = 2\ndescent_pl = true\n"
+    _fails_before_any_run(tmp_path, capsys, "check", text,
+                          r"'checks\.descent_pl' needs a known PL constant mu, and the logistic cost has none")
+
+
+def test_a_thresholded_mse_to_opt_on_a_cost_without_an_optimum_fails_before_any_run(tmp_path, capsys):
+    text = MINIMAL_TOML.replace("T = 5\n", "T = 5\nthresholds = [0.5]\n").replace(
+        'kind = "quadratic_synthetic"\nd = 3\n', f'kind = "logistic_libsvm"\npath = "{TOY}"\n')
+    message = r"'experiment\.tail_statistic' mse_to_opt needs a known optimum, and the logistic cost"
+    _fails_before_any_run(tmp_path, capsys, "run", text, message)
+    # running_stationarity needs no optimum, and neither does a run without thresholds
+    for edit in ('T = 5\ntail_statistic = "running_stationarity"\n', "T = 5\nthresholds = []\n"):
+        cfg = harness.load_config(write(tmp_path, text.replace("T = 5\nthresholds = [0.5]\n", edit)))
+        assert not harness.run_experiment(cfg).partial
+
+
+def test_a_quadratic_whose_mean_hessian_is_indefinite_has_no_optimum_but_runs(tmp_path, capsys):
+    # each A_i = diag(1, -1): L = 1 and mean(A) is indefinite
+    e = costs.QuadraticEnsemble(np.stack([np.diag([1.0, -1.0])] * 4), np.arange(8.0).reshape(4, 2))
+    assert e.optimum() is None and e.pl_constant() is None
+    with pytest.raises(costs.CostError, match="no unique optimum"):
+        costs.quadratic_optimum(e)
+    path = tmp_path / "indefinite.json"
+    costs.save_ensemble_json(e, path)
+    text = MINIMAL_TOML.replace("T = 5\n", 'T = 5\nthresholds = [0.5]\ntail_statistic = "running_stationarity"\n')
+    text = text.replace('kind = "quadratic_synthetic"\nd = 3\n', f'kind = "quadratic_json"\npath = "{path}"\n')
+    env = harness.run_experiment(harness.load_config(write(tmp_path, text)))
+    assert sorted(env.series) == ["tail_gt_dsgd_eps0.5"] and not env.partial
+    assert env.run_summaries["gt_dsgd"] == {"R": 1, "T": 5}
+    _fails_before_any_run(tmp_path, capsys, "run", text.replace("running_stationarity", "mse_to_opt"),
+                          r"'experiment\.tail_statistic' mse_to_opt needs a known optimum, and the "
+                          r"quadratic cost has none")
+
+
+def test_an_algorithm_whose_every_run_aborts_gets_no_series(tmp_path):
+    run = alg.run
+
+    def dsgd_aborts(algorithm, config, seeds, run_ids):
+        if algorithm == "dsgd":
+            exc = alg.RunAbort(3, 1, "model update")
+            exc.run_id = run_ids[0]
+            raise exc
+        return run(algorithm, config, seeds, run_ids)
+
+    with mock.patch.object(harness.algorithms, "run", dsgd_aborts):
+        env = harness.run_experiment(experiment_cfg(tmp_path, R=3))
+    assert env.partial
+    assert [(a["algorithm"], a["run_id"], a["iteration"]) for a in env.aborted] == [("dsgd", r, 3) for r in range(3)]
+    alone = harness.run_experiment(experiment_cfg(tmp_path, R=3, algorithms=("gt_dsgd",)))
+    assert env.run_summaries == alone.run_summaries and list(env.run_summaries) == ["gt_dsgd"]
+    written = [harness.emit_outputs(e, formats=("csv",), outdir=tmp_path / name)
+               for e, name in ((env, "partial"), (alone, "alone"))]
+    names = [sorted(os.path.basename(p) for p in paths) for paths in written]
+    assert names[0] == names[1] == ["mse_gt_dsgd.csv", "tail_gt_dsgd_eps0.05.csv", "tail_gt_dsgd_eps0.5.csv"]
+    for name in names[0]:
+        assert (tmp_path / "partial" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()

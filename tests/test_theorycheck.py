@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 from unittest import mock
@@ -135,6 +136,38 @@ def test_consensus_bound_uniform_matrix_degenerate():
     rep = tc.check_consensus_bound(rec, w, e)
     assert rep.passed
     assert rep.details["lhs"][0] <= 1e-20
+
+
+def test_check_caps_never_bind_where_their_denominator_vanishes():
+    # lam^2 underflows to 0 at lam = 1e-170, as it is 0 at lam = 0
+    for lam in (0.0, 1e-170):
+        assert tc.consensus_step_cap(lam, 1.0) == tc.tracker_step_cap(lam, 1.0) == math.inf
+    assert tc.descent_step_cap(0.0) == tc.descent_pl_step_cap(0.0) == math.inf
+    assert tc.consensus_step_cap(0.5, 2.0) == 0.75 ** 2 / (16.0 * 0.25 * 2.0 * math.sqrt(3.0))
+
+
+def test_a_step_within_rounding_of_its_cap_passes_and_one_past_it_fails():
+    tc._check_cap(0.25 * (1 + 5e-13), 0.25, "descent")
+    with pytest.raises(ValueError, match=r"alpha 0\.25000000000075 exceeds the descent cap 0\.25"):
+        tc._check_cap(0.25 * (1 + 3e-12), 0.25, "descent")
+
+
+def test_descent_pl_rejects_a_step_past_its_cap():
+    w = path3_matrix()
+    e = quad_ensemble(seed=7)
+    cap = tc.descent_pl_step_cap(e.smoothness())
+    rec = traced_run(w, e, noise.GaussianOracle(0.0), 1.5 * cap, 5, 0)
+    with pytest.raises(ValueError, match=rf"alpha {1.5 * cap} exceeds the descent_pl cap {cap}"):
+        tc.check_descent_pl(rec, e)
+
+
+def test_tracker_recursion_rejects_cap_violation():
+    w = path3_matrix()
+    e = quad_ensemble(seed=11)
+    cap = tc.tracker_step_cap(w.lam, e.smoothness())
+    rec = traced_run(w, e, noise.GaussianOracle(0.0), 2.0 * cap, 5, 0)
+    with pytest.raises(ValueError, match=rf"alpha {2.0 * cap} exceeds the tracker cap {cap}"):
+        tc.check_tracker_recursion(rec, w, e)
 
 
 def test_consensus_bound_rejects_cap_violation():

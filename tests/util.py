@@ -931,8 +931,11 @@ def reference_emit_outputs(env, outdir):
 # table, with a hand-written normalizer per section, plus the bounds the
 # builders enforced and the schema took over later (a Gaussian 's' >= 0, each
 # entry of a list too; 'schedule.alpha' > 0; an ER 'p' in (0, 1]; a per-agent
-# 's' list as long as 'topology.n'). A differential test compares the
-# table's normalizer against it on inputs both accept or reject.
+# 's' list as long as 'topology.n'), and the cross-section rules added since
+# (two thresholds never share a series name; 'checks.noise' at rho = 0 only;
+# the descent, consensus and tracker checks at a constant step only). A
+# differential test compares the table's normalizer against it on inputs both
+# accept or reject.
 # ---------------------------------------------------------------------------
 
 _ALGORITHMS = ("gt_dsgd", "dsgd")
@@ -997,6 +1000,13 @@ def _normalize_experiment(data):
             raise ConfigError(f"'experiment.thresholds' entry {eps!r} is not a number")
         if not eps > 0:
             raise ConfigError(f"'experiment.thresholds' entry {eps!r} must be > 0")
+    series = {}
+    for eps in map(float, thresholds):
+        name = f"eps{eps:g}"
+        if name in series:
+            raise ConfigError(f"'experiment.thresholds' entries {series[name]!r} and {eps!r} "
+                              f"both name the series {name}")
+        series[name] = eps
     stat = data.get("tail_statistic", "mse_to_opt")
     if stat not in ("mse_to_opt", "running_stationarity"):
         raise ConfigError("'experiment.tail_statistic' must be 'mse_to_opt' or 'running_stationarity'")
@@ -1166,4 +1176,13 @@ def reference_normalize_config(raw: dict) -> ExperimentConfig:
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
         raise ConfigError("'checks.noise' needs a Gaussian or relaxed_subgaussian oracle, "
                           "not the minibatch flavor")
+    if data["checks"]["noise"] and data["oracle"]["flavor"] == "relaxed_subgaussian" \
+            and data["oracle"]["rho"] != 0.0:
+        raise ConfigError(f"'checks.noise' compares with closed forms that need 'oracle.rho' = 0, "
+                          f"not {data['oracle']['rho']}")
+    if data["schedule"]["kind"] == "inverse_time":
+        for k in ("descent", "consensus", "tracker"):
+            if data["checks"][k]:
+                raise ConfigError(f"'checks.{k}' is stated for a constant step-size, "
+                                  f"but 'schedule.kind' is inverse_time")
     return ExperimentConfig(data=data)
