@@ -21,13 +21,14 @@ print(f"optimum x* = {x_star}, f* = {f_star:.4f}, smoothness L = {L:.2f}")
 cfg = alg.RunConfig(
     w=w, ensemble=ensemble, oracle=noise.GaussianOracle(0.0),
     schedule=alg.ConstantStep(1.0 / (8.0 * L)), T=10_000, x0=np.zeros((3, 2)),
-    record_stride=1000,
+    record_trace=True,
 )
 
 print(f"\n{'iteration':>10} {'vanilla |xbar - x*|':>22} {'tracked |xbar - x*|':>22}")
 recs = {name: alg.run(name, cfg, [0], [0]) for name in ("dsgd", "gt_dsgd")}
-for t in sorted(recs["dsgd"].snapshots):
-    errs = [np.linalg.norm(recs[n].snapshots[t][0].mean(axis=0) - x_star) for n in ("dsgd", "gt_dsgd")]
+for t in range(1, cfg.T, 1000):
+    # x_hist[0, t - 1] holds the models at iteration t
+    errs = [np.linalg.norm(recs[n].x_hist[0, t - 1].mean(axis=0) - x_star) for n in ("dsgd", "gt_dsgd")]
     print(f"{t:>10} {errs[0]:>22.3e} {errs[1]:>22.3e}")
 
 final = {n: np.linalg.norm(r.final_x[0].mean(axis=0) - x_star) for n, r in recs.items()}

@@ -82,7 +82,7 @@ class InverseTimeStep:
     def __post_init__(self):
         if self.a <= 0 or self.mu <= 0:
             raise ValueError("a and mu must be positive")
-        if self.t0 < 0 or 1.0 + self.t0 <= 0:
+        if self.t0 < 0:
             raise ValueError("t0 must keep t + t0 positive for t >= 1")
 
     def value(self, t: int) -> float:
@@ -106,8 +106,8 @@ def _raise_nonfinite(t, run_ids, stages):
 
 @dataclass
 class TrajectoryRecord:
-    """Per-iteration metrics of a block of B runs; optional raw traces for
-    checks and optional model snapshots.
+    """Per-iteration metrics of a block of B runs, and optional raw traces for
+    checks.
 
     ``seed`` and ``run_id`` are B-tuples, and every per-run array has a
     leading run axis, in run order, whatever the engine's panel layout; no
@@ -115,9 +115,9 @@ class TrajectoryRecord:
     indexed by iteration 1..T (position t-1). When traces are recorded,
     ``x_hist`` has T+1 entries per run (models at t = 1..T+1) while
     ``y_hist``/``g_hist``/``z_hist`` have T (values produced at t = 1..T).
-    ``snapshots`` maps t to a copy of the (B, n, d) models at t, and is empty
-    unless ``RunConfig.record_stride`` asks for them. ``alpha`` is shared by
-    all runs.
+    The traces are the record's only models besides ``final_x``.
+    ``mse_to_opt`` is None where the ensemble has no optimum. ``alpha`` is
+    shared by all runs.
     """
 
     algorithm: str
@@ -126,9 +126,11 @@ class TrajectoryRecord:
     T: int
     alpha: np.ndarray
     f_avg: np.ndarray
-    mse_to_opt: np.ndarray
+    mse_to_opt: Optional[np.ndarray]
     stationarity_sum: np.ndarray
     final_x: np.ndarray
+    # always empty: no run records snapshots; perfbench/child.py:136 reads
+    # it, until it drops it
     snapshots: dict = field(default_factory=dict)
     x_hist: Optional[np.ndarray] = None
     y_hist: Optional[np.ndarray] = None
@@ -146,7 +148,6 @@ class TrajectoryRecord:
         """Each run of the block as a block of one, with views into its arrays."""
         return [
             replace(self, seed=(seed,), run_id=(run_id,),
-                    snapshots={t: v[b:b + 1] for t, v in self.snapshots.items()},
                     **{k: None if getattr(self, k) is None else getattr(self, k)[b:b + 1]
                        for k in _PER_RUN})
             for b, (seed, run_id) in enumerate(zip(self.seed, self.run_id))
@@ -167,7 +168,6 @@ class RunConfig:
     schedule: object        # step schedule
     T: int
     x0: np.ndarray          # (n, d) initial models
-    record_stride: int = 0  # k > 0: snapshot the models at t = 1, 1+k, ...; 0: none
     record_trace: bool = False
 
 
@@ -233,16 +233,12 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
     opt = e.optimum()
     x_star = opt[0] if opt is not None else None
     trace = config.record_trace
-    if config.record_stride < 0:
-        raise ValueError("record_stride must be >= 0")
-    stride = 0 if trace else config.record_stride
     sched = config.schedule
     alphas = [sched.value(t) for t in range(1, T + 1)]
 
     f_avg = np.empty((B, T))
-    mse = np.full((B, T), np.nan)
+    mse = None if x_star is None else np.empty((B, T))
     statio = np.empty((B, T))
-    snapshots = {}
     # with traces on, the trace arrays are the block buffers
     if trace:
         xs = np.empty((B, T + 1, n, d))
@@ -326,10 +322,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
             if x_star is not None:
                 mse[:, span] = _sum_sq(np.subtract(xb, x_star, out=sb)) * inv_n
             statio[:, span] = _sum_sq(e.grad_global_all(xb) if grads is None else grads[:, :m])
-            if stride:
-                first = -(t0 - 1) % stride
-                snaps = xb[:, first::stride].swapaxes(0, 1).copy()
-                snapshots.update(zip(range(t0 + first, t1, stride), snaps))
 
     if trace:
         xs[:, T] = x_runs
@@ -344,7 +336,6 @@ def run(algorithm: str, config: RunConfig, seeds, run_ids) -> TrajectoryRecord:
         mse_to_opt=mse,
         stationarity_sum=statio,
         final_x=x_runs.copy(),
-        snapshots=snapshots,
         x_hist=xs if trace else None,
         y_hist=ys if trace else None,
         g_hist=g_hist if trace else None,

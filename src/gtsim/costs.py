@@ -20,7 +20,6 @@ __all__ = [
     "LogisticEnsemble",
     "PANEL",
     "TILE",
-    "quadratic_optimum",
     "make_synthetic_quadratics",
     "save_ensemble_json",
     "load_ensemble_json",
@@ -194,6 +193,8 @@ class QuadraticEnsemble(CostEnsemble):
         self._b_bar = b.mean(axis=0)
         self._smoothness = None
         self._mu = None
+        self._optimum = None
+        self._solved = False
 
     def _a_of(self, i):
         return self.a if self.shared_a else self.a[i]
@@ -265,12 +266,19 @@ class QuadraticEnsemble(CostEnsemble):
         return self._mu if self._mu > 0 else None
 
     def optimum(self):
-        # None where the mean Hessian is not positive definite, as the base
-        # class documents; quadratic_optimum raises there
-        try:
-            return quadratic_optimum(self)
-        except CostError:
-            return None
+        """(x_star, f_star), solved once: mean(A) x* = -mean(b) by the two
+        triangular solves with the Cholesky factor of mean(A). None where
+        mean(A) is not positive definite. The cached x_star is read-only."""
+        if not self._solved:
+            self._solved = True
+            try:
+                factor = np.linalg.cholesky(self._a_bar)
+            except np.linalg.LinAlgError:
+                return None
+            x_star = np.linalg.solve(factor.T, np.linalg.solve(factor, -self._b_bar))
+            x_star.flags.writeable = False
+            self._optimum = (x_star, self.value_global(x_star))
+        return self._optimum
 
 
 class LogisticEnsemble(CostEnsemble):
@@ -402,19 +410,6 @@ class LogisticEnsemble(CostEnsemble):
                 worst = max(worst, float(s * s) / (4.0 * h.shape[0]))
             self._smoothness = worst + 2.0 * self.eta
         return self._smoothness
-
-
-def quadratic_optimum(e: QuadraticEnsemble):
-    """Solve mean(A) x* = -mean(b) with the Cholesky factor L of mean(A),
-    by the two solves L y = -mean(b) and L' x* = y; return (x_star, f_star)."""
-    if e.kind != "quadratic":
-        raise CostError("closed-form optimum exists only for quadratics")
-    try:
-        factor = np.linalg.cholesky(e._a_bar)
-    except np.linalg.LinAlgError as exc:
-        raise CostError("no unique optimum: average matrix is not positive definite") from exc
-    x_star = np.linalg.solve(factor.T, np.linalg.solve(factor, -e._b_bar))
-    return x_star, e.value_global(x_star)
 
 
 def make_synthetic_quadratics(

@@ -165,7 +165,8 @@ _SCHEMA = {
         "T": (_int, _REQUIRED, 0),
         "R": (_int, 1, 1),
         "master_seed": (_int, 0),
-        # kept in the envelope's config; experiment runs record no snapshots
+        # kept in the envelope's config, and no run reads it; the configs in
+        # perfbench/workloads.py set it, until they drop it
         "record_stride": (_int, 1, 0),
         "output_dir": (_str, "out"),
     }}),
@@ -517,7 +518,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     exp = cfg["experiment"]
     if run_cfg is None:
         run_cfg = build_run_config(cfg)
-    if exp["thresholds"] and exp["tail_statistic"] == "mse_to_opt" and run_cfg.ensemble.optimum() is None:
+    has_optimum = run_cfg.ensemble.optimum() is not None
+    if exp["thresholds"] and exp["tail_statistic"] == "mse_to_opt" and not has_optimum:
         raise ConfigError(f"'experiment.tail_statistic' mse_to_opt needs a known optimum, and the "
                           f"{run_cfg.ensemble.kind} cost has none: use running_stationarity")
     R = exp["R"]
@@ -551,12 +553,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             continue
         rs = metrics.RunSet(records=records)
         summaries = {"R": rs.R, "T": rs.T}
-        try:
+        if has_optimum:
             mse = metrics.empirical_mse(rs)
             series[f"mse_{alg}"] = mse
             summaries["final_mse"] = float(mse.values[-1]) if mse.T else None
-        except ValueError:
-            pass  # optimum unknown: MSE series unavailable
         for eps in exp["thresholds"]:
             tail = metrics.empirical_tail_probability(rs, exp["tail_statistic"], eps)
             series[f"tail_{alg}_eps{eps:g}"] = tail

@@ -65,10 +65,9 @@ class MetricSeries:
 def _per_run_statistic(rs: RunSet, statistic: str) -> np.ndarray:
     """Matrix (R, T) of the requested per-iteration statistic, in run order."""
     if statistic == "mse_to_opt":
-        out = np.concatenate([r.mse_to_opt for r in rs.records])
-        if np.isnan(out).any():
+        if any(r.mse_to_opt is None for r in rs.records):
             raise ValueError("optimum unknown: mse_to_opt requires a known x*")
-        return out
+        return np.concatenate([r.mse_to_opt for r in rs.records])
     if statistic == "running_stationarity":
         # (1/(n t)) sum_{tau <= t} sum_i ||grad f(x_i^tau)||^2; the records
         # store the inner sum, n recovered from final_x

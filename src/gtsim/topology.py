@@ -209,7 +209,7 @@ def spectral_gap(w) -> float:
         raise GraphError("weight matrix must be square")
     row_dev = np.max(np.abs(mat.sum(axis=1) - 1.0))
     col_dev = np.max(np.abs(mat.sum(axis=0) - 1.0))
-    if row_dev > 1e-9 or col_dev > 1e-9:
+    if row_dev > STOCHASTIC_ATOL or col_dev > STOCHASTIC_ATOL:
         raise GraphError("weight matrix is not doubly stochastic")
     sym_dev = np.max(np.abs(mat - mat.T))
     if sym_dev > STOCHASTIC_ATOL:

@@ -104,29 +104,43 @@ def test_smoothness_penalty_only():
 
 def test_quadratic_optimum_closed_form_1d():
     e = costs.QuadraticEnsemble(np.array([[[2.0]]]), np.array([[4.0]]))
-    x_star, f_star = costs.quadratic_optimum(e)
+    x_star, f_star = e.optimum()
     assert np.allclose(x_star, [-2.0])
     assert f_star == pytest.approx(-4.0)
 
 
 def test_quadratic_optimum_zero_b():
     e = costs.QuadraticEnsemble(np.array([[[3.0, 0.0], [0.0, 1.0]]]), np.zeros((1, 2)))
-    x_star, f_star = costs.quadratic_optimum(e)
+    x_star, f_star = e.optimum()
     assert np.allclose(x_star, 0.0)
     assert f_star == pytest.approx(0.0)
 
 
 def test_quadratic_optimum_residual_random_spd():
     e = costs.make_synthetic_quadratics(6, 8, "a", seed=5)
-    x_star, _ = costs.quadratic_optimum(e)
+    x_star, _ = e.optimum()
     a_bar = (e.a if e.shared_a else e.a.mean(axis=0))
     assert np.linalg.norm(a_bar @ x_star + e.b.mean(axis=0)) <= 1e-10
 
 
 def test_quadratic_optimum_singular_rejected():
     e = costs.QuadraticEnsemble(np.array([[[0.0]]]), np.array([[1.0]]))
-    with pytest.raises(costs.CostError, match="no unique optimum"):
-        costs.quadratic_optimum(e)
+    assert e.optimum() is None
+
+
+def test_quadratic_optimum_is_solved_once_and_read_only():
+    e = costs.make_synthetic_quadratics(4, 3, "a", seed=5)
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+        first = e.optimum()
+        second = e.optimum()
+    assert spy.call_count == 1
+    assert second is first and second[0] is first[0]
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0] = 1.0
+    singular = costs.QuadraticEnsemble(np.array([[[0.0]]]), np.array([[1.0]]))
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+        assert singular.optimum() is None and singular.optimum() is None
+    assert spy.call_count == 1
 
 
 @st.composite
@@ -145,7 +159,7 @@ def spd_ensembles(draw):
 @settings(max_examples=200, deadline=None)
 @given(spd_ensembles())
 def test_quadratic_optimum_matches_cho_solve(e):
-    x_star, _ = costs.quadratic_optimum(e)
+    x_star, _ = e.optimum()
     a_bar = e.a.mean(axis=0)
     ref = cho_solve(cho_factor(a_bar), -e.b.mean(axis=0))
     # two backward-stable solves agree to about d * cond(A) ulp of max|x*|;

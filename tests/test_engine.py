@@ -53,7 +53,6 @@ def run_configs(draw):
     x0 = draw(st.sampled_from([0.0, 1.0])) * np.random.default_rng(n).standard_normal((n, e.d))
     return alg.RunConfig(w=tp.metropolis_hastings(g), ensemble=e, oracle=oracle, schedule=schedule,
                          T=draw(st.sampled_from(HORIZONS)), x0=x0,
-                         record_stride=draw(st.sampled_from([0, 1, 5])),
                          record_trace=draw(st.booleans()))
 
 
@@ -74,7 +73,6 @@ def test_block_record_splits_into_the_per_run_records(cfg, algorithm, keys):
     n, d = cfg.x0.shape
     assert block.f_avg.shape == (len(keys), cfg.T)
     assert block.final_x.shape == (len(keys), n, d)
-    assert all(v.shape == (len(keys), n, d) for v in block.snapshots.values())
     runs = block.split()
     assert len(runs) == len(keys)
     for rec, (seed, run_id) in zip(runs, keys):
@@ -82,36 +80,24 @@ def test_block_record_splits_into_the_per_run_records(cfg, algorithm, keys):
         assert_records_identical(rec, reference_run(algorithm, cfg, seed, run_id))
 
 
-@pytest.mark.parametrize("stride", [1, 5, B, 2 * B + 4])
-def test_positive_record_stride_snapshots_iterations_1_plus_multiples(stride):
-    e = costs.make_synthetic_quadratics(3, 2, "a", seed=4)
-    cfg = alg.RunConfig(w=ring_matrix(3), ensemble=e, oracle=noise.GaussianOracle(0.5),
-                        schedule=alg.ConstantStep(0.05), T=2 * B + 3, x0=np.ones((3, 2)),
-                        record_stride=stride)
-    keys = [(11, 0), (12, 1), (13, 2)]
-    expected = list(range(1, cfg.T + 1, stride))
-    block = alg.run("dsgd", cfg, *zip(*keys))
-    assert list(block.snapshots) == expected
-    for b, (seed, run_id) in enumerate(keys):
-        one = alg.run("dsgd", cfg, [seed], [run_id])
-        models = alg.run("dsgd", replace(cfg, record_stride=0, record_trace=True),
-                         [seed], [run_id]).x_hist[0]
-        assert list(one.snapshots) == expected
-        # the engine reuses its block buffers, so equality at the end needs copies
-        for t, x in one.snapshots.items():
-            assert x.shape == (1, 3, 2)
-            assert x.tobytes() == models[t - 1].tobytes() == block.snapshots[t][b].tobytes()
-    assert all(v.shape == (len(keys), 3, 2) for v in block.snapshots.values())
-
-
-def test_record_stride_zero_records_no_snapshots_and_negative_is_rejected():
-    cfg = alg.RunConfig(w=ring_matrix(3), ensemble=costs.make_synthetic_quadratics(3, 2, "a", seed=4),
-                        oracle=noise.GaussianOracle(0.5), schedule=alg.ConstantStep(0.05),
-                        T=B + 1, x0=np.ones((3, 2)))
-    assert alg.run("gt_dsgd", cfg, [1], [0]).snapshots == {}
-    assert alg.run("gt_dsgd", cfg, (1, 2), (0, 1)).snapshots == {}
-    with pytest.raises(ValueError, match="record_stride"):
-        alg.run("gt_dsgd", replace(cfg, record_stride=-1), [1], [0])
+@settings(max_examples=40, deadline=None)
+@given(cfg=run_configs(), algorithm=st.sampled_from(["gt_dsgd", "dsgd"]),
+       keys=st.lists(st.tuples(SEEDS, st.integers(0, 1000)), min_size=1, max_size=3),
+       horizon=st.integers(0, 2 * B + 3))
+def test_a_shorter_horizon_ends_at_the_traced_model_and_gives_a_prefix_of_the_series(
+        cfg, algorithm, keys, horizon):
+    # the untraced models equal the traced ones, and the noise chunks are
+    # drawn prefix-stable: a run to T' is the first T' iterations of a run to T
+    seeds, run_ids = zip(*keys)
+    full = alg.run(algorithm, replace(cfg, T=2 * B + 3, record_trace=True), seeds, run_ids)
+    short = alg.run(algorithm, replace(cfg, T=horizon, record_trace=False), seeds, run_ids)
+    assert short.final_x.tobytes() == full.x_hist[:, horizon].tobytes()
+    assert short.alpha.tobytes() == full.alpha[:horizon].tobytes()
+    for name in ("f_avg", "mse_to_opt", "stationarity_sum"):
+        if getattr(full, name) is None:
+            assert getattr(short, name) is None, name
+        else:
+            assert getattr(short, name).tobytes() == getattr(full, name)[:, :horizon].tobytes(), name
 
 
 @pytest.mark.parametrize("rho, calls", [(1.5, 2 * B + 3), (0.0, 3)])

@@ -530,6 +530,7 @@ def test_workers_do_not_change_results(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_experiment_runs_record_no_snapshots(tmp_path, workers):
+    # experiment runs are untraced, so a record holds no models but final_x;
     # a file per engine call, so that calls in forked workers are seen too
     cfg = experiment_cfg(tmp_path)
     run = alg.run
@@ -538,13 +539,13 @@ def test_experiment_runs_record_no_snapshots(tmp_path, workers):
         rec = run(algorithm, config, seeds, run_ids)
         for r in run_ids:
             (tmp_path / f"{os.getpid()}-{algorithm}-{r}").write_text(
-                f"{config.record_stride} {len(rec.snapshots)}")
+                f"{config.record_trace} {rec.x_hist is None}")
         return rec
 
     with mock.patch.object(harness.algorithms, "run", spy):
         harness.run_experiment(cfg, workers=workers)
     calls = {p.name.split("-", 1)[1]: p.read_text() for p in tmp_path.iterdir() if "-" in p.name}
-    assert calls == {f"{a}-{r}": "0 0" for a in ("gt_dsgd", "dsgd") for r in range(4)}
+    assert calls == {f"{a}-{r}": "False True" for a in ("gt_dsgd", "dsgd") for r in range(4)}
     pids = {p.name.split("-")[0] for p in tmp_path.iterdir() if "-" in p.name}
     assert (str(os.getpid()) in pids) == (workers == 1)
 
@@ -982,8 +983,6 @@ def test_a_quadratic_whose_mean_hessian_is_indefinite_has_no_optimum_but_runs(tm
     # each A_i = diag(1, -1): L = 1 and mean(A) is indefinite
     e = costs.QuadraticEnsemble(np.stack([np.diag([1.0, -1.0])] * 4), np.arange(8.0).reshape(4, 2))
     assert e.optimum() is None and e.pl_constant() is None
-    with pytest.raises(costs.CostError, match="no unique optimum"):
-        costs.quadratic_optimum(e)
     path = tmp_path / "indefinite.json"
     costs.save_ensemble_json(e, path)
     text = MINIMAL_TOML.replace("T = 5\n", 'T = 5\nthresholds = [0.5]\ntail_statistic = "running_stationarity"\n')

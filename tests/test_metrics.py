@@ -6,8 +6,9 @@ from gtsim import algorithms as alg, metrics
 
 
 def block_record(mse, statio, n=2):
-    """A block record carrying prescribed (B, T) mse and stationarity rows."""
-    B, T = mse.shape
+    """A block record carrying prescribed (B, T) mse and stationarity rows;
+    mse None stands for a cost with no optimum."""
+    B, T = statio.shape
     zeros = np.zeros((B, T))
     return alg.TrajectoryRecord(
         algorithm="gt_dsgd", seed=tuple(range(B)), run_id=tuple(range(B)), T=T,
@@ -22,7 +23,7 @@ def fake_record(mse_rows=None, statio=None, n=2, T=None):
         T = len(mse_rows)
     elif statio is not None:
         T = len(statio)
-    mse = np.array([mse_rows if mse_rows is not None else [np.nan] * T])
+    mse = None if mse_rows is None else np.array([mse_rows])
     return block_record(mse, np.array([statio if statio is not None else [0.0] * T]), n)
 
 

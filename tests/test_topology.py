@@ -98,6 +98,12 @@ def test_spectral_gap_rejects_non_symmetric_input():
 def test_spectral_gap_rejects_non_stochastic():
     with pytest.raises(tp.GraphError, match="doubly stochastic"):
         tp.spectral_gap(np.array([[0.5, 0.2], [0.5, 0.8]]))
+    # the rule MixingMatrix.validate applies: sums within STOCHASTIC_ATOL
+    drifted = np.array([[0.5 + 1e-10, 0.5], [0.5, 0.5 + 1e-10]])
+    with pytest.raises(tp.GraphError, match="doubly stochastic"):
+        tp.spectral_gap(drifted)
+    with pytest.raises(tp.GraphError, match="doubly stochastic"):
+        tp.MixingMatrix(2, drifted, 0.0).validate()
 
 
 @settings(max_examples=25, deadline=None)

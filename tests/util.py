@@ -158,10 +158,9 @@ def _reference_loop(algorithm, config, seed, run_id, grad_all, mix):
     T = config.T
     opt = e.optimum()
     x_star = None if opt is None else opt[0]
-    stride = config.record_stride  # 0: no snapshots
     trace = config.record_trace
-    rec = dict(alpha=np.empty(T), f_avg=np.empty(T), mse_to_opt=np.full(T, np.nan),
-               stationarity_sum=np.empty(T), snapshots={})
+    rec = dict(alpha=np.empty(T), f_avg=np.empty(T), mse_to_opt=None if x_star is None else np.empty(T),
+               stationarity_sum=np.empty(T))
     x_hist, y_hist = np.empty((T + 1, n, d)), np.empty((T, n, d))
     g_hist, z_hist = np.empty((T, n, d)), np.empty((T, n, d))
 
@@ -182,8 +181,6 @@ def _reference_loop(algorithm, config, seed, run_id, grad_all, mix):
             rec["stationarity_sum"][i] = (gg * gg).sum()
             if trace:
                 x_hist[i] = x
-            elif stride and (t - 1) % stride == 0:
-                rec["snapshots"][t] = x.copy()
 
             g, exact = _reference_oracle(o, grad_all, e, x, seed, run_id, t, alpha, gg)
             _reference_guard(g, t, "oracle output", run_id)
@@ -201,23 +198,18 @@ def _reference_loop(algorithm, config, seed, run_id, grad_all, mix):
                 z_hist[i] = g - (grad_all(x_hist[i]) if exact is None else exact)
     x_hist[T] = x
     hists = dict(x_hist=x_hist, y_hist=y_hist, g_hist=g_hist, z_hist=z_hist) if trace else {}
-    alpha, snapshots = rec.pop("alpha"), rec.pop("snapshots")
-    per_run = {k: v[None] for k, v in dict(rec, final_x=x, **hists).items()}
+    alpha = rec.pop("alpha")
+    per_run = {k: None if v is None else v[None] for k, v in dict(rec, final_x=x, **hists).items()}
     return alg.TrajectoryRecord(algorithm=algorithm, seed=(seed,), run_id=(run_id,), T=T,
-                                alpha=alpha, snapshots={t: v[None] for t, v in snapshots.items()},
-                                **per_run)
+                                alpha=alpha, **per_run)
 
 
 def assert_records_identical(a, b):
-    """Every field equal, arrays bit for bit (NaNs and signed zeros included)."""
+    """Every field equal, arrays bit for bit (signed zeros included)."""
     assert vars(a).keys() == vars(b).keys()
     for name, va in vars(a).items():
         vb = getattr(b, name)
-        if name == "snapshots":
-            assert va.keys() == vb.keys()
-            for t in va:
-                assert va[t].tobytes() == vb[t].tobytes(), f"snapshot {t}"
-        elif isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
+        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
             assert va is not None and vb is not None, name
             assert (va.shape, va.dtype) == (vb.shape, vb.dtype), name
             assert va.tobytes() == vb.tobytes(), name
@@ -228,24 +220,17 @@ def assert_records_identical(a, b):
 def assert_records_close(a, b, rel):
     """Every field equal, but the float arrays within ``rel``: each entry of
     the nonnegative metric series relative to itself, every other array
-    (snapshots included) relative to its largest entry. NaNs must sit at the
-    same places."""
+    relative to its largest entry."""
 
     def close(va, vb, name, per_entry=False):
-        assert vb is not None and va.shape == vb.shape, name
-        assert np.array_equal(np.isnan(va), np.isnan(vb)), name
-        va, vb = np.nan_to_num(va), np.nan_to_num(vb)
+        assert va is not None and vb is not None and va.shape == vb.shape, name
         scale = np.abs(vb) if per_entry else np.abs(vb).max(initial=0)
         assert np.all(np.abs(va - vb) <= rel * scale), name
 
     assert vars(a).keys() == vars(b).keys()
     for name, va in vars(a).items():
         vb = getattr(b, name)
-        if name == "snapshots":
-            assert va.keys() == vb.keys()
-            for t in va:
-                close(va[t], vb[t], f"snapshot {t}")
-        elif isinstance(va, np.ndarray):
+        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
             close(va, vb, name, per_entry=name in ("mse_to_opt", "stationarity_sum"))
         else:
             assert va == vb, name
@@ -1018,7 +1003,7 @@ def _normalize_experiment(data):
         "algorithms": list(algs),
         "thresholds": [float(x) for x in thresholds],
         "tail_statistic": stat,
-        # kept in the envelope's config; experiment runs record no snapshots
+        # kept in the envelope's config, and no run reads it
         "record_stride": _num("experiment", data, "record_stride", default=1, minimum=0, integer=True),
         "output_dir": str(data.get("output_dir", "out")),
     }
