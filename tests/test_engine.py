@@ -100,6 +100,27 @@ def test_a_shorter_horizon_ends_at_the_traced_model_and_gives_a_prefix_of_the_se
             assert getattr(short, name).tobytes() == getattr(full, name)[:, :horizon].tobytes(), name
 
 
+@pytest.mark.parametrize("stride", [1, 5, B, 2 * B + 4])
+def test_positive_record_stride_snapshots_iterations_1_plus_multiples(stride):
+    # demos/bias_floor.py reads the trace at iterations t = 1, 1 + stride, ...;
+    # x_hist[:, t - 1] there is the model an untraced run ends at after t - 1
+    # steps, alone and in a block
+    e = costs.make_synthetic_quadratics(3, 2, "a", seed=4)
+    cfg = alg.RunConfig(w=ring_matrix(3), ensemble=e, oracle=noise.GaussianOracle(0.5),
+                        schedule=alg.ConstantStep(0.05), T=2 * B + 3, x0=np.ones((3, 2)),
+                        record_trace=True)
+    keys = [(11, 0), (12, 1), (13, 2)]
+    block = alg.run("dsgd", cfg, *zip(*keys))
+    assert block.x_hist.shape == (len(keys), cfg.T + 1, 3, 2)
+    for t in range(1, cfg.T + 1, stride):
+        short = replace(cfg, T=t - 1, record_trace=False)
+        assert alg.run("dsgd", short, *zip(*keys)).final_x.tobytes() == block.x_hist[:, t - 1].tobytes()
+        for b, (seed, run_id) in enumerate(keys):
+            one = alg.run("dsgd", short, [seed], [run_id])
+            assert one.final_x.shape == (1, 3, 2)
+            assert one.final_x[0].tobytes() == block.x_hist[b, t - 1].tobytes()
+
+
 @pytest.mark.parametrize("rho, calls", [(1.5, 2 * B + 3), (0.0, 3)])
 def test_global_gradients_are_evaluated_once_per_iteration(rho, calls):
     # at rho > 0 the sampler evaluates them to scale the noise, and the
