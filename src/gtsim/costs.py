@@ -196,6 +196,18 @@ class QuadraticEnsemble(CostEnsemble):
         self._optimum = None
         self._solved = False
 
+    def __setstate__(self, state):
+        # a pickle does not keep the read-only flags: restore them, so an
+        # unpickled ensemble, as each worker gets it, is as read-only as its
+        # original
+        self.__dict__.update(state)
+        frozen = [self.a, self.b, state.get("_b_panel")]
+        if self._optimum is not None:
+            frozen.append(self._optimum[0])
+        for v in frozen:
+            if v is not None:
+                v.flags.writeable = False
+
     def _a_of(self, i):
         return self.a if self.shared_a else self.a[i]
 

@@ -11,7 +11,9 @@ chunk of CHUNK iterations, from one Philox stream keyed by (seed, run, t0) at
 the chunk's first iteration t0; row t - t0 of the draw is iteration t's noise,
 with agent i owning row i of it. Mini-batch indices have one stream per
 (seed, run, iteration). Draws are a pure function of (seed, run, t),
-independent of scheduling and of how many runs are stepped together.
+independent of scheduling and of how many runs are stepped together. The
+diagnostic draws of ``noise_samples`` have one stream per (seed, agent),
+read in row chunks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,12 +38,17 @@ __all__ = [
     "MgfEstimate",
     "estimate_mgf",
     "noise_samples",
+    "row_sq_norms",
+    "SAMPLE_CHUNK_BYTES",
 ]
 
 _EXP_CAP = 700.0  # exp(700) is near the float64 overflow edge
 
 # iterations whose Gaussian noise one chunk draw covers
 CHUNK = 64
+
+# bytes of one row chunk of noise_samples' draws
+SAMPLE_CHUNK_BYTES = 1 << 18
 
 
 class OracleError(ValueError):
@@ -115,23 +122,21 @@ class _CachedPhilox(threading.local):
 _cached = _CachedPhilox()
 
 
-def _generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, stream, run, iteration) cell.
+def _cell_state(seed: int, stream: int, run: int, t: int) -> dict:
+    """The state of a fresh Philox keyed by one (seed, stream, run, iteration)
+    cell: zero counter, empty buffer.
 
     The cell is packed into the 128-bit Philox key, two exact uint64 words:
     the seed, then stream | run | t (distinct keys yield independent streams
     by construction); the block counter starts at zero and only advances
-    within the cell's own draws. The returned generator is shared and
-    re-keyed by the next call: draw from it before calling again.
+    within the cell's own draws.
     """
     if not (0 <= run < 2**_RUN_BITS):
         raise OracleError(f"run index must fit in {_RUN_BITS} bits")
     if not (0 <= t < 2**_T_BITS):
         raise OracleError(f"iteration index must fit in {_T_BITS} bits")
     key = [int(seed) & _MASK64, (stream << (_RUN_BITS + _T_BITS)) | (run << _T_BITS) | t]
-    cell = _cached
-    # the state of a fresh Philox(key=key): zero counter, empty buffer
-    cell.bit_generator.state = {
+    return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
@@ -139,7 +144,25 @@ def _generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
+    """Counter-based generator for one (seed, stream, run, iteration) cell.
+
+    The returned generator is shared and re-keyed by the next call: draw
+    from it before calling again.
+    """
+    cell = _cached
+    cell.bit_generator.state = _cell_state(seed, stream, run, t)
     return cell.generator
+
+
+def _own_generator(seed: int, stream: int, run: int, t: int) -> np.random.Generator:
+    """A new generator for one cell, drawing what ``_generator`` draws for it;
+    no other call re-keys it, so several may be read in turns."""
+    bit_generator = np.random.Philox(key=0)
+    bit_generator.state = _cell_state(seed, stream, run, t)
+    return np.random.Generator(bit_generator)
 
 
 def noise_block(seed: int, run: int, t: int, n: int, d: int) -> np.ndarray:
@@ -182,13 +205,13 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     models, one run per (seeds[b], runs[b]), for iterations t <= T. The stack
     is (B, n, d), or at an ensemble's ``panel_width`` P > 1 the engine's
     (S, n, d) stack of slots, whose slots past B are padding: they get no
-    noise. The results are stacks of x's shape. ``exact`` holds the
-    noiseless local gradients when they come for free (the Gaussian
-    flavor), else None; the Gaussian flavor at rho > 0 needs alpha and
-    evaluates the global gradients at x itself, and returns them as
-    ``grad_global`` (None otherwise). Gaussian noise is drawn at the first
-    call within each chunk, for every run of the block, into the ensemble's
-    ``slot_memory``, the layout of the engine's state.
+    noise. The results are stacks of x's shape. ``exact`` holds the noiseless local gradients
+    when they come for free (the Gaussian flavor), else None; the Gaussian
+    flavor at rho > 0 needs alpha and evaluates the global gradients at x
+    itself, and returns them as ``grad_global`` (None otherwise). Gaussian
+    noise is drawn at the first call within each chunk, for every run of the
+    block, into the ensemble's ``slot_memory``, the layout of the engine's
+    state.
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
@@ -219,9 +242,6 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
 
         return sample_exact
 
-    # at a panel width above 1, x may hold padding slots past the block, and
-    # the noise is added to the first B slots only
-    padded = e.panel_width > 1
     B, K = len(seeds), min(T, CHUNK)
     # the time-major chunk draw, a (K, B, n, d) stack laid out as the engine
     # lays out its state
@@ -243,9 +263,11 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     if additive:
 
         def sample_gaussian(x, t, alpha=None):
+            # the noise goes to the first B slots, through the views in
+            # memory order, where the elementwise add is fastest; z holds no
+            # padding slots, which would make a one-run block's chunk P
+            # times as large
             exact = e.grad_all(x)
-            if not padded:
-                return exact + noise_rows(t), exact, None
             g = exact.copy(order="K")
             rows = e.memory_of(g[:B])
             rows += e.memory_of(noise_rows(t))
@@ -278,6 +300,22 @@ def calibrate_sigma(s: float, d: int) -> float:
     return 2.0 * s * s / (1.0 - np.exp(-2.0 / d))
 
 
+# The chunk makers below are functions that the streams call, so a stream
+# waiting to be read again holds no chunk of its own.
+
+def _scaled(z: np.ndarray, s: float) -> np.ndarray:
+    # in place: the product is elementwise, so it has the bits of s * z
+    z *= s
+    return z
+
+
+def _minibatch_rows(o, e, i, x, grad, gen, k: int) -> np.ndarray:
+    out = np.empty((k, e.d))
+    for r in range(k):
+        out[r] = e.grad_batch(i, x, _batch_of(o, e, i, gen)) - grad
+    return out
+
+
 def noise_samples(
     o: OracleSpec,
     e,
@@ -286,30 +324,45 @@ def noise_samples(
     count: int,
     seed: int = 0,
     alpha: Optional[float] = None,
-) -> np.ndarray:
-    """Monte-Carlo noise draws z = g - grad f_i(x) for diagnostics, (count, d).
+) -> Iterator[np.ndarray]:
+    """Monte-Carlo noise draws z = g - grad f_i(x) for diagnostics: the
+    (count, d) draw as an iterator of row chunks, each at most
+    SAMPLE_CHUNK_BYTES and each a new array.
 
-    The Gaussian flavor scales its draw in place: the product is
-    elementwise, so it has the bits of ``s * draw`` without a second array.
-    Only at rho > 0 does the scale read the global gradient at x.
+    The call opens the draw's own Philox stream, keyed as the cell (seed, 2,
+    i, 0), and checks its arguments; only at rho > 0 does it read the global
+    gradient at x, for the noise scale. The draws are made as the chunks
+    are read. The stream runs on across chunks, so the chunks stacked are
+    bitwise one (count, d) draw of that cell, and any number of streams may
+    be read in turns. Two draws of one count and d split at the same rows.
     """
     x = np.asarray(x, dtype=float)
+    gen = _own_generator(seed, 2, i, 0)
+    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * e.d))  # one row where a row alone is larger
+    sizes = [min(rows, count - lo) for lo in range(0, count, rows)]
     if o.kind == "gaussian":
         scale = 1.0
         if o.rho != 0.0:
             scale = _relaxed_scale(o, alpha, float(np.linalg.norm(e.grad_global(x))))
-        z = _generator(seed, 2, i, 0).standard_normal((count, e.d))
-        z *= o.s_vector(e.n)[i] * scale
-        return z
+        s = o.s_vector(e.n)[i] * scale
+        return (_scaled(gen.standard_normal((k, e.d)), s) for k in sizes)
     if o.kind == "minibatch":
         _require_dataset(e)
         grad = e.grad_local(i, x)
-        out = np.empty((count, e.d))
-        gen = _generator(seed, 2, i, 0)
-        for k in range(count):
-            out[k] = e.grad_batch(i, x, _batch_of(o, e, i, gen)) - grad
-        return out
+        return (_minibatch_rows(o, e, i, x, grad, gen, k) for k in sizes)
     raise OracleError(f"unknown oracle kind {o.kind!r}")
+
+
+def row_sq_norms(chunks, count: int) -> np.ndarray:
+    """The (count,) squared row norms of a stream of row chunks, each squared
+    in place and summed per row as ``np.sum(z * z, axis=1)`` sums it."""
+    out = np.empty(count)
+    lo = 0
+    for z in chunks:
+        np.multiply(z, z, out=z)
+        np.add.reduce(z, axis=1, out=out[lo:lo + len(z)])
+        lo += len(z)
+    return out
 
 
 def capped_exp_mean(w: np.ndarray):
@@ -361,10 +414,7 @@ def estimate_mgf(
         raise OracleError("estimate_mgf needs at least 1e4 samples")
     if sigma_sq <= 0:
         raise OracleError("sigma_sq must be > 0")
-    z = noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha)
-    np.multiply(z, z, out=z)
-    w = np.sum(z, axis=1)
-    del z
+    w = row_sq_norms(noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha), samples)
     w /= sigma_sq
     value, stderr, capped = capped_exp_mean(w)
     return MgfEstimate(value=value, stderr=stderr, capped=capped, samples=samples)

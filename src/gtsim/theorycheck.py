@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import calibrate_sigma, capped_exp_mean, noise_samples
+from .noise import calibrate_sigma, capped_exp_mean, noise_samples, row_sq_norms
 
 __all__ = [
     "SLACK_TOL",
@@ -330,8 +330,11 @@ def check_noise_properties(
     which must stay within the bound itself; margins are recorded in the
     details.
 
-    At most two (samples, d) arrays are alive at once: every elementwise step
-    writes into an array the check already holds.
+    The draws are read in row chunks (see ``noise.noise_samples``), so the
+    check holds, besides a few row chunks, only per-sample scalars: the row
+    norms and their powers, then one exponent per sample for each m in
+    ``n_avg``. Every mean and standard deviation runs over a whole per-sample
+    vector, so the reports are bitwise those of whole draws.
     """
     if not _is_count(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
@@ -376,11 +379,8 @@ def check_noise_properties(
             violations.append(label)
 
     for k, x in enumerate(xs):
-        z = noise_samples(o, e, agent, x, samples, seed=seed + k)
-        # the row norms as np.linalg.norm takes them, squaring in place
-        np.multiply(z, z, out=z)
-        norms = np.add.reduce(z, axis=1)
-        del z
+        # the row norms as np.linalg.norm takes them
+        norms = row_sq_norms(noise_samples(o, e, agent, x, samples, seed=seed + k), samples)
         np.sqrt(norms, out=norms)
         for mult in (1.0, 2.0, 3.0):
             eps = mult * sigma
@@ -395,29 +395,37 @@ def check_noise_properties(
             bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
             record(f"moment_x{k}_p{p}", est, bound, stderr)
         del norms, vals
-        # one running sum in draw order serves every average: the sum of the
-        # first m draws, divided once by m, is bitwise the mean of the stacked
-        # draws, without holding all m of them or drawing any of them twice.
-        # Once summed, the draw just added makes room for zbar and its square
-        total = None
-        stats = {}
-        for m in range(1, max(n_avg, default=0) + 1):
-            z = noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + m - 1)
-            if total is None:
-                total = z
-            else:
-                total += z
-            if m in n_avg:
-                # the first draw is the total itself, so it gets a new array
-                sq = np.divide(total, m, out=None if z is total else z)
-                np.multiply(sq, sq, out=sq)
-                w = np.sum(sq, axis=1)
-                del sq
-                w *= m
-                w /= 96.0 * sigma_sq
-                stats[m] = capped_exp_mean(w)
-            del z
-        del total
+        # The averaging streams are read in turns, one row chunk of each at a
+        # time. One running sum in draw order serves every average: the sum
+        # of the first m draws, divided once by m, is bitwise the mean of the
+        # stacked draws, without holding all m of them or drawing any of them
+        # twice. Once summed, the draw just added makes room for zbar and its
+        # square. Only the exponents w_m outlive a chunk.
+        streams = [noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+                   for j in range(max(n_avg, default=0))]
+        w = {m: np.empty(samples) for m in n_avg}
+        lo = 0
+        while streams and lo < samples:
+            total = None
+            for m, stream in enumerate(streams, 1):
+                z = next(stream)
+                if total is None:
+                    total = z
+                else:
+                    total += z
+                if m in w:
+                    # the first draw is the total itself, so it gets a new array
+                    sq = np.divide(total, m, out=None if z is total else z)
+                    np.multiply(sq, sq, out=sq)
+                    rows = w[m][lo:lo + len(sq)]
+                    np.add.reduce(sq, axis=1, out=rows)
+                    rows *= m
+                    rows /= 96.0 * sigma_sq
+                    del sq, rows
+                del z
+            lo += len(total)
+            del total
+        stats = {m: capped_exp_mean(w.pop(m)) for m in sorted(w)}
         for m in n_avg:
             est, stderr, capped = stats[m]
             record(f"avg_mgf_x{k}_n{m}", est, 2.0 * d * math.e, stderr, capped)

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 import warnings
 from unittest import mock
@@ -141,6 +142,19 @@ def test_quadratic_optimum_is_solved_once_and_read_only():
     with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
         assert singular.optimum() is None and singular.optimum() is None
     assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_agent", "shared"])
+def test_a_pickled_quadratic_ensemble_stays_read_only(shared):
+    e = costs.make_synthetic_quadratics(4, 3, "a", seed=5)
+    if shared:
+        e = costs.QuadraticEnsemble(e.a[0], e.b)
+    e.optimum()
+    again = pickle.loads(pickle.dumps(e))
+    arrays = [again.a, again.b, again.optimum()[0]] + ([] if shared else [again._b_panel])
+    for v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0.0
 
 
 @st.composite

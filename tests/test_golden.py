@@ -1,9 +1,10 @@
-"""Golden envelopes: the sha256 of envelope.json for four tiny experiments.
+"""Golden envelopes: the sha256 of envelope.json for four tiny experiments
+and for the checks of the committed check config.
 
-Each runs gt_dsgd and dsgd with R = 3 at master seed 0, whose run seeds lie
-on both sides of 2**63 for each algorithm. Any change to the noise streams
-or to the arithmetic of a run changes these digests; such a change must
-update the pin and say so in CHANGES.md.
+Each experiment runs gt_dsgd and dsgd with R = 3 at master seed 0, whose run
+seeds lie on both sides of 2**63 for each algorithm. Any change to the noise
+streams or to the arithmetic of a run or a check changes these digests; such
+a change must update the pin and say so in CHANGES.md.
 """
 
 import hashlib
@@ -69,3 +70,18 @@ def test_envelope_digest_is_pinned(name, raw, tmp_path, monkeypatch):
     harness.emit_outputs(env, formats=("json",), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "envelope.json").read_bytes()).hexdigest()
     assert digest == PINS[name]
+
+
+# configs/check_pathwise.toml: four pathwise checks on 20 traced runs and the
+# noise Monte Carlo at 1e5 samples
+CHECKS_PIN = "1c35d578ace4a0fc8be715beb9269012363036d223f28b88fcc2d71dada9e5f0"
+
+
+def test_check_envelope_digest_is_pinned(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = harness.load_config(os.path.join(root, "configs", "check_pathwise.toml"))
+    env = harness.ResultEnvelope(config=cfg.data, fingerprint=cfg.fingerprint, series={},
+                                 run_summaries={}, check_reports=harness.run_checks(cfg))
+    harness.emit_outputs(env, formats=("json",), outdir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "envelope.json").read_bytes()).hexdigest()
+    assert digest == CHECKS_PIN

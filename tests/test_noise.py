@@ -1,12 +1,13 @@
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from gtsim import costs, datasets, noise
-from util import reference_estimate_mgf, reference_noise
+from util import all_rows, reference_estimate_mgf, reference_noise, reference_noise_samples
 
 TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
@@ -104,8 +105,8 @@ def test_noise_samples_read_the_global_gradient_only_at_positive_rho(rho, calls)
                                 seed=3, alpha=0.1)
     assert spy.call_count == calls
     if rho == 0.0:
-        assert z.tobytes() == noise.noise_samples(noise.GaussianOracle(1.5), e, 1, np.ones(2), 1000,
-                                                  seed=3).tobytes()
+        assert all_rows(z).tobytes() == all_rows(noise.noise_samples(
+            noise.GaussianOracle(1.5), e, 1, np.ones(2), 1000, seed=3)).tobytes()
 
 
 def test_calibrate_sigma_closed_form():
@@ -150,14 +151,16 @@ def test_mgf_requires_enough_samples():
         noise.estimate_mgf(noise.GaussianOracle(1.0), e, 0, np.zeros(2), 1.0, 100)
 
 
-@pytest.mark.parametrize("oracle, sigma_sq, samples, alpha, cap", [
-    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3.0, 100_000, None, None),
-    (noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0), 4.0, 50_000, 0.1, None),
-    (noise.GaussianOracle(1.0), 1.0, 20_000, None, 0.5),
-], ids=["per_agent_gaussian", "relaxed", "capped"])
-def test_mgf_estimate_matches_the_reference_bitwise(oracle, sigma_sq, samples, alpha, cap):
-    e = small_quadratic(d=3)
-    x = np.full(3, 2.0)
+@pytest.mark.parametrize("oracle, d, sigma_sq, samples, alpha, cap", [
+    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 3.0, 100_000, None, None),
+    (noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0), 3, 4.0, 50_000, 0.1, None),
+    (noise.GaussianOracle(1.0), 3, 1.0, 20_000, None, 0.5),
+    # a prime count, so no chunk size divides it
+    (noise.GaussianOracle(0.7), 1, 2.0, 100_003, None, None),
+], ids=["per_agent_gaussian", "relaxed", "capped", "d1_odd_samples"])
+def test_mgf_estimate_matches_the_reference_bitwise(oracle, d, sigma_sq, samples, alpha, cap):
+    e = small_quadratic(d=d)
+    x = np.full(d, 2.0)
     args = (oracle, e, 1, x, sigma_sq, samples)
     with mock.patch.object(noise, "_EXP_CAP", cap or noise._EXP_CAP):
         got = noise.estimate_mgf(*args, seed=6, alpha=alpha)
@@ -183,11 +186,54 @@ def test_mgf_estimate_matches_the_reference_bitwise_for_minibatches():
     assert repr(noise.estimate_mgf(*args, seed=3)) == repr(reference_estimate_mgf(*args, seed=3))
 
 
+def test_mgf_estimate_holds_its_exponents_and_one_row_chunk():
+    # per sample, the exponent and one spare for its standard deviation;
+    # besides them, the row chunk being squared, whatever d is
+    samples = 100_000
+    budget = noise.SAMPLE_CHUNK_BYTES
+    peaks = {}
+    for d in (2, 32):
+        e = small_quadratic(d=d)
+        tracemalloc.start()
+        try:
+            noise.estimate_mgf(noise.GaussianOracle(1.0), e, 0, np.zeros(d), 4.0 * d, samples, seed=2)
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[d] < 2 * samples * 8 + budget
+    assert abs(peaks[32] - peaks[2]) < budget
+
+
+@pytest.mark.parametrize("oracle, d", [(noise.GaussianOracle((0.5, 2.0, 1.0)), 1),
+                                       (noise.GaussianOracle(1.0, 0.5, 1.0), 5)])
+def test_noise_samples_chunks_stack_to_one_draw_of_the_cell(oracle, d):
+    e = small_quadratic(d=d)
+    x, count = np.ones(d), 100_003
+    args = (oracle, e, 1, x, count)
+    whole = reference_noise_samples(*args, seed=4, alpha=0.2)
+    chunks = list(noise.noise_samples(*args, seed=4, alpha=0.2))
+    assert len(chunks) > 1
+    assert all(c.nbytes <= noise.SAMPLE_CHUNK_BYTES for c in chunks)
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    # two streams read in turns, with the shared generator re-keyed between
+    # reads, draw what each draws alone
+    pair = zip(noise.noise_samples(*args, seed=4, alpha=0.2),
+               noise.noise_samples(*args, seed=5, alpha=0.2))
+    first, second = [], []
+    for a, b in pair:
+        noise.noise_block(5, 1, 2, 2, 3)
+        first.append(a)
+        second.append(b)
+    assert np.concatenate(first).tobytes() == whole.tobytes()
+    assert np.concatenate(second).tobytes() == \
+        reference_noise_samples(*args, seed=5, alpha=0.2).tobytes()
+
+
 def test_zero_mean_invariant():
     # empirical mean norm <= 4 s sqrt(d / N)
     e = small_quadratic(n=2, d=3)
     s, n_samples = 1.0, 100_000
-    z = noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(3), n_samples, seed=3)
+    z = all_rows(noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(3), n_samples, seed=3))
     assert np.linalg.norm(z.mean(axis=0)) <= 4.0 * s * math.sqrt(3.0 / n_samples)
 
 
@@ -214,7 +260,7 @@ def test_tail_bound_invariant():
     e = small_quadratic(n=2, d=d)
     sigma_sq = noise.calibrate_sigma(s, d)
     sigma = math.sqrt(sigma_sq)
-    z = noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(d), n_samples, seed=4)
+    z = all_rows(noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(d), n_samples, seed=4))
     norms = np.linalg.norm(z, axis=1)
     for mult in (1.0, 2.0, 3.0):
         eps = mult * sigma
@@ -229,7 +275,7 @@ def test_moment_bound_invariant():
     d, s, n_samples = 2, 1.0, 100_000
     e = small_quadratic(n=2, d=d)
     sigma_sq = noise.calibrate_sigma(s, d)
-    z = noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(d), n_samples, seed=5)
+    z = all_rows(noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(d), n_samples, seed=5))
     norms_sq = np.sum(z * z, axis=1)
     for p in (1, 2, 3):
         vals = norms_sq ** p
@@ -246,7 +292,8 @@ def test_averaged_noise_mgf_invariant():
     for m in (4, 16):
         acc = np.zeros((n_samples, d))
         for j in range(m):
-            acc += noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(d), n_samples, seed=100 + j)
+            acc += all_rows(noise.noise_samples(noise.GaussianOracle(s), e, 0, np.zeros(d), n_samples,
+                                                seed=100 + j))
         zbar = acc / m
         w = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
         vals = np.exp(np.minimum(w, 700.0))
@@ -291,9 +338,9 @@ def test_interleaved_draws_do_not_disturb_noise_blocks():
     first = noise.noise_block(5, 1, 2, 2, 3)
     second = noise.noise_block(5, 1, 3, 2, 3)
     assert np.array_equal(noise.noise_block(5, 1, 2, 2, 3), first)
-    noise.noise_samples(noise.GaussianOracle(1.0), e, 0, np.zeros(3), 50, seed=9)
+    all_rows(noise.noise_samples(noise.GaussianOracle(1.0), e, 0, np.zeros(3), 50, seed=9))
     assert np.array_equal(noise.noise_block(5, 1, 3, 2, 3), second)
-    noise.noise_samples(noise.GaussianOracle(1.0), e, 1, np.zeros(3), 50, seed=9)
+    all_rows(noise.noise_samples(noise.GaussianOracle(1.0), e, 1, np.zeros(3), 50, seed=9))
     assert np.array_equal(noise.noise_block(5, 1, 2, 2, 3), first)
 
 

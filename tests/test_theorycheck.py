@@ -303,15 +303,17 @@ def assert_noise_reports_identical(got, ref):
     assert got.instances == ref.instances
 
 
-@pytest.mark.parametrize("oracle, d, points, n_avg, agent", [
-    (noise.GaussianOracle(1.0), 1, 1, (4, 16), 0),
-    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 2, (1, 3, 16), 1),
-    (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 1, (2,), 2),
-], ids=["gaussian_d1", "per_agent_d3_two_points", "relaxed_d17"])
-def test_noise_properties_match_the_reference_bitwise(oracle, d, points, n_avg, agent):
+@pytest.mark.parametrize("oracle, d, points, n_avg, agent, samples", [
+    (noise.GaussianOracle(1.0), 1, 1, (4, 16), 0, 100_000),
+    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 2, (1, 3, 16), 1, 100_000),
+    (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 1, (2,), 2, 100_000),
+    # a prime count, so no chunk size divides it
+    (noise.GaussianOracle(0.7), 1, 1, (4, 16), 0, 100_003),
+], ids=["gaussian_d1", "per_agent_d3_two_points", "relaxed_d17", "d1_odd_samples"])
+def test_noise_properties_match_the_reference_bitwise(oracle, d, points, n_avg, agent, samples):
     e = _ring3_quadratic(d)
     xs = [np.full(d, float(k)) for k in range(points)]
-    args = dict(samples=100_000, seed=5, n_avg=n_avg, agent=agent)
+    args = dict(samples=samples, seed=5, n_avg=n_avg, agent=agent)
     assert_noise_reports_identical(tc.check_noise_properties(oracle, e, xs, **args),
                                    reference_check_noise_properties(oracle, e, xs, **args))
 
@@ -356,17 +358,24 @@ def test_capped_averages_above_their_bound_are_violations():
         assert rep.worst_slack <= entry["bound"] - entry["estimate"]
 
 
-def test_noise_check_holds_two_draw_sized_arrays():
-    samples, d = 100_000, 4
-    e = _ring3_quadratic(d)
-    tracemalloc.start()
-    try:
-        tc.check_noise_properties(noise.GaussianOracle(0.5), e, [np.zeros(d)], samples=samples, seed=7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the running total and the draw being added, plus a few per-sample scalars
-    assert peak <= 2 * samples * d * 8 + 3 * samples * 8
+def test_noise_check_holds_per_sample_scalars_and_two_row_chunks():
+    # per sample, the norms and two of their powers, or one exponent per
+    # average and one spare; besides them, the running sum and the draw being
+    # added, each a row chunk, whatever d is
+    samples, n_avg = 100_000, (4, 16)
+    budget = 2 * noise.SAMPLE_CHUNK_BYTES
+    peaks = {}
+    for d in (2, 32):
+        e = _ring3_quadratic(d)
+        tracemalloc.start()
+        try:
+            tc.check_noise_properties(noise.GaussianOracle(0.5), e, [np.zeros(d)], samples=samples,
+                                      seed=7, n_avg=n_avg)
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[d] < (2 + len(n_avg)) * samples * 8 + budget
+    assert abs(peaks[32] - peaks[2]) < budget
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,12 @@ def reference_generator(seed, stream, run, t):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def all_rows(chunks):
+    """The rows of a stream of row chunks, as ``noise.noise_samples`` gives
+    them, stacked into one array."""
+    return np.concatenate(list(chunks))
+
+
 def reference_noise(seed, run, t, n, d):
     """Iteration t's (n, d) rows of its chunk's draw, keyed at the chunk start t0."""
     t0 = t - (t - 1) % NOISE_CHUNK
@@ -382,7 +388,8 @@ def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
     details = {}
     for k, x in enumerate(xs):
         for m in n_avg:
-            draws = np.stack([noise.noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+            draws = np.stack([all_rows(noise.noise_samples(o, e, agent, x, samples,
+                                                           seed=seed + 1000 + 17 * k + j))
                               for j in range(m)])
             zbar = draws.mean(axis=0)
             wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
@@ -403,7 +410,7 @@ def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
 # patch noise._EXP_CAP.
 # ---------------------------------------------------------------------------
 
-def _reference_noise_samples(o, e, i, x, count, seed=0, alpha=None):
+def reference_noise_samples(o, e, i, x, count, seed=0, alpha=None):
     x = np.asarray(x, dtype=float)
     if o.kind == "gaussian" and o.rho == 0.0:
         return o.s_vector(e.n)[i] * noise._generator(seed, 2, i, 0).standard_normal((count, e.d))
@@ -461,7 +468,7 @@ def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4
             violations.append(label)
 
     for k, x in enumerate(xs):
-        z = _reference_noise_samples(o, e, agent, x, samples, seed=seed + k)
+        z = reference_noise_samples(o, e, agent, x, samples, seed=seed + k)
         norms = np.linalg.norm(z, axis=1)
         for mult in (1.0, 2.0, 3.0):
             eps = mult * sigma
@@ -478,7 +485,7 @@ def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4
         total = None
         stats = {}
         for j in range(max(n_avg, default=0)):
-            z = _reference_noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
+            z = reference_noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
             if total is None:
                 total = z
             else:
@@ -504,7 +511,7 @@ def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4
 
 
 def reference_estimate_mgf(o, e, i, x, sigma_sq, samples, seed=0, alpha=None):
-    z = _reference_noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha)
+    z = reference_noise_samples(o, e, i, x, samples, seed=seed, alpha=alpha)
     value, stderr, capped = _reference_capped_exp_mean(np.sum(z * z, axis=1) / sigma_sq)
     return noise.MgfEstimate(value=value, stderr=stderr, capped=capped, samples=samples)
 
