@@ -47,8 +47,7 @@ for rep in reports:
 
 print("\nnoise side: tail, even-moment, and averaged-MGF bounds at 3 standard errors")
 e16 = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 16), np.zeros((16, 2)))
-rep = tc.check_noise_properties(noise.GaussianOracle(1.0), e16, [np.zeros(2)],
-                                samples=100_000, seed=0)
+rep = tc.check_noise_properties(noise.GaussianOracle(1.0), e16, samples=100_000, seed=0)
 print(f"  {rep.summary()}")
 worst = min(rep.details, key=lambda k: rep.details[k]["bound"] - rep.details[k]["estimate"])
 d = rep.details[worst]

@@ -250,7 +250,7 @@ def _joined(pieces: list) -> np.ndarray:
     return out
 
 
-def _parse(chunks, d):
+def _parse(chunks):
     """The dataset of ``chunks``: UTF-8 bytes of whole lines, each ended by a
     ``\\n``, that together hold the source in order."""
     columns = ([], [], [], [])  # labels, pair counts, indices, values
@@ -265,11 +265,7 @@ def _parse(chunks, d):
         line_no += buf.count(b"\n")
     labels, counts, indices, values = map(_joined, columns)
     indptr = _offsets(counts)
-    max_idx = int(indices.max()) + 1 if len(indices) else 0
-    if d is None:
-        d = max_idx
-    elif d < max_idx:
-        raise ParseError(0, f"d override {d} smaller than max feature index {max_idx}")
+    d = int(indices.max()) + 1 if len(indices) else 0
     return LabeledDataset(labels, indptr, indices, values, d)
 
 
@@ -285,7 +281,7 @@ def _text_chunks(lines):
             return
 
 
-def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
+def parse_libsvm(source) -> LabeledDataset:
     """Parse LIBSVM text (a string or an iterable of lines).
 
     A string splits into lines at universal newlines, as a text-mode file
@@ -293,19 +289,19 @@ def parse_libsvm(source, d: int | None = None) -> LabeledDataset:
     ignored. The lines are read in chunks of ``_CHUNK_ROWS``, and numpy
     tokenizes and converts each chunk's bytes as arrays. Malformed pairs,
     non-numeric or non-finite values, and non-increasing indices raise
-    :class:`ParseError` with the number of the first offending line. ``d``
-    overrides the inferred feature dimension (must cover every index seen).
+    :class:`ParseError` with the number of the first offending line. The
+    feature dimension is the largest index seen.
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    return _parse(_text_chunks(source), d)
+    return _parse(_text_chunks(source))
 
 
-def load_libsvm(path, d: int | None = None) -> LabeledDataset:
+def load_libsvm(path) -> LabeledDataset:
     """Parse the LIBSVM file at ``path``, UTF-8 text with universal newlines,
     holding one chunk of its lines at a time."""
     with open(path, encoding="utf-8") as fh:
-        return parse_libsvm(fh, d=d)
+        return parse_libsvm(fh)
 
 
 def to_text(ds: LabeledDataset) -> str:
@@ -343,11 +339,11 @@ def maxabs_scale(ds: LabeledDataset) -> LabeledDataset:
     return LabeledDataset(ds.labels, ds.indptr, ds.indices, ds.values / scale[ds.indices], ds.d)
 
 
-def to_logistic_ensemble(parts, eta: float = 0.0, d: int | None = None) -> LogisticEnsemble:
+def to_logistic_ensemble(parts, eta: float = 0.0) -> LogisticEnsemble:
     """Densify per-agent datasets into a logistic cost ensemble: each part's
-    entries are scattered into its rows of the pooled (m, d) features it keeps."""
-    if d is None:
-        d = max(p.d for p in parts)
+    entries are scattered into its rows of the pooled (m, d) features it
+    keeps, d the largest of the parts' dimensions."""
+    d = max(p.d for p in parts)
     sizes = [p.m for p in parts]
     h = np.zeros((sum(sizes), d))
     start = 0

@@ -614,10 +614,8 @@ def run_checks(cfg: ExperimentConfig) -> list:
 
     if chk["noise"]:
         reports.append(
-            theorycheck.check_noise_properties(
-                run_cfg.oracle, e, [np.zeros(e.d)], samples=chk["noise_samples"],
-                seed=int(exp["master_seed"]),
-            )
+            theorycheck.check_noise_properties(run_cfg.oracle, e, chk["noise_samples"],
+                                               int(exp["master_seed"]))
         )
     return reports
 

@@ -23,7 +23,6 @@ __all__ = [
     "transient_time_pl",
     "TailFit",
     "tail_decay_fit",
-    "default_fit_window",
 ]
 
 
@@ -161,18 +160,15 @@ def default_fit_window(series: MetricSeries) -> tuple:
     return (t_lo, max(t_hi, t_lo))
 
 
-def tail_decay_fit(series: MetricSeries, window: tuple | None = None) -> TailFit:
-    """Least squares of log(values) against t on a window.
+def tail_decay_fit(series: MetricSeries) -> TailFit:
+    """Least squares of log(values) against t on the window of
+    :func:`default_fit_window`.
 
     Zeros at the end of the window are trimmed (a tail probability hitting
     the resolution floor carries no slope information); fewer than 5 positive
     points is an error.
     """
-    if window is None:
-        window = default_fit_window(series)
-    t_lo, t_hi = window
-    t_lo = max(1, int(t_lo))
-    t_hi = min(series.T, int(t_hi))
+    t_lo, t_hi = default_fit_window(series)
     v = series.values[t_lo - 1:t_hi]
     t = np.arange(t_lo, t_hi + 1, dtype=float)
     trimmed = False

@@ -19,6 +19,7 @@ read in row chunks.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -53,6 +54,10 @@ SAMPLE_CHUNK_BYTES = 1 << 18
 
 class OracleError(ValueError):
     """Invalid oracle configuration or sampling request."""
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -335,7 +340,12 @@ def noise_samples(
     are read. The stream runs on across chunks, so the chunks stacked are
     bitwise one (count, d) draw of that cell, and any number of streams may
     be read in turns. Two draws of one count and d split at the same rows.
+    ``count`` must be an integer and ``i`` an agent index in [0, n).
     """
+    if not _is_count(count):
+        raise OracleError(f"count must be an integer, got {count!r}")
+    if not _is_count(i) or not 0 <= i < e.n:
+        raise OracleError(f"agent index i must lie in [0, {e.n}), got {i!r}")
     x = np.asarray(x, dtype=float)
     gen = _own_generator(seed, 2, i, 0)
     rows = max(1, SAMPLE_CHUNK_BYTES // (8 * e.d))  # one row where a row alone is larger

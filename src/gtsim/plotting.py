@@ -71,9 +71,9 @@ def _unit(lo: float, hi: float):
     return lambda v: (v * 0.5 - lo) / (hi - lo)
 
 
-def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
-                      ylabel: str = "value", log_y: bool = False) -> str:
-    """Render named (x, y) arrays as one SVG document string.
+def render_line_chart(series: dict, title: str, ylabel: str = "value", log_y: bool = False) -> str:
+    """Render named (x, y) arrays as one SVG document string, x labelled
+    "iteration".
 
     ``series`` maps a legend label to a pair of equal-length sequences.
     Non-finite points, and with ``log_y`` non-positive points, are left out
@@ -154,7 +154,7 @@ def render_line_chart(series: dict, title: str, xlabel: str = "iteration",
         )
     out.append(
         f'<text x="{_MARGIN_L + plot_w // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="12">iteration</text>'
     )
     out.append(
         f'<text x="18" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" font-family="sans-serif" '

@@ -14,12 +14,11 @@ once, with the same floating-point operations per run in any block.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import calibrate_sigma, capped_exp_mean, noise_samples, row_sq_norms
+from .noise import calibrate_sigma, capped_exp_mean, _is_count, noise_samples, row_sq_norms
 
 __all__ = [
     "SLACK_TOL",
@@ -302,29 +301,22 @@ def check_tracker_recursion(rec, w, e) -> CheckReport:
     return _report("tracker_recursion", rhs - y_gap[:, 1:], rec.run_id, 1)
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+# the widths m of the averaged MGF checks
+_AVG_WIDTHS = (4, 16)
 
 
-def check_noise_properties(
-    o,
-    e,
-    xs,
-    samples: int = 100_000,
-    seed: int = 0,
-    n_avg=(4, 16),
-    agent: int = 0,
-) -> CheckReport:
+def check_noise_properties(o, e, samples: int, seed: int) -> CheckReport:
     """Monte-Carlo noise checks against the closed-form sub-Gaussian bounds.
 
-    At each grid point x (plain-Gaussian noise, so the point only matters for
-    dataset-backed oracles):
+    At rho = 0 a Gaussian draw does not depend on the point, and every bound
+    scales with the agent's noise scale s, so one draw set, from the agent
+    with the largest s, tests them all:
 
     - tail:    P(||Z|| > eps) <= 2 exp(-eps^2 / (2 sigma^2)) at eps = sigma, 2 sigma, 3 sigma
     - moment:  E ||Z||^(2p)   <= (2p)^(p+1) sigma^(2p) for p = 1, 2, 3
-    - average: E exp(m ||zbar||^2 / (96 sigma^2)) <= 2 d e for m in ``n_avg``
+    - average: E exp(m ||zbar||^2 / (96 sigma^2)) <= 2 d e for m = 4, 16
 
-    sigma^2 is the calibrated parameter of the agent's noise. Every sub-check
+    sigma^2 is the calibrated parameter of that agent's noise. Every sub-check
     passes if the estimate stays within three standard errors of its bound,
     except an average whose exponents were capped (its details count them),
     which must stay within the bound itself; margins are recorded in the
@@ -332,34 +324,28 @@ def check_noise_properties(
 
     The draws are read in row chunks (see ``noise.noise_samples``), so the
     check holds, besides a few row chunks, only per-sample scalars: the row
-    norms and their powers, then one exponent per sample for each m in
-    ``n_avg``. Every mean and standard deviation runs over a whole per-sample
-    vector, so the reports are bitwise those of whole draws.
+    norms and their powers, then one exponent per sample for each width.
+    Every mean and standard deviation runs over a whole per-sample vector, so
+    the reports are bitwise those of whole draws.
     """
     if not _is_count(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 100_000:
         raise ValueError("noise property checks need at least 1e5 samples")
-    if not _is_count(agent) or not 0 <= agent < e.n:
-        raise ValueError(f"agent must be an agent index in [0, {e.n}), got {agent!r}")
-    n_avg = tuple(n_avg)
-    if not all(_is_count(m) and m >= 1 for m in n_avg):
-        raise ValueError(f"n_avg must hold positive integers, got {n_avg!r}")
-    xs = list(xs)
-    if not xs:
-        raise ValueError("xs must hold at least one grid point")
     if o.kind == "minibatch":
         raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
     if o.rho != 0.0:
         raise ValueError("closed-form comparisons require the rho = 0 flavor")
-    s = float(o.s_vector(e.n)[agent])
+    s = o.s_vector(e.n)
+    agent = int(np.argmax(s))
     d = e.d
-    sigma_sq = calibrate_sigma(s, d)
+    sigma_sq = calibrate_sigma(float(s[agent]), d)
     if sigma_sq == 0.0:
         # noiseless: every bound holds with slack equal to the bound itself
         return CheckReport("noise_properties", 1, 2.0, [], deterministic=False,
                            details={"noiseless": True})
     sigma = math.sqrt(sigma_sq)
+    x = np.zeros(d)
 
     worst = math.inf
     violations = []
@@ -378,57 +364,54 @@ def check_noise_properties(
         if slack < 0:
             violations.append(label)
 
-    for k, x in enumerate(xs):
-        # the row norms as np.linalg.norm takes them
-        norms = row_sq_norms(noise_samples(o, e, agent, x, samples, seed=seed + k), samples)
-        np.sqrt(norms, out=norms)
-        for mult in (1.0, 2.0, 3.0):
-            eps = mult * sigma
-            p_hat = float(np.mean(norms > eps))
-            stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / samples) / samples)
-            bound = min(1.0, 2.0 * math.exp(-eps * eps / (2.0 * sigma_sq)))
-            record(f"tail_x{k}_eps{mult:g}sigma", p_hat, bound, stderr)
-        for p in (1, 2, 3):
-            vals = norms ** (2 * p)
-            est = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-            bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
-            record(f"moment_x{k}_p{p}", est, bound, stderr)
-        del norms, vals
-        # The averaging streams are read in turns, one row chunk of each at a
-        # time. One running sum in draw order serves every average: the sum
-        # of the first m draws, divided once by m, is bitwise the mean of the
-        # stacked draws, without holding all m of them or drawing any of them
-        # twice. Once summed, the draw just added makes room for zbar and its
-        # square. Only the exponents w_m outlive a chunk.
-        streams = [noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
-                   for j in range(max(n_avg, default=0))]
-        w = {m: np.empty(samples) for m in n_avg}
-        lo = 0
-        while streams and lo < samples:
-            total = None
-            for m, stream in enumerate(streams, 1):
-                z = next(stream)
-                if total is None:
-                    total = z
-                else:
-                    total += z
-                if m in w:
-                    # the first draw is the total itself, so it gets a new array
-                    sq = np.divide(total, m, out=None if z is total else z)
-                    np.multiply(sq, sq, out=sq)
-                    rows = w[m][lo:lo + len(sq)]
-                    np.add.reduce(sq, axis=1, out=rows)
-                    rows *= m
-                    rows /= 96.0 * sigma_sq
-                    del sq, rows
-                del z
-            lo += len(total)
-            del total
-        stats = {m: capped_exp_mean(w.pop(m)) for m in sorted(w)}
-        for m in n_avg:
-            est, stderr, capped = stats[m]
-            record(f"avg_mgf_x{k}_n{m}", est, 2.0 * d * math.e, stderr, capped)
+    # the row norms as np.linalg.norm takes them
+    norms = row_sq_norms(noise_samples(o, e, agent, x, samples, seed=seed), samples)
+    np.sqrt(norms, out=norms)
+    for mult in (1.0, 2.0, 3.0):
+        eps = mult * sigma
+        p_hat = float(np.mean(norms > eps))
+        stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / samples) / samples)
+        bound = min(1.0, 2.0 * math.exp(-eps * eps / (2.0 * sigma_sq)))
+        record(f"tail_eps{mult:g}sigma", p_hat, bound, stderr)
+    for p in (1, 2, 3):
+        vals = norms ** (2 * p)
+        est = float(vals.mean())
+        stderr = float(vals.std(ddof=1) / math.sqrt(samples))
+        bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
+        record(f"moment_p{p}", est, bound, stderr)
+    del norms, vals
+    # The averaging streams are read in turns, one row chunk of each at a
+    # time. One running sum in draw order serves every average: the sum of
+    # the first m draws, divided once by m, is bitwise the mean of the
+    # stacked draws, without holding all m of them or drawing any of them
+    # twice. Once summed, the draw just added makes room for zbar and its
+    # square. Only the exponents w_m outlive a chunk.
+    streams = [noise_samples(o, e, agent, x, samples, seed=seed + 1000 + j)
+               for j in range(max(_AVG_WIDTHS))]
+    w = {m: np.empty(samples) for m in _AVG_WIDTHS}
+    lo = 0
+    while lo < samples:
+        total = None
+        for m, stream in enumerate(streams, 1):
+            z = next(stream)
+            if total is None:
+                total = z
+            else:
+                total += z
+            if m in w:
+                sq = np.divide(total, m, out=z)
+                np.multiply(sq, sq, out=sq)
+                rows = w[m][lo:lo + len(sq)]
+                np.add.reduce(sq, axis=1, out=rows)
+                rows *= m
+                rows /= 96.0 * sigma_sq
+                del sq, rows
+            del z
+        lo += len(total)
+        del total
+    for m in _AVG_WIDTHS:
+        est, stderr, capped = capped_exp_mean(w.pop(m))
+        record(f"avg_mgf_n{m}", est, 2.0 * d * math.e, stderr, capped)
 
     return CheckReport(
         "noise_properties",

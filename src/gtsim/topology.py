@@ -33,6 +33,9 @@ __all__ = [
 STOCHASTIC_ATOL = 1e-12
 SPECTRAL_ATOL = 1e-10
 _ER_RESAMPLE_CAP = 1000
+# ER tuning: connected graphs sampled per probe, and bisection steps
+_TUNE_SAMPLES = 16
+_TUNE_STEPS = 40
 
 
 class GraphError(ValueError):
@@ -96,21 +99,26 @@ class MixingMatrix:
     w: np.ndarray
     lam: float
 
-    def validate(self, atol: float = STOCHASTIC_ATOL) -> None:
-        """Raise if row/column sums or symmetry drift beyond ``atol``."""
-        w = self.w
-        if w.shape != (self.n, self.n):
+    def validate(self) -> None:
+        """Raise unless w is n x n, doubly stochastic and symmetric."""
+        if self.w.shape != (self.n, self.n):
             raise GraphError("matrix shape does not match n")
-        row_dev = np.max(np.abs(w.sum(axis=1) - 1.0))
-        col_dev = np.max(np.abs(w.sum(axis=0) - 1.0))
-        sym_dev = np.max(np.abs(w - w.T))
-        if row_dev > atol or col_dev > atol:
-            raise GraphError(
-                f"matrix is not doubly stochastic (row dev {row_dev:.3e}, "
-                f"col dev {col_dev:.3e})"
-            )
-        if sym_dev > atol:
-            raise GraphError(f"matrix is not symmetric (dev {sym_dev:.3e})")
+        _check_mixing(self.w)
+
+
+def _check_mixing(w) -> None:
+    """Raise unless the square matrix w is doubly stochastic and symmetric:
+    row sums, column sums and w - w^T within ``STOCHASTIC_ATOL``."""
+    row_dev = np.max(np.abs(w.sum(axis=1) - 1.0))
+    col_dev = np.max(np.abs(w.sum(axis=0) - 1.0))
+    if row_dev > STOCHASTIC_ATOL or col_dev > STOCHASTIC_ATOL:
+        raise GraphError(
+            f"matrix is not doubly stochastic (row dev {row_dev:.3e}, "
+            f"col dev {col_dev:.3e})"
+        )
+    sym_dev = np.max(np.abs(w - w.T))
+    if sym_dev > STOCHASTIC_ATOL:
+        raise GraphError(f"matrix is not symmetric (dev {sym_dev:.3e})")
 
 
 def _ring_edges(n: int):
@@ -207,13 +215,7 @@ def spectral_gap(w) -> float:
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise GraphError("weight matrix must be square")
-    row_dev = np.max(np.abs(mat.sum(axis=1) - 1.0))
-    col_dev = np.max(np.abs(mat.sum(axis=0) - 1.0))
-    if row_dev > STOCHASTIC_ATOL or col_dev > STOCHASTIC_ATOL:
-        raise GraphError("weight matrix is not doubly stochastic")
-    sym_dev = np.max(np.abs(mat - mat.T))
-    if sym_dev > STOCHASTIC_ATOL:
-        raise GraphError(f"weight matrix is not symmetric (dev {sym_dev:.3e})")
+    _check_mixing(mat)
     return float(_symmetric_gap(mat - np.full((n, n), 1.0 / n)))
 
 
@@ -229,11 +231,11 @@ class TuneResult:
     lambda_range: tuple  # (min, max) of probe means, the reachable band seen
 
 
-def _probe_er(n, p, seed, step, samples):
-    """Sample ``samples`` connected ER graphs at probability p as one stack:
-    return their (samples, n, n) adjacency matrices and (samples,) gaps."""
+def _probe_er(n, p, seed, step):
+    """Sample the probe's connected ER graphs at probability p as one stack:
+    return their (S, n, n) adjacency matrices and (S,) gaps, S = _TUNE_SAMPLES."""
     subs = [int(np.random.SeedSequence((seed, step, k)).generate_state(1)[0])
-            for k in range(samples)]
+            for k in range(_TUNE_SAMPLES)]
     upper = np.stack([_er_draw(n, p, sub, 0) for sub in subs])
     adj = upper | upper.swapaxes(-1, -2)
     # a disconnected first attempt resamples exactly as generate_graph does
@@ -242,21 +244,14 @@ def _probe_er(n, p, seed, step, samples):
     return adj, _symmetric_gap(_mh_weights(adj) - 1.0 / n)
 
 
-def tune_er_probability(
-    n: int,
-    target_lambda: float,
-    tol: float,
-    seed: int = 0,
-    samples_per_probe: int = 16,
-    max_steps: int = 40,
-) -> TuneResult:
+def tune_er_probability(n: int, target_lambda: float, tol: float, seed: int = 0) -> TuneResult:
     """Bisect the ER edge probability so the mean spectral gap hits a target.
 
-    Each probe averages the gap over ``samples_per_probe`` sampled connected
-    graphs. Returns a concrete graph/matrix whose gap is within ``tol`` of the
-    target, or the closest one achieved after ``max_steps`` bisection steps
-    (``converged`` is False in that case and ``lambda_range`` reports the band
-    of probe means actually seen).
+    Each probe averages the gap over 16 sampled connected graphs. Returns a
+    concrete graph/matrix whose gap is within ``tol`` of the target, or the
+    closest one achieved after 40 bisection steps (``converged`` is False in
+    that case and ``lambda_range`` reports the band of probe means actually
+    seen).
     """
     if not (0.0 < target_lambda < 1.0):
         raise GraphError("target_lambda must lie in (0, 1)")
@@ -266,10 +261,6 @@ def tune_er_probability(
         raise GraphError("tuning needs at least 2 agents")
     if seed < 0:
         raise GraphError("seed must be >= 0")
-    if samples_per_probe < 1:
-        raise GraphError("samples_per_probe must be >= 1")
-    if max_steps < 0:
-        raise GraphError("max_steps must be >= 0")
 
     # Below ln(n)/n connected samples become too rare for reject-and-resample.
     p_lo = min(0.95, max(math.log(max(n, 2)) / n, 1.0 / (n - 1)))
@@ -280,7 +271,7 @@ def tune_er_probability(
 
     def probe(p, step):
         nonlocal best
-        adj, lams = _probe_er(n, p, seed, step, samples_per_probe)
+        adj, lams = _probe_er(n, p, seed, step)
         gaps = np.abs(lams - target_lambda)
         k = int(np.argmin(gaps))  # the first closest, as a scan in draw order keeps
         if best is None or gaps[k] < best[0]:
@@ -291,7 +282,7 @@ def tune_er_probability(
     probe(p_lo, 0)
     probe(p_hi, 1)
     lo, hi = p_lo, p_hi
-    for step in range(2, max_steps + 2):
+    for step in range(2, _TUNE_STEPS + 2):
         mid = 0.5 * (lo + hi)
         mean_mid = probe(mid, step)
         if best[0] <= tol and abs(mean_mid - target_lambda) <= tol:

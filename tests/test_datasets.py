@@ -78,7 +78,7 @@ def test_bad_label_rejected():
 
 def test_roundtrip_through_canonical_text():
     ds = datasets.parse_libsvm(FIXTURE)
-    again = datasets.parse_libsvm(datasets.to_text(ds), d=ds.d)
+    again = datasets.parse_libsvm(datasets.to_text(ds))
     assert again.rows == ds.rows
     assert again.d == ds.d
 
@@ -296,9 +296,9 @@ def libsvm_texts(draw, straddle=True):
     return text if draw(st.booleans()) else text[:-len(breaks[-1])]
 
 
-def _outcome(parse, text, d, as_file):
+def _outcome(parse, text, as_file):
     try:
-        return parse(io.StringIO(text) if as_file else text, d=d)
+        return parse(io.StringIO(text) if as_file else text)
     except datasets.ParseError as exc:
         return exc
 
@@ -317,15 +317,15 @@ def _bits(values):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=libsvm_texts(), d=st.one_of(st.none(), st.integers(0, 42)), as_file=st.booleans(),
-       n=st.integers(1, 6), seed=st.integers(0, 99), eta=st.sampled_from([0.0, 0.1]))
-def test_arrays_match_the_reference_loops(text, d, as_file, n, seed, eta):
-    got = _outcome(datasets.parse_libsvm, text, d, as_file)
-    ref = _outcome(util.reference_parse_libsvm, text, d, as_file)
+@given(text=libsvm_texts(), as_file=st.booleans(), n=st.integers(1, 6), seed=st.integers(0, 99),
+       eta=st.sampled_from([0.0, 0.1]))
+def test_arrays_match_the_reference_loops(text, as_file, n, seed, eta):
+    got = _outcome(datasets.parse_libsvm, text, as_file)
+    ref = _outcome(util.reference_parse_libsvm, text, as_file)
     ref_line = ref.line_no if isinstance(ref, datasets.ParseError) else None
     non_finite = [no for no, line in enumerate(text.splitlines(), start=1)
                   if _non_finite_line(line)]
-    if non_finite and (ref_line in (None, 0) or non_finite[0] < ref_line):
+    if non_finite and (ref_line is None or non_finite[0] < ref_line):
         # the one difference in what is accepted: non-finite values
         assert isinstance(got, datasets.ParseError)
         assert got.line_no == non_finite[0] and "non-finite feature value" in str(got)
@@ -376,9 +376,9 @@ def _same_outcome(got, ref):
 def test_chunked_parse_matches_one_chunk(text, chunk, as_file):
     # at most 10 rows: one chunk at the default size, several at the patched
     # one (filler rows at chunks of 1 to 4 lines would cost seconds per text)
-    whole = _outcome(datasets.parse_libsvm, text, None, as_file)
+    whole = _outcome(datasets.parse_libsvm, text, as_file)
     with mock.patch.object(datasets, "_CHUNK_ROWS", chunk):
-        _same_outcome(_outcome(datasets.parse_libsvm, text, None, as_file), whole)
+        _same_outcome(_outcome(datasets.parse_libsvm, text, as_file), whole)
 
 
 GOOD_ROWS = [f"{'+1' if r % 3 else '-1'} {r % 5 + 1}:{r}.5 {r % 5 + 7}:-0.25" for r in range(12)]

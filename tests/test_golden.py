@@ -74,7 +74,7 @@ def test_envelope_digest_is_pinned(name, raw, tmp_path, monkeypatch):
 
 # configs/check_pathwise.toml: four pathwise checks on 20 traced runs and the
 # noise Monte Carlo at 1e5 samples
-CHECKS_PIN = "1c35d578ace4a0fc8be715beb9269012363036d223f28b88fcc2d71dada9e5f0"
+CHECKS_PIN = "14f15b6cd8c170e01ef2a90c2027488a2f13efd3c382295775a7dbac86f37ce7"
 
 
 def test_check_envelope_digest_is_pinned(tmp_path):

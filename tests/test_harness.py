@@ -732,6 +732,18 @@ def test_run_checks_from_committed_config():
     assert all(r.passed for r in reports)
 
 
+def test_noise_check_reads_the_noisiest_agent():
+    # agent 0 is noiseless; the check must still draw, from agent 2
+    cfg = harness.load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "check_pathwise.toml"))
+    data = dict(cfg.data, oracle=dict(cfg.data["oracle"], s=[0.0, 1.0, 5.0]))
+    data["checks"] = dict(data["checks"], descent=False, descent_pl=False, consensus=False,
+                          tracker=False, noise=True)
+    [report] = harness.run_checks(harness.ExperimentConfig(data=data))
+    assert report.name == "noise_properties" and report.passed
+    assert "noiseless" not in report.details
+    assert report.details["moment_p1"]["bound"] == 4.0 * noise.calibrate_sigma(5.0, 4)
+
+
 def test_committed_experiment_configs_validate():
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in sorted(os.listdir(root)):

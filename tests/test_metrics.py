@@ -148,30 +148,34 @@ def test_transient_time_pl_values():
 def test_tail_fit_exact_exponential():
     t = np.arange(1, 201)
     series = metrics.MetricSeries("tail", np.exp(-0.01 * t), meta={"floor": 0.0})
-    fit = metrics.tail_decay_fit(series, window=(1, 200))
+    fit = metrics.tail_decay_fit(series)
+    assert fit.window == (11, 200)  # from the first point below 0.9
     assert fit.slope == pytest.approx(-0.01, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
 
 
 def test_tail_fit_constant_series():
     series = metrics.MetricSeries("tail", np.full(50, 0.25), meta={"floor": 0.0})
-    fit = metrics.tail_decay_fit(series, window=(1, 50))
+    fit = metrics.tail_decay_fit(series)
+    assert fit.window == (1, 50)
     assert fit.slope == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tail_fit_trims_zeros():
-    vals = np.concatenate([np.exp(-0.05 * np.arange(1, 41)), np.zeros(10)])
-    series = metrics.MetricSeries("tail", vals, meta={"floor": 0.0})
-    fit = metrics.tail_decay_fit(series, window=(1, 50))
+    # the first point below 0.9 is already at the floor, so the window runs to
+    # T and the fit stops at the first zero
+    vals = np.concatenate([np.ones(3), 0.05 * np.exp(-0.05 * np.arange(40)), np.zeros(10)])
+    series = metrics.MetricSeries("tail", vals, meta={"floor": 0.05})
+    fit = metrics.tail_decay_fit(series)
     assert fit.trimmed
-    assert fit.window == (1, 40)
+    assert fit.window == (4, 43)
     assert fit.slope == pytest.approx(-0.05, abs=1e-10)
 
 
 def test_tail_fit_insufficient_data():
     series = metrics.MetricSeries("tail", np.array([0.5, 0.4, 0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="insufficient"):
-        metrics.tail_decay_fit(series, window=(1, 6))
+        metrics.tail_decay_fit(series)
 
 
 def test_default_fit_window():

@@ -151,6 +151,18 @@ def test_mgf_requires_enough_samples():
         noise.estimate_mgf(noise.GaussianOracle(1.0), e, 0, np.zeros(2), 1.0, 100)
 
 
+@pytest.mark.parametrize("i, samples, argument", [
+    (0, 1e5, "count must be an integer"),
+    (3, 100_000, r"agent index i must lie in \[0, 3\)"),
+    (-1, 100_000, r"agent index i must lie in \[0, 3\)"),
+], ids=["float_samples", "agent_past_the_last", "negative_agent"])
+def test_mgf_rejects_bad_arguments_by_name(i, samples, argument):
+    # noise_samples checks both, for estimate_mgf as for any caller
+    e = small_quadratic()
+    with pytest.raises(noise.OracleError, match=argument):
+        noise.estimate_mgf(noise.GaussianOracle(1.0), e, i, np.zeros(2), 1.0, samples)
+
+
 @pytest.mark.parametrize("oracle, d, sigma_sq, samples, alpha, cap", [
     (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 3.0, 100_000, None, None),
     (noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0), 3, 4.0, 50_000, 0.1, None),

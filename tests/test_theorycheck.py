@@ -216,7 +216,7 @@ def test_checks_are_reproducible():
 def test_noise_properties_gaussian():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 16), np.zeros((16, 2)))
     o = noise.GaussianOracle(1.0)
-    rep = tc.check_noise_properties(o, e, [np.zeros(2)], samples=100_000, seed=0)
+    rep = tc.check_noise_properties(o, e, samples=100_000, seed=0)
     assert rep.passed
     assert not rep.deterministic
     assert any(k.startswith("tail") for k in rep.details)
@@ -229,29 +229,28 @@ def test_noise_properties_gaussian():
     (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 0),
 ])
 def test_noise_average_mgf_matches_the_stacked_mean_bitwise(oracle, agent):
+    # ``agent`` is the noisiest agent, the one whose streams the check reads
     e = costs.QuadraticEnsemble(np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
-    xs = [np.zeros(3), np.ones(3)]
-    rep = tc.check_noise_properties(oracle, e, xs, samples=100_000, seed=7, n_avg=(1, 3, 16),
-                                    agent=agent)
+    with mock.patch.object(tc, "noise_samples", wraps=tc.noise_samples) as draws:
+        rep = tc.check_noise_properties(oracle, e, samples=100_000, seed=7)
+    assert {c.args[2] for c in draws.call_args_list} == {agent}
     got = {k: v for k, v in rep.details.items() if k.startswith("avg_mgf")}
-    ref = reference_avg_mgf_details(oracle, e, xs, 100_000, 7, (1, 3, 16), agent)
+    ref = reference_avg_mgf_details(oracle, e, 100_000, 7)
     assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
-    assert len(got) == 6
+    assert len(got) == 2
 
 
 def test_noise_averages_share_one_set_of_draws():
     e = costs.QuadraticEnsemble(np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
-    xs = [np.zeros(3), np.ones(3)]
     with mock.patch.object(tc, "noise_samples", wraps=tc.noise_samples) as draws:
-        tc.check_noise_properties(noise.GaussianOracle(0.5), e, xs, samples=100_000, seed=3,
-                                  n_avg=(4, 16))
-    # per grid point: the tail and moment draw, then the 16 averaged draws
-    assert draws.call_count == len(xs) * (1 + 16)
+        tc.check_noise_properties(noise.GaussianOracle(0.5), e, samples=100_000, seed=3)
+    # the tail and moment draw, then the 16 averaged draws
+    assert draws.call_count == 1 + 16
 
 
 def test_noise_properties_noiseless_trivial():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
-    rep = tc.check_noise_properties(noise.GaussianOracle(0.0), e, [np.zeros(2)], samples=100_000)
+    rep = tc.check_noise_properties(noise.GaussianOracle(0.0), e, samples=100_000, seed=0)
     assert rep.passed
     assert rep.details.get("noiseless")
 
@@ -260,19 +259,19 @@ def test_noise_properties_rejects_relaxed_rho():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
     o = noise.GaussianOracle(s=1.0, rho=0.5, eps_exponent=1.0)
     with pytest.raises(ValueError, match="rho = 0"):
-        tc.check_noise_properties(o, e, [np.zeros(2)], samples=100_000)
+        tc.check_noise_properties(o, e, samples=100_000, seed=0)
 
 
 def test_noise_properties_rejects_minibatch():
     e = datasets.to_logistic_ensemble(datasets.split_uniform(datasets.load_libsvm(TOY), 2))
     with pytest.raises(ValueError, match="not mini-batch"):
-        tc.check_noise_properties(noise.MinibatchOracle(1), e, [np.zeros(e.d)], samples=100_000)
+        tc.check_noise_properties(noise.MinibatchOracle(1), e, samples=100_000, seed=0)
 
 
 def test_noise_properties_rejects_few_samples():
     e = costs.QuadraticEnsemble(np.stack([np.eye(2)] * 4), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(2)], samples=1000)
+        tc.check_noise_properties(noise.GaussianOracle(1.0), e, samples=1000, seed=0)
 
 
 def _ring3_quadratic(d=2):
@@ -284,14 +283,10 @@ def _ring3_quadratic(d=2):
     noise.GaussianOracle(s=1.0, rho=0.0, eps_exponent=1.0),
 ], ids=["gaussian", "relaxed"])
 @pytest.mark.parametrize("kwargs, argument", [
-    ({"n_avg": (0,)}, "n_avg"),
-    ({"n_avg": (4, -1)}, "n_avg"),
-    ({"agent": 5}, "agent"),
-    ({"xs": []}, "xs"),
     ({"samples": 1e5}, "samples"),
-], ids=["zero_average", "negative_average", "missing_agent", "no_grid_point", "float_samples"])
+], ids=["float_samples"])
 def test_noise_properties_rejects_bad_arguments_by_name(oracle, kwargs, argument):
-    args = {"xs": [np.zeros(2)], "samples": 100_000, **kwargs}
+    args = {"samples": 100_000, "seed": 0, **kwargs}
     with pytest.raises(ValueError, match=argument):
         tc.check_noise_properties(oracle, _ring3_quadratic(), **args)
 
@@ -303,28 +298,27 @@ def assert_noise_reports_identical(got, ref):
     assert got.instances == ref.instances
 
 
-@pytest.mark.parametrize("oracle, d, points, n_avg, agent, samples", [
-    (noise.GaussianOracle(1.0), 1, 1, (4, 16), 0, 100_000),
-    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 2, (1, 3, 16), 1, 100_000),
-    (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 1, (2,), 2, 100_000),
+@pytest.mark.parametrize("oracle, d, samples", [
+    (noise.GaussianOracle(1.0), 1, 100_000),
+    (noise.GaussianOracle((0.5, 2.0, 1.0)), 3, 100_000),
+    (noise.GaussianOracle(s=1.5, rho=0.0, eps_exponent=1.0), 17, 100_000),
     # a prime count, so no chunk size divides it
-    (noise.GaussianOracle(0.7), 1, 1, (4, 16), 0, 100_003),
-], ids=["gaussian_d1", "per_agent_d3_two_points", "relaxed_d17", "d1_odd_samples"])
-def test_noise_properties_match_the_reference_bitwise(oracle, d, points, n_avg, agent, samples):
+    (noise.GaussianOracle(0.7), 1, 100_003),
+], ids=["gaussian_d1", "per_agent_d3", "relaxed_d17", "d1_odd_samples"])
+def test_noise_properties_match_the_reference_bitwise(oracle, d, samples):
     e = _ring3_quadratic(d)
-    xs = [np.full(d, float(k)) for k in range(points)]
-    args = dict(samples=samples, seed=5, n_avg=n_avg, agent=agent)
-    assert_noise_reports_identical(tc.check_noise_properties(oracle, e, xs, **args),
-                                   reference_check_noise_properties(oracle, e, xs, **args))
+    args = dict(samples=samples, seed=5)
+    assert_noise_reports_identical(tc.check_noise_properties(oracle, e, **args),
+                                   reference_check_noise_properties(oracle, e, **args))
 
 
 def test_noise_properties_match_the_reference_bitwise_when_capped():
     e = _ring3_quadratic(3)
-    args = dict(samples=100_000, seed=2, n_avg=(1, 4, 16))
+    args = dict(samples=100_000, seed=2)
     with mock.patch.object(noise, "_EXP_CAP", 0.02):
-        got = tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
-        ref = reference_check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
-    assert all(got.details[f"avg_mgf_x0_n{m}"]["capped"] > 0 for m in (1, 4, 16))
+        got = tc.check_noise_properties(noise.GaussianOracle(1.0), e, **args)
+        ref = reference_check_noise_properties(noise.GaussianOracle(1.0), e, **args)
+    assert all(got.details[f"avg_mgf_n{m}"]["capped"] > 0 for m in (4, 16))
     assert_noise_reports_identical(got, ref)
 
 
@@ -332,10 +326,10 @@ def test_noise_properties_match_the_reference_bitwise_when_violated():
     # a parameter far below the calibrated one fails tails, moments and averages
     e = _ring3_quadratic(3)
     low = lambda s, d, calibrate=noise.calibrate_sigma: 0.05 * calibrate(s, d)
-    args = dict(samples=100_000, seed=4, n_avg=(4, 16))
+    args = dict(samples=100_000, seed=4)
     with mock.patch.object(tc, "calibrate_sigma", low), mock.patch.object(noise, "calibrate_sigma", low):
-        got = tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
-        ref = reference_check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
+        got = tc.check_noise_properties(noise.GaussianOracle(1.0), e, **args)
+        ref = reference_check_noise_properties(noise.GaussianOracle(1.0), e, **args)
     assert not got.passed and len(got.violations) > 1
     assert_noise_reports_identical(got, ref)
 
@@ -346,11 +340,10 @@ def test_capped_averages_above_their_bound_are_violations():
     # above its bound fails without standard-error credit
     e = _ring3_quadratic(3)
     low = lambda s, d, calibrate=noise.calibrate_sigma: 1e-6 * calibrate(s, d)
-    args = dict(samples=100_000, seed=4, n_avg=(1, 4))
     with mock.patch.object(tc, "calibrate_sigma", low):
-        rep = tc.check_noise_properties(noise.GaussianOracle(1.0), e, [np.zeros(3)], **args)
-    for m in (1, 4):
-        label = f"avg_mgf_x0_n{m}"
+        rep = tc.check_noise_properties(noise.GaussianOracle(1.0), e, samples=100_000, seed=4)
+    for m in (4, 16):
+        label = f"avg_mgf_n{m}"
         entry = rep.details[label]
         assert entry["capped"] > 0 and entry["estimate"] > entry["bound"]
         assert 0.0 < entry["stderr"] < entry["estimate"]
@@ -362,19 +355,18 @@ def test_noise_check_holds_per_sample_scalars_and_two_row_chunks():
     # per sample, the norms and two of their powers, or one exponent per
     # average and one spare; besides them, the running sum and the draw being
     # added, each a row chunk, whatever d is
-    samples, n_avg = 100_000, (4, 16)
+    samples = 100_000
     budget = 2 * noise.SAMPLE_CHUNK_BYTES
     peaks = {}
     for d in (2, 32):
         e = _ring3_quadratic(d)
         tracemalloc.start()
         try:
-            tc.check_noise_properties(noise.GaussianOracle(0.5), e, [np.zeros(d)], samples=samples,
-                                      seed=7, n_avg=n_avg)
+            tc.check_noise_properties(noise.GaussianOracle(0.5), e, samples=samples, seed=7)
             peaks[d] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peaks[d] < (2 + len(n_avg)) * samples * 8 + budget
+        assert peaks[d] < 4 * samples * 8 + budget
     assert abs(peaks[32] - peaks[2]) < budget
 
 

@@ -380,24 +380,25 @@ def reference_check_tracker_recursion(rec, w, e):
     return _reference_report("tracker_recursion", slacks, run_id, 1)
 
 
-def reference_avg_mgf_details(o, e, xs, samples, seed, n_avg, agent=0):
+def reference_avg_mgf_details(o, e, samples, seed):
     """The ``avg_mgf_*`` entries of check_noise_properties' details, with
     zbar the mean of the m stacked draws."""
-    s = float(o.s_vector(e.n)[agent])
-    sigma_sq = noise.calibrate_sigma(s, e.d)
+    s = o.s_vector(e.n)
+    agent = int(np.argmax(s))
+    sigma_sq = noise.calibrate_sigma(float(s[agent]), e.d)
+    x = np.zeros(e.d)
     details = {}
-    for k, x in enumerate(xs):
-        for m in n_avg:
-            draws = np.stack([all_rows(noise.noise_samples(o, e, agent, x, samples,
-                                                           seed=seed + 1000 + 17 * k + j))
-                              for j in range(m)])
-            zbar = draws.mean(axis=0)
-            wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
-            est, stderr, capped = noise.capped_exp_mean(wexp)
-            label = f"avg_mgf_x{k}_n{m}"
-            details[label] = {"estimate": est, "bound": 2.0 * e.d * math.e, "stderr": stderr}
-            if capped:
-                details[label]["capped"] = capped
+    for m in (4, 16):
+        draws = np.stack([all_rows(noise.noise_samples(o, e, agent, x, samples,
+                                                       seed=seed + 1000 + j))
+                          for j in range(m)])
+        zbar = draws.mean(axis=0)
+        wexp = m * np.sum(zbar * zbar, axis=1) / (96.0 * sigma_sq)
+        est, stderr, capped = noise.capped_exp_mean(wexp)
+        label = f"avg_mgf_n{m}"
+        details[label] = {"estimate": est, "bound": 2.0 * e.d * math.e, "stderr": stderr}
+        if capped:
+            details[label]["capped"] = capped
     return details
 
 
@@ -439,13 +440,14 @@ def _reference_avg_mgf_exponent(total, m, sigma_sq):
     return m * np.sum(sq, axis=1) / (96.0 * sigma_sq)
 
 
-def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4, 16), agent=0):
+def reference_check_noise_properties(o, e, samples, seed):
     if samples < 100_000:
         raise ValueError("noise property checks need at least 1e5 samples")
     if o.kind == "minibatch":
         raise ValueError("closed-form comparisons need a Gaussian or relaxed oracle, not mini-batch")
     if getattr(o, "rho", 0.0) != 0.0:
         raise ValueError("closed-form comparisons require the rho = 0 flavor")
+    agent = int(np.argmax(o.s_vector(e.n)))
     s = float(o.s_vector(e.n)[agent])
     d = e.d
     sigma_sq = noise.calibrate_sigma(s, d)
@@ -453,6 +455,8 @@ def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4
         return tc.CheckReport("noise_properties", 1, 2.0, [], deterministic=False,
                               details={"noiseless": True})
     sigma = math.sqrt(sigma_sq)
+    x = np.zeros(d)
+    n_avg = (4, 16)
 
     worst = math.inf
     violations = []
@@ -467,38 +471,37 @@ def reference_check_noise_properties(o, e, xs, samples=100_000, seed=0, n_avg=(4
         if slack < 0:
             violations.append(label)
 
-    for k, x in enumerate(xs):
-        z = reference_noise_samples(o, e, agent, x, samples, seed=seed + k)
-        norms = np.linalg.norm(z, axis=1)
-        for mult in (1.0, 2.0, 3.0):
-            eps = mult * sigma
-            p_hat = float(np.mean(norms > eps))
-            stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / samples) / samples)
-            bound = min(1.0, 2.0 * math.exp(-eps * eps / (2.0 * sigma_sq)))
-            record(f"tail_x{k}_eps{mult:g}sigma", p_hat, bound, stderr)
-        for p in (1, 2, 3):
-            vals = norms ** (2 * p)
-            est = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-            bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
-            record(f"moment_x{k}_p{p}", est, bound, stderr)
-        total = None
-        stats = {}
-        for j in range(max(n_avg, default=0)):
-            z = reference_noise_samples(o, e, agent, x, samples, seed=seed + 1000 + 17 * k + j)
-            if total is None:
-                total = z
-            else:
-                total += z
-            if j + 1 in n_avg:
-                stats[j + 1] = _reference_capped_exp_mean(
-                    _reference_avg_mgf_exponent(total, j + 1, sigma_sq))
-        for m in n_avg:
-            est, stderr, capped = stats[m]
-            bound = 2.0 * d * math.e
-            record(f"avg_mgf_x{k}_n{m}", est, bound, stderr)
-            if capped:
-                details[f"avg_mgf_x{k}_n{m}"]["capped"] = capped
+    z = reference_noise_samples(o, e, agent, x, samples, seed=seed)
+    norms = np.linalg.norm(z, axis=1)
+    for mult in (1.0, 2.0, 3.0):
+        eps = mult * sigma
+        p_hat = float(np.mean(norms > eps))
+        stderr = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / samples) / samples)
+        bound = min(1.0, 2.0 * math.exp(-eps * eps / (2.0 * sigma_sq)))
+        record(f"tail_eps{mult:g}sigma", p_hat, bound, stderr)
+    for p in (1, 2, 3):
+        vals = norms ** (2 * p)
+        est = float(vals.mean())
+        stderr = float(vals.std(ddof=1) / math.sqrt(samples))
+        bound = (2.0 * p) ** (p + 1) * sigma_sq ** p
+        record(f"moment_p{p}", est, bound, stderr)
+    total = None
+    stats = {}
+    for j in range(max(n_avg, default=0)):
+        z = reference_noise_samples(o, e, agent, x, samples, seed=seed + 1000 + j)
+        if total is None:
+            total = z
+        else:
+            total += z
+        if j + 1 in n_avg:
+            stats[j + 1] = _reference_capped_exp_mean(
+                _reference_avg_mgf_exponent(total, j + 1, sigma_sq))
+    for m in n_avg:
+        est, stderr, capped = stats[m]
+        bound = 2.0 * d * math.e
+        record(f"avg_mgf_n{m}", est, bound, stderr)
+        if capped:
+            details[f"avg_mgf_n{m}"]["capped"] = capped
 
     return tc.CheckReport(
         "noise_properties",
@@ -534,7 +537,7 @@ def _reference_parse_label(token, line_no):
     raise datasets.ParseError(line_no, f"label must be one of -1, 0, +1, got {token!r}")
 
 
-def reference_parse_libsvm(source, d=None):
+def reference_parse_libsvm(source):
     """(rows, d) of LIBSVM text (a string or an iterable of lines)."""
     # a string splits as a text-mode file read does: universal newlines
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
@@ -569,11 +572,7 @@ def reference_parse_libsvm(source, d=None):
             prev_idx = idx
             max_idx = max(max_idx, idx)
         rows.append((label, feats))
-    if d is None:
-        d = max_idx
-    elif d < max_idx:
-        raise datasets.ParseError(0, f"d override {d} smaller than max feature index {max_idx}")
-    return tuple(rows), d
+    return tuple(rows), max_idx
 
 
 def reference_split_uniform(rows, n, seed=0):
@@ -679,16 +678,17 @@ def reference_metropolis_hastings(g):
     return tp.MixingMatrix(n=n, w=w, lam=lam)
 
 
-def reference_tune_er(n, target_lambda, tol, seed=0, samples_per_probe=16, max_steps=40):
+def reference_tune_er(n, target_lambda, tol, seed=0):
     """tune_er_probability as one graph at a time: each probe builds every
-    candidate's graph and matrix, and the bisection keeps the closest."""
+    candidate's graph and matrix, and the bisection keeps the closest. Each
+    probe takes 16 candidates, and the bisection at most 40 steps."""
     p_lo = min(0.95, max(math.log(max(n, 2)) / n, 1.0 / (n - 1)))
     best, means = None, []
 
     def probe(p, step):
         nonlocal best
         lams = []
-        for k in range(samples_per_probe):
+        for k in range(16):
             sub = int(np.random.SeedSequence((seed, step, k)).generate_state(1)[0])
             g = reference_generate_er("erdos_renyi", n, seed=sub, p=p)
             m = reference_metropolis_hastings(g)
@@ -702,7 +702,7 @@ def reference_tune_er(n, target_lambda, tol, seed=0, samples_per_probe=16, max_s
     probe(p_lo, 0)
     probe(1.0, 1)
     lo, hi = p_lo, 1.0
-    for step in range(2, max_steps + 2):
+    for step in range(2, 40 + 2):
         mid = 0.5 * (lo + hi)
         mean_mid = probe(mid, step)
         if best[0] <= tol and abs(mean_mid - target_lambda) <= tol:
@@ -750,8 +750,8 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 30, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def reference_render_line_chart(series: dict, title: str, xlabel: str = "iteration",
-                                ylabel: str = "value", log_y: bool = False) -> str:
+def reference_render_line_chart(series: dict, title: str, ylabel: str = "value",
+                                log_y: bool = False) -> str:
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
@@ -819,7 +819,7 @@ def reference_render_line_chart(series: dict, title: str, xlabel: str = "iterati
         )
     out.append(
         f'<text x="{_MARGIN_L + plot_w // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="12">iteration</text>'
     )
     out.append(
         f'<text x="18" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" font-family="sans-serif" '
