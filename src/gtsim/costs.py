@@ -8,7 +8,6 @@ a global smoothness constant, and (for quadratics) the closed-form optimum.
 
 from __future__ import annotations
 
-import functools
 import json
 
 import numpy as np
@@ -19,6 +18,8 @@ __all__ = [
     "QuadraticEnsemble",
     "LogisticEnsemble",
     "PANEL",
+    "GRAD_SLICES",
+    "VALUE_POINTS",
     "TILE",
     "make_synthetic_quadratics",
     "save_ensemble_json",
@@ -30,11 +31,24 @@ SYMMETRY_ATOL = 1e-12
 # runs per panel of a per-agent quadratic's gradient products
 PANEL = 8
 
-# pooled rows per tile of the logistic global gradients: of 1024, 2048, 4096
-# and 8192 rows, the smallest whose call on the a9a shape (n = 50, m = 32 561,
-# d = 123) was not slower than one (n, m) buffer's, on either vCPU of a
-# 2-vCPU x86-64 host with one OpenBLAS thread
-TILE = 8192
+# pooled rows per tile of the logistic global evaluations. On the a9a shape
+# (n = 50, m = 32 561, d = 123), a grad_global_all call on 12 slices took, as
+# the median of 15 on each vCPU of a 2-vCPU x86-64 host with one OpenBLAS
+# thread:
+#   rows   256   512   1024   2048   4096
+#   ms     248   248    260    266    279
+# A tile is OpenBLAS's packed operand, whose pages stay resident: the first
+# call raised the process's peak RSS by about 0.8 MB at 256 rows and by 2.5 to
+# 5.6 MB at 2048, where the per-slice form it replaced raised it by 0.7 MB
+TILE = 256
+
+# heights of the logistic global evaluations' panels: GRAD_SLICES (n, d)
+# slices of the gradients, VALUE_POINTS points of the values. At one GEMM
+# shape of two or more rows, OpenBLAS gives a row the same bits in every
+# position of a panel and beside any panel-mates; a product of one row goes
+# through GEMV instead, whose bits differ
+GRAD_SLICES = 4
+VALUE_POINTS = 8
 
 
 class CostError(ValueError):
@@ -53,33 +67,14 @@ def _sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
 
-def _per_slice(core_ndim):
-    """Let a method written for one input of ``core_ndim`` axes, (n, d) or
-    (d,), take a stack of them: it runs once per slice, so each slice is
-    computed as a call on it alone, and a call on a stack holds one slice's
-    working memory at a time besides its output."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def method(self, x):
-            if x.ndim == core_ndim:
-                return fn(self, x)
-            core = x.shape[x.ndim - core_ndim:]
-            out = np.array([fn(self, p) for p in x.reshape((-1,) + core)])
-            return out.reshape(x.shape[:x.ndim - core_ndim] + out.shape[1:])
-
-        return method
-
-    return wrap
-
-
 class CostEnsemble:
     """Common surface of an ensemble of n agent costs on R^d.
 
     ``grad_all`` and ``grad_global_all`` take one (n, d) array of models or
     a stack of them (leading axes); ``grad_global`` and ``value_global`` take
     one point (d,) or a stack of points. Each slice of a stack is computed
-    exactly as a call on it alone.
+    bitwise as a call on it alone, whether the family loops over the slices
+    or stacks them into products of a fixed shape.
 
     ``panel_width`` is the number of runs the engine groups into one panel.
     It holds a block's state in ``slot_memory``, with the block size rounded
@@ -119,10 +114,12 @@ class CostEnsemble:
         time through this view that they take through the stack."""
         return stack if self.panel_width == 1 else stack.swapaxes(-3, -2)
 
-    @_per_slice(2)
     def grad_all(self, x_rows: np.ndarray) -> np.ndarray:
-        """Local gradient of each agent at its own row of ``x_rows`` (n, d)."""
-        return np.stack([self.grad_local(i, x_rows[i]) for i in range(self.n)])
+        """Local gradient of each agent at its own row of each (n, d) slice
+        of ``x_rows``."""
+        runs = x_rows.reshape(-1, self.n, self.d)
+        g = np.array([[self.grad_local(i, x[i]) for i in range(self.n)] for x in runs])
+        return g.reshape(x_rows.shape)
 
     def smoothness(self) -> float:
         raise NotImplementedError
@@ -299,11 +296,17 @@ class LogisticEnsemble(CostEnsemble):
     f_i(x) = (1/m_i) sum_r log(1 + exp(-y_r <h_r, x>)) + eta sum_k x_k^2/(1+x_k^2)
 
     The agents' data is pooled into one (m, d) feature matrix and label
-    vector. ``grad_global_all`` walks the pooled rows in tiles of TILE rows
-    through one (n, TILE) buffer, so one call holds that buffer, not an
-    (n, m) one. A corpus of at most TILE rows gets the operations of one
-    (n, m) buffer, bit for bit; on more tiles only the order of the sum over
-    the rows differs.
+    vector. The global evaluations stack their points into zero-padded
+    panels of a fixed height: GRAD_SLICES (n, d) slices, 4n rows, for
+    ``grad_global`` and ``grad_global_all``, and VALUE_POINTS points for
+    ``value_global``. Each panel walks the pooled rows in tiles of TILE rows
+    through one (TILE, height) buffer, so every product of a call has one
+    shape, a pass over the features serves a whole panel, and a call holds
+    that buffer, not an (n, m) one. A row's bits do not depend on its panel
+    position or panel-mates, so a slice or point alone, padded into a panel
+    of its own, gets the bits it gets in any stack. At n >= 2 a corpus of at
+    most TILE rows gets the gradients of one (n, m) buffer, bit for bit; on
+    more tiles only the order of the sum over the rows differs.
     """
 
     kind = "logistic"
@@ -353,7 +356,7 @@ class LogisticEnsemble(CostEnsemble):
         return self.eta * 2.0 * x / (1.0 + x * x) ** 2
 
     def _penalty_value(self, x):
-        return self.eta * float(np.sum(x * x / (1.0 + x * x)))
+        return self.eta * np.sum(x * x / (1.0 + x * x), axis=-1)
 
     def grad_local(self, i, x):
         _check_finite(x)
@@ -363,7 +366,7 @@ class LogisticEnsemble(CostEnsemble):
         self._validate_agent(i)
         h, y = self.features[i], self.labels[i]
         margins = y * (h @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins))) + self._penalty_value(x)
+        return float(np.mean(np.logaddexp(0.0, -margins)) + self._penalty_value(x))
 
     def grad_batch(self, i, x, idx):
         """Mini-batch gradient of agent i over sample indices ``idx``."""
@@ -375,40 +378,65 @@ class LogisticEnsemble(CostEnsemble):
         data = -(h.T @ (y * sig)) / len(h)
         return data + self._penalty_grad(x)
 
-    @_per_slice(1)
-    def grad_global(self, x):
-        margins = self._y_all * (self._h_all @ x)
-        sig = _sigmoid(-margins)
-        data = -(self._h_all.T @ (self._yw_all * sig))
-        return data + self._penalty_grad(x)
+    def _tiles(self):
+        """The pooled rows as slices of TILE rows."""
+        return [slice(lo, lo + TILE) for lo in range(0, len(self._y_all), TILE)]
 
-    @_per_slice(2)
-    def grad_global_all(self, x_rows):
-        # the pooled rows in tiles of TILE through one (n, TILE) buffer:
-        # margins, then y w sigmoid(-margin) in place as y w / (1 + exp(margin)),
-        # the form of _sigmoid, then its product with the tile's rows, the
-        # first assigned and each later one added
-        n = len(x_rows)
-        buf = np.empty(n * min(TILE, len(self._y_all)))
-        data = None
-        with np.errstate(over="ignore"):
-            for lo in range(0, len(self._y_all), TILE):
-                h = self._h_all[lo:lo + TILE]
-                z = np.matmul(x_rows, h.T, out=buf[:n * len(h)].reshape(n, len(h)))
-                z *= self._y_all[lo:lo + TILE]
-                np.exp(z, out=z)
-                z += 1.0
-                np.divide(self._yw_all[lo:lo + TILE], z, out=z)
-                if data is None:
-                    data = z @ h
+    def _panel_sums(self, rows, height, out, term):
+        """``out[r]``, for each row r of ``rows`` (k, d), is the sum over the
+        tiles of ``term(z, tile, h)[..., j]``, where r is row j of its
+        zero-padded panel of ``height`` rows, h is the tile's features and z
+        the (tile rows, height) margins y <h, x> in the one buffer. The
+        margins are the product h x' with the panel as OpenBLAS's M operand:
+        as its N operand, a row's bits would depend on its panel position
+        wherever a tile ends in a partial block of the kernel."""
+        panel = np.zeros((height, self.d))
+        buf = np.empty(height * min(TILE, len(self._y_all)))
+        tiles = self._tiles()
+        for lo in range(0, len(rows), height):
+            k = min(height, len(rows) - lo)
+            panel[:k] = rows[lo:lo + k]
+            panel[k:] = 0.0
+            total = None
+            for t in tiles:
+                h = self._h_all[t]
+                z = np.matmul(h, panel.T, out=buf[:len(h) * height].reshape(len(h), height))
+                z *= self._y_all[t, None]
+                if total is None:
+                    total = term(z, t, h)
                 else:
-                    data += z @ h
-        return -data + self._penalty_grad(x_rows)
+                    total += term(z, t, h)
+            out[lo:lo + k] = total[..., :k].T
+        return out
 
-    @_per_slice(1)
+    def _grad_term(self, z, t, h):
+        # y w sigmoid(-margin) in place as y w / (1 + exp(margin)), the form
+        # of _sigmoid, then its product with the tile's rows
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(self._yw_all[t, None], z, out=z)
+        return h.T @ z
+
+    def _value_term(self, z, t, h):
+        np.negative(z, out=z)
+        np.logaddexp(0.0, z, out=z)
+        return self._w_all[t] @ z
+
+    def grad_global(self, x):
+        # each point is a row of panels of GRAD_SLICES n rows, so the global
+        # gradients at a slice's rows are grad_global_all's bit for bit
+        rows = x.reshape(-1, self.d)
+        with np.errstate(over="ignore"):
+            data = self._panel_sums(rows, GRAD_SLICES * self.n, np.empty_like(rows), self._grad_term)
+        return (-data + self._penalty_grad(rows)).reshape(x.shape)
+
+    grad_global_all = grad_global
+
     def value_global(self, x):
-        margins = self._y_all * (self._h_all @ x)
-        return float(np.sum(self._w_all * np.logaddexp(0.0, -margins))) + self._penalty_value(x)
+        points = x.reshape(-1, self.d)
+        data = self._panel_sums(points, VALUE_POINTS, np.empty(len(points)), self._value_term)
+        v = data + self._penalty_value(points)
+        return float(v[0]) if x.ndim == 1 else v.reshape(x.shape[:-1])
 
     def sample_count(self, i):
         return self.features[i].shape[0]

@@ -145,38 +145,31 @@ class TailFit:
     slope: float
     intercept: float
     r_squared: float
-    window: tuple  # (t_lo, t_hi) actually used after trimming
-    trimmed: bool
+    window: tuple  # (t_lo, t_hi)
 
 
 def default_fit_window(series: MetricSeries) -> tuple:
-    """Window from first drop below 0.9 to first touch of the 1/R floor."""
+    """Window from the first drop below 0.9 to just before the first touch of
+    the 1/R floor at or after it; a drop onto the floor gives the one point
+    of the drop. So no window of more than one point holds a value at or
+    below the floor."""
     v = series.values
     floor = series.meta.get("floor", 0.0)
     below = np.nonzero(v < 0.9)[0]
     t_lo = int(below[0]) + 1 if len(below) else 1
-    hit = np.nonzero(v <= floor)[0]
-    t_hi = int(hit[0]) if len(hit) and hit[0] + 1 > t_lo else series.T
+    hit = np.nonzero(v[t_lo - 1:] <= floor)[0]
+    t_hi = t_lo - 1 + int(hit[0]) if len(hit) else series.T
     return (t_lo, max(t_hi, t_lo))
 
 
 def tail_decay_fit(series: MetricSeries) -> TailFit:
     """Least squares of log(values) against t on the window of
-    :func:`default_fit_window`.
-
-    Zeros at the end of the window are trimmed (a tail probability hitting
-    the resolution floor carries no slope information); fewer than 5 positive
-    points is an error.
+    :func:`default_fit_window`; fewer than 5 points there is an error (a tail
+    probability at the resolution floor carries no slope information).
     """
     t_lo, t_hi = default_fit_window(series)
     v = series.values[t_lo - 1:t_hi]
     t = np.arange(t_lo, t_hi + 1, dtype=float)
-    trimmed = False
-    zero = np.nonzero(v <= 0.0)[0]
-    if len(zero):
-        v = v[: zero[0]]
-        t = t[: zero[0]]
-        trimmed = True
     if len(v) < 5:
         raise ValueError("insufficient tail data: fewer than 5 positive points in window")
     logv = np.log(v)
@@ -189,6 +182,5 @@ def tail_decay_fit(series: MetricSeries) -> TailFit:
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,
-        window=(int(t[0]), int(t[-1])),
-        trimmed=trimmed,
+        window=(t_lo, t_hi),
     )

@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -6,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from gtsim import costs
+from gtsim import costs, datasets
 from util import (central_diff_grad, parent_logistic_grad_global_all,
-                  reference_logistic_grad_global_all)
+                  reference_logistic_grad_global_all, tile_counts)
 
 
 def quad2():
@@ -388,14 +389,20 @@ def test_logistic_grad_global_all_matches_the_expit_form(case):
 @given(case=logistic_cases(), tile=st.integers(1, 5))
 def test_logistic_global_gradients_over_row_tiles(case, tile):
     e, xs = case
-    with mock.patch.object(costs, "TILE", tile):
+    m, d = e._h_all.shape
+    counts, spy = tile_counts()
+    with mock.patch.object(costs, "TILE", tile), spy:
         stacked = e.grad_global_all(xs)
         slices = [e.grad_global_all(x) for x in xs]
+    # the patched tile is the one the calls walked: a tile of one row is one
+    # tile per pooled row
+    assert counts == [-(-m // tile)] * 3
     assert stacked.tobytes() == np.stack(slices).tobytes()
-    m, d = e._h_all.shape
     for x, got in zip(xs, slices):
         ref = parent_logistic_grad_global_all(e, x)
-        if m <= tile:  # one tile makes the operations of the (n, m) buffer
+        # one tile makes the operations of the (n, m) buffer; at n = 1 its
+        # product was a GEMV, whose bits a panel's GEMM does not reproduce
+        if m <= tile and e.n >= 2:
             assert got.tobytes() == ref.tobytes()
             continue
         # Tiles reorder the sum over rows of z_r h_r, and two orders of a sum
@@ -412,24 +419,99 @@ def test_logistic_global_gradients_over_row_tiles(case, tile):
         assert np.all(np.abs(got - ref) <= tol)
 
 
-def test_logistic_global_gradients_hold_one_tile_buffer():
-    # at n = 50 on a corpus of eight tiles, a call on a stack holds one
-    # (n, TILE) buffer and (n, d) arrays; the (n, m) buffer of one slice
-    # before tiles was eight of them
-    n, d, m = 50, 4, 8 * costs.TILE
+TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
+
+
+def random_corpus(n, d, m, rng, eta=0.1):
+    """Logistic costs on m random rows of d features, split at random among
+    n agents."""
+    cuts = np.sort(rng.choice(np.arange(1, m), size=n - 1, replace=False))
+    sizes = np.diff(np.concatenate([[0], cuts, [m]]))
+    return costs.LogisticEnsemble.from_pooled(rng.standard_normal((m, d)) * rng.exponential(1.0, d),
+                                              rng.choice([-1.0, 1.0], m), sizes, eta=eta)
+
+
+@st.composite
+def panel_cases(draw):
+    """A logistic ensemble on n = 1-8 agents whose pooled rows span several
+    tiles, and a TILE: the toy corpus over tiles of 1-5 rows, or a random
+    corpus at d in {1, 2, 17} of up to 40 rows over tiles of 1-5 rows, or of
+    1-3 tiles of TILE rows. Also a seed for the points."""
+    n = draw(st.integers(1, 8))
+    eta = draw(st.sampled_from([0.0, 0.1]))
+    if draw(st.booleans()):
+        parts = datasets.split_uniform(datasets.load_libsvm(TOY), n, seed=draw(st.integers(0, 9)))
+        return datasets.to_logistic_ensemble(parts, eta=eta), draw(st.integers(1, 5)), draw(st.integers(0, 99))
+    d = draw(st.sampled_from([1, 2, 17]))
+    tile = draw(st.sampled_from([costs.TILE, 1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m = int(rng.integers(n, 3 * tile + 1)) if tile == costs.TILE else draw(st.integers(n, 40))
+    return random_corpus(n, d, m, rng, eta), tile, draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(panel_cases())
+# a partial tile of 193 rows at n = 4, where the last slice of a panel got
+# other bits with the panel as OpenBLAS's N operand
+@example((random_corpus(4, 17, 193, np.random.default_rng(1)), costs.TILE, 0))
+def test_a_slice_or_point_has_its_bits_alone_in_every_panel_position_beside_any_mates(case):
+    # the BLAS fact the panels rest on: at one GEMM shape of two or more rows
+    # a row's bits depend on neither its position nor its panel-mates
+    e, tile, seed = case
+    rng = np.random.default_rng(seed)
+    n, d = e.n, e.d
+    slices, points = 2 * costs.GRAD_SLICES - 1, 2 * costs.VALUE_POINTS - 1
+    with mock.patch.object(costs, "TILE", tile), np.errstate(over="ignore"):
+        x = rng.standard_normal((n, d))
+        alone = e.grad_global_all(x)
+        assert e.grad_global(x).tobytes() == alone.tobytes()
+        for b in range(slices):
+            mates = rng.standard_normal((slices, n, d))
+            mates[b] = x
+            assert e.grad_global_all(mates)[b].tobytes() == alone.tobytes()
+        p = x[0]
+        value = e.value_global(p)
+        for b in range(points):
+            mates = rng.standard_normal((points, d))
+            mates[b] = p
+            assert e.value_global(mates)[b] == value
+
+
+def eight_tile_ensemble(n, d):
+    m = 8 * costs.TILE
     rng = np.random.default_rng(3)
     sizes = np.diff(np.linspace(0, m, n + 1).astype(int))
-    e = costs.LogisticEnsemble.from_pooled(rng.standard_normal((m, d)),
-                                           rng.choice([-1.0, 1.0], m), sizes, eta=0.1)
-    xs = rng.standard_normal((2, n, d))
-    e.grad_global_all(xs)
+    return costs.LogisticEnsemble.from_pooled(rng.standard_normal((m, d)),
+                                              rng.choice([-1.0, 1.0], m), sizes, eta=0.1), rng
+
+
+def traced_peak(fn, x):
+    fn(x)
     tracemalloc.start()
     try:
-        e.grad_global_all(xs)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(x)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * costs.TILE * 8
+
+
+def test_logistic_global_gradients_hold_one_tile_buffer():
+    # at n = 50 on a corpus of eight tiles, a call on a stack holds one
+    # (TILE, GRAD_SLICES n) panel buffer and (GRAD_SLICES n, d) arrays
+    n = 50
+    e, rng = eight_tile_ensemble(n, 4)
+    peak = traced_peak(e.grad_global_all, rng.standard_normal((2, n, 4)))
+    assert peak <= 2 * costs.GRAD_SLICES * n * costs.TILE * 8
+
+
+def test_logistic_global_values_hold_one_tile_buffer():
+    # a stack of 300 points, 38 panels, over eight tiles holds one
+    # (TILE, VALUE_POINTS) buffer and the penalty's arrays of the stack's
+    # size: no more than the gradients' one panel buffer at n = 50
+    n = 50
+    e, rng = eight_tile_ensemble(n, 4)
+    peak = traced_peak(e.value_global, rng.standard_normal((3, 100, 4)))
+    assert peak <= costs.GRAD_SLICES * n * costs.TILE * 8
 
 
 def test_ensemble_json_roundtrip(tmp_path):

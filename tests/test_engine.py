@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtsim import algorithms as alg, costs, datasets, harness, noise, topology as tp
 from util import (assert_records_close, assert_records_identical, reference_run,
-                  reference_run_parent, ring_matrix)
+                  reference_run_parent, ring_matrix, tile_counts)
 
 B = alg._BLOCK
 HORIZONS = (0, 1, B - 1, B, B + 1, 2 * B + 3)
@@ -368,11 +368,15 @@ def test_a_runs_record_is_the_same_in_every_block_size_at_one_and_two_workers(
               for size in range(1, runs + 1) for lo in range(0, runs, size)]
     # logistic global gradients over tiles of a few rows; the forked workers
     # inherit the patch
-    with mock.patch.object(costs, "TILE", tile):
+    counts, spy = tile_counts()
+    with mock.patch.object(costs, "TILE", tile), spy:
         one = [harness._run_block(cfg, block) for block in blocks]
         with ProcessPoolExecutor(max_workers=2, initializer=harness._init_worker,
                                  initargs=(cfg,)) as pool:
             two = list(pool.map(harness._run_worker_block, blocks))
+    if cfg.ensemble.kind == "logistic":
+        # the runs walked the patched tile: at one row, one tile per pooled row
+        assert counts and set(counts) == {-(-len(cfg.ensemble._y_all) // tile)}
     alone = [results[0] for results in one[:runs]]  # the blocks of one run
     for results in one + two:
         (block,) = results  # no run aborts

@@ -161,15 +161,26 @@ def test_tail_fit_constant_series():
     assert fit.slope == pytest.approx(0.0, abs=1e-15)
 
 
-def test_tail_fit_trims_zeros():
-    # the first point below 0.9 is already at the floor, so the window runs to
-    # T and the fit stops at the first zero
+def test_tail_fit_of_a_drop_onto_the_floor_is_too_short():
+    # the first point below 0.9 is already at the floor: the window is that
+    # one point, not the run to T over floor-level points and zeros
     vals = np.concatenate([np.ones(3), 0.05 * np.exp(-0.05 * np.arange(40)), np.zeros(10)])
     series = metrics.MetricSeries("tail", vals, meta={"floor": 0.05})
-    fit = metrics.tail_decay_fit(series)
-    assert fit.trimmed
-    assert fit.window == (4, 43)
-    assert fit.slope == pytest.approx(-0.05, abs=1e-10)
+    assert metrics.default_fit_window(series) == (4, 4)
+    with pytest.raises(ValueError, match="insufficient"):
+        metrics.tail_decay_fit(series)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.01, 0.125, 0.25, 0.5, 0.875, 0.9, 1.0]),
+                       min_size=1, max_size=30),
+       floor=st.sampled_from([0.0, 0.01, 0.125, 0.5, 1.0]))
+def test_no_fit_window_of_two_or_more_points_reaches_the_floor(values, floor):
+    series = metrics.MetricSeries("tail", np.array(values), meta={"floor": floor})
+    lo, hi = metrics.default_fit_window(series)
+    assert 1 <= lo <= hi <= len(values)
+    if hi > lo:
+        assert np.all(np.array(values[lo - 1:hi]) > floor)
 
 
 def test_tail_fit_insufficient_data():

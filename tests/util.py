@@ -6,11 +6,12 @@ import io
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 from scipy.special import expit
 
-from gtsim import algorithms as alg, datasets, noise, theorycheck as tc, topology as tp
+from gtsim import algorithms as alg, costs, datasets, noise, theorycheck as tc, topology as tp
 from gtsim.harness import ConfigError, ExperimentConfig
 
 
@@ -48,6 +49,21 @@ def parent_logistic_grad_global_all(e, x_rows):
     np.divide(e._yw_all, z, out=z)
     data = -(z @ e._h_all)
     return data + e._penalty_grad(x_rows)
+
+
+def tile_counts():
+    """A spy on the logistic tiles: the number of tiles of each call that
+    walks them, read while ``costs.TILE`` may be patched, and the patch that
+    installs the spy."""
+    counts = []
+    tiles = costs.LogisticEnsemble._tiles
+
+    def spy(self):
+        out = tiles(self)
+        counts.append(len(out))
+        return out
+
+    return counts, mock.patch.object(costs.LogisticEnsemble, "_tiles", spy)
 
 
 def path3_matrix():
