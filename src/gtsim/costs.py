@@ -31,15 +31,17 @@ SYMMETRY_ATOL = 1e-12
 # runs per panel of a per-agent quadratic's gradient products
 PANEL = 8
 
-# pooled rows per tile of the logistic global evaluations. On the a9a shape
-# (n = 50, m = 32 561, d = 123), a grad_global_all call on 12 slices took, as
-# the median of 15 on each vCPU of a 2-vCPU x86-64 host with one OpenBLAS
-# thread:
+# pooled rows per tile of the logistic global evaluations. A call densifies
+# each tile of the sparse rows once into one (TILE, d) buffer, which every
+# panel's GEMMs read. On the a9a shape (n = 50, m = 32 561, d = 123), a
+# grad_global_all call on 12 slices over the dense (m, d) matrix that the
+# buffer replaced took, as the median of 15 on each vCPU of a 2-vCPU x86-64
+# host with one OpenBLAS thread:
 #   rows   256   512   1024   2048   4096
 #   ms     248   248    260    266    279
 # A tile is OpenBLAS's packed operand, whose pages stay resident: the first
 # call raised the process's peak RSS by about 0.8 MB at 256 rows and by 2.5 to
-# 5.6 MB at 2048, where the per-slice form it replaced raised it by 0.7 MB
+# 5.6 MB at 2048. Keep 256: any other height reorders the sums over the rows
 TILE = 256
 
 # heights of the logistic global evaluations' panels: GRAD_SLICES (n, d)
@@ -295,21 +297,28 @@ class LogisticEnsemble(CostEnsemble):
 
     f_i(x) = (1/m_i) sum_r log(1 + exp(-y_r <h_r, x>)) + eta sum_k x_k^2/(1+x_k^2)
 
-    The agents' data is pooled into one (m, d) feature matrix and label
-    vector. The global evaluations stack their points into zero-padded
-    panels of a fixed height: GRAD_SLICES (n, d) slices, 4n rows, for
-    ``grad_global`` and ``grad_global_all``, and VALUE_POINTS points for
-    ``value_global``. Each panel walks the pooled rows in tiles of TILE rows
-    through one (TILE, height) buffer, so every product of a call has one
-    shape, a pass over the features serves a whole panel, and a call holds
-    that buffer, not an (n, m) one. A row's bits do not depend on its panel
-    position or panel-mates, so a slice or point alone, padded into a panel
-    of its own, gets the bits it gets in any stack. At n >= 2 a corpus of at
-    most TILE rows gets the gradients of one (n, m) buffer, bit for bit; on
-    more tiles only the order of the sum over the rows differs.
+    The agents' data is pooled into one label vector and sparse rows, held as
+    CSR arrays: the values of the stored features, each one's offset
+    ``r d + k`` in the row-major layout of the (m, d) feature matrix, and row
+    pointers. An evaluation densifies only the rows it reads, each at its
+    offset less that of its first row. The arrays are read-only.
+
+    The global evaluations stack their points into zero-padded panels of a
+    fixed height: GRAD_SLICES (n, d) slices, 4n rows, for ``grad_global`` and
+    ``grad_global_all``, and VALUE_POINTS points for ``value_global``. A call
+    walks the pooled rows in tiles of TILE rows, each densified once into one
+    (TILE, d) buffer that every panel reads through one (TILE, height) buffer
+    of margins. So every product of a call has one shape, one pass over the
+    rows serves every panel, and a call holds those buffers, not an (n, m) or
+    (m, d) one. A row's bits do not depend on its panel position or
+    panel-mates, so a slice or point alone, padded into a panel of its own,
+    gets the bits it gets in any stack. At n >= 2 a corpus of at most TILE
+    rows gets the gradients of one (n, m) buffer, bit for bit; on more tiles
+    only the order of the sum over the rows differs.
     """
 
     kind = "logistic"
+    _ARRAYS = ("_values", "_offsets", "_indptr", "_y_all", "_starts", "_w_all", "_yw_all")
 
     def __init__(self, features, labels, eta: float = 0.0):
         if len(features) != len(labels) or not features:
@@ -321,36 +330,89 @@ class LogisticEnsemble(CostEnsemble):
         for i, (h, y) in enumerate(zip(feats, labs)):
             if y.shape != (h.shape[0],):
                 raise CostError(f"agent {i} has {h.shape[0]} feature rows but labels of shape {y.shape}")
-        self._hold(np.vstack(feats), np.concatenate(labs), [h.shape[0] for h in feats], eta)
+        h = np.vstack(feats)
+        # every entry whose bits are nonzero, so that a -0.0 feature is kept
+        stored = h.view(np.uint64) != 0
+        offsets = np.flatnonzero(stored)
+        indptr = np.zeros(len(h) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+        self._hold(h.ravel()[offsets], offsets, indptr, np.concatenate(labs),
+                   [len(f) for f in feats], h.shape[1], eta)
 
     @classmethod
-    def from_pooled(cls, h_all, y_all, sizes, eta: float = 0.0) -> "LogisticEnsemble":
-        """The ensemble whose agent i owns the next ``sizes[i]`` rows of the
-        pooled (m, d) features ``h_all`` and labels ``y_all``; both arrays are
-        kept as they are, not copied."""
+    def from_pooled(cls, labels, indptr, indices, values, d, sizes, eta: float = 0.0) -> "LogisticEnsemble":
+        """The ensemble whose agent i owns the next ``sizes[i]`` of the pooled
+        rows, given as CSR arrays: row r has label ``labels[r]`` and the
+        features ``indices[indptr[r]:indptr[r + 1]]``, 0-based and below
+        ``d``, with values ``values[indptr[r]:indptr[r + 1]]``. The values,
+        row pointers and labels are kept, not copied, as read-only views; each
+        index becomes its offset in the row-major (m, d) layout."""
+        counts = np.diff(indptr)
+        if not indptr[-1] == len(indices) == len(values):
+            raise CostError(f"{indptr[-1]} stored features by the row pointers, "
+                            f"{len(indices)} indices and {len(values)} values")
+        if len(indices) and (indices.min() < 0 or indices.max() >= d):
+            raise CostError(f"feature indices must lie in [0, {d})")
+        offsets = np.repeat(np.arange(len(counts)) * d, counts)
+        offsets += indices
         e = cls.__new__(cls)
-        e._hold(h_all, y_all, list(sizes), eta)
+        e._hold(values, offsets, indptr, labels, list(sizes), d, eta)
         return e
 
-    def _hold(self, h_all, y_all, sizes, eta):
+    def _hold(self, values, offsets, indptr, y_all, sizes, d, eta):
         if eta < 0:
             raise CostError("penalty eta must be >= 0")
         if min(sizes) < 1:
             raise CostError("each agent needs at least one sample")
+        if sum(sizes) != len(y_all) or len(indptr) != len(y_all) + 1:
+            raise CostError(f"agent sizes summing to {sum(sizes)} for {len(y_all)} labels "
+                            f"and {len(indptr) - 1} rows")
         if not np.all(np.isin(y_all, (-1.0, 1.0))):
             raise CostError("labels must be +1 or -1")
         self.n = len(sizes)
-        self.d = int(h_all.shape[1])
+        self.d = int(d)
         self.eta = float(eta)
         self._smoothness = None
-        # the pooled data is the only copy: each agent's arrays are row views
-        self._h_all = h_all
-        self._y_all = y_all
-        cuts = np.cumsum(sizes)[:-1]
-        self.features = np.split(self._h_all, cuts)
-        self.labels = np.split(self._y_all, cuts)
+        # read-only views, so a stray in-place write raises instead of
+        # changing the costs; agent i owns pooled rows _starts[i] to _starts[i + 1]
+        self._values = values.view()
+        self._offsets = offsets.view()
+        self._indptr = indptr.view()
+        self._y_all = y_all.view()
+        self._starts = np.concatenate([[0], np.cumsum(sizes)])
         self._w_all = np.repeat([1.0 / (self.n * m) for m in sizes], sizes)
         self._yw_all = self._y_all * self._w_all
+        self._freeze()
+
+    def _freeze(self):
+        for name in self._ARRAYS:
+            getattr(self, name).flags.writeable = False
+
+    def __setstate__(self, state):
+        # a pickle does not keep the read-only flags: restore them, so an
+        # unpickled ensemble, as each worker gets it, is as read-only as its
+        # original
+        self.__dict__.update(state)
+        self._freeze()
+
+    def _scatter(self, lo, hi, out):
+        """Write the features of pooled rows lo to hi into ``out``, a zeroed
+        contiguous array of (hi - lo) d entries, and return the offsets
+        written."""
+        a, b = self._indptr[lo], self._indptr[hi]
+        at = self._offsets[a:b] - lo * self.d
+        out.reshape(-1)[at] = self._values[a:b]
+        return at
+
+    def _dense(self, lo, hi):
+        """The (hi - lo, d) features of pooled rows lo to hi."""
+        out = np.zeros((hi - lo, self.d))
+        self._scatter(lo, hi, out)
+        return out
+
+    def _rows_of(self, i):
+        self._validate_agent(i)
+        return int(self._starts[i]), int(self._starts[i + 1])
 
     def _penalty_grad(self, x):
         return self.eta * 2.0 * x / (1.0 + x * x) ** 2
@@ -358,55 +420,65 @@ class LogisticEnsemble(CostEnsemble):
     def _penalty_value(self, x):
         return self.eta * np.sum(x * x / (1.0 + x * x), axis=-1)
 
-    def grad_local(self, i, x):
-        _check_finite(x)
-        return self.grad_batch(i, x, slice(None))
-
-    def value_local(self, i, x):
-        self._validate_agent(i)
-        h, y = self.features[i], self.labels[i]
-        margins = y * (h @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + self._penalty_value(x))
-
-    def grad_batch(self, i, x, idx):
-        """Mini-batch gradient of agent i over sample indices ``idx``."""
-        self._validate_agent(i)
-        h = self.features[i][idx]
-        y = self.labels[i][idx]
+    def _data_grad(self, x, h, y):
         margins = y * (h @ x)
         sig = _sigmoid(-margins)
         data = -(h.T @ (y * sig)) / len(h)
         return data + self._penalty_grad(x)
 
+    def grad_local(self, i, x):
+        _check_finite(x)
+        lo, hi = self._rows_of(i)
+        return self._data_grad(x, self._dense(lo, hi), self._y_all[lo:hi])
+
+    def value_local(self, i, x):
+        lo, hi = self._rows_of(i)
+        margins = self._y_all[lo:hi] * (self._dense(lo, hi) @ x)
+        return float(np.mean(np.logaddexp(0.0, -margins)) + self._penalty_value(x))
+
+    def grad_batch(self, i, x, idx):
+        """Mini-batch gradient of agent i over sample indices ``idx``, whose
+        rows are densified one at a time."""
+        rows = np.arange(*self._rows_of(i))[idx]
+        h = np.zeros((len(rows), self.d))
+        for j, r in enumerate(rows.tolist()):
+            self._scatter(r, r + 1, h[j])
+        return self._data_grad(x, h, self._y_all[rows])
+
     def _tiles(self):
         """The pooled rows as slices of TILE rows."""
-        return [slice(lo, lo + TILE) for lo in range(0, len(self._y_all), TILE)]
+        m = len(self._y_all)
+        return [slice(lo, min(lo + TILE, m)) for lo in range(0, m, TILE)]
 
     def _panel_sums(self, rows, height, out, term):
         """``out[r]``, for each row r of ``rows`` (k, d), is the sum over the
         tiles of ``term(z, tile, h)[..., j]``, where r is row j of its
-        zero-padded panel of ``height`` rows, h is the tile's features and z
-        the (tile rows, height) margins y <h, x> in the one buffer. The
+        zero-padded panel of ``height`` rows, h is the tile's features,
+        densified once per call into the one (TILE, d) buffer, and z the
+        (tile rows, height) margins y <h, x> in the one margin buffer. The
         margins are the product h x' with the panel as OpenBLAS's M operand:
         as its N operand, a row's bits would depend on its panel position
         wherever a tile ends in a partial block of the kernel."""
-        panel = np.zeros((height, self.d))
-        buf = np.empty(height * min(TILE, len(self._y_all)))
-        tiles = self._tiles()
-        for lo in range(0, len(rows), height):
-            k = min(height, len(rows) - lo)
-            panel[:k] = rows[lo:lo + k]
-            panel[k:] = 0.0
-            total = None
-            for t in tiles:
-                h = self._h_all[t]
-                z = np.matmul(h, panel.T, out=buf[:len(h) * height].reshape(len(h), height))
+        panels = np.zeros((-(-len(rows) // height), height, self.d))
+        panels.reshape(-1, self.d)[:len(rows)] = rows
+        tile = np.zeros((min(TILE, len(self._y_all)), self.d))
+        buf = np.empty(height * len(tile))
+        totals = []
+        for t in self._tiles():
+            h = tile[:t.stop - t.start]
+            at = self._scatter(t.start, t.stop, h)
+            z = buf[:len(h) * height].reshape(len(h), height)
+            for p, panel in enumerate(panels):
+                np.matmul(h, panel.T, out=z)
                 z *= self._y_all[t, None]
-                if total is None:
-                    total = term(z, t, h)
+                if t.start == 0:
+                    totals.append(term(z, t, h))
                 else:
-                    total += term(z, t, h)
-            out[lo:lo + k] = total[..., :k].T
+                    totals[p] += term(z, t, h)
+            h.reshape(-1)[at] = 0.0
+        for p, total in enumerate(totals):
+            k = min(height, len(rows) - p * height)
+            out[p * height:p * height + k] = total[..., :k].T
         return out
 
     def _grad_term(self, z, t, h):
@@ -439,13 +511,15 @@ class LogisticEnsemble(CostEnsemble):
         return float(v[0]) if x.ndim == 1 else v.reshape(x.shape[:-1])
 
     def sample_count(self, i):
-        return self.features[i].shape[0]
+        lo, hi = self._rows_of(i)
+        return hi - lo
 
     def smoothness(self):
         # data term: (1/4m_i) lam_max(H_i'H_i); penalty curvature peaks at 2 per coordinate
         if self._smoothness is None:
             worst = 0.0
-            for h in self.features:
+            for i in range(self.n):
+                h = self._dense(*self._rows_of(i))
                 s = np.linalg.svd(h, compute_uv=False)[0]
                 worst = max(worst, float(s * s) / (4.0 * h.shape[0]))
             self._smoothness = worst + 2.0 * self.eta

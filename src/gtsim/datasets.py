@@ -340,16 +340,11 @@ def maxabs_scale(ds: LabeledDataset) -> LabeledDataset:
 
 
 def to_logistic_ensemble(parts, eta: float = 0.0) -> LogisticEnsemble:
-    """Densify per-agent datasets into a logistic cost ensemble: each part's
-    entries are scattered into its rows of the pooled (m, d) features it
-    keeps, d the largest of the parts' dimensions."""
-    d = max(p.d for p in parts)
-    sizes = [p.m for p in parts]
-    h = np.zeros((sum(sizes), d))
-    start = 0
-    for p in parts:
-        rows = np.repeat(np.arange(start, start + p.m), np.diff(p.indptr))
-        h[rows, p.indices] = p.values
-        start += p.m
-    y = np.concatenate([p.labels for p in parts]).astype(float)
-    return LogisticEnsemble.from_pooled(h, y, sizes, eta=eta)
+    """Pool per-agent datasets into a logistic cost ensemble: the parts' CSR
+    arrays, joined in order, d the largest of the parts' dimensions. The
+    features stay sparse; the ensemble densifies the rows it reads."""
+    counts = np.concatenate([np.diff(p.indptr) for p in parts])
+    return LogisticEnsemble.from_pooled(
+        np.concatenate([p.labels for p in parts]).astype(float), _offsets(counts),
+        np.concatenate([p.indices for p in parts]), np.concatenate([p.values for p in parts]),
+        max(p.d for p in parts), [p.m for p in parts], eta=eta)

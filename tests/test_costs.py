@@ -12,8 +12,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from gtsim import costs, datasets
-from util import (central_diff_grad, parent_logistic_grad_global_all,
-                  reference_logistic_grad_global_all, tile_counts)
+from util import (DenseLogistic, central_diff_grad, dense_features, parent_logistic_grad_global_all,
+                  reference_densify, reference_logistic_grad_global_all, tile_counts)
 
 
 def quad2():
@@ -209,6 +209,21 @@ def test_logistic_labels_must_match_each_agents_feature_rows():
         costs.LogisticEnsemble(feats, [np.ones(2), np.ones(3)])
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"indices": np.array([0, 3, 1])}, r"feature indices must lie in \[0, 3\)"),
+    ({"indices": np.array([0, -1, 1])}, r"feature indices must lie in \[0, 3\)"),
+    ({"values": np.ones(2)}, "3 stored features by the row pointers, 3 indices and 2 values"),
+    ({"indptr": np.array([0, 1, 3, 4])}, "4 stored features by the row pointers, 3 indices"),
+    ({"sizes": [1, 1]}, "agent sizes summing to 2 for 3 labels and 3 rows"),
+], ids=["index_past_d", "negative_index", "short_values", "long_indptr", "short_sizes"])
+def test_logistic_from_pooled_rejects_inconsistent_arrays(change, match):
+    args = {"labels": np.array([1.0, -1.0, 1.0]), "indptr": np.array([0, 1, 3, 3]),
+            "indices": np.array([0, 2, 1]), "values": np.ones(3), "d": 3, "sizes": [2, 1]}
+    args.update(change)
+    with pytest.raises(costs.CostError, match=match):
+        costs.LogisticEnsemble.from_pooled(**args)
+
+
 def test_profile_b_beta_assignment():
     e = costs.make_synthetic_quadratics(5, 3, "b", seed=9)
     betas = sorted(e.b[:, 0])
@@ -322,8 +337,9 @@ def test_logistic_local_gradient_is_the_batch_of_all_the_agents_rows():
     e = costs.LogisticEnsemble([rng.standard_normal((m, 3)) for m in (5, 2, 7)],
                                [rng.choice([-1.0, 1.0], size=m) for m in (5, 2, 7)], eta=0.05)
     x = rng.standard_normal(3)
+    dense = DenseLogistic(e)
     for i in range(3):
-        h, y = e.features[i], e.labels[i]
+        h, y = dense.features[i], dense.labels[i]
         by_hand = -(h.T @ (y * (1.0 / (1.0 + np.exp(y * (h @ x)))))) / len(h) + e._penalty_grad(x)
         assert np.array_equal(e.grad_local(i, x), by_hand)
         assert np.array_equal(e.grad_local(i, x), e.grad_batch(i, x, np.arange(len(h))))
@@ -379,9 +395,10 @@ def test_logistic_grad_global_all_matches_the_expit_form(case):
         # 1e-13 of the summed magnitudes bounds the error of any summation
         # order; a term whose expit lies below the smallest normal float may be
         # lost by the exp form (flushed to 0 or left subnormal), hence tiny
-        sig = e._w_all[:, None] * expit(-(e._h_all @ x.T) * e._y_all[:, None])
-        terms = (np.abs(e._h_all).T @ sig).T + e.eta * 2.0 * np.abs(x) / (1.0 + x * x) ** 2
-        tol = 1e-13 * terms + np.finfo(float).tiny * (e._w_all @ np.abs(e._h_all))
+        h = dense_features(e)
+        sig = e._w_all[:, None] * expit(-(h @ x.T) * e._y_all[:, None])
+        terms = (np.abs(h).T @ sig).T + e.eta * 2.0 * np.abs(x) / (1.0 + x * x) ** 2
+        tol = 1e-13 * terms + np.finfo(float).tiny * (e._w_all @ np.abs(h))
         assert np.all(np.abs(got - ref) <= tol)
 
 
@@ -389,7 +406,8 @@ def test_logistic_grad_global_all_matches_the_expit_form(case):
 @given(case=logistic_cases(), tile=st.integers(1, 5))
 def test_logistic_global_gradients_over_row_tiles(case, tile):
     e, xs = case
-    m, d = e._h_all.shape
+    h = dense_features(e)
+    m, d = h.shape
     counts, spy = tile_counts()
     with mock.patch.object(costs, "TILE", tile), spy:
         stacked = e.grad_global_all(xs)
@@ -412,10 +430,10 @@ def test_logistic_global_gradients_over_row_tiles(case, tile):
         # by at most that much relative. The final add of the penalty rounds
         # twice more, and a z_r near the smallest normal may round by tiny.
         eps = np.finfo(float).eps
-        z = e._w_all * expit(-(x @ e._h_all.T) * e._y_all)
-        spread = np.abs(x) @ np.abs(e._h_all).T
-        terms = (m * z + d * z * spread) @ np.abs(e._h_all)
-        tol = 2 * eps * (terms + np.abs(ref)) + np.finfo(float).tiny * (e._w_all @ np.abs(e._h_all))
+        z = e._w_all * expit(-(x @ h.T) * e._y_all)
+        spread = np.abs(x) @ np.abs(h).T
+        terms = (m * z + d * z * spread) @ np.abs(h)
+        tol = 2 * eps * (terms + np.abs(ref)) + np.finfo(float).tiny * (e._w_all @ np.abs(h))
         assert np.all(np.abs(got - ref) <= tol)
 
 
@@ -426,9 +444,8 @@ def random_corpus(n, d, m, rng, eta=0.1):
     """Logistic costs on m random rows of d features, split at random among
     n agents."""
     cuts = np.sort(rng.choice(np.arange(1, m), size=n - 1, replace=False))
-    sizes = np.diff(np.concatenate([[0], cuts, [m]]))
-    return costs.LogisticEnsemble.from_pooled(rng.standard_normal((m, d)) * rng.exponential(1.0, d),
-                                              rng.choice([-1.0, 1.0], m), sizes, eta=eta)
+    h = rng.standard_normal((m, d)) * rng.exponential(1.0, d)
+    return costs.LogisticEnsemble(np.split(h, cuts), np.split(rng.choice([-1.0, 1.0], m), cuts), eta=eta)
 
 
 @st.composite
@@ -477,12 +494,109 @@ def test_a_slice_or_point_has_its_bits_alone_in_every_panel_position_beside_any_
             assert e.value_global(mates)[b] == value
 
 
+@st.composite
+def sparse_cases(draw):
+    """A logistic ensemble on n = 1-6 agents and a TILE of 1-5 rows or the
+    default. Either a random LIBSVM corpus, d in {1, 2, 17}, of up to 40 rows
+    (up to 3 tiles and a partial one at the default TILE), with empty rows
+    and explicit ``:0`` and ``:-0`` values, max-abs scaled or not, or dense
+    features through the dense constructor, some of them -0.0. Also a seed
+    for the points."""
+    n = draw(st.integers(1, 6))
+    eta = draw(st.sampled_from([0.0, 0.1]))
+    tile = draw(st.sampled_from([costs.TILE, 1, 2, 3, 5]))
+    d = draw(st.sampled_from([1, 2, 17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m = int(rng.integers(n, 3 * tile + 2)) if tile == costs.TILE else draw(st.integers(n, 40))
+    if draw(st.booleans()):
+        lines = []
+        for _ in range(m):
+            cols = np.flatnonzero(rng.random(d) < rng.choice([0.0, 0.3, 1.0]))
+            vals = rng.choice(["0", "-0", "1", "-2.5", repr(float(rng.standard_normal()))], len(cols))
+            lines.append(" ".join([str(rng.choice([-1, 1]))] + [f"{c + 1}:{v}" for c, v in zip(cols, vals)]))
+        ds = datasets.parse_libsvm("\n".join(lines) + "\n")
+        if ds.d == 0:
+            ds = datasets.parse_libsvm("\n".join(lines) + f"\n+1 {d}:0\n")
+        if draw(st.booleans()):
+            ds = datasets.maxabs_scale(ds)
+        parts = datasets.split_uniform(ds, n, seed=draw(st.integers(0, 9)))
+        h = np.vstack([reference_densify(p.rows, ds.d)[0] for p in parts])
+        e = datasets.to_logistic_ensemble(parts, eta=eta)
+    else:
+        h = rng.standard_normal((m, d)) * (rng.random((m, d)) < 0.5)
+        h[rng.random((m, d)) < 0.2] = -0.0
+        cuts = np.sort(rng.choice(np.arange(1, m), size=n - 1, replace=False)) if n > 1 else []
+        e = costs.LogisticEnsemble(np.split(h, cuts), np.split(rng.choice([-1.0, 1.0], m), cuts), eta=eta)
+    # every entry is kept, -0.0 features too
+    assert dense_features(e).tobytes() == h.tobytes()
+    return e, tile, draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_cases())
+@example((random_corpus(4, 17, 193, np.random.default_rng(1)), costs.TILE, 0))
+def test_the_sparse_forms_match_the_dense_forms_bit_for_bit(case):
+    e, tile, seed = case
+    dense = DenseLogistic(e)
+    rng = np.random.default_rng(seed)
+    n, d = e.n, e.d
+    xs = rng.standard_normal((2 * costs.GRAD_SLICES + 1, n, d))
+    points = rng.standard_normal((costs.VALUE_POINTS + 3, d))
+    with mock.patch.object(costs, "TILE", tile), np.errstate(over="ignore"):
+        for f in ("grad_global", "grad_global_all", "value_global"):
+            for x in (xs, xs[0], points, points[0]):
+                assert np.asarray(getattr(e, f)(x)).tobytes() == np.asarray(getattr(dense, f)(x)).tobytes()
+    for i in range(n):
+        x = xs[0, i]
+        assert e.grad_local(i, x).tobytes() == dense.grad_local(i, x).tobytes()
+        assert e.value_local(i, x) == dense.value_local(i, x)
+        assert e.sample_count(i) == len(dense.features[i])
+        idx = rng.choice(e.sample_count(i), size=rng.integers(1, e.sample_count(i) + 1), replace=False)
+        assert e.grad_batch(i, x, idx).tobytes() == dense.grad_batch(i, x, idx).tobytes()
+    assert e.smoothness() == dense.smoothness()
+
+
+def test_a_logistic_ensembles_arrays_are_read_only_also_after_a_pickle():
+    rng = np.random.default_rng(4)
+    ds = datasets.LabeledDataset(np.array([1, -1, 1]), np.array([0, 2, 2, 3]), np.array([0, 2, 1]),
+                                 np.array([0.5, -0.0, 2.0]), 3)
+    for e in (datasets.to_logistic_ensemble(datasets.split_uniform(ds, 2), eta=0.1),
+              costs.LogisticEnsemble([rng.standard_normal((3, 2))], [np.ones(3)])):
+        x = rng.standard_normal((e.n, e.d))
+        copy = pickle.loads(pickle.dumps(e))
+        for ens in (e, copy):
+            arrays = [v for v in vars(ens).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == len(costs.LogisticEnsemble._ARRAYS)
+            assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            copy._values[0] = 1.0
+        assert copy.grad_global_all(x).tobytes() == e.grad_global_all(x).tobytes()
+
+
+def test_building_a_logistic_ensemble_holds_no_dense_matrix():
+    # an a9a-shaped corpus of eight tiles: 14 of 123 features per row
+    m, d, nnz = 8 * costs.TILE, 123, 14
+    rng = np.random.default_rng(5)
+    indices = np.sort(np.argsort(rng.random((m, d)), axis=1)[:, :nnz], axis=1).ravel()
+    ds = datasets.LabeledDataset(rng.choice([-1, 1], m), np.arange(m + 1) * nnz, indices,
+                                 np.ones(m * nnz), d)
+    parts = datasets.split_uniform(ds, 50)
+    tracemalloc.start()
+    try:
+        e = datasets.to_logistic_ensemble(parts, eta=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * d * 8 / 2
+    assert all(v.size < m * d for v in vars(e).values() if isinstance(v, np.ndarray))
+
+
 def eight_tile_ensemble(n, d):
     m = 8 * costs.TILE
     rng = np.random.default_rng(3)
-    sizes = np.diff(np.linspace(0, m, n + 1).astype(int))
-    return costs.LogisticEnsemble.from_pooled(rng.standard_normal((m, d)),
-                                              rng.choice([-1.0, 1.0], m), sizes, eta=0.1), rng
+    cuts = np.linspace(0, m, n + 1).astype(int)[1:-1]
+    h, y = rng.standard_normal((m, d)), rng.choice([-1.0, 1.0], m)
+    return costs.LogisticEnsemble(np.split(h, cuts), np.split(y, cuts), eta=0.1), rng
 
 
 def traced_peak(fn, x):

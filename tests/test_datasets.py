@@ -355,9 +355,9 @@ def test_arrays_match_the_reference_loops(text, as_file, n, seed, eta):
         return
     e = datasets.to_logistic_ensemble(parts, eta=eta)
     dense = [util.reference_densify(p, ref_d) for p in ref_parts]
-    assert np.array_equal(_bits(e._h_all), _bits(np.vstack([h for h, _ in dense])))
+    assert np.array_equal(_bits(util.dense_features(e)), _bits(np.vstack([h for h, _ in dense])))
     assert np.array_equal(e._y_all, np.concatenate([y for _, y in dense]))
-    assert all(np.array_equal(_bits(f), _bits(h)) for f, (h, _) in zip(e.features, dense))
+    assert [e.sample_count(i) for i in range(n)] == [len(y) for _, y in dense]
 
 
 def _same_outcome(got, ref):

@@ -26,12 +26,88 @@ def central_diff_grad(f, x, h=1e-6):
     return g
 
 
+def dense_features(e):
+    """The pooled (m, d) features of a logistic ensemble, rebuilt from its CSR
+    arrays one entry at a time."""
+    m = len(e._y_all)
+    h = np.zeros((m, e.d))
+    for r in range(m):
+        for p in range(e._indptr[r], e._indptr[r + 1]):
+            row, col = divmod(int(e._offsets[p]), e.d)
+            assert row == r
+            h[r, col] = e._values[p]
+    return h
+
+
+class DenseLogistic(costs.LogisticEnsemble):
+    """The logistic ensemble ``e`` evaluated in the dense forms it had before
+    it kept its rows sparse: over the pooled (m, d) features that
+    ``dense_features`` rebuilds and per-agent row views of them."""
+
+    def __init__(self, e):
+        self.__dict__.update(vars(e))
+        self._smoothness = None
+        self._h_all = dense_features(e)
+        cuts = e._starts[1:-1]
+        self.features = np.split(self._h_all, cuts)
+        self.labels = np.split(self._y_all, cuts)
+
+    def grad_local(self, i, x):
+        costs._check_finite(x)
+        return self.grad_batch(i, x, slice(None))
+
+    def value_local(self, i, x):
+        self._validate_agent(i)
+        h, y = self.features[i], self.labels[i]
+        margins = y * (h @ x)
+        return float(np.mean(np.logaddexp(0.0, -margins)) + self._penalty_value(x))
+
+    def grad_batch(self, i, x, idx):
+        self._validate_agent(i)
+        h = self.features[i][idx]
+        y = self.labels[i][idx]
+        margins = y * (h @ x)
+        sig = costs._sigmoid(-margins)
+        data = -(h.T @ (y * sig)) / len(h)
+        return data + self._penalty_grad(x)
+
+    def _panel_sums(self, rows, height, out, term):
+        panel = np.zeros((height, self.d))
+        buf = np.empty(height * min(costs.TILE, len(self._y_all)))
+        tiles = self._tiles()
+        for lo in range(0, len(rows), height):
+            k = min(height, len(rows) - lo)
+            panel[:k] = rows[lo:lo + k]
+            panel[k:] = 0.0
+            total = None
+            for t in tiles:
+                h = self._h_all[t]
+                z = np.matmul(h, panel.T, out=buf[:len(h) * height].reshape(len(h), height))
+                z *= self._y_all[t, None]
+                if total is None:
+                    total = term(z, t, h)
+                else:
+                    total += term(z, t, h)
+            out[lo:lo + k] = total[..., :k].T
+        return out
+
+    def smoothness(self):
+        if self._smoothness is None:
+            worst = 0.0
+            for h in self.features:
+                s = np.linalg.svd(h, compute_uv=False)[0]
+                worst = max(worst, float(s * s) / (4.0 * h.shape[0]))
+            self._smoothness = worst + 2.0 * self.eta
+        return self._smoothness
+
+
 def reference_logistic_grad_global_all(e, x_rows):
     """Global logistic gradient at each row of ``x_rows`` (n, d) through
     scipy's ``expit``, a sigmoid independent of gtsim's exp form."""
-    margins = (e._h_all @ x_rows.T) * e._y_all[:, None]
+    h = dense_features(e)
+    margins = (h @ x_rows.T) * e._y_all[:, None]
     sig = expit(-margins)
-    data = -(e._h_all.T @ (sig * (e._y_all * e._w_all)[:, None])).T
+    data = -(h.T @ (sig * (e._y_all * e._w_all)[:, None])).T
     return data + e.eta * 2.0 * x_rows / (1.0 + x_rows * x_rows) ** 2
 
 
@@ -41,13 +117,14 @@ def parent_logistic_grad_global_all(e, x_rows):
     (n, m) buffer over all pooled rows."""
     # one (n, m_total) buffer: margins, then y w sigmoid(-margin) in
     # place as y w / (1 + exp(margin)), the form of _sigmoid
-    z = x_rows @ e._h_all.T
+    h = dense_features(e)
+    z = x_rows @ h.T
     z *= e._y_all
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0
     np.divide(e._yw_all, z, out=z)
-    data = -(z @ e._h_all)
+    data = -(z @ h)
     return data + e._penalty_grad(x_rows)
 
 
