@@ -83,12 +83,29 @@ class CostEnsemble:
     up to a multiple of the width and the slots past the block zero-padded,
     and passes ``grad_all`` the (S, n, d) stack of slots. Width 1 holds the
     (B, n, d) block as it is.
+
+    Every array an ensemble holds is read-only, those of a cached result
+    too, so a stray in-place write raises instead of changing the costs;
+    an unpickled ensemble, as each pool worker gets it, is read-only again.
     """
 
     kind = "abstract"
     panel_width = 1
     n: int
     d: int
+
+    def _freeze(self):
+        """Mark every array the ensemble holds, or holds in a tuple,
+        read-only."""
+        for v in vars(self).values():
+            for a in v if isinstance(v, tuple) else (v,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+
+    def __setstate__(self, state):
+        # a pickle does not keep the read-only flags
+        self.__dict__.update(state)
+        self._freeze()
 
     def grad_local(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -178,8 +195,6 @@ class QuadraticEnsemble(CostEnsemble):
                 raise CostError("A_i must be symmetric within 1e-12")
         self.a = a
         self.b = b
-        self.a.flags.writeable = False
-        self.b.flags.writeable = False
         if not self.shared_a:
             self.panel_width = PANEL
             # A_i' rather than A_i: symmetry is checked only to 1e-12
@@ -187,25 +202,13 @@ class QuadraticEnsemble(CostEnsemble):
             # b_i repeated over the slots of a panel: added in one dense pass,
             # which takes a fifth of the time of adding b broadcast
             self._b_panel = np.repeat(self.b[:, None, None], PANEL, axis=2)
-            self._b_panel.flags.writeable = False
         self._a_bar = a if self.shared_a else a.mean(axis=0)
         self._b_bar = b.mean(axis=0)
         self._smoothness = None
         self._mu = None
         self._optimum = None
         self._solved = False
-
-    def __setstate__(self, state):
-        # a pickle does not keep the read-only flags: restore them, so an
-        # unpickled ensemble, as each worker gets it, is as read-only as its
-        # original
-        self.__dict__.update(state)
-        frozen = [self.a, self.b, state.get("_b_panel")]
-        if self._optimum is not None:
-            frozen.append(self._optimum[0])
-        for v in frozen:
-            if v is not None:
-                v.flags.writeable = False
+        self._freeze()
 
     def _a_of(self, i):
         return self.a if self.shared_a else self.a[i]
@@ -287,8 +290,8 @@ class QuadraticEnsemble(CostEnsemble):
             except np.linalg.LinAlgError:
                 return None
             x_star = np.linalg.solve(factor.T, np.linalg.solve(factor, -self._b_bar))
-            x_star.flags.writeable = False
             self._optimum = (x_star, self.value_global(x_star))
+            self._freeze()
         return self._optimum
 
 
@@ -297,11 +300,14 @@ class LogisticEnsemble(CostEnsemble):
 
     f_i(x) = (1/m_i) sum_r log(1 + exp(-y_r <h_r, x>)) + eta sum_k x_k^2/(1+x_k^2)
 
-    The agents' data is pooled into one label vector and sparse rows, held as
-    CSR arrays: the values of the stored features, each one's offset
-    ``r d + k`` in the row-major layout of the (m, d) feature matrix, and row
-    pointers. An evaluation densifies only the rows it reads, each at its
-    offset less that of its first row. The arrays are read-only.
+    The agents' data is pooled into one label vector and sparse rows, given
+    as CSR arrays: pooled row r has label ``labels[r]`` and the features
+    ``indices[indptr[r]:indptr[r + 1]]``, 0-based and below ``d``, with
+    values ``values[indptr[r]:indptr[r + 1]]``, and agent i owns the next
+    ``sizes[i]`` rows. The values, row pointers and labels are kept, not
+    copied, as views; each index becomes its offset ``r d + k`` in the
+    row-major layout of the (m, d) feature matrix. An evaluation densifies
+    only the rows it reads, each at its offset less that of its first row.
 
     The global evaluations stack their points into zero-padded panels of a
     fixed height: GRAD_SLICES (n, d) slices, 4n rows, for ``grad_global`` and
@@ -312,87 +318,50 @@ class LogisticEnsemble(CostEnsemble):
     rows serves every panel, and a call holds those buffers, not an (n, m) or
     (m, d) one. A row's bits do not depend on its panel position or
     panel-mates, so a slice or point alone, padded into a panel of its own,
-    gets the bits it gets in any stack. At n >= 2 a corpus of at most TILE
-    rows gets the gradients of one (n, m) buffer, bit for bit; on more tiles
-    only the order of the sum over the rows differs.
+    gets the bits it gets in any stack. At n >= 2 and d >= 2 a corpus of at
+    most TILE rows gets the gradients of one (n, m) buffer, bit for bit; on
+    more tiles only the order of the sum over the rows differs.
     """
 
     kind = "logistic"
-    _ARRAYS = ("_values", "_offsets", "_indptr", "_y_all", "_starts", "_w_all", "_yw_all")
 
-    def __init__(self, features, labels, eta: float = 0.0):
-        if len(features) != len(labels) or not features:
-            raise CostError("need one (features, labels) pair per agent")
-        feats = [np.asarray(h, dtype=float) for h in features]
-        if any(h.ndim != 2 or h.shape[1] != feats[0].shape[1] for h in feats):
-            raise CostError("all agents must share one feature dimension")
-        labs = [np.asarray(y, dtype=float) for y in labels]
-        for i, (h, y) in enumerate(zip(feats, labs)):
-            if y.shape != (h.shape[0],):
-                raise CostError(f"agent {i} has {h.shape[0]} feature rows but labels of shape {y.shape}")
-        h = np.vstack(feats)
-        # every entry whose bits are nonzero, so that a -0.0 feature is kept
-        stored = h.view(np.uint64) != 0
-        offsets = np.flatnonzero(stored)
-        indptr = np.zeros(len(h) + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-        self._hold(h.ravel()[offsets], offsets, indptr, np.concatenate(labs),
-                   [len(f) for f in feats], h.shape[1], eta)
-
-    @classmethod
-    def from_pooled(cls, labels, indptr, indices, values, d, sizes, eta: float = 0.0) -> "LogisticEnsemble":
-        """The ensemble whose agent i owns the next ``sizes[i]`` of the pooled
-        rows, given as CSR arrays: row r has label ``labels[r]`` and the
-        features ``indices[indptr[r]:indptr[r + 1]]``, 0-based and below
-        ``d``, with values ``values[indptr[r]:indptr[r + 1]]``. The values,
-        row pointers and labels are kept, not copied, as read-only views; each
-        index becomes its offset in the row-major (m, d) layout."""
+    def __init__(self, labels, indptr, indices, values, d, sizes, eta: float = 0.0):
+        sizes = list(sizes)
+        if not sizes:
+            raise CostError("need at least one agent")
+        if eta < 0:
+            raise CostError("penalty eta must be >= 0")
+        if min(sizes) < 1:
+            raise CostError("each agent needs at least one sample")
+        if sum(sizes) != len(labels) or len(indptr) != len(labels) + 1:
+            raise CostError(f"agent sizes summing to {sum(sizes)} for {len(labels)} labels "
+                            f"and {len(indptr) - 1} rows")
+        if indptr[0] != 0:
+            raise CostError(f"row pointers must start at 0, not {indptr[0]}")
         counts = np.diff(indptr)
+        if np.any(counts < 0):
+            raise CostError("row pointers must not decrease")
         if not indptr[-1] == len(indices) == len(values):
             raise CostError(f"{indptr[-1]} stored features by the row pointers, "
                             f"{len(indices)} indices and {len(values)} values")
         if len(indices) and (indices.min() < 0 or indices.max() >= d):
             raise CostError(f"feature indices must lie in [0, {d})")
-        offsets = np.repeat(np.arange(len(counts)) * d, counts)
-        offsets += indices
-        e = cls.__new__(cls)
-        e._hold(values, offsets, indptr, labels, list(sizes), d, eta)
-        return e
-
-    def _hold(self, values, offsets, indptr, y_all, sizes, d, eta):
-        if eta < 0:
-            raise CostError("penalty eta must be >= 0")
-        if min(sizes) < 1:
-            raise CostError("each agent needs at least one sample")
-        if sum(sizes) != len(y_all) or len(indptr) != len(y_all) + 1:
-            raise CostError(f"agent sizes summing to {sum(sizes)} for {len(y_all)} labels "
-                            f"and {len(indptr) - 1} rows")
-        if not np.all(np.isin(y_all, (-1.0, 1.0))):
+        if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise CostError("labels must be +1 or -1")
         self.n = len(sizes)
         self.d = int(d)
         self.eta = float(eta)
         self._smoothness = None
-        # read-only views, so a stray in-place write raises instead of
-        # changing the costs; agent i owns pooled rows _starts[i] to _starts[i + 1]
+        # views, so that freezing them leaves the caller's arrays writeable;
+        # agent i owns pooled rows _starts[i] to _starts[i + 1]
         self._values = values.view()
-        self._offsets = offsets.view()
+        self._offsets = np.repeat(np.arange(len(counts)) * self.d, counts)
+        self._offsets += indices
         self._indptr = indptr.view()
-        self._y_all = y_all.view()
+        self._y_all = labels.view()
         self._starts = np.concatenate([[0], np.cumsum(sizes)])
         self._w_all = np.repeat([1.0 / (self.n * m) for m in sizes], sizes)
         self._yw_all = self._y_all * self._w_all
-        self._freeze()
-
-    def _freeze(self):
-        for name in self._ARRAYS:
-            getattr(self, name).flags.writeable = False
-
-    def __setstate__(self, state):
-        # a pickle does not keep the read-only flags: restore them, so an
-        # unpickled ensemble, as each worker gets it, is as read-only as its
-        # original
-        self.__dict__.update(state)
         self._freeze()
 
     def _scatter(self, lo, hi, out):

@@ -341,10 +341,12 @@ def maxabs_scale(ds: LabeledDataset) -> LabeledDataset:
 
 def to_logistic_ensemble(parts, eta: float = 0.0) -> LogisticEnsemble:
     """Pool per-agent datasets into a logistic cost ensemble: the parts' CSR
-    arrays, joined in order, d the largest of the parts' dimensions. The
-    features stay sparse; the ensemble densifies the rows it reads."""
+    arrays, joined in order, passed to the ``LogisticEnsemble`` constructor,
+    with d the largest of the parts' dimensions and agent i owning part i's
+    rows. The features stay sparse; the ensemble densifies the rows it
+    reads."""
     counts = np.concatenate([np.diff(p.indptr) for p in parts])
-    return LogisticEnsemble.from_pooled(
+    return LogisticEnsemble(
         np.concatenate([p.labels for p in parts]).astype(float), _offsets(counts),
         np.concatenate([p.indices for p in parts]), np.concatenate([p.values for p in parts]),
         max(p.d for p in parts), [p.m for p in parts], eta=eta)

@@ -271,6 +271,9 @@ def normalize_config(raw: dict) -> ExperimentConfig:
     n = data["topology"].get("n")
     if n is not None:  # a matrix_csv topology's count is known once it is read
         _check_agent_count(data, n, f"'topology.n' is {n}")
+    if data["oracle"]["flavor"] == "minibatch" and data["cost"]["kind"] != "logistic_libsvm":
+        raise ConfigError(f"'oracle.flavor' minibatch draws from a dataset, a logistic_libsvm cost, "
+                          f"but 'cost.kind' is {data['cost']['kind']}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
@@ -399,10 +402,16 @@ def build_run_config(cfg: ExperimentConfig, record_trace: bool = False) -> algor
     e = build_ensemble(cfg, w.n)
     if e.n != w.n:
         raise ConfigError(f"the cost ensemble has {e.n} agents but the mixing matrix has {w.n}")
+    o = build_oracle(cfg)
+    if o.kind == "minibatch":
+        smallest = min(e.sample_count(i) for i in range(e.n))
+        if o.batch_size >= smallest:
+            raise ConfigError(f"'oracle.batch_size' {o.batch_size} must be below every agent's "
+                              f"sample count, and the smallest is {smallest}")
     return algorithms.RunConfig(
         w=w,
         ensemble=e,
-        oracle=build_oracle(cfg),
+        oracle=o,
         schedule=build_schedule(cfg),
         T=cfg["experiment"]["T"],
         x0=build_x0(cfg, w.n, e.d),

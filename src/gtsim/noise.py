@@ -185,16 +185,19 @@ def _batch_generator(seed: int, run: int, t: int) -> np.random.Generator:
     return _generator(seed, 1, run, t)
 
 
-def _require_dataset(e):
+def _check_minibatch(o, e, agents):
+    """The mini-batch oracle's rules, checked once before its draws: the
+    ensemble has a dataset, and each of ``agents`` more samples than a
+    batch."""
     if not hasattr(e, "grad_batch"):
         raise OracleError("no dataset: mini-batch oracle needs a dataset-backed ensemble")
+    m = min(e.sample_count(i) for i in agents)
+    if o.batch_size >= m:
+        raise OracleError(f"batch_size {o.batch_size} must be < local dataset size {m}")
 
 
 def _batch_of(o, e, i, gen):
-    m = e.sample_count(i)
-    if o.batch_size >= m:
-        raise OracleError(f"batch_size {o.batch_size} must be < local dataset size {m}")
-    return gen.choice(m, size=o.batch_size, replace=False)
+    return gen.choice(e.sample_count(i), size=o.batch_size, replace=False)
 
 
 def _relaxed_scale(o, alpha, global_grad_norm):
@@ -220,7 +223,7 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
-        _require_dataset(e)
+        _check_minibatch(o, e, range(n))
 
         def sample_minibatch(x, t, alpha=None):
             g = np.empty_like(x)
@@ -357,7 +360,7 @@ def noise_samples(
         s = o.s_vector(e.n)[i] * scale
         return (_scaled(gen.standard_normal((k, e.d)), s) for k in sizes)
     if o.kind == "minibatch":
-        _require_dataset(e)
+        _check_minibatch(o, e, [i])
         grad = e.grad_local(i, x)
         return (_minibatch_rows(o, e, i, x, grad, gen, k) for k in sizes)
     raise OracleError(f"unknown oracle kind {o.kind!r}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsim import algorithms as alg, costs, harness, metrics, noise, theorycheck, topology
+from gtsim import algorithms as alg, costs, datasets, harness, metrics, noise, theorycheck, topology
 from gtsim.cli import cli
 from util import (assert_records_identical, reference_emit_outputs, reference_envelope_json,
                   reference_normalize_config, reference_series_csv, ring_matrix)
@@ -940,12 +940,13 @@ def test_thresholds_that_share_a_series_name_are_a_config_error(tmp_path, thresh
 TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
 
-def _fails_before_any_run(tmp_path, capsys, command, text, message):
+def _fails_before_any_run(tmp_path, capsys, command, text, message, workers=1):
     """``gtsim <command>`` on ``text`` exits 1 with ``message`` on stderr,
     and the engine never runs."""
     path = write(tmp_path, text, name="unrunnable.toml")
+    run_args = ["--out", str(tmp_path / "out"), "--workers", str(workers)] if command == "run" else []
     with mock.patch.object(harness.algorithms, "run", side_effect=AssertionError("a run started")) as run:
-        assert cli([command, str(path), *(["--out", str(tmp_path / "out")] if command == "run" else [])]) == 1
+        assert cli([command, str(path), *run_args]) == 1
     run.assert_not_called()
     err = capsys.readouterr().err
     assert re.search(message, err), err
@@ -989,6 +990,31 @@ def test_a_thresholded_mse_to_opt_on_a_cost_without_an_optimum_fails_before_any_
     for edit in ('T = 5\ntail_statistic = "running_stationarity"\n', "T = 5\nthresholds = []\n"):
         cfg = harness.load_config(write(tmp_path, text.replace("T = 5\nthresholds = [0.5]\n", edit)))
         assert not harness.run_experiment(cfg).partial
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cost, batch, message", [
+    ('kind = "quadratic_synthetic"\nd = 3\n', 1,
+     r"'oracle\.flavor' minibatch draws from a dataset, a logistic_libsvm cost, but 'cost\.kind' is "
+     r"quadratic_synthetic"),
+    (f'kind = "logistic_libsvm"\npath = "{TOY}"\n', 50,
+     r"'oracle\.batch_size' 50 must be below every agent's sample count, and the smallest is 4"),
+], ids=["minibatch-on-a-quadratic", "batch-past-an-agents-samples"])
+def test_a_minibatch_oracle_that_its_cost_cannot_serve_fails_before_any_run(tmp_path, capsys, cost, batch,
+                                                                            message, workers):
+    text = MINIMAL_TOML.replace('kind = "quadratic_synthetic"\nd = 3\n', cost).replace(
+        'flavor = "gaussian"\ns = 0.5\n', f'flavor = "minibatch"\nbatch_size = {batch}\n')
+    _fails_before_any_run(tmp_path, capsys, "run", text, message, workers)
+
+
+def test_the_engine_rejects_a_minibatch_oracle_that_its_cost_cannot_serve():
+    toy = datasets.to_logistic_ensemble(datasets.split_uniform(datasets.load_libsvm(TOY), 4))
+    for e, batch, message in ((costs.make_synthetic_quadratics(4, 3), 1, "no dataset"),
+                              (toy, 50, "batch_size 50 must be < local dataset size 4")):
+        run_cfg = alg.RunConfig(ring_matrix(4), e, noise.MinibatchOracle(batch), alg.ConstantStep(0.01), 5,
+                                np.zeros((4, e.d)))
+        with pytest.raises(noise.OracleError, match=message):
+            alg.run("gt_dsgd", run_cfg, [1], [0])
 
 
 def test_a_quadratic_whose_mean_hessian_is_indefinite_has_no_optimum_but_runs(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gtsim import costs, datasets, noise
-from util import all_rows, reference_estimate_mgf, reference_noise, reference_noise_samples
+from util import all_rows, logistic_from_dense, reference_estimate_mgf, reference_noise, reference_noise_samples
 
 TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
@@ -62,7 +62,7 @@ def test_block_matches_per_agent_calls():
 
 def test_grad_batch_over_every_sample_is_the_local_gradient():
     rng = np.random.default_rng(1)
-    e = costs.LogisticEnsemble(
+    e = logistic_from_dense(
         [rng.standard_normal((6, 3))], [rng.choice([-1.0, 1.0], size=6)], eta=0.0
     )
     x = rng.standard_normal(3)
@@ -77,7 +77,7 @@ def test_minibatch_requires_dataset():
 
 def test_minibatch_full_batch_disallowed_by_default():
     rng = np.random.default_rng(2)
-    e = costs.LogisticEnsemble(
+    e = logistic_from_dense(
         [rng.standard_normal((4, 2))], [rng.choice([-1.0, 1.0], size=4)], eta=0.0
     )
     with pytest.raises(noise.OracleError, match="batch_size"):

@@ -26,6 +26,18 @@ def central_diff_grad(f, x, h=1e-6):
     return g
 
 
+def logistic_from_dense(features, labels, eta=0.0):
+    """The logistic ensemble of each agent's dense (m_i, d) features and
+    (m_i,) labels, through the CSR constructor: every entry whose bits are
+    nonzero is stored, a -0.0 feature too."""
+    h = np.vstack(features).astype(float)
+    stored = h.view(np.uint64) != 0
+    indptr = np.zeros(len(h) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return costs.LogisticEnsemble(np.concatenate(labels).astype(float), indptr, np.nonzero(stored)[1],
+                                  h[stored], h.shape[1], [len(f) for f in features], eta)
+
+
 def dense_features(e):
     """The pooled (m, d) features of a logistic ensemble, rebuilt from its CSR
     arrays one entry at a time."""
@@ -1256,6 +1268,10 @@ def reference_normalize_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"'oracle.s' lists {len(s)} per-agent scales but 'topology.n' is {n}")
     if data["cost"].get("profile") == "b" and n is not None and n % 5:
         raise ConfigError(f"'cost.profile' b needs a multiple of 5 agents but 'topology.n' is {n}")
+    if data["oracle"]["flavor"] == "minibatch" and data["cost"]["kind"] in ("quadratic_synthetic",
+                                                                           "quadratic_json"):
+        raise ConfigError(f"'oracle.flavor' minibatch draws from a dataset, a logistic_libsvm cost, "
+                          f"but 'cost.kind' is {data['cost']['kind']}")
     if data["experiment"]["T"] < 1 and any(data["checks"][k] for k in _TRAJECTORY_CHECKS):
         raise ConfigError("'experiment.T' must be >= 1 when a trajectory check is enabled")
     if data["checks"]["noise"] and data["oracle"]["flavor"] == "minibatch":
