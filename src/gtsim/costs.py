@@ -48,9 +48,11 @@ TILE = 256
 # slices of the gradients, VALUE_POINTS points of the values. At one GEMM
 # shape of two or more rows, OpenBLAS gives a row the same bits in every
 # position of a panel and beside any panel-mates; a product of one row goes
-# through GEMV instead, whose bits differ
+# through GEMV instead, whose bits differ. The engine asks for the values of
+# a block's chunk of iterations at once, so a one-run block of up to 16
+# iterations walks the tiles with one panel
 GRAD_SLICES = 4
-VALUE_POINTS = 8
+VALUE_POINTS = 16
 
 
 class CostError(ValueError):
@@ -60,6 +62,22 @@ class CostError(ValueError):
 def _check_finite(x):
     if not np.all(np.isfinite(x)):
         raise CostError("non-finite input to gradient evaluation")
+
+
+def _vector(name, a, dtype):
+    """``a`` as a 1-D array of ``dtype``, the array itself where it is one;
+    a CostError names the argument that is not. An integer dtype takes
+    integers only, not floats that it would truncate."""
+    try:
+        v = np.asarray(a)
+        if np.issubdtype(dtype, np.integer) and v.size and v.dtype.kind not in "iu":
+            raise TypeError(f"{v.dtype} entries")
+        v = v.astype(dtype, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise CostError(f"{name} must be a 1-D array of {np.dtype(dtype)}: {exc}") from None
+    if v.ndim != 1:
+        raise CostError(f"{name} must be a 1-D array of {np.dtype(dtype)}, not of shape {v.shape}")
+    return v
 
 
 def _sigmoid(v):
@@ -304,8 +322,10 @@ class LogisticEnsemble(CostEnsemble):
     as CSR arrays: pooled row r has label ``labels[r]`` and the features
     ``indices[indptr[r]:indptr[r + 1]]``, 0-based and below ``d``, with
     values ``values[indptr[r]:indptr[r + 1]]``, and agent i owns the next
-    ``sizes[i]`` rows. The values, row pointers and labels are kept, not
-    copied, as views; each index becomes its offset ``r d + k`` in the
+    ``sizes[i]`` rows. Any array-like is taken: labels and values as float64,
+    row pointers and indices as int64 (integers only). The values, row
+    pointers and labels are kept, not copied, as views where they already
+    are such arrays; each index becomes its offset ``r d + k`` in the
     row-major layout of the (m, d) feature matrix. An evaluation densifies
     only the rows it reads, each at its offset less that of its first row.
 
@@ -313,10 +333,11 @@ class LogisticEnsemble(CostEnsemble):
     fixed height: GRAD_SLICES (n, d) slices, 4n rows, for ``grad_global`` and
     ``grad_global_all``, and VALUE_POINTS points for ``value_global``. A call
     walks the pooled rows in tiles of TILE rows, each densified once into one
-    (TILE, d) buffer that every panel reads through one (TILE, height) buffer
-    of margins. So every product of a call has one shape, one pass over the
-    rows serves every panel, and a call holds those buffers, not an (n, m) or
-    (m, d) one. A row's bits do not depend on its panel position or
+    (TILE, d) buffer and multiplied there by its rows' labels, so that every
+    panel's product with it is the margins y <h, x>, written into one
+    (TILE, height) buffer. So every product of a call has one shape, one pass
+    over the rows serves every panel, and a call holds those buffers, not an
+    (n, m) or (m, d) one. A row's bits do not depend on its panel position or
     panel-mates, so a slice or point alone, padded into a panel of its own,
     gets the bits it gets in any stack. At n >= 2 and d >= 2 a corpus of at
     most TILE rows gets the gradients of one (n, m) buffer, bit for bit; on
@@ -326,6 +347,8 @@ class LogisticEnsemble(CostEnsemble):
     kind = "logistic"
 
     def __init__(self, labels, indptr, indices, values, d, sizes, eta: float = 0.0):
+        labels, values = _vector("labels", labels, float), _vector("values", values, float)
+        indptr, indices = _vector("indptr", indptr, np.int64), _vector("indices", indices, np.int64)
         sizes = list(sizes)
         if not sizes:
             raise CostError("need at least one agent")
@@ -361,7 +384,6 @@ class LogisticEnsemble(CostEnsemble):
         self._y_all = labels.view()
         self._starts = np.concatenate([[0], np.cumsum(sizes)])
         self._w_all = np.repeat([1.0 / (self.n * m) for m in sizes], sizes)
-        self._yw_all = self._y_all * self._w_all
         self._freeze()
 
     def _scatter(self, lo, hi, out):
@@ -373,10 +395,16 @@ class LogisticEnsemble(CostEnsemble):
         out.reshape(-1)[at] = self._values[a:b]
         return at
 
-    def _dense(self, lo, hi):
-        """The (hi - lo, d) features of pooled rows lo to hi."""
-        out = np.zeros((hi - lo, self.d))
-        self._scatter(lo, hi, out)
+    def _dense_rows(self, rows):
+        """The (len(rows), d) features of the pooled rows ``rows``, in their
+        order, written in one scatter: stored entry p of pooled row r goes
+        from offset r d + k to j d + k, where r is ``rows[j]``."""
+        first, counts = self._indptr[rows], np.diff(self._indptr)[rows]
+        # stored entry q of the batch is entry at[q] of the CSR arrays
+        at = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        shift = np.repeat((np.arange(len(rows)) - rows) * self.d, counts)
+        out = np.zeros((len(rows), self.d))
+        out.reshape(-1)[self._offsets[at] + shift] = self._values[at]
         return out
 
     def _rows_of(self, i):
@@ -389,30 +417,39 @@ class LogisticEnsemble(CostEnsemble):
     def _penalty_value(self, x):
         return self.eta * np.sum(x * x / (1.0 + x * x), axis=-1)
 
-    def _data_grad(self, x, h, y):
-        margins = y * (h @ x)
-        sig = _sigmoid(-margins)
-        data = -(h.T @ (y * sig)) / len(h)
-        return data + self._penalty_grad(x)
-
     def grad_local(self, i, x):
         _check_finite(x)
-        lo, hi = self._rows_of(i)
-        return self._data_grad(x, self._dense(lo, hi), self._y_all[lo:hi])
+        return self.grad_batch(i, x, np.arange(self.sample_count(i)))
 
     def value_local(self, i, x):
         lo, hi = self._rows_of(i)
-        margins = self._y_all[lo:hi] * (self._dense(lo, hi) @ x)
+        margins = self._y_all[lo:hi] * (self._dense_rows(np.arange(lo, hi)) @ x)
         return float(np.mean(np.logaddexp(0.0, -margins)) + self._penalty_value(x))
 
     def grad_batch(self, i, x, idx):
-        """Mini-batch gradient of agent i over sample indices ``idx``, whose
-        rows are densified one at a time."""
-        rows = np.arange(*self._rows_of(i))[idx]
-        h = np.zeros((len(rows), self.d))
-        for j, r in enumerate(rows.tolist()):
-            self._scatter(r, r + 1, h[j])
-        return self._data_grad(x, h, self._y_all[rows])
+        """Mini-batch gradients: for agents ``i`` at points ``x`` (..., d),
+        over the local sample indices ``idx`` (..., k), each in [0, m_i). The
+        agents, points and index rows broadcast over their leading axes; the
+        result is one (d,) gradient per batch, (*lead, d).
+
+        Every batch row is densified once into one (*lead, k, d) buffer, and
+        the margins and data sums are stacked products, for which numpy makes
+        per batch the BLAS call that a batch alone makes: a batch's gradient
+        has the same bits in any stack, and one call serves a whole block."""
+        i, x, idx = np.asarray(i), np.asarray(x, dtype=float), np.asarray(idx)
+        if i.size and (i.min() < 0 or i.max() >= self.n):
+            raise CostError(f"agent index out of range for n={self.n}")
+        lo, k = self._starts[i][..., None], idx.shape[-1]
+        if idx.size and (idx.min() < 0 or np.any(idx >= self._starts[i + 1][..., None] - lo)):
+            raise CostError("sample index outside its agent's local dataset")
+        lead = np.broadcast_shapes(i.shape, x.shape[:-1], idx.shape[:-1])
+        rows = np.broadcast_to(lo + idx, lead + (k,))
+        h = self._dense_rows(rows.reshape(-1)).reshape(rows.shape + (self.d,))
+        y = self._y_all[rows]
+        margins = y * np.matmul(h, x[..., None])[..., 0]
+        sig = _sigmoid(-margins)
+        data = -np.matmul(h.swapaxes(-1, -2), (y * sig)[..., None])[..., 0] / k
+        return data + self._penalty_grad(x)
 
     def _tiles(self):
         """The pooled rows as slices of TILE rows."""
@@ -422,12 +459,15 @@ class LogisticEnsemble(CostEnsemble):
     def _panel_sums(self, rows, height, out, term):
         """``out[r]``, for each row r of ``rows`` (k, d), is the sum over the
         tiles of ``term(z, tile, h)[..., j]``, where r is row j of its
-        zero-padded panel of ``height`` rows, h is the tile's features,
-        densified once per call into the one (TILE, d) buffer, and z the
-        (tile rows, height) margins y <h, x> in the one margin buffer. The
-        margins are the product h x' with the panel as OpenBLAS's M operand:
-        as its N operand, a row's bits would depend on its panel position
-        wherever a tile ends in a partial block of the kernel."""
+        zero-padded panel of ``height`` rows, h is the tile's features times
+        their labels, densified and multiplied once per call into the one
+        (TILE, d) buffer, and z the (tile rows, height) margins y <h, x> in
+        the one margin buffer. A product by a label of +-1 is exact, so the
+        margins and terms have the bits of margins taken unsigned and then
+        multiplied by the labels. The margins are the product h x' with the
+        panel as OpenBLAS's M operand: as its N operand, a row's bits would
+        depend on its panel position wherever a tile ends in a partial block
+        of the kernel."""
         panels = np.zeros((-(-len(rows) // height), height, self.d))
         panels.reshape(-1, self.d)[:len(rows)] = rows
         tile = np.zeros((min(TILE, len(self._y_all)), self.d))
@@ -436,10 +476,10 @@ class LogisticEnsemble(CostEnsemble):
         for t in self._tiles():
             h = tile[:t.stop - t.start]
             at = self._scatter(t.start, t.stop, h)
+            h *= self._y_all[t, None]
             z = buf[:len(h) * height].reshape(len(h), height)
             for p, panel in enumerate(panels):
                 np.matmul(h, panel.T, out=z)
-                z *= self._y_all[t, None]
                 if t.start == 0:
                     totals.append(term(z, t, h))
                 else:
@@ -451,11 +491,11 @@ class LogisticEnsemble(CostEnsemble):
         return out
 
     def _grad_term(self, z, t, h):
-        # y w sigmoid(-margin) in place as y w / (1 + exp(margin)), the form
-        # of _sigmoid, then its product with the tile's rows
+        # w sigmoid(-margin) in place as w / (1 + exp(margin)), the form of
+        # _sigmoid, then its product with the tile's labelled rows
         np.exp(z, out=z)
         z += 1.0
-        np.divide(self._yw_all[t, None], z, out=z)
+        np.divide(self._w_all[t, None], z, out=z)
         return h.T @ z
 
     def _value_term(self, z, t, h):
@@ -488,7 +528,7 @@ class LogisticEnsemble(CostEnsemble):
         if self._smoothness is None:
             worst = 0.0
             for i in range(self.n):
-                h = self._dense(*self._rows_of(i))
+                h = self._dense_rows(np.arange(*self._rows_of(i)))
                 s = np.linalg.svd(h, compute_uv=False)[0]
                 worst = max(worst, float(s * s) / (4.0 * h.shape[0]))
             self._smoothness = worst + 2.0 * self.eta

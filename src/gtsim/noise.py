@@ -10,7 +10,9 @@ All randomness is counter-based. Gaussian noise is drawn once per run per
 chunk of CHUNK iterations, from one Philox stream keyed by (seed, run, t0) at
 the chunk's first iteration t0; row t - t0 of the draw is iteration t's noise,
 with agent i owning row i of it. Mini-batch indices have one stream per
-(seed, run, iteration). Draws are a pure function of (seed, run, t),
+(seed, run, iteration), from which every agent's batch is drawn at once by
+Floyd's algorithm (``_batches``), and a block's batches make one
+``grad_batch`` call. Draws are a pure function of (seed, run, t),
 independent of scheduling and of how many runs are stepped together. The
 diagnostic draws of ``noise_samples`` have one stream per (seed, agent),
 read in row chunks.
@@ -196,8 +198,19 @@ def _check_minibatch(o, e, agents):
         raise OracleError(f"batch_size {o.batch_size} must be < local dataset size {m}")
 
 
-def _batch_of(o, e, i, gen):
-    return gen.choice(e.sample_count(i), size=o.batch_size, replace=False)
+def _batches(gen, sizes, k):
+    """For each entry m of the array ``sizes``, k distinct indices in [0, m),
+    as a (*sizes.shape, k) array, by Floyd's algorithm: position p draws u in
+    [0, m - k + p] and takes u, or m - k + p where u is taken at an earlier
+    position. The draws are one ``gen.integers`` call over the whole array,
+    in its C order, which draws what that many scalar calls in turn draw, so
+    its rows may be drawn in any number of calls."""
+    top = sizes[..., None] - k
+    idx = gen.integers(0, top + 1 + np.arange(k))
+    for p in range(1, k):
+        taken = (idx[..., :p] == idx[..., p, None]).any(axis=-1)
+        idx[..., p] = np.where(taken, top[..., 0] + p, idx[..., p])
+    return idx
 
 
 def _relaxed_scale(o, alpha, global_grad_norm):
@@ -219,19 +232,20 @@ def prepare_sampler(o: OracleSpec, e, seeds: Sequence[int], runs: Sequence[int],
     itself, and returns them as ``grad_global`` (None otherwise). Gaussian
     noise is drawn at the first call within each chunk, for every run of the
     block, into the ensemble's ``slot_memory``, the layout of the engine's
-    state.
+    state. The mini-batch flavor draws each run's (n, k) batch indices from
+    its cell (seed, 1, run, t) and makes one ``grad_batch`` call for the
+    block.
     """
     n, d = e.n, e.d
     if o.kind == "minibatch":
         _check_minibatch(o, e, range(n))
+        sizes = np.array([e.sample_count(i) for i in range(n)])
+        agents = np.arange(n)
 
         def sample_minibatch(x, t, alpha=None):
-            g = np.empty_like(x)
-            for b, (seed, run) in enumerate(zip(seeds, runs)):
-                gen = _batch_generator(seed, run, t)
-                for i in range(n):
-                    g[b, i] = e.grad_batch(i, x[b, i], _batch_of(o, e, i, gen))
-            return g, None, None
+            idx = np.stack([_batches(_batch_generator(seed, run, t), sizes, o.batch_size)
+                            for seed, run in zip(seeds, runs)])
+            return e.grad_batch(agents, x, idx), None, None
 
         return sample_minibatch
 
@@ -317,10 +331,9 @@ def _scaled(z: np.ndarray, s: float) -> np.ndarray:
     return z
 
 
-def _minibatch_rows(o, e, i, x, grad, gen, k: int) -> np.ndarray:
-    out = np.empty((k, e.d))
-    for r in range(k):
-        out[r] = e.grad_batch(i, x, _batch_of(o, e, i, gen)) - grad
+def _minibatch_rows(o, e, i, x, grad, gen, rows: int) -> np.ndarray:
+    out = e.grad_batch(i, x, _batches(gen, np.full(rows, e.sample_count(i)), o.batch_size))
+    out -= grad
     return out
 
 
@@ -342,8 +355,12 @@ def noise_samples(
     gradient at x, for the noise scale. The draws are made as the chunks
     are read. The stream runs on across chunks, so the chunks stacked are
     bitwise one (count, d) draw of that cell, and any number of streams may
-    be read in turns. Two draws of one count and d split at the same rows.
-    ``count`` must be an integer and ``i`` an agent index in [0, n).
+    be read in turns. Two draws of one count, d and oracle split at the same
+    rows. A mini-batch chunk draws its rows' batches as the sampler draws an
+    iteration's, over (rows, k) instead of (n, k), and makes one
+    ``grad_batch`` call, whose densified (rows, k, d) batch rows are also at
+    most SAMPLE_CHUNK_BYTES. ``count`` must be an integer and ``i`` an agent
+    index in [0, n).
     """
     if not _is_count(count):
         raise OracleError(f"count must be an integer, got {count!r}")
@@ -351,7 +368,10 @@ def noise_samples(
         raise OracleError(f"agent index i must lie in [0, {e.n}), got {i!r}")
     x = np.asarray(x, dtype=float)
     gen = _own_generator(seed, 2, i, 0)
-    rows = max(1, SAMPLE_CHUNK_BYTES // (8 * e.d))  # one row where a row alone is larger
+    # a mini-batch row densifies its batch's k rows, which the chunk's bytes
+    # count too; one row where a row alone is larger
+    per_row = 8 * e.d * (o.batch_size if o.kind == "minibatch" else 1)
+    rows = max(1, SAMPLE_CHUNK_BYTES // per_row)
     sizes = [min(rows, count - lo) for lo in range(0, count, rows)]
     if o.kind == "gaussian":
         scale = 1.0

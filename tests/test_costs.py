@@ -13,8 +13,11 @@ from scipy.special import expit
 
 from gtsim import costs, datasets
 from util import (DenseLogistic, central_diff_grad, dense_features, logistic_from_dense,
-                  parent_logistic_grad_global_all, reference_densify, reference_logistic_grad_global_all,
-                  tile_counts)
+                  parent_logistic_grad_global_all, reference_batch_grad, reference_densify,
+                  reference_logistic_grad_global_all, tile_counts)
+
+# slices of a grad_global_all stack: two panels and a partial third
+GRAD_STACK = 2 * costs.GRAD_SLICES + 1
 
 
 def quad2():
@@ -554,6 +557,119 @@ def test_the_sparse_forms_match_the_dense_forms_bit_for_bit(case):
         idx = rng.choice(e.sample_count(i), size=rng.integers(1, e.sample_count(i) + 1), replace=False)
         assert e.grad_batch(i, x, idx).tobytes() == dense.grad_batch(i, x, idx).tobytes()
     assert e.smoothness() == dense.smoothness()
+
+
+@st.composite
+def batch_cases(draw):
+    """A random logistic corpus, sparse, with empty rows, on n = 1-5 agents
+    of 2-30 rows each, a batch size below every agent's rows, a block of 1-4
+    runs and a seed for the points and indices."""
+    n, d = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sizes = rng.integers(2, 31, size=n)
+    h = [rng.standard_normal((m, d)) * (rng.random((m, d)) < rng.choice([0.0, 0.3, 1.0])) for m in sizes]
+    y = [rng.choice([-1.0, 1.0], size=m) for m in sizes]
+    e = logistic_from_dense(h, y, eta=draw(st.sampled_from([0.0, 0.1])))
+    return e, draw(st.integers(1, int(sizes.min()) - 1)), draw(st.integers(1, 4)), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_a_block_of_batch_gradients_is_bytes_equal_to_the_per_agent_form(case):
+    e, k, B, rng = case
+    n, d = e.n, e.d
+    h = dense_features(e)
+    sizes = [e.sample_count(i) for i in range(n)]
+    idx = np.array([[rng.choice(m, size=k, replace=False) for m in sizes] for _ in range(B)])
+    x = rng.standard_normal((B, n, d))
+
+    def alone(i, point, local):
+        rows = e._starts[i] + local
+        return reference_batch_grad(e, point, h[rows], e._y_all[rows])
+
+    block = e.grad_batch(np.arange(n), x, idx)
+    assert block.shape == (B, n, d)
+    for b in range(B):
+        for i in range(n):
+            assert block[b, i].tobytes() == alone(i, x[b, i], idx[b, i]).tobytes()
+            assert e.grad_batch(i, x[b, i], idx[b, i]).tobytes() == block[b, i].tobytes()
+    # one agent's point and a stack of batches, as noise_samples asks for them
+    stack = e.grad_batch(n - 1, x[0, -1], idx[:, -1])
+    for b in range(B):
+        assert stack[b].tobytes() == alone(n - 1, x[0, -1], idx[b, -1]).tobytes()
+
+
+def test_a_batch_index_outside_its_agents_rows_is_a_cost_error():
+    e = logistic_from_dense([np.ones((3, 2)), np.ones((2, 2))], [np.ones(3), -np.ones(2)])
+    with pytest.raises(costs.CostError, match="sample index"):
+        e.grad_batch(np.arange(2), np.zeros((2, 2)), np.array([[0, 2], [0, 2]]))
+    with pytest.raises(costs.CostError, match="sample index"):
+        e.grad_batch(0, np.zeros(2), np.array([-1]))
+    with pytest.raises(costs.CostError, match="agent index"):
+        e.grad_batch(2, np.zeros(2), np.array([0]))
+
+
+@st.composite
+def labelled_cases(draw):
+    """A logistic corpus over tiles of 1-5 rows, d in {1, 2, 17}, whose
+    labels are all -1, all +1, in runs of 1-6 equal labels (so that whole
+    tiles are negative) or random, and whose rows are empty with
+    probability 0, 0.5 or 1."""
+    n, d, tile = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 17])), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m = draw(st.integers(n, 30))
+    h = rng.standard_normal((m, d)) * (rng.random((m, 1)) >= draw(st.sampled_from([0.0, 0.5, 1.0])))
+    mode = draw(st.sampled_from(["negative", "positive", "runs", "random"]))
+    if mode == "runs":
+        y = np.resize(np.repeat([-1.0, 1.0], draw(st.integers(1, 6))), m)
+    else:
+        y = {"negative": -np.ones(m), "positive": np.ones(m), "random": rng.choice([-1.0, 1.0], m)}[mode]
+    cuts = np.sort(rng.choice(np.arange(1, m), size=n - 1, replace=False)) if n > 1 else []
+    e = logistic_from_dense(np.split(h, cuts), np.split(y, cuts), eta=draw(st.sampled_from([0.0, 0.1])))
+    return e, tile, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_cases())
+def test_labels_folded_into_the_tiles_give_the_bytes_of_margins_times_labels(case):
+    # DenseLogistic multiplies each panel's margins by the labels and keeps
+    # the features unsigned
+    e, tile, rng = case
+    dense = DenseLogistic(e)
+    xs = rng.standard_normal((GRAD_STACK, e.n, e.d))
+    points = rng.standard_normal((costs.VALUE_POINTS + 3, e.d))
+    xs[0, 0] = points[0] = 0.0
+    with mock.patch.object(costs, "TILE", tile), np.errstate(over="ignore"):
+        for x in (xs, xs[0]):
+            assert e.grad_global_all(x).tobytes() == dense.grad_global_all(x).tobytes()
+        for x in (points, points[0], xs):
+            assert np.asarray(e.value_global(x)).tobytes() == np.asarray(dense.value_global(x)).tobytes()
+
+
+def test_a_logistic_ensemble_takes_python_lists():
+    args = ([1.0, -1.0, 1.0], [0, 1, 3, 3], [0, 2, 1], [1.0, 1.0, 1.0], 3, [2, 1])
+    e = costs.LogisticEnsemble(*args, eta=0.1)
+    same = costs.LogisticEnsemble(*(np.array(a) if isinstance(a, list) else a for a in args[:4]),
+                                  *args[4:], eta=0.1)
+    x = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]])
+    assert e.grad_global_all(x).tobytes() == same.grad_global_all(x).tobytes()
+    assert e._indptr.dtype == e._offsets.dtype == np.int64
+    assert e._y_all.dtype == e._values.dtype == np.float64
+    # an empty list of features is an empty index array, whatever its dtype
+    assert costs.LogisticEnsemble([1.0], [0, 0], [], [], 2, [1]).value_local(0, np.zeros(2)) == np.log(2.0)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("indices", [0.0, 2.5, 1.0], "indices must be a 1-D array of int64"),
+    ("indptr", [[0, 1, 3, 3]], "indptr must be a 1-D array of int64, not of shape"),
+    ("labels", [1.0, "a", 1.0], "labels must be a 1-D array of float64"),
+    ("values", [[1.0], [1.0, 2.0], [1.0]], "values must be a 1-D array of float64"),
+], ids=["float_indices", "2d_indptr", "text_label", "ragged_values"])
+def test_a_logistic_argument_that_is_not_a_vector_of_its_dtype_is_named(name, value, match):
+    args = {"labels": [1.0, -1.0, 1.0], "indptr": [0, 1, 3, 3], "indices": [0, 2, 1],
+            "values": [1.0, 1.0, 1.0], "d": 3, "sizes": [2, 1], name: value}
+    with pytest.raises(costs.CostError, match=match):
+        costs.LogisticEnsemble(**args)
 
 
 def test_a_logistic_ensembles_arrays_are_read_only_also_after_a_pickle():

@@ -55,7 +55,7 @@ ER_NORMALIZED = dict(
 
 PINS = {
     "gaussian": "ffa983f2c590d2290007b6065779fb1efab3534c6ff0f1c992e5a38419749686",
-    "minibatch": "98f4f26417c508e295da17e3427f819e3be6af0554b899bffd5c4f8f2abc2dd2",
+    "minibatch": "2194272a64baa0fe3d80c4b80928fee629b34663967f1a32c3dc79d6a92dade3",
     "relaxed": "b3923dfd4e77848f582c615c1771bfb85c395a65b749c120a586c5239c5fb87c",
     "er_normalized": "07f9726c202a6eda04cf0181914f1bb9168b8b938fda06e844b7a1b3655db481",
 }

@@ -5,9 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gtsim import costs, datasets, noise
-from util import all_rows, logistic_from_dense, reference_estimate_mgf, reference_noise, reference_noise_samples
+from gtsim import algorithms as alg, costs, datasets, noise, topology as tp
+from util import (all_rows, logistic_from_dense, reference_batch, reference_estimate_mgf, reference_generator,
+                  reference_noise, reference_noise_samples)
 
 TOY = os.path.join(os.path.dirname(__file__), "fixtures", "toy.libsvm")
 
@@ -67,6 +69,94 @@ def test_grad_batch_over_every_sample_is_the_local_gradient():
     )
     x = rng.standard_normal(3)
     assert np.allclose(e.grad_batch(0, x, np.arange(6)), e.grad_local(0, x), atol=1e-12)
+
+
+class CountingLogistic(costs.LogisticEnsemble):
+    """A logistic ensemble that keeps the arguments of its grad_batch calls."""
+
+    def __init__(self, e):
+        self.__dict__.update(vars(e))
+        self.calls = []
+
+    def grad_batch(self, i, x, idx):
+        self.calls.append((np.array(i), np.array(idx)))
+        return super().grad_batch(i, x, idx)
+
+
+@st.composite
+def draw_cases(draw):
+    """A logistic corpus of d = 1 on n = 1-6 agents of 2-40 rows, a batch
+    size below every agent's rows, 1-4 run keys and an iteration."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sizes = rng.integers(2, 41, size=draw(st.integers(1, 6)))
+    e = logistic_from_dense([rng.standard_normal((m, 1)) for m in sizes],
+                            [rng.choice([-1.0, 1.0], m) for m in sizes])
+    keys = draw(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 1000)), min_size=1,
+                         max_size=4))
+    return e, draw(st.integers(1, int(sizes.min()) - 1)), keys, draw(st.integers(1, 2**20))
+
+
+def batches_drawn(e, k, keys, t):
+    """The (B, n, k) indices that one sampler over the runs ``keys`` asks
+    grad_batch for at iteration t."""
+    counting = CountingLogistic(e)
+    sampler = noise.prepare_sampler(noise.MinibatchOracle(k), counting, *zip(*keys), t)
+    sampler(np.zeros((len(keys), e.n, e.d)), t)
+    (agents, idx), = counting.calls
+    assert agents.tolist() == list(range(e.n))
+    return idx
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw_cases())
+def test_a_minibatch_draw_gives_each_agent_k_distinct_indices_at_any_block_size(case):
+    e, k, keys, t = case
+    idx = batches_drawn(e, k, keys, t)
+    assert idx.shape == (len(keys), e.n, k)
+    for b, (seed, run) in enumerate(keys):
+        assert batches_drawn(e, k, [(seed, run)], t).tobytes() == idx[b].tobytes()
+        gen = reference_generator(seed, 1, run, t)
+        for i in range(e.n):
+            m = e.sample_count(i)
+            assert len(set(idx[b, i].tolist())) == k
+            assert 0 <= idx[b, i].min() and idx[b, i].max() < m
+            # Floyd's algorithm, one scalar draw per position, agents in turn
+            assert idx[b, i].tolist() == reference_batch(gen, m, k).tolist()
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (5, 2), (12, 4), (7, 6), (40, 3)])
+def test_every_index_is_drawn_with_frequency_k_over_m(m, k):
+    # 20 000 batches of one cell, in one call; each index lies in a batch
+    # with probability k / m, within three standard errors
+    draws = 20_000
+    idx = noise._batches(noise._batch_generator(7, 3, m * 10 + k), np.full(draws, m), k)
+    freq = np.bincount(idx.ravel(), minlength=m) / draws
+    p = k / m
+    assert np.all(np.abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / draws))
+    assert all(len(set(row)) == k for row in idx.tolist())
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_the_minibatch_sampler_calls_grad_batch_once_per_iteration_of_a_block(runs):
+    e = CountingLogistic(datasets.to_logistic_ensemble(
+        datasets.split_uniform(datasets.load_libsvm(TOY), 3, seed=1), eta=0.1))
+    cfg = alg.RunConfig(w=tp.metropolis_hastings(tp.generate_graph("ring", 3)), ensemble=e,
+                        oracle=noise.MinibatchOracle(2), schedule=alg.ConstantStep(0.1), T=7,
+                        x0=np.zeros((3, e.d)))
+    alg.run("gt_dsgd", cfg, list(range(runs)), list(range(runs)))
+    assert len(e.calls) == cfg.T
+    assert all(idx.shape == (runs, 3, 2) for _, idx in e.calls)
+
+
+def test_minibatch_noise_samples_are_the_reference_draw_in_one_grad_batch_call_per_chunk():
+    e = CountingLogistic(datasets.to_logistic_ensemble(datasets.split_uniform(datasets.load_libsvm(TOY), 2)))
+    args = (noise.MinibatchOracle(2), e, 1, np.full(e.d, 0.1), 12_000)
+    chunks = list(noise.noise_samples(*args, seed=3))
+    # and one call for the local gradient
+    assert len(chunks) > 1 and len(e.calls) == len(chunks) + 1
+    # each call's batch rows, densified, fit in a chunk's bytes
+    assert all(idx.size * e.d * 8 <= noise.SAMPLE_CHUNK_BYTES for _, idx in e.calls[1:])
+    assert np.concatenate(chunks).tobytes() == reference_noise_samples(*args, seed=3).tobytes()
 
 
 def test_minibatch_requires_dataset():

@@ -2,6 +2,7 @@
 trajectory, pathwise-check, LIBSVM, graph-building and output-writing loops,
 and the per-section config normalizer."""
 
+import functools
 import io
 import json
 import math
@@ -51,15 +52,27 @@ def dense_features(e):
     return h
 
 
+def reference_batch_grad(e, x, h, y):
+    """The mini-batch gradient over the dense batch rows ``h`` (k, d) with
+    labels ``y`` at one point x, as ``LogisticEnsemble`` took it one agent
+    at a time before its block form."""
+    margins = y * (h @ x)
+    sig = costs._sigmoid(-margins)
+    data = -(h.T @ (y * sig)) / len(h)
+    return data + e._penalty_grad(x)
+
+
 class DenseLogistic(costs.LogisticEnsemble):
     """The logistic ensemble ``e`` evaluated in the dense forms it had before
     it kept its rows sparse: over the pooled (m, d) features that
-    ``dense_features`` rebuilds and per-agent row views of them."""
+    ``dense_features`` rebuilds and per-agent row views of them, with the
+    margins multiplied by the labels, not the features."""
 
     def __init__(self, e):
         self.__dict__.update(vars(e))
         self._smoothness = None
         self._h_all = dense_features(e)
+        self._yw_all = self._y_all * self._w_all
         cuts = e._starts[1:-1]
         self.features = np.split(self._h_all, cuts)
         self.labels = np.split(self._y_all, cuts)
@@ -76,12 +89,7 @@ class DenseLogistic(costs.LogisticEnsemble):
 
     def grad_batch(self, i, x, idx):
         self._validate_agent(i)
-        h = self.features[i][idx]
-        y = self.labels[i][idx]
-        margins = y * (h @ x)
-        sig = costs._sigmoid(-margins)
-        data = -(h.T @ (y * sig)) / len(h)
-        return data + self._penalty_grad(x)
+        return reference_batch_grad(self, x, self.features[i][idx], self.labels[i][idx])
 
     def _panel_sums(self, rows, height, out, term):
         panel = np.zeros((height, self.d))
@@ -102,6 +110,12 @@ class DenseLogistic(costs.LogisticEnsemble):
                     total += term(z, t, h)
             out[lo:lo + k] = total[..., :k].T
         return out
+
+    def _grad_term(self, z, t, h):
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(self._yw_all[t, None], z, out=z)
+        return h.T @ z
 
     def smoothness(self):
         if self._smoothness is None:
@@ -135,7 +149,7 @@ def parent_logistic_grad_global_all(e, x_rows):
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0
-    np.divide(e._yw_all, z, out=z)
+    np.divide(e._y_all * e._w_all, z, out=z)
     data = -(z @ h)
     return data + e._penalty_grad(x_rows)
 
@@ -190,6 +204,29 @@ def reference_noise(seed, run, t, n, d):
     return reference_generator(seed, 0, run, t0).standard_normal((t - t0 + 1, n, d))[-1]
 
 
+def reference_batch(gen, m, k):
+    """k distinct indices in [0, m) by Floyd's algorithm, one scalar draw per
+    position: position p draws u in [0, m - k + p] and takes u, or m - k + p
+    where u is already taken."""
+    idx = []
+    for top in range(m - k, m):
+        u = int(gen.integers(0, top + 1))
+        idx.append(top if u in idx else u)
+    return np.array(idx)
+
+
+@functools.lru_cache(maxsize=4)
+def _dense_features_of(e):
+    return dense_features(e)
+
+
+def reference_batch_rows(e, i, x, idx):
+    """Agent i's mini-batch gradient at x over its local samples ``idx``,
+    read from the pooled features that ``dense_features`` rebuilds."""
+    rows = e._starts[i] + np.asarray(idx)
+    return reference_batch_grad(e, x, _dense_features_of(e)[rows], e._y_all[rows])
+
+
 def _reference_oracle(o, grad_all, e, x, seed, run_id, t, alpha, gg):
     """(g, exact) for all agents; exact is None for mini-batches."""
     n, d = x.shape
@@ -197,8 +234,7 @@ def _reference_oracle(o, grad_all, e, x, seed, run_id, t, alpha, gg):
         gen = reference_generator(seed, 1, run_id, t)
         g = np.empty((n, d))
         for i in range(n):
-            idx = gen.choice(e.sample_count(i), size=o.batch_size, replace=False)
-            g[i] = e.grad_batch(i, x[i], idx)
+            g[i] = reference_batch_rows(e, i, x[i], reference_batch(gen, e.sample_count(i), o.batch_size))
         return g, None
     exact = grad_all(x)
     if o.rho == 0.0:
@@ -526,9 +562,9 @@ def reference_noise_samples(o, e, i, x, count, seed=0, alpha=None):
     if o.kind == "minibatch":
         grad = e.grad_local(i, x)
         out = np.empty((count, e.d))
-        gen = noise._generator(seed, 2, i, 0)
+        gen = reference_generator(seed, 2, i, 0)
         for k in range(count):
-            out[k] = e.grad_batch(i, x, noise._batch_of(o, e, i, gen)) - grad
+            out[k] = reference_batch_rows(e, i, x, reference_batch(gen, e.sample_count(i), o.batch_size)) - grad
         return out
     raise noise.OracleError(f"unknown oracle kind {o.kind!r}")
 
